@@ -89,9 +89,9 @@ class ConfigError(ValueError):
 
 
 _MODEL_OPTION_KEYS = {
-    EXACT: {"q"},
+    EXACT: set(),
     POST4: set(),
-    WEAK: {"order", "q"},
+    WEAK: {"order"},
     UNIFORM: {"order"},
     HEURISTIC: {"ordering", "gain", "beta"},
 }
@@ -116,8 +116,6 @@ class ModelSpec:
 
     def _check_option_values(self):
         opts = self.options
-        if "q" in opts and not 0.0 < float(opts["q"]) < 1.0:
-            raise ConfigError(f"q must lie in (0, 1), got {opts['q']!r}")
         if self.name == UNIFORM and int(opts.get("order", 1)) not in (0, 1, 2):
             raise ConfigError(f"uniform order must be 0, 1 or 2, got {opts['order']!r}")
         if self.name == WEAK and int(opts.get("order", 3)) < 1:
@@ -289,8 +287,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_model(spec: ModelSpec, config: RunConfig, pump_value: float, space: TruncatedSpace) -> GeneratorModel:
-    q = float(spec.options.get("q", 0.5))
-    params = PumpParameters.from_pump(pump_value, config.g_tau_bar, config.kappa, q)
+    params = PumpParameters.from_pump(pump_value, config.g_tau_bar, config.kappa)
     if spec.name == EXACT:
         return exact_model(params, space)
     if spec.name == POST4:

@@ -126,14 +126,7 @@ class OrthoBasis:
 
     def inner(self, poly_a: np.ndarray, poly_b: np.ndarray) -> float:
         """Measure inner product of two coefficient vectors."""
-        acc = 0.0
-        for i, ca in enumerate(poly_a):
-            if ca == 0.0:
-                continue
-            for j, cb in enumerate(poly_b):
-                if cb != 0.0:
-                    acc += ca * cb * moment(self.measure, i + j)
-        return acc
+        return _monomial_inner(self.measure, poly_a, poly_b)
 
 
 def _monomial_inner(measure: TimeMeasure, pa: np.ndarray, pb: np.ndarray) -> float:

@@ -10,6 +10,31 @@ atom-induced gain is treated:
   uniform_lindblad all-orders Lindblad set from degree-0/1 projections
   heuristic        single saturated-gain Lindblad operator
 
+Every one of them commutes with the phase rotation exp(i theta a* a), so it
+acts on rho_{m,n} one band m - n at a time and is fixed by two pair
+functions:
+
+  feed      F(m, n)  rate at which rho_{m,n} feeds rho_{m+1,n+1}
+  dephasing H(m, n)  extra decay of rho_{m,n}, zero when m = n
+
+With g_n = F(n, n) below the top level and 0 at n_max (gain out of the
+space is truncated, which keeps the generator trace preserving),
+
+  (L rho)_{mn} = [H(m,n) - (g_m + g_n)/2 - kappa (m + n)/2] rho_{mn}
+                 + F(m-1, n-1) rho_{m-1,n-1}
+                 + kappa sqrt((m+1)(n+1)) rho_{m+1,n+1}.
+
+GeneratorModel derives everything else from F and H: the detailed-balance
+ratio F(n, n) / (kappa (n+1)), the matrix-free `apply` (evaluated only at
+the nonzero entries of rho) and the dense `assemble`.  A Lindblad model
+with one-quantum gain operators S_k (first subdiagonal s_k) and diagonal
+operators diag(c_k) has F = sum_k s_k(m) s_k(n) and
+H = -sum_k (c_k(m) - c_k(n))^2 / 2.
+
+The independent dense oracles are the explicit operator lists
+(`lindblad_ops`, through `superop.dissipator_matrix`), the kron formula of
+`fourth_order_generator` and `pump.averaged_pump_superoperator`.
+
 Polynomial occurrences of a a* in the series models use the plain truncated
 product (zero at the top entry) so that expansion identities and trace
 preservation hold exactly on the whole space; diagonal operator functions
@@ -18,23 +43,17 @@ preservation hold exactly on the whole space; diagonal operator functions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .fock import TruncatedSpace, annihilation, creation
+from .fock import TruncatedSpace, annihilation
 from .measures import OrthoBasis, TimeMeasure, expansion_coeffs
-from .pump import PumpParameters, pump_average_tables, sin_sin_average
-from .superop import (
-    Superoperator,
-    apply_dissipator,
-    dissipator_matrix,
-    left_mult,
-    loss_dissipator,
-    right_mult,
-    sandwich,
-)
+from .pump import PumpParameters, cos_cos_average, sin_sin_average
+from .superop import Superoperator, left_mult, right_mult, sandwich
 
 EXACT = "exact"
 POST4 = "post4"
@@ -45,61 +64,35 @@ HEURISTIC = "heuristic"
 MODEL_NAMES = (EXACT, POST4, WEAK, UNIFORM, HEURISTIC)
 
 
-def _loss_apply(rho: np.ndarray, kappa: float) -> np.ndarray:
-    """kappa (a rho a* - {a* a, rho} / 2) without building the dense matrix."""
-    d = rho.shape[0]
-    n = np.arange(d, dtype=float)
-    out = (-0.5 * kappa) * (n[:, None] + n[None, :]) * rho
-    root = np.sqrt(n[: d - 1] + 1.0)
-    out[: d - 1, : d - 1] += kappa * (root[:, None] * root[None, :]) * rho[1:, 1:]
-    return out
-
-
 @dataclass(frozen=True)
 class ExactPump:
-    """Measure-averaged pump generator, stored through its cos/sin tables.
+    """Pair functions of the measure-averaged pump.
 
-    The average of the instantaneous dissipators of the cosine/gain split is
-    used, which agrees with r <M_tau - 1> everywhere except the top-level
-    column, where it reflects instead of leaking: the result is trace
-    preserving on the whole truncated space.  include_cos=False keeps only
-    the gain family (same photon statistics, different coherence decay).
+    They are those of the average of the instantaneous dissipators of the
+    cosine/gain split, which agrees with r <M_tau - 1> everywhere except the
+    top-level column, where it reflects instead of leaking: the result is
+    trace preserving on the whole truncated space.  include_cos=False keeps
+    only the gain family (same photon statistics, different coherence
+    decay).
     """
 
     r: float
-    cc: np.ndarray = field(repr=False)
-    ss: np.ndarray = field(repr=False)
+    g_tau_bar: float
+    measure: TimeMeasure
     include_cos: bool = True
 
-    def _diag_rates(self) -> tuple[np.ndarray, np.ndarray]:
-        cbar = np.diagonal(self.cc).copy()
-        sbar = np.diagonal(self.ss).copy()
-        sbar[-1] = 0.0  # gain out of the top level is truncated
-        return cbar, sbar
+    def _alpha(self, n):
+        return self.g_tau_bar * np.sqrt(np.asarray(n, dtype=float) + 1.0)
 
-    def matrix(self, space: TruncatedSpace) -> np.ndarray:
-        d = space.dim
-        cbar, sbar = self._diag_rates()
-        coeff = -0.5 * (sbar[:, None] + sbar[None, :])
-        if self.include_cos:
-            coeff = coeff + self.cc - 0.5 * (cbar[:, None] + cbar[None, :])
-        mat = np.zeros((d * d, d * d))
-        idx = np.arange(d)
-        pos = idx[:, None] + d * idx[None, :]
-        mat[pos.reshape(-1), pos.reshape(-1)] = self.r * coeff.reshape(-1)
-        up = pos[1:, 1:].reshape(-1)
-        src = pos[:-1, :-1].reshape(-1)
-        mat[up, src] += self.r * self.ss[:-1, :-1].reshape(-1)
-        return mat
+    def feed(self, m, n):
+        return self.r * sin_sin_average(self.measure, self._alpha(m), self._alpha(n))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        cbar, sbar = self._diag_rates()
-        coeff = -0.5 * (sbar[:, None] + sbar[None, :])
-        if self.include_cos:
-            coeff = coeff + self.cc - 0.5 * (cbar[:, None] + cbar[None, :])
-        out = self.r * coeff * rho
-        out[1:, 1:] += self.r * self.ss[:-1, :-1] * rho[:-1, :-1]
-        return out
+    def dephasing(self, m, n):
+        if not self.include_cos:
+            return np.zeros(np.broadcast(m, n).shape)
+        am, an = self._alpha(m), self._alpha(n)
+        cc = functools.partial(cos_cos_average, self.measure)
+        return self.r * (cc(am, an) - 0.5 * (cc(am, am) + cc(an, an)))
 
 
 @dataclass(frozen=True)
@@ -109,92 +102,100 @@ class FourthOrderPump:
 
     gain: float
     quartic: float
+    n_max: int
 
-    def _ops(self, space: TruncatedSpace):
-        a = annihilation(space)
-        ad = a.T
-        p = a @ ad  # truncated product: top diagonal entry is zero
-        return a, ad, p
+    def feed(self, m, n):
+        ym = np.asarray(m, dtype=float) + 1.0
+        yn = np.asarray(n, dtype=float) + 1.0
+        root = np.sqrt(ym * yn)
+        return self.gain * root - 2.0 * self.quartic * (root * (ym + yn))
 
-    def matrix(self, space: TruncatedSpace) -> np.ndarray:
-        a, ad, p = self._ops(space)
-        p2 = p @ p
-        lin = sandwich(ad) - 0.5 * (left_mult(p) + right_mult(p))
-        quart = (
-            3.0 * sandwich(p)
-            + 0.5 * (left_mult(p2) + right_mult(p2))
-            - 2.0 * (np.kron(a.T, ad @ p) + np.kron((p @ a).T, ad))
-        )
-        return self.gain * lin + self.quartic * quart
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        space = TruncatedSpace(rho.shape[0] - 1)
-        a, ad, p = self._ops(space)
-        p2 = p @ p
-        lin = ad @ rho @ a - 0.5 * (p @ rho + rho @ p)
-        anti = p @ rho + rho @ p
-        quart = (
-            3.0 * (p @ rho @ p)
-            + 0.5 * (p2 @ rho + rho @ p2)
-            - 2.0 * (ad @ anti @ a)
-        )
-        return self.gain * lin + self.quartic * quart
+    def dephasing(self, m, n):
+        # P = a a* with the truncated zero at the top entry
+        pm, pn = (np.where(np.asarray(k) < self.n_max, k + 1.0, 0.0) for k in (m, n))
+        return -1.5 * self.quartic * (pm - pn) ** 2
 
 
 @dataclass
 class GeneratorModel:
-    """One gain treatment bound to a space, plus the closures derived from it.
+    """One gain treatment bound to a space, in the band normal form.
 
-    lindblad_ops lists the pump-side Lindblad operators (loss excluded); a
-    non-empty list with no `pump_extra` marks a manifestly Lindblad model.
-    gain_fn(n) is the analytic one-quantum gain rate out of level n, valid
-    for any n (it is what truncation searches extrapolate with).
+    feed(m, n) and dephasing(m, n) are the model's pair functions (see the
+    module docstring); feed holds at any level n, which is what truncation
+    searches extrapolate with.  lindblad_ops lists the pump-side Lindblad
+    operators (loss excluded), kept as the dense oracle; a non-empty list
+    with no `pump_extra` marks a manifestly Lindblad model.
     """
 
     name: str
     space: TruncatedSpace
     params: PumpParameters | None
+    feed: Callable
+    dephasing: Callable
     lindblad_ops: list = field(default_factory=list)
     pump_extra: ExactPump | FourthOrderPump | None = None
-    gain_fn: object = None
     options: dict = field(default_factory=dict)
 
     @property
     def manifest_lindblad(self) -> bool:
         return bool(self.lindblad_ops) and self.pump_extra is None
 
+    def gain_fn(self, n):
+        """One-quantum gain rate F(n, n) out of level n, for any n."""
+        n = np.asarray(n, dtype=float)
+        return self.feed(n, n)
+
     def gain_ratio(self, kappa: float):
-        """Detailed-balance ratio p_{n+1}/p_n = G(n) / (kappa (n+1))."""
+        """Detailed-balance ratio p_{n+1}/p_n = F(n, n) / (kappa (n+1))."""
         if kappa <= 0:
             raise ValueError("kappa must be positive")
-        gain = self.gain_fn
 
         def ratio(n):
             n = np.asarray(n, dtype=float)
-            return gain(n) / (kappa * (n + 1.0))
+            return self.gain_fn(n) / (kappa * (n + 1.0))
 
         return ratio
 
+    def _moves(self, m: np.ndarray, n: np.ndarray, kappa: float) -> tuple:
+        """The generator on the entries (m, n), as (sources, level shift of
+        their target, rate) per move: decay in place, feed one level up,
+        loss one level down."""
+        top = self.space.n_max
+        gain_out = self.gain_fn(np.arange(top + 1))
+        gain_out[top] = 0.0  # gain out of the top level is truncated
+        decay = self.dephasing(m, n) - 0.5 * (gain_out[m] + gain_out[n] + kappa * (m + n))
+        up = (m < top) & (n < top)
+        down = (m > 0) & (n > 0)
+        return (
+            (slice(None), 0, decay),
+            (up, 1, self.feed(m[up], n[up])),
+            (down, -1, kappa * np.sqrt(m[down] * n[down])),
+        )
+
     def apply(self, rho: np.ndarray, kappa: float) -> np.ndarray:
-        """Generator action on a density matrix without dense vectorization."""
-        out = _loss_apply(rho, kappa)
-        if self.pump_extra is not None:
-            out = out + self.pump_extra.apply(rho)
-        if self.lindblad_ops:
-            opd_op = sum(op.conj().T @ op for op in self.lindblad_ops)
-            for op in self.lindblad_ops:
-                out = out + op @ rho @ op.conj().T
-            out = out - 0.5 * (opd_op @ rho + rho @ opd_op)
+        """Generator action on a density matrix.  F and H are evaluated only
+        at the nonzero entries of rho, so one band costs O(n_max) beyond the
+        scan that finds them."""
+        rho = np.asarray(rho)
+        m, n = np.nonzero(rho)
+        vals = rho[m, n]
+        out = np.zeros(rho.shape, dtype=np.result_type(rho.dtype, float))
+        for sel, shift, rate in self._moves(m, n, kappa):
+            out[m[sel] + shift, n[sel] + shift] += rate * vals[sel]
         return out
 
 
 def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
-    """Dense generator: pump dissipators plus cavity loss at rate kappa."""
-    mat = loss_dissipator(kappa, model.space).matrix.copy()
-    if model.pump_extra is not None:
-        mat += model.pump_extra.matrix(model.space)
-    for op in model.lindblad_ops:
-        mat += dissipator_matrix(op)
+    """Dense generator: the model's band coefficients plus loss at rate kappa."""
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    d = model.space.dim
+    pos = np.arange(d * d)  # column-stacked vec index of the entry (m, n)
+    m, n = pos % d, pos // d
+    mat = np.zeros((d * d, d * d))
+    for sel, shift, rate in model._moves(m, n, kappa):
+        src = pos[sel]
+        mat[src + shift * (d + 1), src] = rate
     return Superoperator(model.space, mat)
 
 
@@ -217,52 +218,98 @@ def merge_proportional(ops: list, tol: float = 1e-12) -> list:
     return [unit * math.sqrt(weight) for unit, weight in merged]
 
 
+def _lindblad_model(
+    name: str,
+    space: TruncatedSpace,
+    params: PumpParameters | None,
+    rate: float,
+    gain_elements: Callable,
+    diagonals: list,
+    options: dict,
+    merge: bool = False,
+) -> GeneratorModel:
+    """Model with Lindblad operators sqrt(rate) S_k and sqrt(rate) diag(c_k).
+
+    gain_elements(n) returns the list of s_k(n) = <n+1|S_k|n>, valid at any
+    level n; diagonals lists the vectors c_k on the levels of the space.
+    """
+
+    def feed(m, n):
+        return rate * sum(sm * sn for sm, sn in zip(gain_elements(m), gain_elements(n)))
+
+    def dephasing(m, n):
+        zero = np.zeros(np.broadcast(m, n).shape)
+        return -0.5 * rate * sum(((c[m] - c[n]) ** 2 for c in diagonals), zero)
+
+    scale = math.sqrt(rate)
+    ops = [scale * np.diag(s, -1) for s in gain_elements(np.arange(space.n_max))]
+    ops += [scale * np.diag(c) for c in diagonals]
+    if merge:
+        ops = merge_proportional(ops)
+    return GeneratorModel(
+        name=name,
+        space=space,
+        params=params,
+        feed=feed,
+        dephasing=dephasing,
+        lindblad_ops=ops,
+        options=options,
+    )
+
+
+def _truncated_p(space: TruncatedSpace) -> np.ndarray:
+    """Diagonal of the plain product a a*: n+1 with a zero at the top."""
+    p = np.arange(1.0, space.dim + 1.0)
+    p[-1] = 0.0
+    return p
+
+
 def exact_model(
     params: PumpParameters,
     space: TruncatedSpace,
     measure: TimeMeasure | None = None,
     include_cos: bool = True,
 ) -> GeneratorModel:
-    """All-orders model from the measure-averaged pump tables."""
+    """All-orders model from the measure averages of the pump split."""
     if measure is None:
         measure = TimeMeasure.exponential(params.tau_bar)
-    cc, ss = pump_average_tables(params, space, measure)
-    g_tau_bar, r = params.g_tau_bar, params.r
-
-    def gain_fn(n):
-        n = np.asarray(n, dtype=float)
-        alpha = g_tau_bar * np.sqrt(n + 1.0)
-        return r * sin_sin_average(measure, alpha, alpha)
-
+    pump = ExactPump(params.r, params.g_tau_bar, measure, include_cos)
     return GeneratorModel(
         name=EXACT,
         space=space,
         params=params,
-        pump_extra=ExactPump(r, cc, ss, include_cos),
-        gain_fn=gain_fn,
+        feed=pump.feed,
+        dephasing=pump.dephasing,
+        pump_extra=pump,
         options={"measure": measure.kind, "include_cos": include_cos},
     )
 
 
 def fourth_order_generator(params: PumpParameters, space: TruncatedSpace) -> Superoperator:
-    """Dense pump generator truncated at fourth order in g tau (no loss)."""
-    pump = FourthOrderPump(params.gain_rate, params.saturation_rate)
-    return Superoperator(space, pump.matrix(space))
+    """Dense pump generator truncated at fourth order in g tau (no loss):
+    A (D[a*] with P = a a*) + B (3 P rho P + {P^2, rho}/2 - 2 a*{P, rho} a)."""
+    a = annihilation(space)
+    ad = a.T
+    p = a @ ad  # truncated product: top diagonal entry is zero
+    p2 = p @ p
+    lin = sandwich(ad) - 0.5 * (left_mult(p) + right_mult(p))
+    quart = (
+        3.0 * sandwich(p)
+        + 0.5 * (left_mult(p2) + right_mult(p2))
+        - 2.0 * (np.kron(a.T, ad @ p) + np.kron((p @ a).T, ad))
+    )
+    return Superoperator(space, params.gain_rate * lin + params.saturation_rate * quart)
 
 
 def fourth_order_model(params: PumpParameters, space: TruncatedSpace) -> GeneratorModel:
-    gain, quartic = params.gain_rate, params.saturation_rate
-
-    def gain_fn(n):
-        n = np.asarray(n, dtype=float)
-        return gain * (n + 1.0) - 4.0 * quartic * (n + 1.0) ** 2
-
+    pump = FourthOrderPump(params.gain_rate, params.saturation_rate, space.n_max)
     return GeneratorModel(
         name=POST4,
         space=space,
         params=params,
-        pump_extra=FourthOrderPump(gain, quartic),
-        gain_fn=gain_fn,
+        feed=pump.feed,
+        dephasing=pump.dephasing,
+        pump_extra=pump,
     )
 
 
@@ -292,31 +339,16 @@ def weak_coupling_model(
     plus one diagonal operator sqrt(6 r) u P (identity part dropped), which
     leaves photon statistics alone and only widens the line.
     """
-    a = annihilation(space)
-    ad = a.T
-    p = a @ ad
-    eye = np.eye(space.dim)
-    sq_r, gt, u = math.sqrt(params.r), params.g_tau_bar, params.u
-    s0 = sq_r * gt * ad @ (eye - u * p)
-    s1 = -sq_r * gt * ad @ (eye - 3.0 * u * p)
-    s2 = math.sqrt(10.0 * params.r) * gt**3 * ad @ p
-    ops = [s0, s1, s2]
-    if not drop_cos:
-        ops.append(-math.sqrt(6.0 * params.r) * u * p)
-    gain, kappa_free_u = params.gain_rate, u
+    gt, u = params.g_tau_bar, params.u
 
-    def gain_fn(n):
-        n = np.asarray(n, dtype=float)
-        x = kappa_free_u * (n + 1.0)
-        return gain * (n + 1.0) * (1.0 - 4.0 * x + 10.0 * x**2)
+    def gain_elements(n):
+        y = np.asarray(n, dtype=float) + 1.0  # eigenvalue of P below the top
+        root = gt * np.sqrt(y)
+        return [root * (1.0 - u * y), -root * (1.0 - 3.0 * u * y), math.sqrt(10.0) * u * root * y]
 
-    return GeneratorModel(
-        name=WEAK,
-        space=space,
-        params=params,
-        lindblad_ops=ops,
-        gain_fn=gain_fn,
-        options={"drop_cos": drop_cos},
+    diagonals = [] if drop_cos else [-math.sqrt(6.0) * u * _truncated_p(space)]
+    return _lindblad_model(
+        WEAK, space, params, params.r, gain_elements, diagonals, {"drop_cos": drop_cos}
     )
 
 
@@ -345,60 +377,34 @@ def general_weak_model(
             raise ValueError(
                 f"series order {order} exceeds basis degree {basis.degree}"
             )
-    a = annihilation(space)
-    ad = a.T
-    p = a @ ad
     coeff_table = [expansion_coeffs(basis, j) for j in range(order + 1)]
-    p_powers = [np.eye(space.dim)]
-    while len(p_powers) <= order // 2:
-        p_powers.append(p_powers[-1] @ p)
-    sq_r, gt = math.sqrt(params.r), params.g_tau_bar
-
-    ops = []
-    s_polys = []  # per channel: coefficients of (n+1)^m in the gain element
+    gt = params.g_tau_bar
+    # per channel k: coefficients of P^m in C_k (even j) and in S_k / a* (odd j)
+    c_polys, s_polys = [], []
     for k in range(k_top + 1):
-        c_op = np.zeros((space.dim, space.dim))
-        s_diag = np.zeros((space.dim, space.dim))
-        s_poly = np.zeros(order // 2 + 1)
-        for j in range(k, order + 1):
-            a_jk = float(coeff_table[j][k])
-            if j % 2 == 0:
-                if j == 0:
-                    continue  # pure identity, dropped
-                m = j // 2
-                c_op += a_jk * gt**j * (-1.0) ** m / math.factorial(j) * p_powers[m]
-            else:
-                m = (j - 1) // 2
-                term = a_jk * gt**j * (-1.0) ** m / math.factorial(j)
-                s_diag += term * p_powers[m]
-                s_poly[m] += term
-        if np.any(c_op):
-            ops.append(sq_r * c_op)
-        if np.any(s_diag):
-            ops.append(sq_r * (ad @ s_diag))
-            s_polys.append(s_poly)
-    if merge:
-        ops = merge_proportional(ops)
-    r = params.r
+        polys = (np.zeros(order // 2 + 1), np.zeros(order // 2 + 1))
+        for j in range(max(k, 1), order + 1):  # j = 0 is the identity, dropped
+            term = float(coeff_table[j][k]) * gt**j * (-1.0) ** (j // 2) / math.factorial(j)
+            polys[j % 2][j // 2] += term
+        c_polys.append(polys[0])
+        s_polys.append(polys[1])
+    s_polys = [s for s in s_polys if np.any(s)]
+    p = _truncated_p(space)
+    diagonals = [np.polynomial.polynomial.polyval(p, c) for c in c_polys if np.any(c)]
 
-    def gain_fn(n):
-        n = np.asarray(n, dtype=float)
-        y = n + 1.0
-        total = np.zeros_like(y)
-        for s_poly in s_polys:
-            elem = np.zeros_like(y)
-            for m, c in enumerate(s_poly):
-                elem += c * y**m
-            total += elem**2
-        return r * y * total
+    def gain_elements(n):
+        y = np.asarray(n, dtype=float) + 1.0
+        return [np.sqrt(y) * np.polynomial.polynomial.polyval(y, s) for s in s_polys]
 
-    return GeneratorModel(
-        name=WEAK,
-        space=space,
-        params=params,
-        lindblad_ops=ops,
-        gain_fn=gain_fn,
-        options={"order": order, "measure": basis.measure.kind},
+    return _lindblad_model(
+        WEAK,
+        space,
+        params,
+        params.r,
+        gain_elements,
+        diagonals,
+        {"order": order, "measure": basis.measure.kind},
+        merge=merge,
     )
 
 
@@ -435,37 +441,24 @@ def uniform_model(
         raise ValueError("tau_bar must be positive")
     if order not in (0, 1, 2):
         raise ValueError(f"uniform expansion order must be 0, 1 or 2, got {order}")
-    ad = creation(space)
-    levels = np.arange(1, space.dim + 1, dtype=float)  # n+1 with exact top
-    alpha = params.g_tau_bar * np.sqrt(levels)
-    sq_r = math.sqrt(params.r)
-    sin_k = _uniform_sin_kernels(alpha)
-    cos_k = _uniform_cos_kernels(alpha)
-
-    ops = []
+    g_tau_bar = params.g_tau_bar
     n_sin = 1 + (order >= 1) + (order >= 2)
-    for k in range(n_sin):
-        ops.append(sq_r * ad @ np.diag(sin_k[k] / np.sqrt(levels)))
-    if not drop_cos:
-        ops.append(sq_r * np.diag(cos_k[0]))
-        if order >= 2:
-            ops.append(sq_r * np.diag(cos_k[1]))
-    r, g_tau_bar = params.r, params.g_tau_bar
 
-    def gain_fn(n):
-        n = np.asarray(n, dtype=float)
-        al = g_tau_bar * np.sqrt(n + 1.0)
-        kern = _uniform_sin_kernels(al)
-        total = sum(kern[k] ** 2 for k in range(n_sin))
-        return r * total
+    def gain_elements(n):
+        alpha = g_tau_bar * np.sqrt(np.asarray(n, dtype=float) + 1.0)
+        return _uniform_sin_kernels(alpha)[:n_sin]
 
-    return GeneratorModel(
-        name=UNIFORM,
-        space=space,
-        params=params,
-        lindblad_ops=ops,
-        gain_fn=gain_fn,
-        options={"order": order, "drop_cos": drop_cos},
+    levels = np.arange(1, space.dim + 1, dtype=float)  # n+1 with exact top
+    cos_k = _uniform_cos_kernels(g_tau_bar * np.sqrt(levels))
+    diagonals = [] if drop_cos else cos_k[: 1 + (order >= 2)]
+    return _lindblad_model(
+        UNIFORM,
+        space,
+        params,
+        params.r,
+        gain_elements,
+        diagonals,
+        {"order": order, "drop_cos": drop_cos},
     )
 
 
@@ -485,21 +478,18 @@ def heuristic_model(
         raise ValueError("gain and beta must be nonnegative")
     if ordering not in ("aa_dag", "a_dag_a"):
         raise ValueError(f"ordering must be 'aa_dag' or 'a_dag_a', got {ordering!r}")
-    ad = creation(space)
-    n = np.arange(space.n_max + 1, dtype=float)
-    x = n + 1.0 if ordering == "aa_dag" else n
-    op = math.sqrt(gain) * ad @ np.diag(1.0 / np.sqrt(1.0 + beta * x))
+    shift = 1.0 if ordering == "aa_dag" else 0.0
 
-    def gain_fn(nn):
-        nn = np.asarray(nn, dtype=float)
-        xx = nn + 1.0 if ordering == "aa_dag" else nn
-        return gain * (nn + 1.0) / (1.0 + beta * xx)
+    def gain_elements(n):
+        n = np.asarray(n, dtype=float)
+        return [np.sqrt((n + 1.0) / (1.0 + beta * (n + shift)))]
 
-    return GeneratorModel(
-        name=HEURISTIC,
-        space=space,
-        params=None,
-        lindblad_ops=[op],
-        gain_fn=gain_fn,
-        options={"gain": gain, "beta": beta, "ordering": ordering},
+    return _lindblad_model(
+        HEURISTIC,
+        space,
+        None,
+        gain,
+        gain_elements,
+        [],
+        {"gain": gain, "beta": beta, "ordering": ordering},
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TruncatedSpace, annihilation
+from .fock import TruncatedSpace
 from .superop import Superoperator
 
 
@@ -73,13 +73,11 @@ class LinewidthResult:
 MEAN_N_FLOOR = 1e-6
 
 
-def _correlation_derivative(apply_fn, rho_ss: np.ndarray) -> complex:
-    """tr[a* S(a rho_ss)] without building a dense superoperator."""
-    space = TruncatedSpace(rho_ss.shape[0] - 1)
-    a = annihilation(space)
-    image = apply_fn(a @ rho_ss)
-    root = np.sqrt(np.arange(1, space.dim, dtype=float))
-    return complex(root @ np.diagonal(image, offset=1))
+def _lower(rho: np.ndarray) -> np.ndarray:
+    """a rho as a row shift, (a rho)_{mn} = sqrt(m+1) rho_{m+1,n}."""
+    out = np.zeros(rho.shape, dtype=np.result_type(rho, float))
+    out[:-1] = np.sqrt(np.arange(1.0, rho.shape[0]))[:, None] * rho[1:]
+    return out
 
 
 def _resolve_apply(generator):
@@ -90,17 +88,17 @@ def _resolve_apply(generator):
     raise TypeError("generator must be a Superoperator or a callable rho -> drho")
 
 
-def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
-    """Phase-diffusion rate D of the steady field, from the full generator
-    (pump and loss together).  normalized_D = D <n> / kappa is 1 for pure
-    loss and tends to the interaction-free value far above threshold."""
+def _linewidth_result(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
+    """Linewidth from f'(0) = tr[a* X], where X = image_fn(a rho_ss)."""
     mean_n = float(np.real(np.diagonal(rho_ss)) @ np.arange(rho_ss.shape[0]))
     if mean_n < MEAN_N_FLOOR:
         raise ValueError(
             f"mean photon number {mean_n:.3e} is below {MEAN_N_FLOOR:g}; "
             "the linewidth is undefined"
         )
-    deriv = _correlation_derivative(_resolve_apply(generator), rho_ss)
+    image = image_fn(_lower(rho_ss))
+    root = np.sqrt(np.arange(1.0, rho_ss.shape[0]))
+    deriv = complex(root @ np.diagonal(image, offset=1))
     d_rate = -2.0 * deriv.real / mean_n
     return LinewidthResult(
         D=d_rate,
@@ -108,6 +106,13 @@ def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
         frequency_pull=deriv.imag / mean_n,
         mean_n=mean_n,
     )
+
+
+def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
+    """Phase-diffusion rate D of the steady field, from the full generator
+    (pump and loss together).  normalized_D = D <n> / kappa is 1 for pure
+    loss and tends to the interaction-free value far above threshold."""
+    return _linewidth_result(_resolve_apply(generator), rho_ss, kappa)
 
 
 def linewidth_fd(
@@ -128,31 +133,19 @@ def linewidth_fd(
     if norm_scale <= 0:
         raise ValueError("norm_scale must be positive")
     delta = 1e-6 / norm_scale
-    space = TruncatedSpace(rho_ss.shape[0] - 1)
-    a = annihilation(space)
-    w = apply_fn(a @ rho_ss)
-    quotient = np.zeros_like(w)
-    factor = 1.0
-    for order in range(1, 5):
-        factor /= order  # delta^{k-1} / k!
-        quotient = quotient + factor * w
-        if order < 4:
-            w = delta * apply_fn(w)
-    root = np.sqrt(np.arange(1, space.dim, dtype=float))
-    deriv = complex(root @ np.diagonal(quotient, offset=1))
-    mean_n = float(np.real(np.diagonal(rho_ss)) @ np.arange(rho_ss.shape[0]))
-    if mean_n < MEAN_N_FLOOR:
-        raise ValueError(
-            f"mean photon number {mean_n:.3e} is below {MEAN_N_FLOOR:g}; "
-            "the linewidth is undefined"
-        )
-    d_rate = -2.0 * deriv.real / mean_n
-    return LinewidthResult(
-        D=d_rate,
-        normalized_D=d_rate * mean_n / kappa,
-        frequency_pull=deriv.imag / mean_n,
-        mean_n=mean_n,
-    )
+
+    def quotient(w):
+        w = apply_fn(w)
+        total = np.zeros_like(w)
+        factor = 1.0
+        for order in range(1, 5):
+            factor /= order  # delta^{k-1} / k!
+            total = total + factor * w
+            if order < 4:
+                w = delta * apply_fn(w)
+        return total
+
+    return _linewidth_result(quotient, rho_ss, kappa)
 
 
 def operator_norm_estimate(apply_fn, space: TruncatedSpace, iters: int = 10, seed: int = 0) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fock import TruncatedSpace, phi_fn
 from .measures import TimeMeasure
-from .superop import Superoperator
+from .superop import Superoperator, sandwich, vec
 
 LEAK_WARN_TOL = 1e-10
 
@@ -259,13 +259,8 @@ def averaged_pump_superoperator(
     top level are not trace preserving (the defect is the reported leak).
     """
     cc, ss = pump_average_tables(params, space, measure)
-    d = space.dim
-    mat = np.zeros((d * d, d * d))
-    idx = np.arange(d)
-    pos = idx[:, None] + d * idx[None, :]  # vec index of the (m, n) entry
-    diag = pos.reshape(-1)
-    mat[diag, diag] = params.r * (cc.reshape(-1) - 1.0)
-    up = pos[1:, 1:].reshape(-1)    # entries (m+1, n+1) fed by (m, n)
-    src = pos[:-1, :-1].reshape(-1)
-    mat[up, src] += params.r * ss[:-1, :-1].reshape(-1)
-    return Superoperator(space, mat)
+    # <c (x) c> is diagonal with entries cc; <s (x) s> is the two-sided shift
+    # |n+1><n| weighted by ss at its source, which has no image of the top level
+    shift = np.eye(space.dim, k=-1)
+    mat = np.diag(vec(cc)) + sandwich(shift) * vec(ss)[None, :] - np.eye(space.dim**2)
+    return Superoperator(space, params.r * mat)

@@ -72,6 +72,15 @@ def default_cutoff(g_tau_bar: float) -> int:
     return n
 
 
+def _log_ladder(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|p_n| and sign(p_n) of p_0 = 1, p_{n+1} = ratios[n] p_n, with the
+    logs shifted so that the largest finite one is 0."""
+    with np.errstate(divide="ignore"):
+        logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratios)))))
+    signs = np.concatenate(([1.0], np.cumprod(np.sign(ratios))))
+    return logs - np.max(logs[np.isfinite(logs)]), signs
+
+
 def recurrence_steady(
     ratio, space: TruncatedSpace, cutoff: int | None = None, tail_tol: float = 1e-10
 ) -> PhotonStatistics:
@@ -86,12 +95,8 @@ def recurrence_steady(
     if n_top == 0:
         p[0] = 1.0
         return PhotonStatistics(p=p, n_cut=cutoff, converged=True)
-    ratios = np.asarray(ratio(np.arange(n_top)), dtype=float)
-    with np.errstate(divide="ignore"):
-        logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratios)))))
-    signs = np.concatenate(([1.0], np.cumprod(np.sign(ratios))))
-    shift = np.max(logs[np.isfinite(logs)])
-    filled = signs * np.exp(logs - shift)
+    logs, signs = _log_ladder(np.asarray(ratio(np.arange(n_top)), dtype=float))
+    filled = signs * np.exp(logs)
     norm = filled.sum()
     if not norm > 0:
         raise SteadyStateError(
@@ -136,12 +141,9 @@ def choose_truncation(
     n_max = start
     while n_max <= hard_cap:
         ratios = np.asarray(ratio(np.arange(n_max)), dtype=float)
-        with np.errstate(divide="ignore"):
-            logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratios)))))
-        logs -= np.max(logs[np.isfinite(logs)])
-        u = np.exp(logs)
-        partial = np.cumsum(u)
-        ok = u / partial < tail_tol
+        u = np.exp(_log_ladder(ratios)[0])
+        # lower levels may underflow to 0, so compare without dividing
+        ok = u < tail_tol * np.cumsum(u)
         if ok[-1] and ratios[-1] < 1.0:
             return TruncatedSpace(int(np.argmax(ok)))
         n_max *= 2

@@ -296,6 +296,14 @@ def test_bad_model_option_rejected_at_config_time(tmp_path, capsys):
     code, _, err = run_cli(["steady", "--config", str(cfg)], capsys)
     assert code == EXIT_CONFIG
     assert "order" in err
+    # q is not a model option: no CLI model reads it
+    for name in ("exact", "weak_lindblad"):
+        cfg.write_text(
+            json.dumps({"models": [{"name": name, "q": 0.3}], "g_tau_bar": 0.15, "pump": 0.9})
+        )
+        code, _, err = run_cli(["steady", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG
+        assert "'q'" in err
 
 
 def test_partial_failure_keeps_good_rows_and_exits_2(capsys):

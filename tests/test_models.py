@@ -21,7 +21,11 @@ from micromaser.models import (
     uniform_model,
     weak_coupling_model,
 )
-from micromaser.pump import PumpParameters, averaged_pump_superoperator
+from micromaser.pump import (
+    PumpParameters,
+    averaged_pump_superoperator,
+    pump_average_tables,
+)
 from micromaser.superop import dissipator_matrix, loss_dissipator, unvec, vec
 
 from conftest import coherent_density, random_density
@@ -95,7 +99,7 @@ def test_exact_completion_is_trace_preserving_everywhere(params15):
 def test_exact_completion_matches_raw_average_on_interior(params15):
     space = TruncatedSpace(12)
     d = space.dim
-    completed = exact_model(params15, space).pump_extra.matrix(space)
+    completed = assemble(exact_model(params15, space), 0.0).matrix
     raw = averaged_pump_superoperator(params15, space).matrix
     grid = np.abs(completed - raw).reshape(d, d, d, d)
     # columns not sourced from the top level agree identically
@@ -199,6 +203,58 @@ def test_heuristic_beta_4u_matches_exact_gain(params15):
     assert np.allclose(
         heur.gain_ratio(KAPPA)(n), ex.gain_ratio(KAPPA)(n), rtol=1e-13
     )
+
+
+ORACLE_VARIANTS = {
+    "exact": lambda params, space: exact_model(params, space),
+    "exact_gain_only": lambda params, space: exact_model(params, space, include_cos=False),
+    "post4": lambda params, space: fourth_order_model(params, space),
+    "weak": lambda params, space: weak_coupling_model(params, space),
+    "weak_drop_cos": lambda params, space: weak_coupling_model(params, space, drop_cos=True),
+    "weak_series_3": lambda params, space: general_weak_model(
+        params, build_basis(TimeMeasure.exponential(), 3), 3, space
+    ),
+    "uniform": lambda params, space: uniform_model(params, space),
+    "uniform_order_2": lambda params, space: uniform_model(params, space, order=2),
+    "uniform_drop_cos": lambda params, space: uniform_model(params, space, drop_cos=True),
+    "heuristic_aa_dag": lambda params, space: heuristic_model(
+        params.gain_rate, 4 * params.u, space, ordering="aa_dag"
+    ),
+    "heuristic_a_dag_a": lambda params, space: heuristic_model(
+        params.gain_rate, 4 * params.u, space, ordering="a_dag_a"
+    ),
+}
+
+
+@pytest.mark.parametrize("g_tau_bar", [0.05, 0.15])
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+def test_assemble_matches_dense_oracle(variant, g_tau_bar):
+    """The band form against an independently built dense generator: the
+    explicit Lindblad operators, the kron formula of the quartic generator,
+    or (exact) the raw measure average off the top-level column."""
+    params = PumpParameters.from_pump(0.9, g_tau_bar, KAPPA)
+    space = TruncatedSpace(12)
+    d = space.dim
+    model = ORACLE_VARIANTS[variant](params, space)
+    got = assemble(model, KAPPA).matrix
+    loss = loss_dissipator(KAPPA, space).matrix
+    if model.name == POST4:
+        want = loss + fourth_order_generator(params, space).matrix
+    elif model.name == EXACT:
+        pump = averaged_pump_superoperator(params, space).matrix
+        if not model.options["include_cos"]:
+            # the gain family alone: the cos part decays coherences only
+            cc, _ = pump_average_tables(params, space)
+            dephase = cc - 0.5 * (np.diag(cc)[:, None] + np.diag(cc)[None, :])
+            pump -= params.r * np.diag(vec(dephase))
+        want = (loss + pump).reshape(d, d, d, d)
+        got = got.reshape(d, d, d, d)
+        # compare every column not sourced from the top level
+        want, got = want[:, :, : d - 1, : d - 1], got[:, :, : d - 1, : d - 1]
+    else:
+        assert model.manifest_lindblad
+        want = loss + sum(dissipator_matrix(op) for op in model.lindblad_ops)
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("idx", range(5))

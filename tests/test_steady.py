@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,15 +169,23 @@ def test_choose_truncation_covers_far_above_threshold():
     assert stats.converged
 
 
+def test_choose_truncation_is_silent_when_low_levels_underflow():
+    # far above threshold the lowest levels underflow to 0 against the peak
+    params = PumpParameters.from_pump(8.0, 0.03, KAPPA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        space = choose_truncation(exact_model(params, TruncatedSpace(1)), KAPPA)
+    assert space.n_max == 2235
+
+
 def test_choose_truncation_raises_at_hard_cap():
     space = TruncatedSpace(1)
     runaway = GeneratorModel(
         name="exact",
         space=space,
         params=None,
-        lindblad_ops=[],
-        pump_extra=None,
-        gain_fn=lambda n: 1.01 * KAPPA * (n + 1.0),
+        feed=lambda m, n: 1.01 * KAPPA * np.sqrt((m + 1.0) * (n + 1.0)),
+        dephasing=lambda m, n: 0.0 * (m - n),
     )
     with pytest.raises(SteadyStateError):
         choose_truncation(runaway, KAPPA, hard_cap=256)
