@@ -2,8 +2,9 @@
 
 D <n> / kappa is exactly 1 for an empty (loss-only) cavity and stays within
 a factor two of 1 all the way up: the Schawlow-Townes scale kappa/<n> is the
-whole story up to an order-unity correction.  The regression-formula value
-is cross-checked against a finite-difference derivative at every point.
+whole story up to an order-unity correction.  The regression-formula value,
+taken on the one nonzero band, is cross-checked against a finite-difference
+derivative on the full density matrix at every point.
 """
 
 import numpy as np
@@ -41,8 +42,8 @@ for pump in (0.5, 0.9, 1.2, 1.6):
         model = build(params, space)
         stats = recurrence_steady(model.gain_ratio(KAPPA), space)
         rho = np.diag(stats.p)
+        lw = linewidth(model, stats.p, KAPPA)
         apply_fn = lambda r: model.apply(r, KAPPA)
-        lw = linewidth(apply_fn, rho, KAPPA)
         scale = operator_norm_estimate(apply_fn, space)
         fd = linewidth_fd(apply_fn, rho, KAPPA, norm_scale=scale)
         rel = abs(lw.D - fd.D) / fd.D

@@ -341,25 +341,29 @@ def solve_point(spec: ModelSpec, config: RunConfig, pump_value: float) -> PointR
         return PointResult(spec, pump_value, error=str(exc))
 
 
-def _solve_grid(config: RunConfig):
-    """All (model, pump) cells, concurrently, in deterministic order."""
+def _solve_grid(config: RunConfig, command: str) -> tuple[list[PointResult], int]:
+    """All (model, pump) cells, concurrently, in deterministic order; each
+    failed cell is reported on stderr under the command's name."""
     cells = [(spec, p) for spec in config.models for p in config.pump]
     if config.workers == 1 or len(cells) == 1:
-        return [solve_point(spec, config, p) for spec, p in cells]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(lambda cell: solve_point(cell[0], config, cell[1]), cells))
+        results = [solve_point(spec, config, p) for spec, p in cells]
+    else:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(lambda cell: solve_point(cell[0], config, cell[1]), cells))
+    failed = [res for res in results if res.error is not None]
+    for res in failed:
+        print(
+            f"{command}: {res.spec.label()} at pump {res.pump_value}: {res.error}",
+            file=sys.stderr,
+        )
+    return results, len(failed)
 
 
-def run_steady(config: RunConfig) -> tuple[list[dict], int]:
+def run_steady(config: RunConfig, command: str) -> tuple[list[dict], int]:
+    results, failures = _solve_grid(config, command)
     rows: list[dict] = []
-    failures = 0
-    for res in _solve_grid(config):
+    for res in results:
         if res.error is not None:
-            failures += 1
-            print(
-                f"steady: {res.spec.label()} at pump {res.pump_value}: {res.error}",
-                file=sys.stderr,
-            )
             continue
         for n, p_n in enumerate(res.stats.p):
             rows.append(
@@ -375,18 +379,16 @@ def run_steady(config: RunConfig) -> tuple[list[dict], int]:
     return rows, failures
 
 
-def _sweep_row(res: PointResult, config: RunConfig) -> dict:
-    row = {
-        "model": res.spec.label(),
-        "g_tau_bar": config.g_tau_bar,
-        "pump_A_over_kappa": res.pump_value,
-        "mean_n": None,
-        "variance": None,
-        "mandel_Q": None,
-        "linewidth_D": None,
-        "normalized_D": None,
-        "status": "ok",
-    }
+def _point_row(res: PointResult, config: RunConfig) -> dict:
+    """Every per-point column of sweep and linewidth; each command's output
+    picks its own columns from it."""
+    row = dict.fromkeys(SWEEP_COLUMNS + LINEWIDTH_COLUMNS)
+    row.update(
+        model=res.spec.label(),
+        g_tau_bar=config.g_tau_bar,
+        pump_A_over_kappa=res.pump_value,
+        status="ok",
+    )
     if res.error is not None:
         row["status"] = f"error: {res.error}"
         return row
@@ -395,80 +397,28 @@ def _sweep_row(res: PointResult, config: RunConfig) -> dict:
     row["variance"] = mom.variance
     row["mandel_Q"] = None if math.isnan(mom.mandel_q) else mom.mandel_q
     try:
-        rho = np.diag(res.stats.p)
-        lw = linewidth(lambda r: res.model.apply(r, config.kappa), rho, config.kappa)
-        row["linewidth_D"] = lw.D
-        row["normalized_D"] = lw.normalized_D
+        lw = linewidth(res.model, res.stats.p, config.kappa)
     except ValueError as exc:
         row["status"] = f"undefined: {exc}"
-    return row
-
-
-def run_sweep(config: RunConfig) -> tuple[list[dict], int]:
-    results = _solve_grid(config)
-    rows = [_sweep_row(res, config) for res in results]
-    failures = sum(1 for res in results if res.error is not None)
-    for res in results:
-        if res.error is not None:
-            print(
-                f"sweep: {res.spec.label()} at pump {res.pump_value}: {res.error}",
-                file=sys.stderr,
-            )
-    return rows, failures
-
-
-def _linewidth_row(res: PointResult, config: RunConfig) -> dict:
-    row = {
-        "model": res.spec.label(),
-        "g_tau_bar": config.g_tau_bar,
-        "pump_A_over_kappa": res.pump_value,
-        "mean_n": None,
-        "linewidth_D": None,
-        "normalized_D": None,
-        "frequency_pull": None,
-        "status": "ok",
-    }
-    if res.error is not None:
-        row["status"] = f"error: {res.error}"
         return row
-    row["mean_n"] = moments(res.stats.p).mean_n
-    try:
-        rho = np.diag(res.stats.p)
-        lw = linewidth(lambda r: res.model.apply(r, config.kappa), rho, config.kappa)
-        row["linewidth_D"] = lw.D
-        row["normalized_D"] = lw.normalized_D
-        row["frequency_pull"] = lw.frequency_pull
-    except ValueError as exc:
-        row["status"] = f"undefined: {exc}"
+    row["linewidth_D"] = lw.D
+    row["normalized_D"] = lw.normalized_D
+    row["frequency_pull"] = lw.frequency_pull
     return row
 
 
-def run_linewidth(config: RunConfig) -> tuple[list[dict], int]:
-    results = _solve_grid(config)
-    rows = [_linewidth_row(res, config) for res in results]
-    failures = sum(1 for res in results if res.error is not None)
-    for res in results:
-        if res.error is not None:
-            print(
-                f"linewidth: {res.spec.label()} at pump {res.pump_value}: {res.error}",
-                file=sys.stderr,
-            )
-    return rows, failures
+def run_points(config: RunConfig, command: str) -> tuple[list[dict], int]:
+    """Moments and linewidth per (model, pump) cell, for sweep and linewidth."""
+    results, failures = _solve_grid(config, command)
+    return [_point_row(res, config) for res in results], failures
 
 
-def run_compare(config: RunConfig) -> tuple[list[dict], int]:
+def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
     if len(config.models) < 2:
         raise ConfigError("compare needs at least 2 models")
-    results = _solve_grid(config)
+    results, failures = _solve_grid(config, command)
     by_cell = {(id(res.spec), res.pump_value): res for res in results}
     rows: list[dict] = []
-    failures = sum(1 for res in results if res.error is not None)
-    for res in results:
-        if res.error is not None:
-            print(
-                f"compare: {res.spec.label()} at pump {res.pump_value}: {res.error}",
-                file=sys.stderr,
-            )
     for p in config.pump:
         for i, spec_a in enumerate(config.models):
             for spec_b in config.models[i + 1 :]:
@@ -533,11 +483,12 @@ def write_json(rows: list[dict], columns: tuple, config: RunConfig, command: str
     stream.write("\n")
 
 
+# command -> (runner, the columns its output keeps from each row)
 _COMMANDS = {
     "steady": (run_steady, STEADY_COLUMNS),
-    "sweep": (run_sweep, SWEEP_COLUMNS),
+    "sweep": (run_points, SWEEP_COLUMNS),
     "compare": (run_compare, COMPARE_COLUMNS),
-    "linewidth": (run_linewidth, LINEWIDTH_COLUMNS),
+    "linewidth": (run_points, LINEWIDTH_COLUMNS),
 }
 
 
@@ -593,7 +544,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         runner, columns = _COMMANDS[args.command]
-        rows, failures = runner(config)
+        rows, failures = runner(config, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

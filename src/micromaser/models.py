@@ -25,14 +25,18 @@ space is truncated, which keeps the generator trace preserving),
                  + kappa sqrt((m+1)(n+1)) rho_{m+1,n+1}.
 
 GeneratorModel derives everything else from F and H: the detailed-balance
-ratio F(n, n) / (kappa (n+1)), the matrix-free `apply` (evaluated only at
-the nonzero entries of rho) and the dense `assemble`.  A Lindblad model
-with one-quantum gain operators S_k (first subdiagonal s_k) and diagonal
+ratio F(n, n) / (kappa (n+1)), `apply_band` (the generator on one band
+rho_{m,m+k} as a vector, O(n_max)), the matrix-free `apply` (evaluated only
+at the nonzero entries of a density matrix) and the dense `assemble`.  The
+CLI linewidth needs only the offset-1 band of a diagonal state, so it runs
+on `apply_band` in O(n_max) time and memory.  A Lindblad model with
+one-quantum gain operators S_k (first subdiagonal s_k) and diagonal
 operators diag(c_k) has F = sum_k s_k(m) s_k(n) and
-H = -sum_k (c_k(m) - c_k(n))^2 / 2.
+H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps only those O(n_max) vectors.
 
 The independent dense oracles are the explicit operator lists
-(`lindblad_ops`, through `superop.dissipator_matrix`), the kron formula of
+(`lindblad_ops`, built from the vectors each time they are read and passed
+through `superop.dissipator_matrix`), the kron formula of
 `fourth_order_generator` and `pump.averaged_pump_superoperator`.
 
 Polynomial occurrences of a a* in the series models use the plain truncated
@@ -122,9 +126,10 @@ class GeneratorModel:
 
     feed(m, n) and dephasing(m, n) are the model's pair functions (see the
     module docstring); feed holds at any level n, which is what truncation
-    searches extrapolate with.  lindblad_ops lists the pump-side Lindblad
-    operators (loss excluded), kept as the dense oracle; a non-empty list
-    with no `pump_extra` marks a manifestly Lindblad model.
+    searches extrapolate with.  build_ops, given for a manifestly Lindblad
+    model, returns its pump-side Lindblad operators (loss excluded) as dense
+    matrices; they are the oracle and are built only when `lindblad_ops` is
+    read.
     """
 
     name: str
@@ -132,13 +137,18 @@ class GeneratorModel:
     params: PumpParameters | None
     feed: Callable
     dephasing: Callable
-    lindblad_ops: list = field(default_factory=list)
+    build_ops: Callable[[], list] | None = None
     pump_extra: ExactPump | FourthOrderPump | None = None
     options: dict = field(default_factory=dict)
 
     @property
     def manifest_lindblad(self) -> bool:
-        return bool(self.lindblad_ops) and self.pump_extra is None
+        return self.build_ops is not None
+
+    @property
+    def lindblad_ops(self) -> list:
+        """Dense pump-side Lindblad operators, built anew on every read."""
+        return [] if self.build_ops is None else self.build_ops()
 
     def gain_fn(self, n):
         """One-quantum gain rate F(n, n) out of level n, for any n."""
@@ -171,6 +181,20 @@ class GeneratorModel:
             (up, 1, self.feed(m[up], n[up])),
             (down, -1, kappa * np.sqrt(m[down] * n[down])),
         )
+
+    def apply_band(self, band: np.ndarray, k: int, kappa: float) -> np.ndarray:
+        """Generator action on the band rho_{m,m+k}, given and returned as a
+        vector over the rows m of that band in increasing order.  The
+        generator keeps every band to itself, so this costs O(n_max)."""
+        band = np.asarray(band)
+        m = np.arange(max(0, -k), self.space.dim - max(0, k))
+        if band.shape != m.shape:
+            raise ValueError(f"band {k} holds {m.size} entries, got shape {band.shape}")
+        pos = np.arange(m.size)
+        out = np.zeros(band.shape, dtype=np.result_type(band.dtype, float))
+        for sel, shift, rate in self._moves(m, m + k, kappa):
+            out[pos[sel] + shift] += rate * band[sel]
+        return out
 
     def apply(self, rho: np.ndarray, kappa: float) -> np.ndarray:
         """Generator action on a density matrix.  F and H are evaluated only
@@ -241,18 +265,19 @@ def _lindblad_model(
         zero = np.zeros(np.broadcast(m, n).shape)
         return -0.5 * rate * sum(((c[m] - c[n]) ** 2 for c in diagonals), zero)
 
-    scale = math.sqrt(rate)
-    ops = [scale * np.diag(s, -1) for s in gain_elements(np.arange(space.n_max))]
-    ops += [scale * np.diag(c) for c in diagonals]
-    if merge:
-        ops = merge_proportional(ops)
+    def build_ops():
+        scale = math.sqrt(rate)
+        ops = [scale * np.diag(s, -1) for s in gain_elements(np.arange(space.n_max))]
+        ops += [scale * np.diag(c) for c in diagonals]
+        return merge_proportional(ops) if merge else ops
+
     return GeneratorModel(
         name=name,
         space=space,
         params=params,
         feed=feed,
         dephasing=dephasing,
-        lindblad_ops=ops,
+        build_ops=build_ops,
         options=options,
     )
 

@@ -4,7 +4,9 @@ The linewidth is read off the initial decay of the field correlation:
 with f(t) = tr[a* e^{St}(a rho_ss)] the generator fixes
 f'(0)/f(0) = i * pull - D/2, so D = -2 Re tr[a* S(a rho_ss)] / <n>.
 Loss alone gives D = kappa exactly, truncation notwithstanding, which the
-tests lean on.  A first-difference evaluation of the same quotient through
+tests lean on.  For a diagonal state a rho_ss and its image fill only the
+offset-1 band, which is all `linewidth` touches when handed a model and the
+populations.  A first-difference evaluation of the same quotient through
 the phi1 series of (e^{S delta} - 1)/delta serves as the independent check.
 """
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncatedSpace
+from .models import GeneratorModel
 from .superop import Superoperator
 
 
@@ -88,17 +91,15 @@ def _resolve_apply(generator):
     raise TypeError("generator must be a Superoperator or a callable rho -> drho")
 
 
-def _linewidth_result(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
-    """Linewidth from f'(0) = tr[a* X], where X = image_fn(a rho_ss)."""
-    mean_n = float(np.real(np.diagonal(rho_ss)) @ np.arange(rho_ss.shape[0]))
+def _linewidth_result(populations: np.ndarray, derivative, kappa: float) -> LinewidthResult:
+    """Linewidth from <n> and f'(0) = derivative(), called once <n> clears the floor."""
+    mean_n = float(populations @ np.arange(populations.size))
     if mean_n < MEAN_N_FLOOR:
         raise ValueError(
             f"mean photon number {mean_n:.3e} is below {MEAN_N_FLOOR:g}; "
             "the linewidth is undefined"
         )
-    image = image_fn(_lower(rho_ss))
-    root = np.sqrt(np.arange(1.0, rho_ss.shape[0]))
-    deriv = complex(root @ np.diagonal(image, offset=1))
+    deriv = complex(derivative())
     d_rate = -2.0 * deriv.real / mean_n
     return LinewidthResult(
         D=d_rate,
@@ -108,11 +109,31 @@ def _linewidth_result(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthRe
     )
 
 
+def _dense_linewidth(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
+    """f'(0) = tr[a* X], where X = image_fn(a rho_ss)."""
+    root = np.sqrt(np.arange(1.0, rho_ss.shape[0]))
+
+    def derivative():
+        return root @ np.diagonal(image_fn(_lower(rho_ss)), offset=1)
+
+    return _linewidth_result(np.real(np.diagonal(rho_ss)), derivative, kappa)
+
+
 def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
     """Phase-diffusion rate D of the steady field, from the full generator
     (pump and loss together).  normalized_D = D <n> / kappa is 1 for pure
-    loss and tends to the interaction-free value far above threshold."""
-    return _linewidth_result(_resolve_apply(generator), rho_ss, kappa)
+    loss and tends to the interaction-free value far above threshold.
+
+    With a GeneratorModel, rho_ss may be the populations p of diag(p): then
+    only the offset-1 band is built, O(n_max) in time and memory."""
+    p = np.asarray(rho_ss)
+    if p.ndim == 2:
+        return _dense_linewidth(_resolve_apply(generator), rho_ss, kappa)
+    if not isinstance(generator, GeneratorModel):
+        raise TypeError("the populations of a diagonal state need a GeneratorModel")
+    # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
+    root = np.sqrt(np.arange(1.0, p.size))
+    return _linewidth_result(p, lambda: root @ generator.apply_band(root * p[1:], 1, kappa), kappa)
 
 
 def linewidth_fd(
@@ -145,7 +166,7 @@ def linewidth_fd(
                 w = delta * apply_fn(w)
         return total
 
-    return _linewidth_result(quotient, rho_ss, kappa)
+    return _dense_linewidth(quotient, rho_ss, kappa)
 
 
 def operator_norm_estimate(apply_fn, space: TruncatedSpace, iters: int = 10, seed: int = 0) -> float:

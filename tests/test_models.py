@@ -21,11 +21,13 @@ from micromaser.models import (
     uniform_model,
     weak_coupling_model,
 )
+from micromaser.observables import linewidth
 from micromaser.pump import (
     PumpParameters,
     averaged_pump_superoperator,
     pump_average_tables,
 )
+from micromaser.steady import recurrence_steady
 from micromaser.superop import dissipator_matrix, loss_dissipator, unvec, vec
 
 from conftest import coherent_density, random_density
@@ -254,6 +256,34 @@ def test_assemble_matches_dense_oracle(variant, g_tau_bar):
     else:
         assert model.manifest_lindblad
         want = loss + sum(dissipator_matrix(op) for op in model.lindblad_ops)
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("g_tau_bar", [0.05, 0.15])
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+def test_band_linewidth_matches_dense_generator(variant, g_tau_bar):
+    """The CLI route, linewidth(model, p) on the offset-1 band, against the
+    assembled generator acting on the full matrix diag(p), above threshold."""
+    params = PumpParameters.from_pump(2.0, g_tau_bar, KAPPA)
+    space = TruncatedSpace(12)
+    model = ORACLE_VARIANTS[variant](params, space)
+    p = recurrence_steady(model.gain_ratio(KAPPA), space).p
+    band = linewidth(model, p, KAPPA)
+    dense = linewidth(assemble(model, KAPPA), np.diag(p), KAPPA)
+    assert band.D == pytest.approx(dense.D, rel=1e-12)
+    assert band.frequency_pull == pytest.approx(
+        dense.frequency_pull, rel=1e-12, abs=1e-12 * abs(dense.D)
+    )
+
+
+@pytest.mark.parametrize("k", [-3, -1, 0, 1, 4])
+@pytest.mark.parametrize("idx", range(5))
+def test_apply_band_matches_apply(params15, idx, k, rng):
+    space = TruncatedSpace(9)
+    model = build_all(params15, space)[idx]
+    rho = random_density(space, rng)
+    got = model.apply_band(np.diagonal(rho, k), k, KAPPA)
+    want = np.diagonal(model.apply(rho, KAPPA), k)
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 

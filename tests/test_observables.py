@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from micromaser.fock import TruncatedSpace
-from micromaser.models import assemble, exact_model, heuristic_model
+from micromaser.models import assemble, exact_model, heuristic_model, uniform_model
 from micromaser.observables import (
     LinewidthResult,
     distribution_distance,
@@ -129,6 +130,39 @@ def test_linewidth_diagonal_state_has_no_pull():
     res = linewidth(lambda r: model.apply(r, KAPPA), rho, KAPPA)
     assert abs(res.frequency_pull) < 1e-10
     assert res.D > 0
+
+
+def test_linewidth_of_populations_needs_a_model():
+    space = TruncatedSpace(6)
+    p = np.full(space.dim, 1.0 / space.dim)
+    with pytest.raises(TypeError):
+        linewidth(loss_dissipator(KAPPA, space), p, KAPPA)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda params, space: uniform_model(params, space),
+        lambda params, space: heuristic_model(params.gain_rate, 4 * params.u, space),
+    ],
+    ids=["uniform", "heuristic"],
+)
+def test_band_linewidth_memory_is_linear_in_n_max(build):
+    """Model build, the Lindblad flag, the recurrence and the band linewidth
+    at n_max 3000 allocate no d x d array (one would take 72 MB)."""
+    params = PumpParameters.from_pump(8.0, 0.03, KAPPA)
+    space = TruncatedSpace(3000)
+    tracemalloc.start()
+    try:
+        model = build(params, space)
+        assert model.manifest_lindblad
+        stats = recurrence_steady(model.gain_ratio(KAPPA), space)
+        res = linewidth(model, stats.p, KAPPA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.D > 0
+    assert peak < 8e6
 
 
 def test_linewidth_rejects_empty_cavity():
