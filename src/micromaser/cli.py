@@ -5,7 +5,10 @@ input) overridden by flags; kappa = 1 by default so every rate is reported
 in cavity-loss units.  Output is CSV (17 significant digits) or JSON
 ({config_echo, rows}), deterministic and byte-stable for a fixed config.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
-rest are still emitted), 1 on configuration errors.
+rest are still emitted), 1 on configuration errors.  Every model is built
+once while the configuration is read, so a model option its constructor
+rejects is a configuration error.  Cells run in grid order on the calling
+thread; the `workers` setting is accepted, checked and echoed, but ignored.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fock import TruncatedSpace
-from .measures import TimeMeasure, build_basis
+from .measures import DegenerateMeasureError, TimeMeasure, build_basis
 from .models import (
     EXACT,
     HEURISTIC,
@@ -88,6 +90,17 @@ class ConfigError(ValueError):
     """Bad configuration; the CLI maps this to exit code 1."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_int(value):
+    """Integral floats (JSON 2.0) become ints; anything else is kept as is."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 _MODEL_OPTION_KEYS = {
     EXACT: set(),
     POST4: set(),
@@ -112,25 +125,6 @@ class ModelSpec:
             raise ConfigError(
                 f"model {self.name!r} does not take option(s) {sorted(bad)}"
             )
-        self._check_option_values()
-
-    def _check_option_values(self):
-        opts = self.options
-        if self.name == UNIFORM and int(opts.get("order", 1)) not in (0, 1, 2):
-            raise ConfigError(f"uniform order must be 0, 1 or 2, got {opts['order']!r}")
-        if self.name == WEAK and int(opts.get("order", 3)) < 1:
-            raise ConfigError(f"weak series order must be >= 1, got {opts['order']!r}")
-        if opts.get("ordering", "aa_dag") not in ("aa_dag", "a_dag_a"):
-            raise ConfigError(
-                f"heuristic ordering must be 'aa_dag' or 'a_dag_a', "
-                f"got {opts['ordering']!r}"
-            )
-        for key in ("gain", "beta"):
-            if key in opts and float(opts[key]) < 0:
-                raise ConfigError(f"{key} must be nonnegative, got {opts[key]!r}")
-
-    def label(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -146,28 +140,34 @@ class RunConfig:
     def __post_init__(self):
         if not self.models:
             raise ConfigError("at least one model is required")
-        if not self.g_tau_bar > 0:
-            raise ConfigError(f"g_tau_bar must be positive, got {self.g_tau_bar}")
+        if not 0 < self.g_tau_bar < math.inf:
+            raise ConfigError(f"g_tau_bar must be positive and finite, got {self.g_tau_bar}")
         if not self.pump:
             raise ConfigError("at least one pump value is required")
-        if any(p < 0 for p in self.pump):
-            raise ConfigError("pump values must be nonnegative")
-        if not self.kappa > 0:
-            raise ConfigError(f"kappa must be positive, got {self.kappa}")
+        if not all(0 <= p < math.inf for p in self.pump):
+            raise ConfigError("pump values must be nonnegative and finite")
+        if not 0 < self.kappa < math.inf:
+            raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
         if self.truncation != "auto":
-            if not isinstance(self.truncation, int) or self.truncation < 1:
+            if not _is_int(self.truncation) or self.truncation < 1:
                 raise ConfigError(
                     f"truncation must be 'auto' or a positive integer, "
                     f"got {self.truncation!r}"
                 )
         if self.cutoff not in ("auto", "off"):
-            if not isinstance(self.cutoff, int) or self.cutoff < 0:
+            if not _is_int(self.cutoff) or self.cutoff < 0:
                 raise ConfigError(
                     f"cutoff must be 'auto', 'off' or a nonnegative integer, "
                     f"got {self.cutoff!r}"
                 )
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not _is_int(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        # the model constructors judge the option values
+        for spec in self.models:
+            try:
+                _build_model(spec, self, self.pump[0], TruncatedSpace(1))
+            except (TypeError, ValueError, DegenerateMeasureError) as exc:
+                raise ConfigError(f"model {spec.name!r}: {exc}") from None
 
     def echo(self) -> dict:
         return {
@@ -269,21 +269,22 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         kappa = float(data.get("kappa", 1.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric field: {exc}") from None
-    truncation = data.get("truncation", "auto")
-    if isinstance(truncation, float) and truncation.is_integer():
-        truncation = int(truncation)
-    cutoff = data.get("cutoff", "auto")
-    if isinstance(cutoff, float) and cutoff.is_integer():
-        cutoff = int(cutoff)
     return RunConfig(
         models=_normalize_models(data["models"]),
         g_tau_bar=g_tau_bar,
         pump=_normalize_pump(data["pump"]),
         kappa=kappa,
-        truncation=truncation,
-        cutoff=cutoff,
-        workers=int(data.get("workers", 4)),
+        truncation=_as_int(data.get("truncation", "auto")),
+        cutoff=_as_int(data.get("cutoff", "auto")),
+        workers=_as_int(data.get("workers", 4)),
     )
+
+
+def _model_order(spec: ModelSpec, default: int) -> int:
+    order = _as_int(spec.options.get("order", default))
+    if not _is_int(order):
+        raise ValueError(f"order must be an integer, got {order!r}")
+    return order
 
 
 def _build_model(spec: ModelSpec, config: RunConfig, pump_value: float, space: TruncatedSpace) -> GeneratorModel:
@@ -293,13 +294,13 @@ def _build_model(spec: ModelSpec, config: RunConfig, pump_value: float, space: T
     if spec.name == POST4:
         return fourth_order_model(params, space)
     if spec.name == WEAK:
-        order = int(spec.options.get("order", 3))
+        order = _model_order(spec, 3)
         if order == 3:
             return weak_coupling_model(params, space)
         basis = build_basis(TimeMeasure.exponential(), order)
         return general_weak_model(params, basis, order, space)
     if spec.name == UNIFORM:
-        return uniform_model(params, space, order=int(spec.options.get("order", 1)))
+        return uniform_model(params, space, order=_model_order(spec, 1))
     gain = float(spec.options.get("gain", params.gain_rate))
     beta = float(spec.options.get("beta", 4.0 * params.u))
     return heuristic_model(gain, beta, space, ordering=spec.options.get("ordering", "aa_dag"))
@@ -321,7 +322,6 @@ class PointResult:
     pump_value: float
     stats: object = None
     model: GeneratorModel | None = None
-    space: TruncatedSpace | None = None
     error: str | None = None
 
 
@@ -336,24 +336,20 @@ def solve_point(spec: ModelSpec, config: RunConfig, pump_value: float) -> PointR
         model = _build_model(spec, config, pump_value, space)
         cutoff = _point_cutoff(spec, config)
         stats = recurrence_steady(model.gain_ratio(config.kappa), space, cutoff=cutoff)
-        return PointResult(spec, pump_value, stats=stats, model=model, space=space)
+        return PointResult(spec, pump_value, stats=stats, model=model)
     except (SteadyStateError, ValueError) as exc:
         return PointResult(spec, pump_value, error=str(exc))
 
 
 def _solve_grid(config: RunConfig, command: str) -> tuple[list[PointResult], int]:
-    """All (model, pump) cells, concurrently, in deterministic order; each
+    """All (model, pump) cells, in grid order on the calling thread; each
     failed cell is reported on stderr under the command's name."""
     cells = [(spec, p) for spec in config.models for p in config.pump]
-    if config.workers == 1 or len(cells) == 1:
-        results = [solve_point(spec, config, p) for spec, p in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda cell: solve_point(cell[0], config, cell[1]), cells))
+    results = [solve_point(spec, config, p) for spec, p in cells]
     failed = [res for res in results if res.error is not None]
     for res in failed:
         print(
-            f"{command}: {res.spec.label()} at pump {res.pump_value}: {res.error}",
+            f"{command}: {res.spec.name} at pump {res.pump_value}: {res.error}",
             file=sys.stderr,
         )
     return results, len(failed)
@@ -368,7 +364,7 @@ def run_steady(config: RunConfig, command: str) -> tuple[list[dict], int]:
         for n, p_n in enumerate(res.stats.p):
             rows.append(
                 {
-                    "model": res.spec.label(),
+                    "model": res.spec.name,
                     "g_tau_bar": config.g_tau_bar,
                     "pump_A_over_kappa": res.pump_value,
                     "n": n,
@@ -384,7 +380,7 @@ def _point_row(res: PointResult, config: RunConfig) -> dict:
     picks its own columns from it."""
     row = dict.fromkeys(SWEEP_COLUMNS + LINEWIDTH_COLUMNS)
     row.update(
-        model=res.spec.label(),
+        model=res.spec.name,
         g_tau_bar=config.g_tau_bar,
         pump_A_over_kappa=res.pump_value,
         status="ok",
@@ -425,7 +421,7 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
                 res_a = by_cell[(id(spec_a), p)]
                 res_b = by_cell[(id(spec_b), p)]
                 row = {
-                    "model_pair": f"{spec_a.label()}|{spec_b.label()}",
+                    "model_pair": f"{spec_a.name}|{spec_b.name}",
                     "g_tau_bar": config.g_tau_bar,
                     "pump_A_over_kappa": p,
                     "total_variation": None,
@@ -529,7 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=parse_pump_spec,
             help="pump value or START:STOP:STEPS range (A/kappa units)",
         )
-        cmd.add_argument("--workers", type=int, help="concurrent sweep points")
+        cmd.add_argument(
+            "--workers", type=int, help="accepted and echoed, but ignored: cells run on one thread"
+        )
     return parser
 
 

@@ -499,8 +499,8 @@ def heuristic_model(
     reproduces the all-orders photon statistics when beta = 4 (g tau_bar)^2;
     X = a* a evaluates it before.
     """
-    if gain < 0 or beta < 0:
-        raise ValueError("gain and beta must be nonnegative")
+    if not (0.0 <= gain < math.inf and 0.0 <= beta < math.inf):
+        raise ValueError(f"gain and beta must be nonnegative and finite, got {gain}, {beta}")
     if ordering not in ("aa_dag", "a_dag_a"):
         raise ValueError(f"ordering must be 'aa_dag' or 'a_dag_a', got {ordering!r}")
     shift = 1.0 if ordering == "aa_dag" else 0.0

@@ -3,9 +3,11 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from micromaser import cli
 from micromaser.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -304,6 +306,63 @@ def test_bad_model_option_rejected_at_config_time(tmp_path, capsys):
         code, _, err = run_cli(["steady", "--config", str(cfg)], capsys)
         assert code == EXIT_CONFIG
         assert "'q'" in err
+
+
+BASE_CONFIG = {"models": ["exact"], "g_tau_bar": 0.15, "pump": 0.9}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"models": [{"name": "uniform_lindblad", "order": "x"}]},
+        {"models": [{"name": "heuristic", "gain": "abc"}]},
+        {"models": [{"name": "heuristic", "gain": None}]},
+        {"models": [{"name": "heuristic", "beta": "nan"}]},
+        {"models": [{"name": "heuristic", "ordering": "a_a"}]},
+        {"models": [{"name": "uniform_lindblad", "order": 1.7}]},
+        {"models": [{"name": "uniform_lindblad", "order": True}]},
+        {"models": [{"name": "weak_lindblad", "order": 0}]},
+        {"models": [{"name": "weak_lindblad", "order": 30}]},
+        {"pump": [1, "nan"]},
+        {"pump": "inf"},
+        {"kappa": "inf"},
+        {"g_tau_bar": "inf"},
+        {"truncation": True},
+        {"cutoff": True},
+        {"workers": "abc"},
+        {"workers": 2.5},
+    ],
+    ids=json.dumps,
+)
+def test_bad_config_value_is_one_line_config_error(override, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, **override}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+def test_cells_run_in_grid_order_on_the_calling_thread(monkeypatch, capsys):
+    calls = []
+    solve = cli.solve_point
+
+    def recording(spec, config, pump_value):
+        calls.append((threading.get_ident(), spec.name, pump_value))
+        return solve(spec, config, pump_value)
+
+    monkeypatch.setattr(cli, "solve_point", recording)
+    code, _, _ = run_cli(
+        ["sweep", "--model", "exact", "--model", "heuristic", "--gtau", "0.15",
+         "--pump", "0.5:2.0:4", "--workers", "3"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert {ident for ident, _, _ in calls} == {threading.get_ident()}
+    assert [(name, p) for _, name, p in calls] == [
+        (name, p) for name in ("exact", "heuristic") for p in (0.5, 1.0, 1.5, 2.0)
+    ]
 
 
 def test_partial_failure_keeps_good_rows_and_exits_2(capsys):
