@@ -287,6 +287,13 @@ def _model_order(spec: ModelSpec, default: int) -> int:
     return order
 
 
+def _model_real(spec: ModelSpec, key: str, default: float) -> float:
+    value = spec.options.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _build_model(spec: ModelSpec, config: RunConfig, pump_value: float, space: TruncatedSpace) -> GeneratorModel:
     params = PumpParameters.from_pump(pump_value, config.g_tau_bar, config.kappa)
     if spec.name == EXACT:
@@ -301,8 +308,8 @@ def _build_model(spec: ModelSpec, config: RunConfig, pump_value: float, space: T
         return general_weak_model(params, basis, order, space)
     if spec.name == UNIFORM:
         return uniform_model(params, space, order=_model_order(spec, 1))
-    gain = float(spec.options.get("gain", params.gain_rate))
-    beta = float(spec.options.get("beta", 4.0 * params.u))
+    gain = _model_real(spec, "gain", params.gain_rate)
+    beta = _model_real(spec, "beta", 4.0 * params.u)
     return heuristic_model(gain, beta, space, ordering=spec.options.get("ordering", "aa_dag"))
 
 

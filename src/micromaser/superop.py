@@ -61,7 +61,11 @@ class Superoperator:
             )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho), self.space)
+        v = vec(rho)
+        if np.iscomplexobj(v) and not np.iscomplexobj(self.matrix):
+            # two real products: `real @ complex` would copy the matrix to complex
+            return unvec(self.matrix @ v.real + 1j * (self.matrix @ v.imag), self.space)
+        return unvec(self.matrix @ v, self.space)
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         if other.space != self.space:

@@ -319,6 +319,10 @@ BASE_CONFIG = {"models": ["exact"], "g_tau_bar": 0.15, "pump": 0.9}
         {"models": [{"name": "heuristic", "gain": None}]},
         {"models": [{"name": "heuristic", "beta": "nan"}]},
         {"models": [{"name": "heuristic", "ordering": "a_a"}]},
+        {"models": [{"name": "heuristic", "gain": True}]},
+        {"models": [{"name": "heuristic", "beta": False}]},
+        {"models": [{"name": "heuristic", "gain": "1e0"}]},
+        {"models": [{"name": "heuristic", "beta": "4e-2"}]},
         {"models": [{"name": "uniform_lindblad", "order": 1.7}]},
         {"models": [{"name": "uniform_lindblad", "order": True}]},
         {"models": [{"name": "weak_lindblad", "order": 0}]},
@@ -342,6 +346,18 @@ def test_bad_config_value_is_one_line_config_error(override, tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_heuristic_gain_and_beta_take_ints_as_reals(tmp_path, capsys):
+    outputs = []
+    for gain, beta in ((2, 1), (2.0, 1.0)):
+        cfg = tmp_path / "cfg.json"
+        model = {"name": "heuristic", "gain": gain, "beta": beta}
+        cfg.write_text(json.dumps({**BASE_CONFIG, "models": [model]}))
+        code, out, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_cells_run_in_grid_order_on_the_calling_thread(monkeypatch, capsys):

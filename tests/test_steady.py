@@ -1,12 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
-from micromaser.fock import TruncatedSpace
+import micromaser
+from micromaser.fock import TruncatedSpace, annihilation
+
 from micromaser.models import (
     GeneratorModel,
+    assemble,
     exact_model,
     fourth_order_model,
     heuristic_model,
@@ -22,7 +31,9 @@ from micromaser.steady import (
     nullspace_steady,
     recurrence_steady,
 )
-from micromaser.superop import Superoperator, loss_dissipator
+from micromaser.superop import Superoperator, left_mult, loss_dissipator, right_mult, unvec
+
+from test_models import ORACLE_VARIANTS
 
 KAPPA = 1.0
 
@@ -145,6 +156,88 @@ def test_nullspace_rejects_missing_kernel():
     ident = Superoperator(space, np.eye(16))
     with pytest.raises(SteadyStateError):
         nullspace_steady(ident)
+
+
+def _nullspace_matching_full_eig(generator):
+    """nullspace_steady, checked against one eig of the whole matrix."""
+    lam, vecs = scipy.linalg.eig(generator.matrix)
+    order = np.argsort(np.abs(lam))
+    want = unvec(vecs[:, order[0]], generator.space)
+    want = 0.5 * (want + want.conj().T)
+    want = want / np.trace(want).real
+    rho, info = nullspace_steady(generator, return_info=True)
+    assert np.abs(rho - want).max() < 1e-12
+    assert abs(info["eigenvalue"] - lam[order[0]]) < 1e-14 * info["norm"]
+    assert info["gap"] == pytest.approx(abs(lam[order[1]]), rel=1e-11)
+    return rho
+
+
+def _n_blocks(generator):
+    return connected_components(generator.matrix != 0, connection="weak")[0]
+
+
+@pytest.mark.parametrize("g_tau_bar", [0.05, 0.15])
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+def test_block_nullspace_matches_full_eig(variant, g_tau_bar):
+    params = PumpParameters.from_pump(0.9, g_tau_bar, KAPPA)
+    space = TruncatedSpace(12)
+    generator = assemble(ORACLE_VARIANTS[variant](params, space), KAPPA)
+    # phase covariance: one block per offset n - m
+    assert _n_blocks(generator) == 2 * space.dim - 1
+    _nullspace_matching_full_eig(generator)
+
+
+def test_unsplit_generator_gets_one_full_eig():
+    # a coherent drive -i[eps (a + a*), rho] couples neighbouring offsets
+    space = TruncatedSpace(12)
+    a = annihilation(space)
+    eps = 0.2
+    drive = eps * (a + a.conj().T)
+    generator = loss_dissipator(KAPPA, space) + Superoperator(
+        space, -1j * (left_mult(drive) - right_mult(drive))
+    )
+    assert _n_blocks(generator) == 1
+    rho = _nullspace_matching_full_eig(generator)
+    # the driven damped mode settles in the coherent state alpha = -2i eps / kappa
+    alpha = -2j * eps / KAPPA
+    n = np.arange(space.dim)
+    amp = alpha**n / np.sqrt([math.factorial(k) for k in n]) * np.exp(-abs(alpha) ** 2 / 2)
+    assert np.abs(rho - np.outer(amp, amp.conj())).max() < 1e-10
+
+
+def test_one_way_coupling_joins_its_ends_in_one_block():
+    # rho_00 feeds rho_10 but nothing feeds back: the kernel vector spreads
+    # over both, so the blocks are weakly, not strongly, connected pieces
+    space = TruncatedSpace(1)
+    mat = np.diag([0.0, -1.0, -1.0, -2.0])
+    mat[1, 0] = 1.0
+    rho = _nullspace_matching_full_eig(Superoperator(space, mat))
+    assert rho[1, 0] == pytest.approx(0.5)
+
+
+def test_nullspace_rejects_one_zero_eigenvalue_per_block(rng):
+    # two irreducible 8-state rate matrices, interleaved: each block alone
+    # has a unique kernel, together they have two
+    space = TruncatedSpace(3)
+    rates = [rng.uniform(0.5, 1.5, (8, 8)) for _ in range(2)]
+    blocks = [q - np.diag(q.sum(axis=0)) for q in rates]
+    perm = rng.permutation(16)
+    mat = scipy.linalg.block_diag(*blocks)[np.ix_(perm, perm)]
+    generator = Superoperator(space, mat)
+    assert _n_blocks(generator) == 2
+    with pytest.raises(DegenerateSteadyStateError):
+        nullspace_steady(generator)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # nullspace_steady imports csgraph itself, so every CLI start skips it
+    env = {**os.environ, "PYTHONPATH": str(Path(micromaser.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, micromaser; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_choose_truncation_pins_polynomial_models():

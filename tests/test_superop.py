@@ -66,6 +66,24 @@ def test_superoperator_apply_add_and_norm(rng):
     assert s.norm == pytest.approx(np.linalg.norm(m1 + m2))
 
 
+def test_apply_complex_state_with_real_matrix(rng):
+    space = TruncatedSpace(6)
+    mat = rng.standard_normal((49, 49))
+    rho = random_density(space, rng)
+    want = mat.astype(complex) @ vec(rho)
+    got = vec(Superoperator(space, mat).apply(rho))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_apply_real_state_keeps_the_real_product(rng):
+    space = TruncatedSpace(6)
+    mat = rng.standard_normal((49, 49))
+    rho = rng.standard_normal((7, 7))
+    got = Superoperator(space, mat).apply(rho)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, unvec(mat @ vec(rho), space))
+
+
 def test_superoperator_shape_validation():
     with pytest.raises(ValueError):
         Superoperator(TruncatedSpace(3), np.zeros((15, 15)))
