@@ -3,8 +3,10 @@ under the interaction-time distribution, and the finite-time Kraus channels
 the expansions are derived from.
 
 For the exponential waiting-time distribution the orthonormal family is the
-Laguerre one; the builder works for any distribution, which is what the
-uniform-measure model variants use.
+Laguerre one, with an exact three-term recurrence; for any other
+distribution the builder derives the recurrence from its nodes.  The
+monomial coefficients printed here come from that recurrence, and the Gram
+matrix integrates them through the moments as an independent check.
 """
 
 import math

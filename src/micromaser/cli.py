@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import TruncatedSpace
-from .measures import DegenerateMeasureError, TimeMeasure, build_basis
+from .measures import TimeMeasure, build_basis
 from .models import (
     EXACT,
     HEURISTIC,
@@ -166,7 +166,7 @@ class RunConfig:
         for spec in self.models:
             try:
                 _build_model(spec, self, self.pump[0], TruncatedSpace(1))
-            except (TypeError, ValueError, DegenerateMeasureError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model {spec.name!r}: {exc}") from None
 
     def echo(self) -> dict:

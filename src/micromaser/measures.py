@@ -4,10 +4,15 @@ Times are handled in the dimensionless variable x = tau / tau_bar, so the
 exponential measure has density e^{-x} dx and moments n!.  Polynomials
 f_0, f_1, ... are orthonormal under the measure and expansions
 x^n = sum_k a_nk f_k(x) carry the model coefficients downstream.
+
+A basis is its three-term recurrence (Jacobi matrix J), from which values,
+monomial coefficients and a_nk = (J^n)_{k0} all derive; the moments are the
+independent route that checks it at low degree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +21,7 @@ from scipy.special import roots_laguerre
 
 WEIGHT_SUM_TOL = 1e-12
 MEAN_TOL = 1e-10
+MAX_DEGREE = 64  # highest basis degree (and weak-series order) that is tested
 
 
 class DegenerateMeasureError(RuntimeError):
@@ -85,8 +91,8 @@ class TimeMeasure:
 
     @property
     def support_size(self) -> int | None:
-        """Number of support points, or None for an absolutely continuous measure."""
-        return None if self.kind == "exponential" else int(self.nodes.size)
+        """Number of distinct support points, or None for a continuous measure."""
+        return None if self.kind == "exponential" else int(np.unique(self.nodes).size)
 
 
 def moment(measure: TimeMeasure, n: int) -> float:
@@ -110,93 +116,87 @@ def average(measure: TimeMeasure, fn, n_nodes: int = 200) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """Polynomials f_0..f_K orthonormal under the measure.
-
-    coeffs[k][j] is the coefficient of x^j in f_k; leading coefficients
-    carry sign (-1)^k (so f_1 = 1 - x for the exponential measure).
-    """
+    """Polynomials f_0..f_K orthonormal under the measure, stored as the
+    recurrence x f_k = b_{k+1} f_{k+1} + a_k f_k + b_k f_{k-1} (f_0 = 1,
+    b[0] = 0): b_k < 0 gives f_k the leading sign (-1)^k (f_1 = 1 - x for the
+    exponential measure).  `inner` is the independent route, via moments."""
 
     measure: TimeMeasure
-    degree: int
-    coeffs: tuple = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
 
-    def evaluate(self, k: int, x) -> np.ndarray:
-        c = self.coeffs[k]
-        return np.polyval(c[::-1], np.asarray(x, dtype=float))
+    @property
+    def degree(self) -> int:
+        return self.a.size - 1
+
+    def evaluate(self, k: int, x):
+        """f_k at points x, or as a numpy Polynomial when x is one."""
+        if not isinstance(x, np.polynomial.Polynomial):
+            x = np.asarray(x, dtype=float)
+        prev, cur = 0.0 * x, x**0
+        for j in range(k):
+            prev, cur = cur, ((x - self.a[j]) * cur - self.b[j] * prev) / self.b[j + 1]
+        return cur
+
+    @functools.cached_property
+    def coeffs(self) -> tuple:
+        """coeffs[k][j] multiplies x^j in f_k; for display and low degrees."""
+        x = np.polynomial.Polynomial([0.0, 1.0])
+        return tuple(self.evaluate(k, x).coef for k in range(self.degree + 1))
 
     def inner(self, poly_a: np.ndarray, poly_b: np.ndarray) -> float:
-        """Measure inner product of two coefficient vectors."""
-        return _monomial_inner(self.measure, poly_a, poly_b)
-
-
-def _monomial_inner(measure: TimeMeasure, pa: np.ndarray, pb: np.ndarray) -> float:
-    acc = 0.0
-    for i, ca in enumerate(pa):
-        if ca == 0.0:
-            continue
-        for j, cb in enumerate(pb):
-            if cb != 0.0:
-                acc += ca * cb * moment(measure, i + j)
-    return acc
+        """Measure inner product of two monomial coefficient vectors."""
+        acc = 0.0
+        for i, ca in enumerate(poly_a):
+            if ca == 0.0:
+                continue
+            for j, cb in enumerate(poly_b):
+                if cb != 0.0:
+                    acc += ca * cb * moment(self.measure, i + j)
+        return acc
 
 
 def build_basis(measure: TimeMeasure, degree: int) -> OrthoBasis:
-    """Gram-Schmidt over {1, x, ..., x^degree} in the measure inner product.
-
-    A second orthogonalization pass keeps the basis numerically orthonormal
-    for the factorial-growth moments of the exponential measure.  Measures
-    with fewer than degree+1 support points cannot carry the requested
-    degree and raise DegenerateMeasureError.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    """Exact Laguerre recurrence a_k = 2k + 1, b_k = -k for the exponential
+    measure; otherwise the discretized Stieltjes procedure on sqrt(w_i) f_k(x_i)
+    (Gautschi, Orthogonal Polynomials, OUP 2004, sec. 2.2).  Fewer than
+    degree+1 distinct support points raise DegenerateMeasureError."""
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
+    if measure.kind == "exponential":
+        k = np.arange(degree + 1, dtype=float)
+        return OrthoBasis(measure, 2.0 * k + 1.0, -k)
     support = measure.support_size
-    if support is not None and support < degree + 1:
+    if support < degree + 1:
         raise DegenerateMeasureError(
             f"measure with {support} support points cannot build degree {degree}"
         )
-    basis: list[np.ndarray] = []
-    scale = 1.0
+    x = measure.nodes
+    a, b = np.zeros(degree + 1), np.zeros(degree + 1)
+    prev, cur = np.zeros_like(x), np.sqrt(measure.weights)
     for k in range(degree + 1):
-        poly = np.zeros(k + 1)
-        poly[k] = 1.0  # start from the monomial x^k
-        for _ in range(2):  # repeated Gram-Schmidt for numerical orthogonality
-            for f in basis:
-                proj = _monomial_inner(measure, poly, f)
-                poly[: f.size] -= proj * f
-        norm_sq = _monomial_inner(measure, poly, poly)
-        if norm_sq <= 1e-24 * scale:
-            raise DegenerateMeasureError(
-                f"Gram matrix degenerate at degree {k} (norm^2 = {norm_sq:.3e})"
-            )
-        poly = poly / math.sqrt(norm_sq)
-        if k == 0:
-            scale = norm_sq
-        # leading-coefficient sign convention (-1)^k
-        if poly[k] * (-1.0) ** k < 0:
-            poly = -poly
-        basis.append(poly)
-    return OrthoBasis(measure, degree, tuple(basis))
+        a[k] = x @ cur**2
+        if k < degree:
+            resid = (x - a[k]) * cur - b[k] * prev
+            b[k + 1] = -np.linalg.norm(resid)
+            prev, cur = cur, resid / b[k + 1]
+    return OrthoBasis(measure, a, b)
 
 
 def expansion_coeffs(basis: OrthoBasis, n: int) -> np.ndarray:
-    """Coefficients a_nk of x^n = sum_k a_nk f_k(x) under the basis measure.
+    """Coefficients a_nk = (J^n)_{k0} of x^n = sum_k a_nk f_k(x).
 
     For n beyond the basis degree the identity can only hold when the basis
     already spans L2 of the measure (finite support <= degree+1 points).
     """
-    measure = basis.measure
     if n > basis.degree:
-        support = measure.support_size
+        support = basis.measure.support_size
         if support is None or support > basis.degree + 1:
             raise ValueError(
                 f"x^{n} is not in the span of a degree-{basis.degree} basis"
             )
-    mono = np.zeros(n + 1)
-    mono[n] = 1.0
-    return np.array(
-        [_monomial_inner(measure, mono, basis.coeffs[k]) for k in range(basis.degree + 1)]
-    )
+    off = np.diag(basis.b[1:], 1)
+    return np.linalg.matrix_power(np.diag(basis.a) + off + off.T, n)[:, 0]
 
 
 def cross_moment_identity(basis: OrthoBasis, n: int, m: int) -> float:

@@ -5,8 +5,8 @@ atom-induced gain is treated:
 
   exact            measure-averaged pump, all orders in g tau
   post4            fourth-order expansion of the average (not Lindblad)
-  weak_lindblad    fourth-order-accurate Lindblad set from orthonormal
-                   time polynomials (exponential measure, closed forms)
+  weak_lindblad    weak-coupling series on orthonormal time polynomials,
+                   any order up to 64 (closed form at the default 3)
   uniform_lindblad all-orders Lindblad set from degree-0/1 projections
   heuristic        single saturated-gain Lindblad operator
 
@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .fock import TruncatedSpace, annihilation
-from .measures import OrthoBasis, TimeMeasure, expansion_coeffs
+from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, expansion_coeffs
 from .pump import PumpParameters, cos_cos_average, sin_sin_average
 from .superop import Superoperator, left_mult, right_mult, sandwich
 
@@ -393,15 +393,9 @@ def general_weak_model(
     gain).  With the exponential measure and order 3 this reproduces the
     closed-form set of weak_coupling_model.
     """
-    if order < 1:
-        raise ValueError("series order must be at least 1")
+    if not 1 <= order <= MAX_DEGREE:
+        raise ValueError(f"series order must be in 1..{MAX_DEGREE}, got {order}")
     k_top = min(order, basis.degree)
-    if basis.degree < order:
-        support = basis.measure.support_size
-        if support is None or support > basis.degree + 1:
-            raise ValueError(
-                f"series order {order} exceeds basis degree {basis.degree}"
-            )
     coeff_table = [expansion_coeffs(basis, j) for j in range(order + 1)]
     gt = params.g_tau_bar
     # per channel k: coefficients of P^m in C_k (even j) and in S_k / a* (odd j)
@@ -433,20 +427,22 @@ def general_weak_model(
     )
 
 
-def _uniform_sin_kernels(alpha: np.ndarray) -> list[np.ndarray]:
-    """<f_k(x) sin(alpha x)> over e^{-x} dx for k = 0, 1, 2 (closed forms)."""
+def exponential_projections(alpha, k_max: int) -> list:
+    """(<f_k cos(alpha x)>, <f_k sin(alpha x)>) over e^{-x} dx, k = 0..k_max:
+    Re and Im of z0 w^k = (1 + i alpha)(-i alpha (1 + i alpha))^k / D^(k+1),
+    D = 1 + alpha^2, in real arithmetic (D^(k+1) must stay finite)."""
+    alpha = np.asarray(alpha, dtype=float)
     den = 1.0 + alpha**2
-    return [
-        alpha / den,
-        -alpha * (1.0 - alpha**2) / den**2,
-        alpha**3 * (alpha**2 - 3.0) / den**3,
-    ]
-
-
-def _uniform_cos_kernels(alpha: np.ndarray) -> list[np.ndarray]:
-    """<f_k(x) cos(alpha x)> for k = 0, 1 (identity parts handled upstream)."""
-    den = 1.0 + alpha**2
-    return [1.0 / den, 2.0 * alpha**2 / den**2]
+    re, im, scale = np.ones_like(alpha), alpha, den
+    out = [(re / scale, im / scale)]
+    for _ in range(k_max):
+        # times (1 + i alpha), then -i alpha: this grouping keeps k <= 1
+        # bitwise equal to 1/D, alpha/D, 2 alpha^2/D^2, -alpha (1 - alpha^2)/D^2
+        re, im = re - alpha * im, im + alpha * re
+        re, im = alpha * im, -alpha * re
+        scale = scale * den
+        out.append((re / scale, im / scale))
+    return out
 
 
 def uniform_model(
@@ -457,25 +453,23 @@ def uniform_model(
 ) -> GeneratorModel:
     """All-orders Lindblad set from polynomial projections of the pump split.
 
-    Exponential measure only.  order=0 keeps the degree-0 projections of
-    both families, order=1 (default) adds the degree-1 gain projection,
-    order=2 adds the next projections of both families.  The identity
-    component of each diagonal operator is dropped.
+    Exponential measure only.  The gain family keeps the sin projections of
+    degree k <= order (0, 1 or 2), the cosine family those of degree
+    k < max(1, order).  The identity part of each diagonal operator is dropped.
     """
     if params.tau_bar <= 0:
         raise ValueError("tau_bar must be positive")
     if order not in (0, 1, 2):
         raise ValueError(f"uniform expansion order must be 0, 1 or 2, got {order}")
     g_tau_bar = params.g_tau_bar
-    n_sin = 1 + (order >= 1) + (order >= 2)
 
     def gain_elements(n):
         alpha = g_tau_bar * np.sqrt(np.asarray(n, dtype=float) + 1.0)
-        return _uniform_sin_kernels(alpha)[:n_sin]
+        return [sin for _, sin in exponential_projections(alpha, order)]
 
     levels = np.arange(1, space.dim + 1, dtype=float)  # n+1 with exact top
-    cos_k = _uniform_cos_kernels(g_tau_bar * np.sqrt(levels))
-    diagonals = [] if drop_cos else cos_k[: 1 + (order >= 2)]
+    cos_k = exponential_projections(g_tau_bar * np.sqrt(levels), max(1, order) - 1)
+    diagonals = [] if drop_cos else [cos for cos, _ in cos_k]
     return _lindblad_model(
         UNIFORM,
         space,

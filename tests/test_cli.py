@@ -326,7 +326,7 @@ BASE_CONFIG = {"models": ["exact"], "g_tau_bar": 0.15, "pump": 0.9}
         {"models": [{"name": "uniform_lindblad", "order": 1.7}]},
         {"models": [{"name": "uniform_lindblad", "order": True}]},
         {"models": [{"name": "weak_lindblad", "order": 0}]},
-        {"models": [{"name": "weak_lindblad", "order": 30}]},
+        {"models": [{"name": "weak_lindblad", "order": 65}]},
         {"pump": [1, "nan"]},
         {"pump": "inf"},
         {"kappa": "inf"},
@@ -346,6 +346,16 @@ def test_bad_config_value_is_one_line_config_error(override, tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_weak_series_runs_at_order_30(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    model = {"name": "weak_lindblad", "order": 30}
+    cfg.write_text(json.dumps({**BASE_CONFIG, "models": [model], "pump": [0.5, 3.0]}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == EXIT_OK
+    assert err == ""
+    assert len(parse_csv(out)) == 2
 
 
 def test_heuristic_gain_and_beta_take_ints_as_reals(tmp_path, capsys):

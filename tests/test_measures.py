@@ -125,3 +125,58 @@ def test_gauss_laguerre_basis_matches_exponential():
     quad = build_basis(TimeMeasure.gauss_laguerre(80), 3)
     for k in range(4):
         assert np.allclose(exact.coeffs[k], quad.coeffs[k], rtol=1e-8, atol=1e-8)
+
+
+class TestRecurrence:
+    """The basis is its Jacobi matrix; values and expansions run on it."""
+
+    def test_degree_64_orthonormal_on_gauss_laguerre_nodes(self):
+        quad = TimeMeasure.gauss_laguerre(300)
+        basis = build_basis(TimeMeasure.exponential(), 64)
+        values = np.array([basis.evaluate(k, quad.nodes) for k in range(65)])
+        gram = (values * quad.weights) @ values.T
+        assert np.abs(gram - np.eye(65)).max() < 1e-12
+
+    def test_stieltjes_reproduces_laguerre_recurrence(self):
+        exact = build_basis(TimeMeasure.exponential(), 64)
+        quad = build_basis(TimeMeasure.gauss_laguerre(300), 64)
+        k = np.arange(65)
+        assert np.array_equal(exact.a, 2.0 * k + 1.0)
+        assert np.array_equal(exact.b, -k)
+        assert np.abs(quad.a / exact.a - 1.0).max() < 1e-13
+        assert np.abs(quad.b[1:] / exact.b[1:] - 1.0).max() < 1e-13
+
+    def test_recurrence_values_match_moment_oracle_coefficients(self):
+        # the moment route cancels ~ (2K)! eps, so it checks low degrees only
+        basis = build_basis(TimeMeasure.gauss_laguerre(40), 6)
+        gram = np.array(
+            [[basis.inner(basis.coeffs[i], basis.coeffs[j]) for j in range(7)] for i in range(7)]
+        )
+        assert np.abs(gram - np.eye(7)).max() < 1e-10
+        x = np.linspace(0.0, 5.0, 11)
+        for k in range(7):
+            direct = np.polynomial.polynomial.polyval(x, basis.coeffs[k])
+            assert np.allclose(basis.evaluate(k, x), direct, rtol=1e-10, atol=1e-10)
+
+    def test_laguerre_expansions_to_degree_64(self):
+        basis = build_basis(TimeMeasure.exponential(), 64)
+        for n in (20, 40, 64):
+            want = np.array(
+                [(-1.0) ** k * math.factorial(n) * math.comb(n, k) for k in range(n + 1)]
+            )
+            got = expansion_coeffs(basis, n)
+            assert np.abs(got[: n + 1] / want - 1.0).max() < 1e-13
+            assert not np.any(got[n + 1 :])
+
+    def test_degree_ceiling_is_checked_before_building(self):
+        for degree in (65, 10**12):
+            with pytest.raises(ValueError):
+                build_basis(TimeMeasure.exponential(), degree)
+        with pytest.raises(ValueError):
+            build_basis(TimeMeasure.exponential(), -1)
+
+    def test_repeated_nodes_count_once(self):
+        m = TimeMeasure.discrete([1.0, 1.0], [0.5, 0.5])
+        assert m.support_size == 1
+        with pytest.raises(DegenerateMeasureError):
+            build_basis(m, 1)

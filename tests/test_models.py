@@ -12,6 +12,7 @@ from micromaser.models import (
     WEAK,
     assemble,
     exact_model,
+    exponential_projections,
     fourth_order_generator,
     fourth_order_model,
     general_weak_model,
@@ -21,13 +22,13 @@ from micromaser.models import (
     uniform_model,
     weak_coupling_model,
 )
-from micromaser.observables import linewidth
+from micromaser.observables import distribution_distance, linewidth
 from micromaser.pump import (
     PumpParameters,
     averaged_pump_superoperator,
     pump_average_tables,
 )
-from micromaser.steady import recurrence_steady
+from micromaser.steady import default_cutoff, recurrence_steady
 from micromaser.superop import dissipator_matrix, loss_dissipator, unvec, vec
 
 from conftest import coherent_density, random_density
@@ -184,6 +185,49 @@ def test_uniform_operators_match_direct_quadrature(params15):
 def test_uniform_order_validation(params15):
     with pytest.raises(ValueError):
         uniform_model(params15, TruncatedSpace(5), order=3)
+
+
+def test_exponential_projections_match_quadrature_to_degree_64():
+    quad = TimeMeasure.gauss_laguerre(300)
+    x, w = quad.nodes, quad.weights
+    basis = build_basis(TimeMeasure.exponential(), 64)
+    alpha = np.array([0.05, 0.3, 1.0, 1.7, 3.0])
+    proj = exponential_projections(alpha, 64)
+    for k, (cos, sin) in enumerate(proj):
+        weighted = w * basis.evaluate(k, x)
+        assert np.allclose(sin, np.sin(alpha[:, None] * x) @ weighted, atol=1e-12)
+        assert np.allclose(cos, np.cos(alpha[:, None] * x) @ weighted, atol=1e-12)
+
+
+def test_exponential_projections_keep_low_degree_closed_forms_bitwise():
+    # CLI output at the default uniform order is byte-stable only if these hold
+    alpha = np.concatenate([np.linspace(0.0, 3.0, 3001), 0.03 * np.sqrt(np.arange(1.0, 3000.0))])
+    den = 1.0 + alpha**2
+    (c0, s0), (c1, s1) = exponential_projections(alpha, 1)
+    assert np.array_equal(c0, 1.0 / den) and np.array_equal(s0, alpha / den)
+    assert np.array_equal(c1, 2.0 * alpha**2 / den**2)
+    assert np.array_equal(s1, -alpha * (1.0 - alpha**2) / den**2)
+
+
+def test_general_series_converges_to_exact_at_weak_cutoff():
+    params = PumpParameters.from_pump(3.0, 0.15, KAPPA)
+    space = TruncatedSpace(default_cutoff(params.g_tau_bar))
+    exact = recurrence_steady(exact_model(params, space).gain_ratio(KAPPA), space).p
+    distances = {}
+    for order in (3, 30, 60):
+        basis = build_basis(TimeMeasure.exponential(), order)
+        model = general_weak_model(params, basis, order, space)
+        p = recurrence_steady(model.gain_ratio(KAPPA), space).p
+        distances[order] = distribution_distance(p, exact)
+    assert distances[3] > 1e-3  # the weak-coupling set is visibly off here
+    assert distances[30] <= 1e-5
+    assert distances[60] <= 1e-9
+
+
+def test_general_series_order_ceiling(params15):
+    basis = build_basis(TimeMeasure.discrete([0.5, 1.5], [0.5, 0.5]), 1)
+    with pytest.raises(ValueError):
+        general_weak_model(params15, basis, 65, TruncatedSpace(4))
 
 
 def test_heuristic_orderings_differ_by_one_level():
