@@ -3,7 +3,9 @@
 Configuration comes from a JSON document (--config PATH, or '-' for standard
 input) overridden by flags; kappa = 1 by default so every rate is reported
 in cavity-loss units.  Output is CSV (17 significant digits) or JSON
-({config_echo, rows}), deterministic and byte-stable for a fixed config.
+({config_echo, rows}, indented by two spaces per level), deterministic
+and byte-stable for a fixed config; each (model, pump) cell is encoded once
+into a row template and only its per-level columns are filled line by line.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
 rest are still emitted), 1 on configuration errors.  Every model is built
 once while the configuration is read, so a model option its constructor
@@ -19,7 +21,10 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +50,7 @@ from .pump import PumpParameters
 from .steady import (
     SteadyStateError,
     choose_truncation,
-    default_cutoff,
+    expansion_cutoff,
     recurrence_steady,
 )
 
@@ -314,13 +319,9 @@ def _build_model(spec: ModelSpec, config: RunConfig, pump_value: float, space: T
 
 
 def _point_cutoff(spec: ModelSpec, config: RunConfig) -> int | None:
-    if config.cutoff == "off":
-        return None
-    if config.cutoff == "auto":
-        if spec.name in (WEAK, POST4):
-            return default_cutoff(config.g_tau_bar)
-        return None
-    return config.cutoff
+    if config.cutoff == "auto" and spec.name in (WEAK, POST4):
+        return expansion_cutoff(config.g_tau_bar)
+    return None if config.cutoff in ("auto", "off") else config.cutoff
 
 
 @dataclass
@@ -335,13 +336,13 @@ class PointResult:
 def solve_point(spec: ModelSpec, config: RunConfig, pump_value: float) -> PointResult:
     """Steady distribution for one (model, pump) cell; errors become row status."""
     try:
+        cutoff = _point_cutoff(spec, config)
         if config.truncation == "auto":
             probe = _build_model(spec, config, pump_value, TruncatedSpace(1))
             space = choose_truncation(probe, config.kappa)
         else:
             space = TruncatedSpace(config.truncation)
         model = _build_model(spec, config, pump_value, space)
-        cutoff = _point_cutoff(spec, config)
         stats = recurrence_steady(model.gain_ratio(config.kappa), space, cutoff=cutoff)
         return PointResult(spec, pump_value, stats=stats, model=model)
     except (SteadyStateError, ValueError) as exc:
@@ -363,22 +364,21 @@ def _solve_grid(config: RunConfig, command: str) -> tuple[list[PointResult], int
 
 
 def run_steady(config: RunConfig, command: str) -> tuple[list[dict], int]:
+    """One row per solved cell, its distribution held in the n, p_n and
+    negative_flag columns as equal-length lists: one output line per level."""
     results, failures = _solve_grid(config, command)
-    rows: list[dict] = []
-    for res in results:
-        if res.error is not None:
-            continue
-        for n, p_n in enumerate(res.stats.p):
-            rows.append(
-                {
-                    "model": res.spec.name,
-                    "g_tau_bar": config.g_tau_bar,
-                    "pump_A_over_kappa": res.pump_value,
-                    "n": n,
-                    "p_n": float(p_n),
-                    "negative_flag": int(p_n < 0),
-                }
-            )
+    rows = [
+        {
+            "model": res.spec.name,
+            "g_tau_bar": config.g_tau_bar,
+            "pump_A_over_kappa": res.pump_value,
+            "n": range(res.stats.p.size),
+            "p_n": res.stats.p.tolist(),
+            "negative_flag": (res.stats.p < 0).astype(int).tolist(),
+        }
+        for res in results
+        if res.error is None
+    ]
     return rows, failures
 
 
@@ -452,38 +452,88 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
     return rows, failures
 
 
-def _scrub(value):
-    """Non-finite floats become missing values (JSON null, empty CSV cell)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+# Output.  A row's cells are scalars, except that a column may hold a list
+# (or range) of numbers: such a row stands for one output line per entry,
+# its scalar cells repeated on each.  Non-finite floats are missing values
+# (JSON null, empty CSV cell).
 
 
-def _format_cell(value) -> str:
-    value = _scrub(value)
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.16e}" if math.isfinite(value) else ""
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.16e}"
     return str(value)
 
 
+def _json_cell(value) -> str:
+    """The text json.dumps gives a scalar, with non-finite floats as null."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)  # None, True, False
+
+
+# A format: its cell text, and for a list of finite values of one type, the
+# builtin that gives the same text in one C call per value.
+_CSV = (_csv_cell, {float: "{:.16e}".format, int: int.__repr__})
+_JSON = (_json_cell, {float: float.__repr__, int: int.__repr__})
+
+
+def _texts(values, fmt) -> Iterable[str]:
+    """The cell text of each value, by the exact builtin where one applies."""
+    cell, exact = fmt
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and kinds <= exact.keys() and all(map(math.isfinite, values)):
+        return map(exact[kinds.pop()], values)
+    return map(cell, values)
+
+
+def _lines(row: dict, columns: tuple, fmt, template) -> list[str]:
+    """The output lines of one row.  `template` lays out a line from its
+    cell texts: the scalar cells, encoded once (with '%' escaped), and "%s"
+    for each list column; the list entries are then filled in line by line."""
+    cell = fmt[0]
+    listed = [col for col in columns if isinstance(row[col], (list, range))]
+    text = template(
+        ["%s" if col in listed else cell(row[col]).replace("%", "%%") for col in columns]
+    )
+    if not listed:
+        return [text % ()]
+    entries = zip(*(_texts(row[col], fmt) for col in listed), strict=True)
+    return [text % values for values in entries]
+
+
 def write_csv(rows: list[dict], columns: tuple, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
+    line: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
+
+    def template(cells: list) -> str:
+        writer.writerow(cells)  # the csv module's quoting
+        return line.pop()
+
+    stream.write(template(columns))
     for row in rows:
-        writer.writerow([_format_cell(row[col]) for col in columns])
+        stream.write("".join(_lines(row, columns, _CSV, template)))
 
 
 def write_json(rows: list[dict], columns: tuple, config: RunConfig, command: str, stream) -> None:
-    payload = {
-        "config_echo": {"command": command, **config.echo()},
-        "rows": [{col: _scrub(row[col]) for col in columns} for row in rows],
-    }
-    json.dump(payload, stream, indent=2, allow_nan=False)
-    stream.write("\n")
+    """{config_echo, rows}, byte for byte as the json module writes it with
+    indent=2: the short echo through json.dumps, the rows from templates."""
+    echo = json.dumps({"command": command, **config.echo()}, indent=2, allow_nan=False)
+    keys = [f"      {encode_basestring_ascii(col)}: " for col in columns]
+
+    def template(cells: list) -> str:
+        return "    {\n" + ",\n".join(map(str.__add__, keys, cells)) + "\n    }"
+
+    body = ",\n".join(text for row in rows for text in _lines(row, columns, _JSON, template))
+    stream.write('{\n  "config_echo": ' + echo.replace("\n", "\n  ") + ',\n  "rows": ')
+    stream.write(f"[\n{body}\n  ]\n}}\n" if rows else "[]\n}\n")
 
 
 # command -> (runner, the columns its output keeps from each row)

@@ -55,6 +55,12 @@ class PhotonStatistics:
         return len(self.negative) > 0
 
 
+def _cutoff_index(g_tau_bar: float) -> int:
+    if g_tau_bar <= 0:
+        raise ValueError("g_tau_bar must be positive")
+    return int(np.floor(0.2 / g_tau_bar**2))
+
+
 def default_cutoff(g_tau_bar: float) -> int:
     """Truncation index 0.2 / (g tau_bar)^2 for the expansion models.
 
@@ -62,15 +68,26 @@ def default_cutoff(g_tau_bar: float) -> int:
     at 80 percent of that keeps the series models inside their validity
     window.  A cutoff below 1 means the coupling is too strong for them.
     """
-    if g_tau_bar <= 0:
-        raise ValueError("g_tau_bar must be positive")
-    n = int(np.floor(0.2 / g_tau_bar**2))
+    n = _cutoff_index(g_tau_bar)
     if n < 1:
         warnings.warn(
             f"expansion cutoff {n} < 1 at g tau_bar = {g_tau_bar}; "
             "the series models are unusable here",
             CutoffWarning,
             stacklevel=2,
+        )
+    return n
+
+
+def expansion_cutoff(g_tau_bar: float) -> int:
+    """default_cutoff for a run: SteadyStateError, and no warning, where it
+    is below 1.  The truncation search and a fixed truncation share this
+    check, so an unusable expansion model fails its cell on either route.
+    """
+    n = _cutoff_index(g_tau_bar)
+    if n < 1:
+        raise SteadyStateError(
+            f"expansion models unusable at g tau_bar = {g_tau_bar} (cutoff {n} < 1)"
         )
     return n
 
@@ -126,20 +143,14 @@ def choose_truncation(
 ) -> TruncatedSpace:
     """Smallest n_max whose steady distribution has p_{n_max} < tail_tol.
 
-    Expansion models (weak_lindblad, post4) are pinned to default_cutoff
+    Expansion models (weak_lindblad, post4) are pinned to expansion_cutoff
     instead: their tails are artifacts of the truncated series.  Everything
     else grows the ladder by doubling until the tail criterion is met.
     """
     from .models import POST4, WEAK  # local import keeps module cycle open
 
     if model.name in (WEAK, POST4):
-        n = default_cutoff(model.params.g_tau_bar)
-        if n < 1:
-            raise SteadyStateError(
-                f"expansion models unusable at g tau_bar = "
-                f"{model.params.g_tau_bar} (cutoff {n} < 1)"
-            )
-        return TruncatedSpace(n)
+        return TruncatedSpace(expansion_cutoff(model.params.g_tau_bar))
     ratio = model.gain_ratio(kappa)
     n_max = start
     while n_max <= hard_cap:

@@ -392,22 +392,22 @@ def test_cells_run_in_grid_order_on_the_calling_thread(monkeypatch, capsys):
 
 
 def test_partial_failure_keeps_good_rows_and_exits_2(capsys):
-    # weak expansion is unusable at g tau_bar = 0.5 (cutoff < 1); exact is fine
-    with pytest.warns(UserWarning):
-        code, out, err = run_cli(
-            [
-                "sweep",
-                "--model",
-                "exact",
-                "--model",
-                "weak_lindblad",
-                "--gtau",
-                "0.5",
-                "--pump",
-                "0.9",
-            ],
-            capsys,
-        )
+    # weak expansion is unusable at g tau_bar = 0.5 (cutoff < 1); exact is fine.
+    # Warnings are errors under pytest here, so this also proves none fires.
+    code, out, err = run_cli(
+        [
+            "sweep",
+            "--model",
+            "exact",
+            "--model",
+            "weak_lindblad",
+            "--gtau",
+            "0.5",
+            "--pump",
+            "0.9",
+        ],
+        capsys,
+    )
     assert code == EXIT_PARTIAL
     rows = parse_csv(out)
     models = {r["model"] for r in rows}
@@ -415,6 +415,42 @@ def test_partial_failure_keeps_good_rows_and_exits_2(capsys):
     ok_rows = [r for r in rows if r["status"] == "ok"]
     assert ok_rows and all(r["model"] == "exact" for r in ok_rows)
     assert "weak_lindblad" in err
+
+
+UNUSABLE = "expansion models unusable at g tau_bar = 0.5 (cutoff 0 < 1)"
+
+
+@pytest.mark.parametrize("truncation", ["auto", 20])
+@pytest.mark.parametrize("command", ["steady", "sweep"])
+def test_unusable_expansion_models_fail_on_both_truncation_routes(
+    command, truncation, tmp_path, capsys
+):
+    # default cutoff 0.2 / 0.5**2 < 1: a fixed truncation must not print a vacuum
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {"models": ["weak_lindblad", "post4"], "g_tau_bar": 0.5, "pump": [3.0],
+             "truncation": truncation}
+        )
+    )
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == EXIT_PARTIAL
+    names = ("weak_lindblad", "post4")
+    assert err.splitlines() == [f"{command}: {name} at pump 3.0: {UNUSABLE}" for name in names]
+    statuses = [(r["model"], r["status"]) for r in parse_csv(out)]
+    assert statuses == ([] if command == "steady" else [(n, f"error: {UNUSABLE}") for n in names])
+
+
+def test_stderr_holds_only_the_cell_error_lines():
+    # a fresh interpreter shows warnings as Python prints them, with no pytest filter
+    proc = subprocess.run(
+        [sys.executable, "-m", "micromaser.cli", "steady", "--model", "weak_lindblad",
+         "--gtau", "0.5", "--pump", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_PARTIAL
+    assert proc.stderr == f"steady: weak_lindblad at pump 3.0: {UNUSABLE}\n"
 
 
 def test_config_from_stdin(monkeypatch, capsys):

@@ -1,0 +1,204 @@
+"""Byte oracle for the CLI writers.
+
+The reference is the writer the CLI used before rows were written from
+per-cell templates: one dict per output line, `json.dumps(indent=2)` and
+`csv.writer` over `_format_cell`.  Every command, in both formats, must
+print exactly what the reference prints for the same rows.
+"""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from micromaser import cli
+from micromaser.cli import EXIT_OK, EXIT_PARTIAL, main
+
+
+def _scrub(value):
+    """Non-finite floats become missing values (JSON null, empty CSV cell)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _format_cell(value) -> str:
+    value = _scrub(value)
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.16e}"
+    return str(value)
+
+
+def reference_csv(rows, columns) -> str:
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(row[col]) for col in columns])
+    return stream.getvalue()
+
+
+def reference_json(rows, columns, config, command) -> str:
+    payload = {
+        "config_echo": {"command": command, **config.echo()},
+        "rows": [{col: _scrub(row[col]) for col in columns} for row in rows],
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def reference(rows, columns, config, command, fmt) -> str:
+    if fmt == "json":
+        return reference_json(rows, columns, config, command)
+    return reference_csv(rows, columns)
+
+
+def per_level(rows):
+    """Each row with list columns as one dict per entry."""
+    out = []
+    for row in rows:
+        listed = [col for col, value in row.items() if isinstance(value, (list, range))]
+        if not listed:
+            out.append(row)
+            continue
+        for values in zip(*(row[col] for col in listed), strict=True):
+            out.append({**row, **dict(zip(listed, values))})
+    return out
+
+
+def reference_rows(config, command):
+    """The rows each command gave the writers as one dict per line; steady's
+    are built level by level from the solved cells."""
+    if command != "steady":
+        return cli._COMMANDS[command][0](config, command)[0]
+    results, _ = cli._solve_grid(config, command)
+    return [
+        {
+            "model": res.spec.name,
+            "g_tau_bar": config.g_tau_bar,
+            "pump_A_over_kappa": res.pump_value,
+            "n": n,
+            "p_n": float(p_n),
+            "negative_flag": int(p_n < 0),
+        }
+        for res in results
+        if res.error is None
+        for n, p_n in enumerate(res.stats.p)
+    ]
+
+
+CASES = {
+    # post4 past its validity window: negative p_n, negative_flag 1
+    "post4_negative": (
+        {"models": ["post4", "exact"], "g_tau_bar": 0.15, "pump": 5.0,
+         "truncation": 16, "cutoff": "off"},
+        EXIT_OK,
+    ),
+    # weak_lindblad fails every cell at g tau_bar 0.5; exact at pump 0 is
+    # "undefined" in sweep and linewidth, and its Mandel Q is missing
+    "failed_cell_and_pump_zero": (
+        {"models": ["exact", "weak_lindblad"], "g_tau_bar": 0.5, "pump": [0, 0.9]},
+        EXIT_PARTIAL,
+    ),
+    # every cell fails: steady has no rows at all
+    "no_rows": (
+        {"models": ["weak_lindblad", "post4"], "g_tau_bar": 0.5, "pump": [3.0],
+         "truncation": 20},
+        EXIT_PARTIAL,
+    ),
+    # model options, kappa and workers nest in the echo
+    "options": (
+        {
+            "models": [
+                {"name": "heuristic", "ordering": "a_dag_a", "gain": 2, "beta": 0.01},
+                {"name": "uniform_lindblad", "order": 2},
+                {"name": "weak_lindblad", "order": 7},
+            ],
+            "g_tau_bar": 0.1,
+            "pump": {"start": 0, "stop": 4, "steps": 5},
+            "kappa": 2.0,
+            "workers": 3,
+        },
+        EXIT_OK,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["steady", "sweep", "compare", "linewidth"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_output_matches_reference_writer(case, command, fmt, tmp_path, capsys):
+    raw, want_code = CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    argv = [command, "--config", str(path), "--format", fmt]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == want_code
+    config = cli.load_config(cli.build_parser().parse_args(argv))
+    rows = reference_rows(config, command)
+    capsys.readouterr()
+    assert out == reference(rows, cli._COMMANDS[command][1], config, command, fmt)
+    if command == "steady" and case == "post4_negative":
+        assert any(row["negative_flag"] == 1 and row["p_n"] < 0 for row in rows)
+    if command == "steady" and case == "failed_cell_and_pump_zero":
+        assert rows and {row["model"] for row in rows} == {"exact"}
+    if command == "steady" and case == "no_rows":
+        assert rows == []
+        if fmt == "json":
+            assert out.endswith('\n  "rows": []\n}\n')
+        else:
+            assert out == ",".join(cli.STEADY_COLUMNS) + "\n"
+    if command == "sweep" and case == "failed_cell_and_pump_zero":
+        assert rows[0]["status"].startswith("undefined") and rows[0]["mandel_Q"] is None
+
+
+NAN, INF = math.nan, math.inf
+
+SYNTHETIC = [
+    {
+        "model": 'odd, "quoted" 100%s model',
+        "g_tau_bar": 0.15,
+        "pump_A_over_kappa": INF,
+        "n": range(5),
+        "p_n": [0.5, NAN, -INF, -0.0, 1e-300],
+        "negative_flag": [0, 0, 1, 0, 0],
+    },
+    {
+        "model": "exact",
+        "g_tau_bar": 0.15,
+        "pump_A_over_kappa": 0.9,
+        "n": [7],
+        "p_n": [np.float64(0.25)],
+        "negative_flag": [True],
+    },
+    {
+        "model": "heuristic",
+        "g_tau_bar": np.float64(0.15),
+        "pump_A_over_kappa": -NAN,
+        "n": 3,
+        "p_n": None,
+        "negative_flag": 'error: "a, b" at 50% of %(x)s\nsecond line',
+    },
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [SYNTHETIC, []], ids=["edge_cells", "empty"])
+def test_writers_match_reference_on_edge_cells(rows, fmt):
+    """Non-finite floats (scalar and in lists), None, numpy floats, bools,
+    and strings that need CSV quoting or hold '%' directives."""
+    config = cli.RunConfig(models=(cli.ModelSpec("exact"),), g_tau_bar=0.15, pump=(0.9,))
+    columns = cli.STEADY_COLUMNS
+    stream = io.StringIO()
+    if fmt == "json":
+        cli.write_json(rows, columns, config, "steady", stream)
+    else:
+        cli.write_csv(rows, columns, stream)
+    assert stream.getvalue() == reference(per_level(rows), columns, config, "steady", fmt)

@@ -28,6 +28,7 @@ from micromaser.steady import (
     SteadyStateError,
     choose_truncation,
     default_cutoff,
+    expansion_cutoff,
     nullspace_steady,
     recurrence_steady,
 )
@@ -113,6 +114,12 @@ def test_default_cutoff_quarter_of_inverse_u():
     assert default_cutoff(0.03) == math.floor(0.2 / 0.03**2)
     with pytest.warns(CutoffWarning):
         assert default_cutoff(0.5) == 0
+
+
+def test_expansion_cutoff_fails_below_one_without_warning():
+    assert expansion_cutoff(0.15) == default_cutoff(0.15)
+    with pytest.raises(SteadyStateError, match=r"cutoff 0 < 1"):
+        expansion_cutoff(0.5)
 
 
 def test_nullspace_recovers_vacuum_for_pure_loss():
