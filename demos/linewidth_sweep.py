@@ -12,18 +12,17 @@ import numpy as np
 from micromaser import (
     PumpParameters,
     TruncatedSpace,
-    choose_truncation,
     exact_model,
-    linewidth,
     linewidth_fd,
     operator_norm_estimate,
-    recurrence_steady,
+    solve_pump_axis,
     uniform_model,
     weak_coupling_model,
 )
 
 KAPPA = 1.0
 G_TAU_BAR = 0.03
+PUMPS = (0.5, 0.9, 1.2, 1.6)
 
 builders = {
     "exact": exact_model,
@@ -31,21 +30,32 @@ builders = {
     "uniform_lindblad": uniform_model,
 }
 
+# each model over the whole pump axis in one pass, band linewidth included
+solved = {
+    name: solve_pump_axis(
+        lambda pumps, space, build=build: build(
+            PumpParameters.from_pump(pumps, G_TAU_BAR, KAPPA), space
+        ),
+        PUMPS,
+        KAPPA,
+        linewidth=True,
+    )
+    for name, build in builders.items()
+}
+
 print(f"g tau_bar = {G_TAU_BAR}; linewidth D in units of kappa\n")
 print(f"{'A/kappa':>8s} {'model':18s} {'mean_n':>10s} {'D':>12s} "
       f"{'D*mean/kappa':>13s} {'fd check':>10s}")
 
-for pump in (0.5, 0.9, 1.2, 1.6):
+for k, pump in enumerate(PUMPS):
     for name, build in builders.items():
-        params = PumpParameters.from_pump(pump, G_TAU_BAR, KAPPA)
-        space = choose_truncation(build(params, TruncatedSpace(1)), KAPPA)
-        model = build(params, space)
-        stats = recurrence_steady(model.gain_ratio(KAPPA), space)
-        rho = np.diag(stats.p)
-        lw = linewidth(model, stats.p, KAPPA)
+        p, lw = solved[name][k].stats.p, solved[name][k].linewidth
+        # the check: one model at this pump, on the full density matrix
+        space = TruncatedSpace(p.size - 1)
+        model = build(PumpParameters.from_pump(pump, G_TAU_BAR, KAPPA), space)
         apply_fn = lambda r: model.apply(r, KAPPA)
         scale = operator_norm_estimate(apply_fn, space)
-        fd = linewidth_fd(apply_fn, rho, KAPPA, norm_scale=scale)
+        fd = linewidth_fd(apply_fn, np.diag(p), KAPPA, norm_scale=scale)
         rel = abs(lw.D - fd.D) / fd.D
         print(f"{pump:8.2f} {name:18s} {lw.mean_n:10.3f} {lw.D:12.5e} "
               f"{lw.normalized_D:13.4f} {rel:10.1e}")

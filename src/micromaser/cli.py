@@ -4,19 +4,23 @@ Configuration comes from a JSON document (--config PATH, or '-' for standard
 input) overridden by flags; kappa = 1 by default so every rate is reported
 in cavity-loss units.  Output is CSV (17 significant digits) or JSON
 ({config_echo, rows}, indented by two spaces per level), deterministic
-and byte-stable for a fixed config; each (model, pump) cell is encoded once
-into a row template and only its per-level columns are filled line by line.
+and byte-stable for a fixed config; the constant columns of each output row
+(a steady cell, or a model's sweep along the pump axis) are encoded once
+into a row template and only its list columns are filled line by line.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
 rest are still emitted), 1 on configuration errors.  Every model is built
 once while the configuration is read, so a model option its constructor
-rejects is a configuration error.  Cells run in grid order on the calling
-thread; the `workers` setting is accepted, checked and echoed, but ignored.
+rejects is a configuration error.  Each model is then solved over its whole
+pump axis in one pass (steady.solve_pump_axis), model by model on the
+calling thread; rows and error lines come in grid order (model, then pump).
+The `workers` setting is accepted, checked and echoed, but ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -45,14 +49,9 @@ from .models import (
     uniform_model,
     weak_coupling_model,
 )
-from .observables import linewidth, moments, distribution_distance
+from .observables import distribution_distance, moments
 from .pump import PumpParameters
-from .steady import (
-    SteadyStateError,
-    choose_truncation,
-    expansion_cutoff,
-    recurrence_steady,
-)
+from .steady import PumpCell, SteadyStateError, expansion_cutoff, solve_pump_axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -84,6 +83,18 @@ LINEWIDTH_COLUMNS = (
     "g_tau_bar",
     "pump_A_over_kappa",
     "mean_n",
+    "linewidth_D",
+    "normalized_D",
+    "frequency_pull",
+    "status",
+)
+
+
+# the columns of sweep and linewidth that change along the pump axis
+_POINT_COLUMNS = (
+    "mean_n",
+    "variance",
+    "mandel_Q",
     "linewidth_D",
     "normalized_D",
     "frequency_pull",
@@ -170,7 +181,7 @@ class RunConfig:
         # the model constructors judge the option values
         for spec in self.models:
             try:
-                _build_model(spec, self, self.pump[0], TruncatedSpace(1))
+                _model_builder(spec, self)(self.pump[0], TruncatedSpace(1))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model {spec.name!r}: {exc}") from None
 
@@ -228,10 +239,14 @@ def _normalize_pump(raw) -> tuple:
         if missing:
             raise ConfigError(f"pump range object missing {sorted(missing)}")
         return parse_pump_spec(f"{raw['start']}:{raw['stop']}:{raw['steps']}")
+    if isinstance(raw, bool):
+        raise ConfigError(f"pump must be a number, got {raw!r}")
     if isinstance(raw, (int, float)):
         return (float(raw),)
     if isinstance(raw, (list, tuple)):
         try:
+            if any(isinstance(v, bool) for v in raw):
+                raise TypeError
             return tuple(float(v) for v in raw)
         except (TypeError, ValueError):
             raise ConfigError(f"pump list must contain numbers, got {raw!r}") from None
@@ -269,6 +284,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("no g_tau_bar given (config 'g_tau_bar' or --gtau)")
     if "pump" not in data:
         raise ConfigError("no pump values given (config 'pump' or --pump)")
+    for key in ("g_tau_bar", "kappa"):
+        if isinstance(data.get(key), bool):  # JSON true is no number here
+            raise ConfigError(f"{key} must be a number, got {data[key]!r}")
     try:
         g_tau_bar = float(data["g_tau_bar"])
         kappa = float(data.get("kappa", 1.0))
@@ -292,30 +310,48 @@ def _model_order(spec: ModelSpec, default: int) -> int:
     return order
 
 
-def _model_real(spec: ModelSpec, key: str, default: float) -> float:
-    value = spec.options.get(key, default)
+def _model_real(spec: ModelSpec, key: str) -> float:
+    value = spec.options[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _build_model(spec: ModelSpec, config: RunConfig, pump_value: float, space: TruncatedSpace) -> GeneratorModel:
-    params = PumpParameters.from_pump(pump_value, config.g_tau_bar, config.kappa)
-    if spec.name == EXACT:
-        return exact_model(params, space)
-    if spec.name == POST4:
-        return fourth_order_model(params, space)
+def _model_builder(spec: ModelSpec, config: RunConfig):
+    """build(pumps, space): the spec's model for one pump value or a (P, 1)
+    column of them, on a space.  A weak series of order other than 3 builds
+    its polynomial basis here, once."""
     if spec.name == WEAK:
         order = _model_order(spec, 3)
-        if order == 3:
-            return weak_coupling_model(params, space)
-        basis = build_basis(TimeMeasure.exponential(), order)
-        return general_weak_model(params, basis, order, space)
-    if spec.name == UNIFORM:
-        return uniform_model(params, space, order=_model_order(spec, 1))
-    gain = _model_real(spec, "gain", params.gain_rate)
-    beta = _model_real(spec, "beta", 4.0 * params.u)
-    return heuristic_model(gain, beta, space, ordering=spec.options.get("ordering", "aa_dag"))
+        basis = None if order == 3 else build_basis(TimeMeasure.exponential(), order)
+    elif spec.name == UNIFORM:
+        order = _model_order(spec, 1)
+    elif spec.name == HEURISTIC:
+        gain, beta = (
+            _model_real(spec, key) if key in spec.options else None for key in ("gain", "beta")
+        )
+        ordering = spec.options.get("ordering", "aa_dag")
+
+    def build(pumps, space: TruncatedSpace) -> GeneratorModel:
+        params = PumpParameters.from_pump(pumps, config.g_tau_bar, config.kappa)
+        if spec.name == EXACT:
+            return exact_model(params, space)
+        if spec.name == POST4:
+            return fourth_order_model(params, space)
+        if spec.name == WEAK:
+            if basis is None:
+                return weak_coupling_model(params, space)
+            return general_weak_model(params, basis, order, space)
+        if spec.name == UNIFORM:
+            return uniform_model(params, space, order=order)
+        return heuristic_model(
+            params.gain_rate if gain is None else np.full(np.shape(pumps), gain),
+            4.0 * params.u if beta is None else beta,
+            space,
+            ordering=ordering,
+        )
+
+    return build
 
 
 def _point_cutoff(spec: ModelSpec, config: RunConfig) -> int | None:
@@ -324,109 +360,104 @@ def _point_cutoff(spec: ModelSpec, config: RunConfig) -> int | None:
     return None if config.cutoff in ("auto", "off") else config.cutoff
 
 
-@dataclass
-class PointResult:
-    spec: ModelSpec
-    pump_value: float
-    stats: object = None
-    model: GeneratorModel | None = None
-    error: str | None = None
-
-
-def solve_point(spec: ModelSpec, config: RunConfig, pump_value: float) -> PointResult:
-    """Steady distribution for one (model, pump) cell; errors become row status."""
-    try:
-        cutoff = _point_cutoff(spec, config)
-        if config.truncation == "auto":
-            probe = _build_model(spec, config, pump_value, TruncatedSpace(1))
-            space = choose_truncation(probe, config.kappa)
-        else:
-            space = TruncatedSpace(config.truncation)
-        model = _build_model(spec, config, pump_value, space)
-        stats = recurrence_steady(model.gain_ratio(config.kappa), space, cutoff=cutoff)
-        return PointResult(spec, pump_value, stats=stats, model=model)
-    except (SteadyStateError, ValueError) as exc:
-        return PointResult(spec, pump_value, error=str(exc))
-
-
-def _solve_grid(config: RunConfig, command: str) -> tuple[list[PointResult], int]:
-    """All (model, pump) cells, in grid order on the calling thread; each
-    failed cell is reported on stderr under the command's name."""
-    cells = [(spec, p) for spec in config.models for p in config.pump]
-    results = [solve_point(spec, config, p) for spec, p in cells]
-    failed = [res for res in results if res.error is not None]
-    for res in failed:
-        print(
-            f"{command}: {res.spec.name} at pump {res.pump_value}: {res.error}",
-            file=sys.stderr,
+def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tuple[list, int]:
+    """Per model, its PumpCells along the pump axis, solved in one pass
+    (solve_pump_axis); each failed cell is reported on stderr under the
+    command's name, in grid order."""
+    grid = []
+    for spec in config.models:
+        try:
+            cutoff = _point_cutoff(spec, config)
+        except SteadyStateError as exc:
+            grid.append([PumpCell(error=str(exc))] * len(config.pump))
+            continue
+        grid.append(
+            solve_pump_axis(
+                _model_builder(spec, config),
+                config.pump,
+                config.kappa,
+                truncation=None if config.truncation == "auto" else config.truncation,
+                cutoff=cutoff,
+                linewidth=linewidth,
+            )
         )
-    return results, len(failed)
+    failures = 0
+    for spec, cells in zip(config.models, grid):
+        for pump_value, cell in zip(config.pump, cells):
+            if cell.error is not None:
+                failures += 1
+                print(f"{command}: {spec.name} at pump {pump_value}: {cell.error}", file=sys.stderr)
+    return grid, failures
 
 
 def run_steady(config: RunConfig, command: str) -> tuple[list[dict], int]:
     """One row per solved cell, its distribution held in the n, p_n and
     negative_flag columns as equal-length lists: one output line per level."""
-    results, failures = _solve_grid(config, command)
+    grid, failures = _solve_grid(config, command)
     rows = [
         {
-            "model": res.spec.name,
+            "model": spec.name,
             "g_tau_bar": config.g_tau_bar,
-            "pump_A_over_kappa": res.pump_value,
-            "n": range(res.stats.p.size),
-            "p_n": res.stats.p.tolist(),
-            "negative_flag": (res.stats.p < 0).astype(int).tolist(),
+            "pump_A_over_kappa": pump_value,
+            "n": range(cell.stats.p.size),
+            "p_n": cell.stats.p.tolist(),
+            "negative_flag": (cell.stats.p < 0).astype(int).tolist(),
         }
-        for res in results
-        if res.error is None
+        for spec, cells in zip(config.models, grid)
+        for pump_value, cell in zip(config.pump, cells)
+        if cell.error is None
     ]
     return rows, failures
 
 
-def _point_row(res: PointResult, config: RunConfig) -> dict:
-    """Every per-point column of sweep and linewidth; each command's output
-    picks its own columns from it."""
-    row = dict.fromkeys(SWEEP_COLUMNS + LINEWIDTH_COLUMNS)
-    row.update(
-        model=res.spec.name,
-        g_tau_bar=config.g_tau_bar,
-        pump_A_over_kappa=res.pump_value,
-        status="ok",
-    )
-    if res.error is not None:
-        row["status"] = f"error: {res.error}"
-        return row
-    mom = moments(res.stats.p)
-    row["mean_n"] = mom.mean_n
-    row["variance"] = mom.variance
-    row["mandel_Q"] = None if math.isnan(mom.mandel_q) else mom.mandel_q
-    try:
-        lw = linewidth(res.model, res.stats.p, config.kappa)
-    except ValueError as exc:
-        row["status"] = f"undefined: {exc}"
-        return row
-    row["linewidth_D"] = lw.D
-    row["normalized_D"] = lw.normalized_D
-    row["frequency_pull"] = lw.frequency_pull
-    return row
+def _point_columns(cell: PumpCell) -> dict:
+    """The per-pump columns of sweep and linewidth for one cell."""
+    out = dict.fromkeys(_POINT_COLUMNS)
+    out["status"] = "ok"
+    if cell.error is not None:
+        out["status"] = f"error: {cell.error}"
+        return out
+    mom = moments(cell.stats.p)
+    out["mean_n"] = mom.mean_n
+    out["variance"] = mom.variance
+    out["mandel_Q"] = None if math.isnan(mom.mandel_q) else mom.mandel_q
+    if cell.undefined is not None:
+        out["status"] = f"undefined: {cell.undefined}"
+        return out
+    out["linewidth_D"] = cell.linewidth.D
+    out["normalized_D"] = cell.linewidth.normalized_D
+    out["frequency_pull"] = cell.linewidth.frequency_pull
+    return out
 
 
 def run_points(config: RunConfig, command: str) -> tuple[list[dict], int]:
-    """Moments and linewidth per (model, pump) cell, for sweep and linewidth."""
-    results, failures = _solve_grid(config, command)
-    return [_point_row(res, config) for res in results], failures
+    """Moments and linewidth of every cell, for sweep and linewidth: one row
+    per model, each per-pump column a list along the pump axis (one output
+    line per pump); each command's output picks its own columns."""
+    grid, failures = _solve_grid(config, command, linewidth=True)
+    rows = []
+    for spec, cells in zip(config.models, grid):
+        points = [_point_columns(cell) for cell in cells]
+        rows.append(
+            {
+                "model": spec.name,
+                "g_tau_bar": config.g_tau_bar,
+                "pump_A_over_kappa": list(config.pump),
+                **{col: [point[col] for point in points] for col in _POINT_COLUMNS},
+            }
+        )
+    return rows, failures
 
 
 def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
     if len(config.models) < 2:
         raise ConfigError("compare needs at least 2 models")
-    results, failures = _solve_grid(config, command)
-    by_cell = {(id(res.spec), res.pump_value): res for res in results}
+    grid, failures = _solve_grid(config, command)
     rows: list[dict] = []
-    for p in config.pump:
+    for k, p in enumerate(config.pump):
         for i, spec_a in enumerate(config.models):
-            for spec_b in config.models[i + 1 :]:
-                res_a = by_cell[(id(spec_a), p)]
-                res_b = by_cell[(id(spec_b), p)]
+            for j, spec_b in enumerate(config.models[i + 1 :], start=i + 1):
+                cell_a, cell_b = grid[i][k], grid[j][k]
                 row = {
                     "model_pair": f"{spec_a.name}|{spec_b.name}",
                     "g_tau_bar": config.g_tau_bar,
@@ -436,13 +467,13 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
                     "delta_mandel_Q": None,
                     "status": "ok",
                 }
-                if res_a.error is not None or res_b.error is not None:
-                    bad = res_a.error or res_b.error
+                if cell_a.error is not None or cell_b.error is not None:
+                    bad = cell_a.error or cell_b.error
                     row["status"] = f"error: {bad}"
                     rows.append(row)
                     continue
-                row["total_variation"] = distribution_distance(res_a.stats.p, res_b.stats.p)
-                mom_a, mom_b = moments(res_a.stats.p), moments(res_b.stats.p)
+                row["total_variation"] = distribution_distance(cell_a.stats.p, cell_b.stats.p)
+                mom_a, mom_b = moments(cell_a.stats.p), moments(cell_b.stats.p)
                 row["delta_mean_n"] = mom_a.mean_n - mom_b.mean_n
                 if math.isnan(mom_a.mandel_q) or math.isnan(mom_b.mandel_q):
                     row["status"] = "undefined: Mandel Q needs a nonzero mean"
@@ -453,9 +484,9 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
 
 
 # Output.  A row's cells are scalars, except that a column may hold a list
-# (or range) of numbers: such a row stands for one output line per entry,
-# its scalar cells repeated on each.  Non-finite floats are missing values
-# (JSON null, empty CSV cell).
+# (or range): such a row stands for one output line per entry, its scalar
+# cells repeated on each.  Non-finite floats are missing values (JSON null,
+# empty CSV cell).
 
 
 def _csv_cell(value) -> str:
@@ -479,19 +510,20 @@ def _json_cell(value) -> str:
     return json.dumps(value)  # None, True, False
 
 
-# A format: its cell text, and for a list of finite values of one type, the
-# builtin that gives the same text in one C call per value.
-_CSV = (_csv_cell, {float: "{:.16e}".format, int: int.__repr__})
-_JSON = (_json_cell, {float: float.__repr__, int: int.__repr__})
+# A format: the text of a scalar cell, the text of a list entry as it stands
+# in a line, and for a list of finite values of one type, the builtin that
+# gives the same text in one C call per value.
+_EXACT_CSV = {float: "{:.16e}".format, int: int.__repr__}
+_JSON = (_json_cell, _json_cell, {float: float.__repr__, int: int.__repr__})
 
 
 def _texts(values, fmt) -> Iterable[str]:
-    """The cell text of each value, by the exact builtin where one applies."""
-    cell, exact = fmt
+    """The text of each list entry, by the exact builtin where one applies."""
+    _, entry, exact = fmt
     kinds = set(map(type, values))
     if len(kinds) == 1 and kinds <= exact.keys() and all(map(math.isfinite, values)):
         return map(exact[kinds.pop()], values)
-    return map(cell, values)
+    return map(entry, values)
 
 
 def _lines(row: dict, columns: tuple, fmt, template) -> list[str]:
@@ -517,9 +549,17 @@ def write_csv(rows: list[dict], columns: tuple, stream) -> None:
         writer.writerow(cells)  # the csv module's quoting
         return line.pop()
 
+    @functools.cache
+    def quoted(text: str) -> str:
+        return template(["", text])[1:-1]  # a string entry, quoted as in a line
+
+    def entry(value) -> str:
+        return quoted(value) if isinstance(value, str) else _csv_cell(value)
+
+    fmt = (_csv_cell, entry, _EXACT_CSV)
     stream.write(template(columns))
     for row in rows:
-        stream.write("".join(_lines(row, columns, _CSV, template)))
+        stream.write("".join(_lines(row, columns, fmt, template)))
 
 
 def write_json(rows: list[dict], columns: tuple, config: RunConfig, command: str, stream) -> None:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 WEIGHT_SUM_TOL = 1e-12
 MEAN_TOL = 1e-10
@@ -81,6 +80,8 @@ class TimeMeasure:
     @classmethod
     def gauss_laguerre(cls, n_nodes: int, tau_bar: float = 1.0) -> "TimeMeasure":
         """Quadrature stand-in for the exponential measure."""
+        from scipy.special import roots_laguerre  # here: scipy costs every import 0.5 s
+
         x, w = roots_laguerre(n_nodes)
         # beyond ~170 nodes the outermost weights underflow to 0; they carry
         # no quadrature information, so drop them rather than reject them
@@ -107,6 +108,8 @@ def moment(measure: TimeMeasure, n: int) -> float:
 def average(measure: TimeMeasure, fn, n_nodes: int = 200) -> float | np.ndarray:
     """Integrate fn(x) against the measure; exponential falls back to quadrature."""
     if measure.kind == "exponential":
+        from scipy.special import roots_laguerre
+
         x, w = roots_laguerre(n_nodes)
     else:
         x, w = measure.nodes, measure.weights

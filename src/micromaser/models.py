@@ -172,8 +172,10 @@ class GeneratorModel:
         loss one level down."""
         top = self.space.n_max
         gain_out = self.gain_fn(np.arange(top + 1))
-        gain_out[top] = 0.0  # gain out of the top level is truncated
-        decay = self.dephasing(m, n) - 0.5 * (gain_out[m] + gain_out[n] + kappa * (m + n))
+        gain_out[..., top] = 0.0  # gain out of the top level is truncated
+        decay = self.dephasing(m, n) - 0.5 * (
+            gain_out[..., m] + gain_out[..., n] + kappa * (m + n)
+        )
         up = (m < top) & (n < top)
         down = (m > 0) & (n > 0)
         return (
@@ -184,16 +186,17 @@ class GeneratorModel:
 
     def apply_band(self, band: np.ndarray, k: int, kappa: float) -> np.ndarray:
         """Generator action on the band rho_{m,m+k}, given and returned as a
-        vector over the rows m of that band in increasing order.  The
+        vector over the rows m of that band in increasing order (or one such
+        vector per pump row of the model, along the last axis).  The
         generator keeps every band to itself, so this costs O(n_max)."""
         band = np.asarray(band)
         m = np.arange(max(0, -k), self.space.dim - max(0, k))
-        if band.shape != m.shape:
+        if band.shape[-1:] != m.shape:
             raise ValueError(f"band {k} holds {m.size} entries, got shape {band.shape}")
         pos = np.arange(m.size)
         out = np.zeros(band.shape, dtype=np.result_type(band.dtype, float))
         for sel, shift, rate in self._moves(m, m + k, kappa):
-            out[pos[sel] + shift] += rate * band[sel]
+            out[..., pos[sel] + shift] += rate * band[..., sel]
         return out
 
     def apply(self, rho: np.ndarray, kappa: float) -> np.ndarray:
@@ -491,9 +494,9 @@ def heuristic_model(
 
     X = a a* (default) places the saturation after the photon is added and
     reproduces the all-orders photon statistics when beta = 4 (g tau_bar)^2;
-    X = a* a evaluates it before.
+    X = a* a evaluates it before.  gain may be a (P, 1) column, one per pump.
     """
-    if not (0.0 <= gain < math.inf and 0.0 <= beta < math.inf):
+    if not (np.all((0.0 <= gain) & (gain < math.inf)) and 0.0 <= beta < math.inf):
         raise ValueError(f"gain and beta must be nonnegative and finite, got {gain}, {beta}")
     if ordering not in ("aa_dag", "a_dag_a"):
         raise ValueError(f"ordering must be 'aa_dag' or 'a_dag_a', got {ordering!r}")

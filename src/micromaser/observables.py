@@ -91,9 +91,8 @@ def _resolve_apply(generator):
     raise TypeError("generator must be a Superoperator or a callable rho -> drho")
 
 
-def _linewidth_result(populations: np.ndarray, derivative, kappa: float) -> LinewidthResult:
+def _linewidth_result(mean_n: float, derivative, kappa: float) -> LinewidthResult:
     """Linewidth from <n> and f'(0) = derivative(), called once <n> clears the floor."""
-    mean_n = float(populations @ np.arange(populations.size))
     if mean_n < MEAN_N_FLOOR:
         raise ValueError(
             f"mean photon number {mean_n:.3e} is below {MEAN_N_FLOOR:g}; "
@@ -116,7 +115,27 @@ def _dense_linewidth(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthRes
     def derivative():
         return root @ np.diagonal(image_fn(_lower(rho_ss)), offset=1)
 
-    return _linewidth_result(np.real(np.diagonal(rho_ss)), derivative, kappa)
+    populations = np.real(np.diagonal(rho_ss))
+    return _linewidth_result(float(populations @ np.arange(populations.size)), derivative, kappa)
+
+
+def band_linewidths(model: GeneratorModel, populations: np.ndarray, kappa: float) -> list:
+    """linewidth of diag(p) for each row p of populations, one per pump row
+    of the model: a LinewidthResult, or the message of the ValueError that
+    row would raise.  One apply_band serves every row; the dot products
+    stay per row, so each row comes out bit for bit as it does alone."""
+    p = np.atleast_2d(populations)
+    # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
+    root = np.sqrt(np.arange(1.0, p.shape[1]))
+    image = model.apply_band(root * p[:, 1:], 1, kappa)
+    levels = np.arange(p.shape[1])
+    out = []
+    for row, band in zip(p, image):
+        try:
+            out.append(_linewidth_result(float(row @ levels), lambda band=band: root @ band, kappa))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
 
 
 def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
@@ -125,15 +144,17 @@ def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
     loss and tends to the interaction-free value far above threshold.
 
     With a GeneratorModel, rho_ss may be the populations p of diag(p): then
-    only the offset-1 band is built, O(n_max) in time and memory."""
+    only the offset-1 band is built, O(n_max) in time and memory (the
+    one-row case of band_linewidths)."""
     p = np.asarray(rho_ss)
     if p.ndim == 2:
         return _dense_linewidth(_resolve_apply(generator), rho_ss, kappa)
     if not isinstance(generator, GeneratorModel):
         raise TypeError("the populations of a diagonal state need a GeneratorModel")
-    # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
-    root = np.sqrt(np.arange(1.0, p.size))
-    return _linewidth_result(p, lambda: root @ generator.apply_band(root * p[1:], 1, kappa), kappa)
+    (result,) = band_linewidths(generator, p, kappa)
+    if isinstance(result, str):
+        raise ValueError(result)
+    return result
 
 
 def linewidth_fd(

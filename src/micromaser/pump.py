@@ -35,7 +35,10 @@ class PumpParameters:
 
     q in (0, 1) weights the geometric trace regularization used when the
     cosine part of the pump is split off as a Lindblad operator; assembled
-    generators are independent of it.
+    generators are independent of it.  r may be a (P, 1) column, one rate
+    per pump value: the band functions of a model built from it then
+    broadcast to (pumps, levels), which is how a whole pump axis is solved
+    at once.  The dense operators need a scalar r.
     """
 
     g: float
@@ -44,7 +47,7 @@ class PumpParameters:
     q: float = 0.5
 
     def __post_init__(self):
-        if self.g <= 0 or self.tau_bar <= 0 or self.r < 0:
+        if self.g <= 0 or self.tau_bar <= 0 or np.any(np.asarray(self.r) < 0):
             raise ValueError("g and tau_bar must be positive, r nonnegative")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")

@@ -5,7 +5,18 @@ nearest-neighbour birth-death rates (gain G(n) up, kappa (n+1) down from
 n+1), so the steady distribution obeys p_{n+1} = ratio(n) p_n with
 ratio = G(n) / (kappa (n+1)).  The recurrence is exact for the truncated
 generators, including the models whose ratio turns negative; the dense
-nullspace path is the independent cross-check.  It solves each decoupled
+nullspace path is the independent cross-check.
+
+A pump axis is solved in one pass (solve_pump_axis).  The pump enters a
+model only through per-pump scalars, so a model built on a (P, 1) column
+of them gives ratios with one row per pump.  The truncation search
+(truncation_levels) doubles in stages over the rows not yet resolved, the
+pumps that share an n_max form one block, and the recurrence
+(recurrence_rows) and band linewidth run once per block.  Each row takes
+only elementwise ufuncs, cumulative sums along the row, sums over exactly
+its own filled levels, and dot products of its own, so every number is bit
+for bit what the one-pump functions (choose_truncation, recurrence_steady,
+linewidth), which are the one-row case of the same code, give.  It solves each decoupled
 block of the dense generator (one per offset n - m for a phase-covariant
 model) with its own eig; a matrix with no zero coupling is one block and
 gets one full eig.
@@ -17,10 +28,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .fock import TruncatedSpace
+from .models import POST4, WEAK
+from .observables import LinewidthResult, band_linewidths
 from .superop import Superoperator, unvec
+
+
+HARD_CAP = 4096  # largest n_max the truncation search tries
 
 
 class SteadyStateError(RuntimeError):
@@ -93,12 +108,64 @@ def expansion_cutoff(g_tau_bar: float) -> int:
 
 
 def _log_ladder(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log|p_n| and sign(p_n) of p_0 = 1, p_{n+1} = ratios[n] p_n, with the
-    logs shifted so that the largest finite one is 0."""
+    """log|p_n| and sign(p_n) of p_0 = 1, p_{n+1} = ratios[:, n] p_n, one
+    ladder per row, each row's logs shifted so that its largest finite one is 0."""
     with np.errstate(divide="ignore"):
-        logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(ratios)))))
-    signs = np.concatenate(([1.0], np.cumprod(np.sign(ratios))))
-    return logs - np.max(logs[np.isfinite(logs)]), signs
+        steps = np.log(np.abs(ratios))
+    first = np.zeros((len(ratios), 1))
+    logs = np.concatenate((first, np.cumsum(steps, axis=1)), axis=1)
+    signs = np.concatenate((first + 1.0, np.cumprod(np.sign(ratios), axis=1)), axis=1)
+    top = np.max(logs, axis=1, keepdims=True, where=np.isfinite(logs), initial=-np.inf)
+    return logs - top, signs
+
+
+def _ratio_rows(ratio, n: int) -> np.ndarray:
+    """ratio(0..n-1) as one row per pump row (a model with scalar rates has one)."""
+    return np.atleast_2d(np.asarray(ratio(np.arange(n)), dtype=float))
+
+
+def _unresolved(hard_cap: int) -> str:
+    return f"no truncation below {hard_cap} resolves the distribution tail"
+
+
+def recurrence_rows(
+    ratio, space: TruncatedSpace, cutoff: int | None = None, tail_tol: float = 1e-10
+) -> tuple[np.ndarray, list]:
+    """recurrence_steady for every pump row of ratio at once: the (rows, dim)
+    populations (zero in a failed row) and, per row, its PhotonStatistics
+    (whose p is that row) or the message of the SteadyStateError it raises.
+
+    Every step is an elementwise ufunc, a cumulative sum or product along
+    the row, or a sum over exactly the row's filled levels, so each row
+    comes out bit for bit as it does alone.
+    """
+    n_top = space.n_max if cutoff is None else min(cutoff, space.n_max)
+    if n_top == 0:
+        filled = np.ones((len(_ratio_rows(ratio, 1)), 1))
+    else:
+        logs, signs = _log_ladder(_ratio_rows(ratio, n_top))
+        filled = signs * np.exp(logs)
+    norm = filled.sum(axis=1)
+    good = norm > 0
+    p = np.zeros((len(filled), space.dim))
+    p[good, : n_top + 1] = filled[good] / norm[good, None]
+    if cutoff is not None and cutoff <= space.n_max:
+        converged = np.ones(len(p), dtype=bool)
+    else:
+        # occupancy of the top level, matching the choose_truncation criterion
+        converged = np.abs(p[:, n_top]) <= tail_tol
+    has_negative = (p < 0).any(axis=1)
+    results = []
+    for row, total, ok, conv, neg in zip(p, norm, good, converged.tolist(), has_negative):
+        if not ok:
+            results.append(
+                f"signed distribution weight {total:g} is not positive; "
+                "the recurrence does not define a normalizable state here"
+            )
+            continue
+        negative = tuple((int(n), float(row[n])) for n in np.flatnonzero(row < 0)) if neg else ()
+        results.append(PhotonStatistics(row, n_cut=cutoff, negative=negative, converged=conv))
+    return p, results
 
 
 def recurrence_steady(
@@ -108,30 +175,45 @@ def recurrence_steady(
 
     ratio may go negative (expansion models); products are accumulated in
     log space with separate sign tracking so long ladders cannot overflow.
-    cutoff zeroes every p_n beyond it.
+    cutoff zeroes every p_n beyond it.  This is the one-row case of
+    recurrence_rows.
     """
-    n_top = space.n_max if cutoff is None else min(cutoff, space.n_max)
-    p = np.zeros(space.dim)
-    if n_top == 0:
-        p[0] = 1.0
-        return PhotonStatistics(p=p, n_cut=cutoff, converged=True)
-    logs, signs = _log_ladder(np.asarray(ratio(np.arange(n_top)), dtype=float))
-    filled = signs * np.exp(logs)
-    norm = filled.sum()
-    if not norm > 0:
-        raise SteadyStateError(
-            f"signed distribution weight {norm:g} is not positive; "
-            "the recurrence does not define a normalizable state here"
-        )
-    filled /= norm
-    p[: n_top + 1] = filled
-    negative = tuple((int(n), float(v)) for n, v in enumerate(filled) if v < 0)
-    if cutoff is not None and cutoff <= space.n_max:
-        converged = True
-    else:
-        # occupancy of the top level, matching the choose_truncation criterion
-        converged = bool(abs(filled[-1]) <= tail_tol)
-    return PhotonStatistics(p=p, n_cut=cutoff, negative=negative, converged=converged)
+    (result,) = recurrence_rows(ratio, space, cutoff, tail_tol)[1]
+    if isinstance(result, str):
+        raise SteadyStateError(result)
+    return result
+
+
+def truncation_levels(
+    model,
+    kappa: float,
+    tail_tol: float = 1e-10,
+    start: int = 16,
+    hard_cap: int = HARD_CAP,
+) -> np.ndarray:
+    """choose_truncation's n_max for every pump row of the model at once; 0
+    marks a row whose tail no ladder up to hard_cap resolves.
+
+    The doubling runs in stages: every unresolved row at `start` levels,
+    then the rest at twice that, and so on, each row's ladder shifted by its
+    own maximum as it would be alone.
+    """
+    ratio = model.gain_ratio(kappa)
+    rows = len(_ratio_rows(ratio, 1))
+    if model.name in (WEAK, POST4):
+        return np.full(rows, expansion_cutoff(model.params.g_tau_bar))
+    levels, todo = np.zeros(rows, dtype=int), np.arange(rows)
+    n_max = start
+    while todo.size and n_max <= hard_cap:
+        ratios = _ratio_rows(ratio, n_max)[todo]
+        u = np.exp(_log_ladder(ratios)[0])
+        # lower levels may underflow to 0, so compare without dividing
+        ok = u < tail_tol * np.cumsum(u, axis=1)
+        done = ok[:, -1] & (ratios[:, -1] < 1.0)
+        levels[todo[done]] = np.argmax(ok[done], axis=1)
+        todo = todo[~done]
+        n_max *= 2
+    return levels
 
 
 def choose_truncation(
@@ -139,31 +221,81 @@ def choose_truncation(
     kappa: float,
     tail_tol: float = 1e-10,
     start: int = 16,
-    hard_cap: int = 4096,
+    hard_cap: int = HARD_CAP,
 ) -> TruncatedSpace:
     """Smallest n_max whose steady distribution has p_{n_max} < tail_tol.
 
     Expansion models (weak_lindblad, post4) are pinned to expansion_cutoff
     instead: their tails are artifacts of the truncated series.  Everything
-    else grows the ladder by doubling until the tail criterion is met.
+    else grows the ladder by doubling until the tail criterion is met.  This
+    is the one-row case of truncation_levels.
     """
-    from .models import POST4, WEAK  # local import keeps module cycle open
+    n_max = int(truncation_levels(model, kappa, tail_tol, start, hard_cap)[0])
+    if n_max == 0:
+        raise SteadyStateError(_unresolved(hard_cap))
+    return TruncatedSpace(n_max)
 
-    if model.name in (WEAK, POST4):
-        return TruncatedSpace(expansion_cutoff(model.params.g_tau_bar))
-    ratio = model.gain_ratio(kappa)
-    n_max = start
-    while n_max <= hard_cap:
-        ratios = np.asarray(ratio(np.arange(n_max)), dtype=float)
-        u = np.exp(_log_ladder(ratios)[0])
-        # lower levels may underflow to 0, so compare without dividing
-        ok = u < tail_tol * np.cumsum(u)
-        if ok[-1] and ratios[-1] < 1.0:
-            return TruncatedSpace(int(np.argmax(ok)))
-        n_max *= 2
-    raise SteadyStateError(
-        f"no truncation below {hard_cap} resolves the distribution tail"
-    )
+
+@dataclass(frozen=True)
+class PumpCell:
+    """One pump value of a solved pump axis.  A cell that failed has no
+    stats and says why in `error`; `linewidth` is filled only when asked
+    for, and `undefined` says why it is missing there."""
+
+    stats: PhotonStatistics | None = None
+    error: str | None = None
+    linewidth: LinewidthResult | None = None
+    undefined: str | None = None
+
+
+def solve_pump_axis(
+    build,
+    pumps,
+    kappa: float,
+    truncation: int | None = None,
+    cutoff: int | None = None,
+    linewidth: bool = False,
+    tail_tol: float = 1e-10,
+) -> list:
+    """Steady state (and, with linewidth=True, band linewidth) of one model
+    at every pump value, as one PumpCell per pump in order.
+
+    build(pumps, space) returns the model for a (P, 1) column of pump values
+    on a space.  truncation None runs the truncation search of
+    choose_truncation (truncation_levels), an integer fixes n_max.  The
+    pumps that share an n_max form one block: one model build, one
+    recurrence (recurrence_rows) and one band linewidth (band_linewidths)
+    for all of them.  Each cell is bit for bit what choose_truncation,
+    recurrence_steady and linewidth give for its pump alone.  An error that
+    no pump escapes (a model build, the expansion cutoff) fails every cell
+    with its message.
+    """
+    pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
+    try:
+        if truncation is None:
+            levels = truncation_levels(build(pumps, TruncatedSpace(1)), kappa, tail_tol)
+        else:
+            levels = np.full(len(pumps), truncation)
+        blocks = []
+        for n_max in np.unique(levels[levels > 0]):
+            rows = np.flatnonzero(levels == n_max)
+            model = build(pumps[rows], TruncatedSpace(int(n_max)))
+            blocks.append((rows, model, model.gain_ratio(kappa)))
+    except (SteadyStateError, ValueError) as exc:
+        return [PumpCell(error=str(exc))] * len(pumps)
+    # a row the search left unresolved (level 0) keeps this error
+    cells = [PumpCell(error=_unresolved(HARD_CAP))] * len(pumps)
+    for rows, model, ratio in blocks:
+        p, solved = recurrence_rows(ratio, model.space, cutoff, tail_tol)
+        widths = band_linewidths(model, p, kappa) if linewidth else [None] * len(rows)
+        for i, stats, width in zip(rows, solved, widths):
+            if isinstance(stats, str):
+                cells[i] = PumpCell(error=stats)
+            elif isinstance(width, str):
+                cells[i] = PumpCell(stats, undefined=width)
+            else:
+                cells[i] = PumpCell(stats, linewidth=width)
+    return cells
 
 
 def nullspace_steady(
@@ -185,7 +317,8 @@ def nullspace_steady(
     the Frobenius norm, and DegenerateSteadyStateError when a second one
     sits within gap_tol times the norm (no unique steady state).
     """
-    # imported here: at module level it would add 30-50 ms to every `import micromaser`
+    # imported here: at module level scipy would add about 0.5 s to every `import micromaser`
+    import scipy.linalg
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 

@@ -1,13 +1,13 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import pytest
 
-from micromaser import cli
 from micromaser.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -329,8 +329,12 @@ BASE_CONFIG = {"models": ["exact"], "g_tau_bar": 0.15, "pump": 0.9}
         {"models": [{"name": "weak_lindblad", "order": 65}]},
         {"pump": [1, "nan"]},
         {"pump": "inf"},
+        {"pump": True},
+        {"pump": [True, 2]},
         {"kappa": "inf"},
+        {"kappa": True},
         {"g_tau_bar": "inf"},
+        {"g_tau_bar": True},
         {"truncation": True},
         {"cutoff": True},
         {"workers": "abc"},
@@ -370,25 +374,28 @@ def test_heuristic_gain_and_beta_take_ints_as_reals(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_cells_run_in_grid_order_on_the_calling_thread(monkeypatch, capsys):
-    calls = []
-    solve = cli.solve_point
+UNUSABLE = "expansion models unusable at g tau_bar = 0.5 (cutoff 0 < 1)"
 
-    def recording(spec, config, pump_value):
-        calls.append((threading.get_ident(), spec.name, pump_value))
-        return solve(spec, config, pump_value)
 
-    monkeypatch.setattr(cli, "solve_point", recording)
-    code, _, _ = run_cli(
-        ["sweep", "--model", "exact", "--model", "heuristic", "--gtau", "0.15",
-         "--pump", "0.5:2.0:4", "--workers", "3"],
-        capsys,
-    )
-    assert code == EXIT_OK
-    assert {ident for ident, _, _ in calls} == {threading.get_ident()}
-    assert [(name, p) for _, name, p in calls] == [
-        (name, p) for name in ("exact", "heuristic") for p in (0.5, 1.0, 1.5, 2.0)
+@pytest.mark.parametrize("command", ["steady", "sweep"])
+def test_rows_and_error_lines_follow_grid_order(command, tmp_path, capsys):
+    # pumps out of order, and failed models between good ones: rows and
+    # error lines still run model by model, each over the pumps as given
+    cfg = tmp_path / "cfg.json"
+    pumps = [2.0, 0.5, 1.0]
+    models = ["weak_lindblad", "exact", "post4", "heuristic"]
+    cfg.write_text(json.dumps({"models": models, "g_tau_bar": 0.5, "pump": pumps}))
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == EXIT_PARTIAL
+    failed = ("weak_lindblad", "post4")
+    assert err.splitlines() == [
+        f"{command}: {name} at pump {p}: {UNUSABLE}" for name in failed for p in pumps
     ]
+    cells = [(r["model"], float(r["pump_A_over_kappa"])) for r in parse_csv(out)]
+    if command == "steady":
+        cells = list(dict.fromkeys(cells))  # one line per level
+        models = [name for name in models if name not in failed]
+    assert cells == [(name, p) for name in models for p in pumps]
 
 
 def test_partial_failure_keeps_good_rows_and_exits_2(capsys):
@@ -415,9 +422,6 @@ def test_partial_failure_keeps_good_rows_and_exits_2(capsys):
     ok_rows = [r for r in rows if r["status"] == "ok"]
     assert ok_rows and all(r["model"] == "exact" for r in ok_rows)
     assert "weak_lindblad" in err
-
-
-UNUSABLE = "expansion models unusable at g tau_bar = 0.5 (cutoff 0 < 1)"
 
 
 @pytest.mark.parametrize("truncation", ["auto", 20])
@@ -494,6 +498,19 @@ def test_json_is_parseable_and_ends_with_newline(capsys):
     assert out.endswith("\n")
     doc = json.loads(out)
     assert set(doc) == {"config_echo", "rows"}
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where the dense oracle and quadrature need it, so a
+    # CLI start skips it (about 0.5 s and 30 MB)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, micromaser.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_console_entry_point():

@@ -73,23 +73,24 @@ def per_level(rows):
 
 
 def reference_rows(config, command):
-    """The rows each command gave the writers as one dict per line; steady's
+    """The rows each command gave the writers, as one dict per line; steady's
     are built level by level from the solved cells."""
     if command != "steady":
-        return cli._COMMANDS[command][0](config, command)[0]
-    results, _ = cli._solve_grid(config, command)
+        return per_level(cli._COMMANDS[command][0](config, command)[0])
+    grid, _ = cli._solve_grid(config, command)
     return [
         {
-            "model": res.spec.name,
+            "model": spec.name,
             "g_tau_bar": config.g_tau_bar,
-            "pump_A_over_kappa": res.pump_value,
+            "pump_A_over_kappa": pump_value,
             "n": n,
             "p_n": float(p_n),
             "negative_flag": int(p_n < 0),
         }
-        for res in results
-        if res.error is None
-        for n, p_n in enumerate(res.stats.p)
+        for spec, cells in zip(config.models, grid)
+        for pump_value, cell in zip(config.pump, cells)
+        if cell.error is None
+        for n, p_n in enumerate(cell.stats.p)
     ]
 
 
@@ -186,6 +187,15 @@ SYNTHETIC = [
         "p_n": None,
         "negative_flag": 'error: "a, b" at 50% of %(x)s\nsecond line',
     },
+    {
+        # string lists, as in the status column of a sweep row per model
+        "model": ["x, y", 'say "hi"', "", "100%s", "line\nbreak", "ok"],
+        "g_tau_bar": 0.15,
+        "pump_A_over_kappa": [0.5, None, NAN, 1.0, -INF, 2.0],
+        "n": range(6),
+        "p_n": [0.25, 0.5, None, 0.125, 0.125, 0.0],
+        "negative_flag": 1,
+    },
 ]
 
 
@@ -193,7 +203,8 @@ SYNTHETIC = [
 @pytest.mark.parametrize("rows", [SYNTHETIC, []], ids=["edge_cells", "empty"])
 def test_writers_match_reference_on_edge_cells(rows, fmt):
     """Non-finite floats (scalar and in lists), None, numpy floats, bools,
-    and strings that need CSV quoting or hold '%' directives."""
+    and strings (scalar and in lists) that need CSV quoting or hold '%'
+    directives."""
     config = cli.RunConfig(models=(cli.ModelSpec("exact"),), g_tau_bar=0.15, pump=(0.9,))
     columns = cli.STEADY_COLUMNS
     stream = io.StringIO()
