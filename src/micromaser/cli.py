@@ -91,14 +91,10 @@ LINEWIDTH_COLUMNS = (
 
 
 # the columns of sweep and linewidth that change along the pump axis
-_POINT_COLUMNS = (
-    "mean_n",
-    "variance",
-    "mandel_Q",
-    "linewidth_D",
-    "normalized_D",
-    "frequency_pull",
-    "status",
+_POINT_COLUMNS = tuple(
+    col
+    for col in dict.fromkeys(SWEEP_COLUMNS + LINEWIDTH_COLUMNS)
+    if col not in ("model", "g_tau_bar", "pump_A_over_kappa")
 )
 
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from .fock import TruncatedSpace, annihilation
 from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, expansion_coeffs
-from .pump import PumpParameters, cos_cos_average, sin_sin_average
+from .pump import PumpParameters, cos_cos_average, scalar_rate, sin_sin_average
 from .superop import Superoperator, left_mult, right_mult, sandwich
 
 EXACT = "exact"
@@ -148,7 +148,14 @@ class GeneratorModel:
     @property
     def lindblad_ops(self) -> list:
         """Dense pump-side Lindblad operators, built anew on every read."""
+        self._require_one_pump()
         return [] if self.build_ops is None else self.build_ops()
+
+    def _require_one_pump(self) -> None:
+        """ValueError for a model built on a (P, 1) column of pump values:
+        its band functions have one row per pump, and the dense forms (apply,
+        assemble, lindblad_ops) act at one pump value."""
+        scalar_rate(self.gain_fn(0))
 
     def gain_fn(self, n):
         """One-quantum gain rate F(n, n) out of level n, for any n."""
@@ -203,6 +210,7 @@ class GeneratorModel:
         """Generator action on a density matrix.  F and H are evaluated only
         at the nonzero entries of rho, so one band costs O(n_max) beyond the
         scan that finds them."""
+        self._require_one_pump()
         rho = np.asarray(rho)
         m, n = np.nonzero(rho)
         vals = rho[m, n]
@@ -216,6 +224,7 @@ def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
     """Dense generator: the model's band coefficients plus loss at rate kappa."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
+    model._require_one_pump()
     d = model.space.dim
     pos = np.arange(d * d)  # column-stacked vec index of the entry (m, n)
     m, n = pos % d, pos // d
@@ -316,6 +325,7 @@ def exact_model(
 def fourth_order_generator(params: PumpParameters, space: TruncatedSpace) -> Superoperator:
     """Dense pump generator truncated at fourth order in g tau (no loss):
     A (D[a*] with P = a a*) + B (3 P rho P + {P^2, rho}/2 - 2 a*{P, rho} a)."""
+    scalar_rate(params.r)
     a = annihilation(space)
     ad = a.T
     p = a @ ad  # truncated product: top diagonal entry is zero
@@ -347,7 +357,7 @@ def sixth_order_superoperator(params: PumpParameters, space: TruncatedSpace) -> 
     a = annihilation(space)
     ad = a.T
     p = a @ ad
-    coeff = 20.0 * params.r * params.u**3
+    coeff = 20.0 * scalar_rate(params.r) * params.u**3
     mat = coeff * (
         np.kron((p @ a).T, ad @ p)
         - 0.5 * (left_mult(p @ p @ p) + right_mult(p @ p @ p))

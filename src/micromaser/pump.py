@@ -38,12 +38,12 @@ class PumpParameters:
     generators are independent of it.  r may be a (P, 1) column, one rate
     per pump value: the band functions of a model built from it then
     broadcast to (pumps, levels), which is how a whole pump axis is solved
-    at once.  The dense operators need a scalar r.
+    at once.  The dense operators need a scalar r (scalar_rate).
     """
 
     g: float
     tau_bar: float
-    r: float
+    r: float | np.ndarray
     q: float = 0.5
 
     def __post_init__(self):
@@ -83,6 +83,17 @@ class PumpParameters:
         """Parameters with linear gain A = pump * kappa (pump is A/kappa)."""
         r = pump * kappa / (2.0 * g_tau_bar**2)
         return cls(g=g_tau_bar, tau_bar=1.0, r=r, q=q)
+
+
+def scalar_rate(rate):
+    """rate itself, if it is a scalar.  The dense operators act at one pump
+    value; a (P, 1) column of per-pump rates would broadcast into them row
+    by row, so it is refused."""
+    if np.ndim(rate) != 0:
+        raise ValueError(
+            f"dense operators need one pump value, got rates of shape {np.shape(rate)}"
+        )
+    return rate
 
 
 def cos_op(space: TruncatedSpace, g_tau: float) -> np.ndarray:
@@ -143,7 +154,7 @@ def kraus_operators(
     """Kraus set {sqrt(1 - r dt) 1, sqrt(r dt) cos part, sqrt(r dt) gain part}
     for a fixed interaction time; r*dt must lie in (0, 1) so the no-atom
     branch stays a proper Kraus operator."""
-    rdt = params.r * dt
+    rdt = scalar_rate(params.r) * dt
     if not 0.0 < rdt < 1.0:
         raise ValueError(f"r*dt must lie in (0, 1), got {rdt}")
     ops = (
@@ -159,7 +170,7 @@ def riemann_kraus_operators(
 ) -> KrausSet:
     """Kraus set for a discrete/quadrature measure: every node tau_j carries
     both branches scaled by sqrt of its weight."""
-    rdt = params.r * dt
+    rdt = scalar_rate(params.r) * dt
     if not 0.0 < rdt < 1.0:
         raise ValueError(f"r*dt must lie in (0, 1), got {rdt}")
     if measure.kind == "exponential":
@@ -199,7 +210,7 @@ def lindblad_C_S(
     S = sqrt(r) g tau a* sinc(g tau phi).  Used as Lindblad operators they
     reproduce the pump generator; the identity shift in C cancels there.
     """
-    sq = np.sqrt(params.r)
+    sq = np.sqrt(scalar_rate(params.r))
     w = regularized_trace(g_tau, params.q)
     c = sq * (cos_op(space, g_tau) - w * np.eye(space.dim))
     s = sq * sin_shift_op(space, g_tau)
@@ -261,9 +272,10 @@ def averaged_pump_superoperator(
     push past n_max simply leaves the space, so columns sourced from the
     top level are not trace preserving (the defect is the reported leak).
     """
+    r = scalar_rate(params.r)
     cc, ss = pump_average_tables(params, space, measure)
     # <c (x) c> is diagonal with entries cc; <s (x) s> is the two-sided shift
     # |n+1><n| weighted by ss at its source, which has no image of the top level
     shift = np.eye(space.dim, k=-1)
     mat = np.diag(vec(cc)) + sandwich(shift) * vec(ss)[None, :] - np.eye(space.dim**2)
-    return Superoperator(space, params.r * mat)
+    return Superoperator(space, r * mat)

@@ -5,21 +5,23 @@ nearest-neighbour birth-death rates (gain G(n) up, kappa (n+1) down from
 n+1), so the steady distribution obeys p_{n+1} = ratio(n) p_n with
 ratio = G(n) / (kappa (n+1)).  The recurrence is exact for the truncated
 generators, including the models whose ratio turns negative; the dense
-nullspace path is the independent cross-check.
+nullspace path is the independent cross-check.  It solves each decoupled
+block of the dense generator (one per offset n - m for a phase-covariant
+model) with its own eig; a matrix with no zero coupling is one block and
+gets one full eig.
 
 A pump axis is solved in one pass (solve_pump_axis).  The pump enters a
 model only through per-pump scalars, so a model built on a (P, 1) column
 of them gives ratios with one row per pump.  The truncation search
 (truncation_levels) doubles in stages over the rows not yet resolved, the
 pumps that share an n_max form one block, and the recurrence
-(recurrence_rows) and band linewidth run once per block.  Each row takes
-only elementwise ufuncs, cumulative sums along the row, sums over exactly
-its own filled levels, and dot products of its own, so every number is bit
-for bit what the one-pump functions (choose_truncation, recurrence_steady,
-linewidth), which are the one-row case of the same code, give.  It solves each decoupled
-block of the dense generator (one per offset n - m for a phase-covariant
-model) with its own eig; a matrix with no zero coupling is one block and
-gets one full eig.
+(recurrence_rows) and band linewidth run once per block.  A stage or a
+block takes its rows in pieces of at most BLOCK_ENTRIES levels in all, so
+memory does not grow with the pump axis.  Each row takes only elementwise
+ufuncs, cumulative sums along the row, sums over exactly its own filled
+levels, and dot products of its own, so every number is bit for bit what
+the one-pump functions (choose_truncation, recurrence_steady, linewidth)
+give; they are the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .superop import Superoperator, unvec
 
 
 HARD_CAP = 4096  # largest n_max the truncation search tries
+# pumps x levels one search stage or recurrence block holds at once (a float
+# array of it is 2 MB), whatever the length of the pump axis
+BLOCK_ENTRIES = 1 << 18
 
 
 class SteadyStateError(RuntimeError):
@@ -184,34 +189,44 @@ def recurrence_steady(
     return result
 
 
+def _pieces(rows: np.ndarray, width: int) -> list:
+    """rows in consecutive slices of at most BLOCK_ENTRIES // width (and at
+    least one) of them."""
+    size = max(1, BLOCK_ENTRIES // width)
+    return [rows[i : i + size] for i in range(0, len(rows), size)]
+
+
 def truncation_levels(
-    model,
+    probe,
+    rows: int,
     kappa: float,
     tail_tol: float = 1e-10,
     start: int = 16,
     hard_cap: int = HARD_CAP,
 ) -> np.ndarray:
-    """choose_truncation's n_max for every pump row of the model at once; 0
-    marks a row whose tail no ladder up to hard_cap resolves.
+    """choose_truncation's n_max for each of `rows` pump rows; 0 marks a row
+    whose tail no ladder up to hard_cap resolves.  probe(idx) is the model
+    of the pump rows idx (on any space: only its ratio is read).
 
     The doubling runs in stages: every unresolved row at `start` levels,
     then the rest at twice that, and so on, each row's ladder shifted by its
-    own maximum as it would be alone.
+    own maximum as it would be alone.  A stage builds one probe per piece of
+    its unresolved rows (_pieces).
     """
-    ratio = model.gain_ratio(kappa)
-    rows = len(_ratio_rows(ratio, 1))
+    model = probe(np.arange(min(rows, 1)))
     if model.name in (WEAK, POST4):
         return np.full(rows, expansion_cutoff(model.params.g_tau_bar))
     levels, todo = np.zeros(rows, dtype=int), np.arange(rows)
     n_max = start
     while todo.size and n_max <= hard_cap:
-        ratios = _ratio_rows(ratio, n_max)[todo]
-        u = np.exp(_log_ladder(ratios)[0])
-        # lower levels may underflow to 0, so compare without dividing
-        ok = u < tail_tol * np.cumsum(u, axis=1)
-        done = ok[:, -1] & (ratios[:, -1] < 1.0)
-        levels[todo[done]] = np.argmax(ok[done], axis=1)
-        todo = todo[~done]
+        for part in _pieces(todo, n_max):
+            ratios = _ratio_rows(probe(part).gain_ratio(kappa), n_max)
+            u = np.exp(_log_ladder(ratios)[0])
+            # lower levels may underflow to 0, so compare without dividing
+            ok = u < tail_tol * np.cumsum(u, axis=1)
+            done = ok[:, -1] & (ratios[:, -1] < 1.0)
+            levels[part[done]] = np.argmax(ok[done], axis=1)  # >= 1: ok[:, 0] is False
+        todo = todo[levels[todo] == 0]
         n_max *= 2
     return levels
 
@@ -230,7 +245,7 @@ def choose_truncation(
     else grows the ladder by doubling until the tail criterion is met.  This
     is the one-row case of truncation_levels.
     """
-    n_max = int(truncation_levels(model, kappa, tail_tol, start, hard_cap)[0])
+    n_max = int(truncation_levels(lambda idx: model, 1, kappa, tail_tol, start, hard_cap)[0])
     if n_max == 0:
         raise SteadyStateError(_unresolved(hard_cap))
     return TruncatedSpace(n_max)
@@ -255,7 +270,6 @@ def solve_pump_axis(
     truncation: int | None = None,
     cutoff: int | None = None,
     linewidth: bool = False,
-    tail_tol: float = 1e-10,
 ) -> list:
     """Steady state (and, with linewidth=True, band linewidth) of one model
     at every pump value, as one PumpCell per pump in order.
@@ -263,30 +277,32 @@ def solve_pump_axis(
     build(pumps, space) returns the model for a (P, 1) column of pump values
     on a space.  truncation None runs the truncation search of
     choose_truncation (truncation_levels), an integer fixes n_max.  The
-    pumps that share an n_max form one block: one model build, one
-    recurrence (recurrence_rows) and one band linewidth (band_linewidths)
-    for all of them.  Each cell is bit for bit what choose_truncation,
-    recurrence_steady and linewidth give for its pump alone.  An error that
-    no pump escapes (a model build, the expansion cutoff) fails every cell
-    with its message.
+    pumps that share an n_max form one block, taken in pieces (_pieces):
+    one model build, one recurrence (recurrence_rows) and one band linewidth
+    (band_linewidths) per piece.  Each cell is bit for bit what
+    choose_truncation, recurrence_steady and linewidth give for its pump
+    alone.  An error that no pump escapes (a model build, the expansion
+    cutoff) fails every cell with its message.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
     try:
         if truncation is None:
-            levels = truncation_levels(build(pumps, TruncatedSpace(1)), kappa, tail_tol)
+            levels = truncation_levels(
+                lambda idx: build(pumps[idx], TruncatedSpace(1)), len(pumps), kappa
+            )
         else:
             levels = np.full(len(pumps), truncation)
         blocks = []
-        for n_max in np.unique(levels[levels > 0]):
-            rows = np.flatnonzero(levels == n_max)
-            model = build(pumps[rows], TruncatedSpace(int(n_max)))
-            blocks.append((rows, model, model.gain_ratio(kappa)))
+        for n_max in np.unique(levels[levels > 0]).tolist():
+            for rows in _pieces(np.flatnonzero(levels == n_max), n_max + 1):
+                model = build(pumps[rows], TruncatedSpace(n_max))
+                blocks.append((rows, model, model.gain_ratio(kappa)))
     except (SteadyStateError, ValueError) as exc:
         return [PumpCell(error=str(exc))] * len(pumps)
     # a row the search left unresolved (level 0) keeps this error
     cells = [PumpCell(error=_unresolved(HARD_CAP))] * len(pumps)
     for rows, model, ratio in blocks:
-        p, solved = recurrence_rows(ratio, model.space, cutoff, tail_tol)
+        p, solved = recurrence_rows(ratio, model.space, cutoff)
         widths = band_linewidths(model, p, kappa) if linewidth else [None] * len(rows)
         for i, stats, width in zip(rows, solved, widths):
             if isinstance(stats, str):

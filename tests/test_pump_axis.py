@@ -20,20 +20,27 @@ from micromaser import (
     SteadyStateError,
     TimeMeasure,
     TruncatedSpace,
+    assemble,
+    averaged_pump_superoperator,
     build_basis,
     choose_truncation,
     exact_model,
     expansion_cutoff,
+    fourth_order_generator,
     fourth_order_model,
     general_weak_model,
     heuristic_model,
+    kraus_operators,
+    lindblad_C_S,
     linewidth,
     moments,
     recurrence_steady,
+    sixth_order_superoperator,
     solve_pump_axis,
     uniform_model,
     weak_coupling_model,
 )
+from micromaser import steady
 from micromaser.cli import EXIT_OK, EXIT_PARTIAL, main
 
 
@@ -238,3 +245,79 @@ def test_pump_axis_equals_the_one_dimensional_ladder(g_tau_bar):
         deriv = root @ model.apply_band(root * p[1:], 1, kappa)
         mean = float(p @ np.arange(p.size))
         assert cell.linewidth.D == -2.0 * deriv / mean
+
+
+def cell_numbers(cell):
+    if cell.error is not None:
+        return cell.error
+    width = cell.undefined if cell.linewidth is None else cell.linewidth.D
+    return cell.stats.p.tolist(), cell.stats.converged, width
+
+
+@pytest.mark.parametrize("budget", [1, 40, 300])
+def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
+    """Search stages and blocks taken in pieces of at most BLOCK_ENTRIES
+    levels: every cell as from one piece, and no build larger than that."""
+    kappa = 1.0
+    pumps = np.concatenate(([0.0], np.linspace(0.2, 6.0, 23), [3.0]))
+
+    def exact(pump_values, space):
+        return exact_model(PumpParameters.from_pump(pump_values, 0.15, kappa), space)
+
+    def saturating(pump_values, space):  # beta 0 gives up at the hard cap above threshold
+        return heuristic_model(2.0 * pump_values * kappa, 0.0, space)
+
+    sizes = []
+
+    def counted(build):
+        def wrapped(pump_values, space):
+            sizes.append((len(pump_values), space.dim))
+            return build(pump_values, space)
+
+        return wrapped
+
+    for build, truncation in ((exact, None), (exact, 20), (saturating, None)):
+        whole = solve_pump_axis(build, pumps, kappa, truncation=truncation, linewidth=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(steady, "BLOCK_ENTRIES", budget)
+            parts = solve_pump_axis(
+                counted(build), pumps, kappa, truncation=truncation, linewidth=True
+            )
+        assert [cell_numbers(c) for c in parts] == [cell_numbers(c) for c in whole]
+    assert any(rows > 1 for rows, _ in sizes) == (budget > 32)
+    # a block build holds rows x dim levels; a probe build (dim 2) serves a
+    # search stage of at least 16 levels
+    assert all(rows <= max(1, budget // (16 if dim == 2 else dim)) for rows, dim in sizes)
+
+
+@pytest.mark.parametrize("pumps", [3, 9])
+def test_dense_forms_refuse_a_pump_column(pumps):
+    """With as many pumps as rows of an operator (3) or of a superoperator
+    (9), a column of rates would broadcast into a wrong dense operator."""
+    space = TruncatedSpace(2)
+    params = PumpParameters.from_pump(np.linspace(0.5, 2.0, pumps)[:, None], 0.15)
+    models = [
+        exact_model(params, space),
+        fourth_order_model(params, space),
+        weak_coupling_model(params, space),
+        uniform_model(params, space),
+        heuristic_model(params.gain_rate, 0.1, space),
+    ]
+    rho = np.diag([0.5, 0.3, 0.2])
+    for model in models:
+        with pytest.raises(ValueError, match="one pump value"):
+            assemble(model, 1.0)
+        with pytest.raises(ValueError, match="one pump value"):
+            model.apply(rho, 1.0)
+    for model in models[2:]:
+        with pytest.raises(ValueError, match="one pump value"):
+            model.lindblad_ops
+    for dense in (
+        lambda: averaged_pump_superoperator(params, space),
+        lambda: lindblad_C_S(params, 0.15, space),
+        lambda: sixth_order_superoperator(params, space),
+        lambda: fourth_order_generator(params, space),
+        lambda: kraus_operators(params, 0.15, 1e-3, space),
+    ):
+        with pytest.raises(ValueError, match="one pump value"):
+            dense()
