@@ -49,16 +49,17 @@ print(f"{'A/kappa':>8s} {'model':18s} {'mean_n':>10s} {'D':>12s} "
 
 for k, pump in enumerate(PUMPS):
     for name, build in builders.items():
-        p, lw = solved[name][k].stats.p, solved[name][k].linewidth
+        axis = solved[name]
+        p, mean_n, d_rate = axis.p[k], float(axis.mean_n[k]), float(axis.D[k])
         # the check: one model at this pump, on the full density matrix
         space = TruncatedSpace(p.size - 1)
         model = build(PumpParameters.from_pump(pump, G_TAU_BAR, KAPPA), space)
         apply_fn = lambda r: model.apply(r, KAPPA)
         scale = operator_norm_estimate(apply_fn, space)
         fd = linewidth_fd(apply_fn, np.diag(p), KAPPA, norm_scale=scale)
-        rel = abs(lw.D - fd.D) / fd.D
-        print(f"{pump:8.2f} {name:18s} {lw.mean_n:10.3f} {lw.D:12.5e} "
-              f"{lw.normalized_D:13.4f} {rel:10.1e}")
+        rel = abs(d_rate - fd.D) / fd.D
+        print(f"{pump:8.2f} {name:18s} {mean_n:10.3f} {d_rate:12.5e} "
+              f"{axis.normalized_D[k]:13.4f} {rel:10.1e}")
     print()
 
 limit = 0.2 / G_TAU_BAR**2

@@ -9,7 +9,6 @@ kappa / (A - kappa).
 from micromaser import (
     PumpParameters,
     exact_model,
-    moments,
     semiclassical_intensity,
     solve_pump_axis,
 )
@@ -28,13 +27,15 @@ print(f"{'A/kappa':>8s} {'n_max':>6s} {'mean_n':>10s} {'semiclassical':>13s} "
       f"{'Mandel Q':>9s} {'kappa/(A-k)':>11s}")
 
 # the whole pump axis in one pass: one truncation search, then one
-# recurrence per group of pumps that share n_max
-for pump, cell in zip(PUMPS, solve_pump_axis(build, PUMPS, KAPPA)):
+# recurrence and one set of moments per group of pumps that share n_max
+axis = solve_pump_axis(build, PUMPS, KAPPA)
+for pump, n_max, mean_n, mandel_q in zip(
+    PUMPS, axis.n_max.tolist(), axis.mean_n.tolist(), axis.mandel_Q.tolist()
+):
     params = PumpParameters.from_pump(pump, G_TAU_BAR, KAPPA)
-    mom = moments(cell.stats.p)
     sc = semiclassical_intensity(params.gain_rate, KAPPA, 4 * params.u)
     q_far = KAPPA / (pump - KAPPA) if pump > 1.2 else float("nan")
-    print(f"{pump:8.2f} {cell.stats.p.size - 1:6d} {mom.mean_n:10.3f} {sc:13.3f} "
-          f"{mom.mandel_q:9.4f} {q_far:11.4f}")
+    print(f"{pump:8.2f} {n_max:6d} {mean_n:10.3f} {sc:13.3f} "
+          f"{mandel_q:9.4f} {q_far:11.4f}")
 
 print("\nthe Q maximum sits near threshold; far above, Q -> kappa/(A - kappa)")

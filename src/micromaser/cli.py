@@ -6,13 +6,15 @@ in cavity-loss units.  Output is CSV (17 significant digits) or JSON
 ({config_echo, rows}, indented by two spaces per level), deterministic
 and byte-stable for a fixed config; the constant columns of each output row
 (a steady cell, or a model's sweep along the pump axis) are encoded once
-into a row template and only its list columns are filled line by line.
+into the fixed text between its list columns, and each row's lines are one
+join of that text with the texts of its list columns.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
 rest are still emitted), 1 on configuration errors.  Every model is built
 once while the configuration is read, so a model option its constructor
 rejects is a configuration error.  Each model is then solved over its whole
 pump axis in one pass (steady.solve_pump_axis), model by model on the
-calling thread; rows and error lines come in grid order (model, then pump).
+calling thread, and its per-pump columns go to the output rows as lists;
+rows and error lines come in grid order (model, then pump).
 The `workers` setting is accepted, checked and echoed, but ignored.
 """
 
@@ -25,8 +27,9 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -49,9 +52,9 @@ from .models import (
     uniform_model,
     weak_coupling_model,
 )
-from .observables import distribution_distance, moments
+from .observables import distribution_distance
 from .pump import PumpParameters
-from .steady import PumpCell, SteadyStateError, expansion_cutoff, solve_pump_axis
+from .steady import PumpAxis, SteadyStateError, expansion_cutoff, solve_pump_axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -87,14 +90,6 @@ LINEWIDTH_COLUMNS = (
     "normalized_D",
     "frequency_pull",
     "status",
-)
-
-
-# the columns of sweep and linewidth that change along the pump axis
-_POINT_COLUMNS = tuple(
-    col
-    for col in dict.fromkeys(SWEEP_COLUMNS + LINEWIDTH_COLUMNS)
-    if col not in ("model", "g_tau_bar", "pump_A_over_kappa")
 )
 
 
@@ -357,15 +352,15 @@ def _point_cutoff(spec: ModelSpec, config: RunConfig) -> int | None:
 
 
 def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tuple[list, int]:
-    """Per model, its PumpCells along the pump axis, solved in one pass
-    (solve_pump_axis); each failed cell is reported on stderr under the
-    command's name, in grid order."""
+    """Per model, its PumpAxis, solved in one pass (solve_pump_axis); each
+    failed cell is reported on stderr under the command's name, in grid
+    order."""
     grid = []
     for spec in config.models:
         try:
             cutoff = _point_cutoff(spec, config)
         except SteadyStateError as exc:
-            grid.append([PumpCell(error=str(exc))] * len(config.pump))
+            grid.append(PumpAxis.failed(len(config.pump), str(exc)))
             continue
         grid.append(
             solve_pump_axis(
@@ -378,11 +373,12 @@ def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tup
             )
         )
     failures = 0
-    for spec, cells in zip(config.models, grid):
-        for pump_value, cell in zip(config.pump, cells):
-            if cell.error is not None:
+    for spec, axis in zip(config.models, grid):
+        for pump_value, status in zip(config.pump, axis.status):
+            if status.startswith("error: "):
                 failures += 1
-                print(f"{command}: {spec.name} at pump {pump_value}: {cell.error}", file=sys.stderr)
+                error = status[len("error: ") :]
+                print(f"{command}: {spec.name} at pump {pump_value}: {error}", file=sys.stderr)
     return grid, failures
 
 
@@ -395,35 +391,15 @@ def run_steady(config: RunConfig, command: str) -> tuple[list[dict], int]:
             "model": spec.name,
             "g_tau_bar": config.g_tau_bar,
             "pump_A_over_kappa": pump_value,
-            "n": range(cell.stats.p.size),
-            "p_n": cell.stats.p.tolist(),
-            "negative_flag": (cell.stats.p < 0).astype(int).tolist(),
+            "n": range(p.size),
+            "p_n": p.tolist(),
+            "negative_flag": (p < 0).astype(int).tolist(),
         }
-        for spec, cells in zip(config.models, grid)
-        for pump_value, cell in zip(config.pump, cells)
-        if cell.error is None
+        for spec, axis in zip(config.models, grid)
+        for pump_value, p in zip(config.pump, axis.p)
+        if p is not None
     ]
     return rows, failures
-
-
-def _point_columns(cell: PumpCell) -> dict:
-    """The per-pump columns of sweep and linewidth for one cell."""
-    out = dict.fromkeys(_POINT_COLUMNS)
-    out["status"] = "ok"
-    if cell.error is not None:
-        out["status"] = f"error: {cell.error}"
-        return out
-    mom = moments(cell.stats.p)
-    out["mean_n"] = mom.mean_n
-    out["variance"] = mom.variance
-    out["mandel_Q"] = None if math.isnan(mom.mandel_q) else mom.mandel_q
-    if cell.undefined is not None:
-        out["status"] = f"undefined: {cell.undefined}"
-        return out
-    out["linewidth_D"] = cell.linewidth.D
-    out["normalized_D"] = cell.linewidth.normalized_D
-    out["frequency_pull"] = cell.linewidth.frequency_pull
-    return out
 
 
 def run_points(config: RunConfig, command: str) -> tuple[list[dict], int]:
@@ -431,29 +407,38 @@ def run_points(config: RunConfig, command: str) -> tuple[list[dict], int]:
     per model, each per-pump column a list along the pump axis (one output
     line per pump); each command's output picks its own columns."""
     grid, failures = _solve_grid(config, command, linewidth=True)
-    rows = []
-    for spec, cells in zip(config.models, grid):
-        points = [_point_columns(cell) for cell in cells]
-        rows.append(
-            {
-                "model": spec.name,
-                "g_tau_bar": config.g_tau_bar,
-                "pump_A_over_kappa": list(config.pump),
-                **{col: [point[col] for point in points] for col in _POINT_COLUMNS},
-            }
-        )
+    rows = [
+        {
+            "model": spec.name,
+            "g_tau_bar": config.g_tau_bar,
+            "pump_A_over_kappa": list(config.pump),
+            "mean_n": axis.mean_n.tolist(),
+            "variance": axis.variance.tolist(),
+            "mandel_Q": axis.mandel_Q.tolist(),
+            "linewidth_D": axis.D.tolist(),
+            "normalized_D": axis.normalized_D.tolist(),
+            "frequency_pull": axis.frequency_pull.tolist(),
+            "status": axis.status,
+        }
+        for spec, axis in zip(config.models, grid)
+    ]
     return rows, failures
 
 
 def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
+    """One row per model pair and pump: the total-variation distance of the
+    two distributions and the differences of their moments, which are read
+    from each model's columns."""
     if len(config.models) < 2:
         raise ConfigError("compare needs at least 2 models")
     grid, failures = _solve_grid(config, command)
+    means = [axis.mean_n.tolist() for axis in grid]
+    mandel_qs = [axis.mandel_Q.tolist() for axis in grid]
     rows: list[dict] = []
     for k, p in enumerate(config.pump):
         for i, spec_a in enumerate(config.models):
             for j, spec_b in enumerate(config.models[i + 1 :], start=i + 1):
-                cell_a, cell_b = grid[i][k], grid[j][k]
+                status_a, status_b = grid[i].status[k], grid[j].status[k]
                 row = {
                     "model_pair": f"{spec_a.name}|{spec_b.name}",
                     "g_tau_bar": config.g_tau_bar,
@@ -463,18 +448,17 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
                     "delta_mandel_Q": None,
                     "status": "ok",
                 }
-                if cell_a.error is not None or cell_b.error is not None:
-                    bad = cell_a.error or cell_b.error
-                    row["status"] = f"error: {bad}"
+                if status_a != "ok" or status_b != "ok":
+                    row["status"] = status_a if status_a != "ok" else status_b
                     rows.append(row)
                     continue
-                row["total_variation"] = distribution_distance(cell_a.stats.p, cell_b.stats.p)
-                mom_a, mom_b = moments(cell_a.stats.p), moments(cell_b.stats.p)
-                row["delta_mean_n"] = mom_a.mean_n - mom_b.mean_n
-                if math.isnan(mom_a.mandel_q) or math.isnan(mom_b.mandel_q):
+                row["total_variation"] = distribution_distance(grid[i].p[k], grid[j].p[k])
+                row["delta_mean_n"] = means[i][k] - means[j][k]
+                q_a, q_b = mandel_qs[i][k], mandel_qs[j][k]
+                if math.isnan(q_a) or math.isnan(q_b):
                     row["status"] = "undefined: Mandel Q needs a nonzero mean"
                 else:
-                    row["delta_mandel_Q"] = mom_a.mandel_q - mom_b.mandel_q
+                    row["delta_mandel_Q"] = q_a - q_b
                 rows.append(row)
     return rows, failures
 
@@ -482,7 +466,7 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
 # Output.  A row's cells are scalars, except that a column may hold a list
 # (or range): such a row stands for one output line per entry, its scalar
 # cells repeated on each.  Non-finite floats are missing values (JSON null,
-# empty CSV cell).
+# empty CSV cell), as None is.
 
 
 def _csv_cell(value) -> str:
@@ -506,70 +490,105 @@ def _json_cell(value) -> str:
     return json.dumps(value)  # None, True, False
 
 
-# A format: the text of a scalar cell, the text of a list entry as it stands
-# in a line, and for a list of finite values of one type, the builtin that
-# gives the same text in one C call per value.
-_EXACT_CSV = {float: "{:.16e}".format, int: int.__repr__}
-_JSON = (_json_cell, _json_cell, {float: float.__repr__, int: int.__repr__})
+@dataclass
+class _Format:
+    """How one output lays out its lines.  `cell` gives the text of a
+    scalar cell, `entry` that of a list entry as it stands in a line, and
+    `exact`, per type, a function that gives the same text as `entry` for
+    every value of that type (every finite one, for float) in one C call.
+    A line is `head`, then each cell's text followed by its entry of
+    `seps`: a separator, or the end of the line after the last cell.
+    `counts` caches the texts of 0, 1, 2, ... for a counting column."""
+
+    cell: Callable
+    entry: Callable
+    exact: dict
+    head: str
+    seps: list
+    counts: list = field(default_factory=list)
 
 
-def _texts(values, fmt) -> Iterable[str]:
-    """The text of each list entry, by the exact builtin where one applies."""
-    _, entry, exact = fmt
+def _texts(values, fmt: _Format) -> Iterable[str]:
+    """The text of each list entry: the cached counts for range(n), else
+    the exact builtin where one applies."""
+    if isinstance(values, range) and values == range(len(values)):
+        fmt.counts.extend(map(int.__repr__, range(len(fmt.counts), len(values))))
+        return islice(fmt.counts, len(values))
     kinds = set(map(type, values))
-    if len(kinds) == 1 and kinds <= exact.keys() and all(map(math.isfinite, values)):
-        return map(exact[kinds.pop()], values)
-    return map(entry, values)
+    if len(kinds) == 1 and kinds <= fmt.exact.keys():
+        (kind,) = kinds
+        if kind is not float or all(map(math.isfinite, values)):
+            return map(fmt.exact[kind], values)
+    return map(fmt.entry, values)
 
 
-def _lines(row: dict, columns: tuple, fmt, template) -> list[str]:
-    """The output lines of one row.  `template` lays out a line from its
-    cell texts: the scalar cells, encoded once (with '%' escaped), and "%s"
-    for each list column; the list entries are then filled in line by line."""
-    cell = fmt[0]
-    listed = [col for col in columns if isinstance(row[col], (list, range))]
-    text = template(
-        ["%s" if col in listed else cell(row[col]).replace("%", "%%") for col in columns]
-    )
-    if not listed:
-        return [text % ()]
-    entries = zip(*(_texts(row[col], fmt) for col in listed), strict=True)
-    return [text % values for values in entries]
+def _row_text(row: dict, columns: tuple, fmt: _Format) -> str:
+    """The output lines of one row as one string.  The scalar cells are
+    encoded once, into the fixed text around the list columns; the lines
+    are one join of that fixed text, repeated, with the entry texts of
+    each list column, interleaved by C iterators."""
+    fixed, texts, lines = [fmt.head], [], 1
+    for col, sep in zip(columns, fmt.seps, strict=True):
+        value = row[col]
+        if isinstance(value, (list, range)):
+            texts.append(_texts(value, fmt))
+            fixed.append(sep)
+            lines = len(value)
+        else:
+            fixed[-1] += fmt.cell(value) + sep
+    pieces = [repeat(fixed[0], lines)]
+    for text, after in zip(texts, fixed[1:]):
+        pieces += (text, repeat(after, lines))
+    return "".join(chain.from_iterable(zip(*pieces, strict=True)))
 
 
 def write_csv(rows: list[dict], columns: tuple, stream) -> None:
     line: list[str] = []
     writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
 
-    def template(cells: list) -> str:
-        writer.writerow(cells)  # the csv module's quoting
-        return line.pop()
-
     @functools.cache
     def quoted(text: str) -> str:
-        return template(["", text])[1:-1]  # a string entry, quoted as in a line
+        writer.writerow(["", text])  # the csv module's quoting of a cell in a line
+        return line.pop()[1:-1]
 
     def entry(value) -> str:
         return quoted(value) if isinstance(value, str) else _csv_cell(value)
 
-    fmt = (_csv_cell, entry, _EXACT_CSV)
-    stream.write(template(columns))
+    fmt = _Format(
+        cell=lambda value: quoted(_csv_cell(value)),
+        entry=entry,
+        exact={float: "{:.16e}".format, int: int.__repr__, str: quoted},
+        head="",
+        seps=[","] * (len(columns) - 1) + ["\n"],
+    )
+    writer.writerow(columns)
+    stream.write(line.pop())
     for row in rows:
-        stream.write("".join(_lines(row, columns, fmt, template)))
+        stream.write(_row_text(row, columns, fmt))
 
 
 def write_json(rows: list[dict], columns: tuple, config: RunConfig, command: str, stream) -> None:
     """{config_echo, rows}, byte for byte as the json module writes it with
-    indent=2: the short echo through json.dumps, the rows from templates."""
+    indent=2: the short echo through json.dumps, then each row's lines as
+    they are made.  A line starts with the ",\n" that separates it from the
+    line before; the first line drops the comma."""
     echo = json.dumps({"command": command, **config.echo()}, indent=2, allow_nan=False)
     keys = [f"      {encode_basestring_ascii(col)}: " for col in columns]
-
-    def template(cells: list) -> str:
-        return "    {\n" + ",\n".join(map(str.__add__, keys, cells)) + "\n    }"
-
-    body = ",\n".join(text for row in rows for text in _lines(row, columns, _JSON, template))
-    stream.write('{\n  "config_echo": ' + echo.replace("\n", "\n  ") + ',\n  "rows": ')
-    stream.write(f"[\n{body}\n  ]\n}}\n" if rows else "[]\n}\n")
+    fmt = _Format(
+        cell=_json_cell,
+        entry=_json_cell,
+        exact={float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii},
+        head=",\n    {\n" + keys[0],
+        seps=[",\n" + key for key in keys[1:]] + ["\n    }"],
+    )
+    stream.write('{\n  "config_echo": ' + echo.replace("\n", "\n  ") + ',\n  "rows": [')
+    first = True
+    for row in rows:
+        text = _row_text(row, columns, fmt)
+        if text:
+            stream.write(text[1:] if first else text)
+            first = False
+    stream.write("]\n}\n" if first else "\n  ]\n}\n")
 
 
 # command -> (runner, the columns its output keeps from each row)

@@ -10,18 +10,22 @@ block of the dense generator (one per offset n - m for a phase-covariant
 model) with its own eig; a matrix with no zero coupling is one block and
 gets one full eig.
 
-A pump axis is solved in one pass (solve_pump_axis).  The pump enters a
-model only through per-pump scalars, so a model built on a (P, 1) column
-of them gives ratios with one row per pump.  The truncation search
+A pump axis is solved in one pass (solve_pump_axis), and comes back as
+columns (PumpAxis): one entry per pump for the status, the populations,
+n_max, the moments and the linewidth.  The pump enters a model only
+through per-pump scalars, so a model built on a (P, 1) column of them
+gives ratios with one row per pump.  The truncation search
 (truncation_levels) doubles in stages over the rows not yet resolved, the
 pumps that share an n_max form one block, and the recurrence
-(recurrence_rows) and band linewidth run once per block.  A stage or a
-block takes its rows in pieces of at most BLOCK_ENTRIES levels in all, so
-memory does not grow with the pump axis.  Each row takes only elementwise
-ufuncs, cumulative sums along the row, sums over exactly its own filled
-levels, and dot products of its own, so every number is bit for bit what
-the one-pump functions (choose_truncation, recurrence_steady, linewidth)
-give; they are the one-row case of the same code.
+(recurrence_rows), the moments (moment_columns) and the band linewidth
+(band_linewidths) run once per block, the last two on one mean per row.
+A stage or a block takes its rows in pieces of at most BLOCK_ENTRIES
+levels in all, so memory does not grow with the pump axis.  Each row
+takes only elementwise ufuncs, cumulative sums along the row, sums over
+exactly its own filled levels, and dot products of its own, so every
+number is bit for bit what the one-pump functions (choose_truncation,
+recurrence_steady, moments, linewidth) give; they are the one-row case of
+the same code.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .fock import TruncatedSpace
 from .models import POST4, WEAK
-from .observables import LinewidthResult, band_linewidths
+from .observables import band_linewidths, moment_columns
 from .superop import Superoperator, unvec
 
 
@@ -133,12 +137,17 @@ def _unresolved(hard_cap: int) -> str:
     return f"no truncation below {hard_cap} resolves the distribution tail"
 
 
-def recurrence_rows(
-    ratio, space: TruncatedSpace, cutoff: int | None = None, tail_tol: float = 1e-10
-) -> tuple[np.ndarray, list]:
-    """recurrence_steady for every pump row of ratio at once: the (rows, dim)
-    populations (zero in a failed row) and, per row, its PhotonStatistics
-    (whose p is that row) or the message of the SteadyStateError it raises.
+def _not_normalizable(total: float) -> str:
+    return (
+        f"signed distribution weight {total:g} is not positive; "
+        "the recurrence does not define a normalizable state here"
+    )
+
+
+def recurrence_rows(ratio, space: TruncatedSpace, cutoff: int | None = None) -> tuple:
+    """The populations of recurrence_steady for every pump row of ratio at
+    once, as a (rows, dim) array, and each row's signed weight: a row whose
+    weight is not positive has no state and is left zero.
 
     Every step is an elementwise ufunc, a cumulative sum or product along
     the row, or a sum over exactly the row's filled levels, so each row
@@ -150,27 +159,11 @@ def recurrence_rows(
     else:
         logs, signs = _log_ladder(_ratio_rows(ratio, n_top))
         filled = signs * np.exp(logs)
-    norm = filled.sum(axis=1)
-    good = norm > 0
+    weight = filled.sum(axis=1)
+    good = weight > 0
     p = np.zeros((len(filled), space.dim))
-    p[good, : n_top + 1] = filled[good] / norm[good, None]
-    if cutoff is not None and cutoff <= space.n_max:
-        converged = np.ones(len(p), dtype=bool)
-    else:
-        # occupancy of the top level, matching the choose_truncation criterion
-        converged = np.abs(p[:, n_top]) <= tail_tol
-    has_negative = (p < 0).any(axis=1)
-    results = []
-    for row, total, ok, conv, neg in zip(p, norm, good, converged.tolist(), has_negative):
-        if not ok:
-            results.append(
-                f"signed distribution weight {total:g} is not positive; "
-                "the recurrence does not define a normalizable state here"
-            )
-            continue
-        negative = tuple((int(n), float(row[n])) for n in np.flatnonzero(row < 0)) if neg else ()
-        results.append(PhotonStatistics(row, n_cut=cutoff, negative=negative, converged=conv))
-    return p, results
+    p[good, : n_top + 1] = filled[good] / weight[good, None]
+    return p, weight
 
 
 def recurrence_steady(
@@ -183,10 +176,16 @@ def recurrence_steady(
     cutoff zeroes every p_n beyond it.  This is the one-row case of
     recurrence_rows.
     """
-    (result,) = recurrence_rows(ratio, space, cutoff, tail_tol)[1]
-    if isinstance(result, str):
-        raise SteadyStateError(result)
-    return result
+    (p,), (weight,) = recurrence_rows(ratio, space, cutoff)
+    if not weight > 0:
+        raise SteadyStateError(_not_normalizable(weight))
+    if cutoff is not None and cutoff <= space.n_max:
+        converged = True
+    else:
+        # occupancy of the top level, matching the choose_truncation criterion
+        converged = bool(abs(p[-1]) <= tail_tol)
+    negative = tuple((int(n), float(p[n])) for n in np.flatnonzero(p < 0))
+    return PhotonStatistics(p, n_cut=cutoff, negative=negative, converged=converged)
 
 
 def _pieces(rows: np.ndarray, width: int) -> list:
@@ -252,15 +251,28 @@ def choose_truncation(
 
 
 @dataclass(frozen=True)
-class PumpCell:
-    """One pump value of a solved pump axis.  A cell that failed has no
-    stats and says why in `error`; `linewidth` is filled only when asked
-    for, and `undefined` says why it is missing there."""
+class PumpAxis:
+    """One model solved along its pump axis, as columns with one entry per
+    pump in order.  `status` is "ok", "error: <why there is no state>" or
+    "undefined: <why there is no linewidth>"; `p` holds each pump's
+    populations (None where the cell failed); a numeric column is NaN where
+    its cell has no value, and n_max is 0 there."""
 
-    stats: PhotonStatistics | None = None
-    error: str | None = None
-    linewidth: LinewidthResult | None = None
-    undefined: str | None = None
+    status: list
+    p: list
+    n_max: np.ndarray
+    mean_n: np.ndarray
+    variance: np.ndarray
+    mandel_Q: np.ndarray
+    D: np.ndarray
+    normalized_D: np.ndarray
+    frequency_pull: np.ndarray
+
+    @classmethod
+    def failed(cls, size: int, error: str) -> "PumpAxis":
+        """Every one of `size` cells failed with `error`."""
+        values = np.full((6, size), np.nan)
+        return cls([f"error: {error}"] * size, [None] * size, np.zeros(size, dtype=int), *values)
 
 
 def solve_pump_axis(
@@ -270,19 +282,20 @@ def solve_pump_axis(
     truncation: int | None = None,
     cutoff: int | None = None,
     linewidth: bool = False,
-) -> list:
-    """Steady state (and, with linewidth=True, band linewidth) of one model
-    at every pump value, as one PumpCell per pump in order.
+) -> PumpAxis:
+    """Steady state, moments and (with linewidth=True) band linewidth of one
+    model at every pump value, as one PumpAxis.
 
     build(pumps, space) returns the model for a (P, 1) column of pump values
     on a space.  truncation None runs the truncation search of
     choose_truncation (truncation_levels), an integer fixes n_max.  The
     pumps that share an n_max form one block, taken in pieces (_pieces):
-    one model build, one recurrence (recurrence_rows) and one band linewidth
-    (band_linewidths) per piece.  Each cell is bit for bit what
-    choose_truncation, recurrence_steady and linewidth give for its pump
-    alone.  An error that no pump escapes (a model build, the expansion
-    cutoff) fails every cell with its message.
+    one model build, one recurrence (recurrence_rows), one moment_columns
+    and one band_linewidths per piece, the last two sharing each row's
+    mean.  Each cell is bit for bit what choose_truncation,
+    recurrence_steady, moments and linewidth give for its pump alone.  An
+    error that no pump escapes (a model build, the expansion cutoff) fails
+    every cell with its message.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
     try:
@@ -298,20 +311,32 @@ def solve_pump_axis(
                 model = build(pumps[rows], TruncatedSpace(n_max))
                 blocks.append((rows, model, model.gain_ratio(kappa)))
     except (SteadyStateError, ValueError) as exc:
-        return [PumpCell(error=str(exc))] * len(pumps)
+        return PumpAxis.failed(len(pumps), str(exc))
     # a row the search left unresolved (level 0) keeps this error
-    cells = [PumpCell(error=_unresolved(HARD_CAP))] * len(pumps)
+    status = [f"error: {_unresolved(HARD_CAP)}"] * len(pumps)
+    populations = [None] * len(pumps)
+    n_maxes = np.zeros(len(pumps), dtype=int)
+    values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
     for rows, model, ratio in blocks:
-        p, solved = recurrence_rows(ratio, model.space, cutoff)
-        widths = band_linewidths(model, p, kappa) if linewidth else [None] * len(rows)
-        for i, stats, width in zip(rows, solved, widths):
-            if isinstance(stats, str):
-                cells[i] = PumpCell(error=stats)
-            elif isinstance(width, str):
-                cells[i] = PumpCell(stats, undefined=width)
+        p, weight = recurrence_rows(ratio, model.space, cutoff)
+        solved = weight > 0
+        columns = moment_columns(p)
+        undefined = {}
+        if linewidth:
+            *widths, undefined = band_linewidths(model, p, columns[0], kappa)
+            columns += tuple(widths)
+        n_maxes[rows[solved]] = model.space.n_max
+        values[: len(columns), rows[solved]] = np.array(columns)[:, solved]
+        for i, row, ok, total in zip(rows.tolist(), p, solved.tolist(), weight.tolist()):
+            if ok:
+                populations[i] = row
+                status[i] = "ok"
             else:
-                cells[i] = PumpCell(stats, linewidth=width)
-    return cells
+                status[i] = f"error: {_not_normalizable(total)}"
+        for j, reason in undefined.items():
+            if solved[j]:
+                status[rows[j]] = f"undefined: {reason}"
+    return PumpAxis(status, populations, n_maxes, *values)
 
 
 def nullspace_steady(

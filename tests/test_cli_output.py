@@ -87,10 +87,10 @@ def reference_rows(config, command):
             "p_n": float(p_n),
             "negative_flag": int(p_n < 0),
         }
-        for spec, cells in zip(config.models, grid)
-        for pump_value, cell in zip(config.pump, cells)
-        if cell.error is None
-        for n, p_n in enumerate(cell.stats.p)
+        for spec, axis in zip(config.models, grid)
+        for pump_value, p in zip(config.pump, axis.p)
+        if p is not None
+        for n, p_n in enumerate(p)
     ]
 
 
@@ -157,7 +157,7 @@ def test_output_matches_reference_writer(case, command, fmt, tmp_path, capsys):
         else:
             assert out == ",".join(cli.STEADY_COLUMNS) + "\n"
     if command == "sweep" and case == "failed_cell_and_pump_zero":
-        assert rows[0]["status"].startswith("undefined") and rows[0]["mandel_Q"] is None
+        assert rows[0]["status"].startswith("undefined") and math.isnan(rows[0]["mandel_Q"])
 
 
 NAN, INF = math.nan, math.inf
@@ -199,17 +199,72 @@ SYNTHETIC = [
 ]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", [SYNTHETIC, []], ids=["edge_cells", "empty"])
-def test_writers_match_reference_on_edge_cells(rows, fmt):
-    """Non-finite floats (scalar and in lists), None, numpy floats, bools,
-    and strings (scalar and in lists) that need CSV quoting or hold '%'
-    directives."""
+# Texts that a row template marking its holes in band would misread: '%'
+# directives, NUL, and what CSV must quote (comma, quote, newline).
+MARKERS = ["%s", "%%", "\x00", "a,b", 'say "hi"', "one\ntwo", "%s,%%\x00\"\n"]
+
+IN_BAND = [
+    {
+        "model": text,
+        "g_tau_bar": text,
+        "pump_A_over_kappa": 0.5,
+        "n": range(len(MARKERS)),
+        "p_n": MARKERS,
+        "negative_flag": [text] * len(MARKERS),
+    }
+    for text in MARKERS
+] + [
+    {
+        "model": "%s",
+        "g_tau_bar": "%%",
+        "pump_A_over_kappa": "\x00",
+        "n": "a,b",
+        "p_n": 'say "hi"',
+        "negative_flag": "one\ntwo",
+    }
+]
+
+
+def write(rows, fmt, columns=cli.STEADY_COLUMNS) -> str:
     config = cli.RunConfig(models=(cli.ModelSpec("exact"),), g_tau_bar=0.15, pump=(0.9,))
-    columns = cli.STEADY_COLUMNS
     stream = io.StringIO()
     if fmt == "json":
         cli.write_json(rows, columns, config, "steady", stream)
     else:
         cli.write_csv(rows, columns, stream)
-    assert stream.getvalue() == reference(per_level(rows), columns, config, "steady", fmt)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "rows", [SYNTHETIC, IN_BAND, []], ids=["edge_cells", "in_band_markers", "empty"]
+)
+def test_writers_match_reference_on_edge_cells(rows, fmt):
+    """Non-finite floats (scalar and in lists), None, numpy floats, bools,
+    and strings (scalar and in lists) that need CSV quoting, hold '%'
+    directives or NUL."""
+    config = cli.RunConfig(models=(cli.ModelSpec("exact"),), g_tau_bar=0.15, pump=(0.9,))
+    want = reference(per_level(rows), cli.STEADY_COLUMNS, config, "steady", fmt)
+    assert write(rows, fmt) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nan_and_none_give_the_same_bytes(fmt):
+    """A missing value prints the same whether a float column holds NaN or
+    None, as a scalar cell and as a list entry."""
+
+    def rows(missing):
+        return [
+            {
+                "model": "exact",
+                "g_tau_bar": missing,
+                "pump_A_over_kappa": [0.5, 1.0, 1.5],
+                "n": range(3),
+                "p_n": [0.25, missing, 0.75],
+                "negative_flag": [missing] * 3,
+            }
+        ]
+
+    with_nan = write(rows(NAN), fmt)
+    assert with_nan == write(rows(None), fmt)
+    assert ("null" if fmt == "json" else "1.0000000000000000e+00,1,,") in with_nan

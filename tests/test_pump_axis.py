@@ -230,28 +230,36 @@ def test_pump_axis_equals_the_one_dimensional_ladder(g_tau_bar):
     def build(pump_values, space):
         return exact_model(PumpParameters.from_pump(pump_values, g_tau_bar, kappa), space)
 
-    cells = solve_pump_axis(build, pumps, kappa, linewidth=True)
-    for pump, cell in zip(pumps, cells):
+    axis = solve_pump_axis(build, pumps, kappa, linewidth=True)
+    for k, pump in enumerate(pumps):
         ratio = build(float(pump), TruncatedSpace(1)).gain_ratio(kappa)
         n_max = truncation_1d(ratio)
         p = recurrence_1d(ratio, n_max)
-        assert cell.stats.p.tolist() == p.tolist()
-        assert cell.stats.converged == (abs(p[-1]) <= 1e-10)
+        assert axis.p[k].tolist() == p.tolist()
+        assert axis.n_max[k] == n_max
+        mom = moments(p)
+        assert (axis.mean_n[k], axis.variance[k]) == (mom.mean_n, mom.variance)
         if pump == 0.0:
-            assert cell.linewidth is None and "undefined" in cell.undefined
+            assert math.isnan(axis.mandel_Q[k]) and math.isnan(axis.D[k])
+            assert axis.status[k].startswith("undefined: ")
             continue
+        assert axis.mandel_Q[k] == mom.mandel_q
         root = np.sqrt(np.arange(1.0, p.size))
         model = build(float(pump), TruncatedSpace(n_max))
         deriv = root @ model.apply_band(root * p[1:], 1, kappa)
         mean = float(p @ np.arange(p.size))
-        assert cell.linewidth.D == -2.0 * deriv / mean
+        assert axis.D[k] == -2.0 * deriv / mean
+        assert axis.normalized_D[k] == linewidth(model, p, kappa).normalized_D
+        assert axis.status[k] == "ok"
 
 
-def cell_numbers(cell):
-    if cell.error is not None:
-        return cell.error
-    width = cell.undefined if cell.linewidth is None else cell.linewidth.D
-    return cell.stats.p.tolist(), cell.stats.converged, width
+COLUMNS = ("n_max", "mean_n", "variance", "mandel_Q", "D", "normalized_D", "frequency_pull")
+
+
+def axis_numbers(axis):
+    """Every entry of a solved pump axis, its float columns as their bits."""
+    p = [None if row is None else row.tolist() for row in axis.p]
+    return axis.status, p, [getattr(axis, col).tobytes() for col in COLUMNS]
 
 
 @pytest.mark.parametrize("budget", [1, 40, 300])
@@ -283,7 +291,7 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
             parts = solve_pump_axis(
                 counted(build), pumps, kappa, truncation=truncation, linewidth=True
             )
-        assert [cell_numbers(c) for c in parts] == [cell_numbers(c) for c in whole]
+        assert axis_numbers(parts) == axis_numbers(whole)
     assert any(rows > 1 for rows, _ in sizes) == (budget > 32)
     # a block build holds rows x dim levels; a probe build (dim 2) serves a
     # search stage of at least 16 levels
