@@ -21,9 +21,9 @@ The `workers` setting is accepted, checked and echoed, but ignored.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -658,17 +658,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    buffer = io.StringIO()
-    if args.format == "json":
-        write_json(rows, columns, config, args.command, buffer)
-    else:
-        write_csv(rows, columns, buffer)
-    text = buffer.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # each row goes to the output as it is made: no copy of the whole text
+    with contextlib.ExitStack() as stack:
+        stream = sys.stdout
+        if args.out:
+            stream = stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
+        if args.format == "json":
+            write_json(rows, columns, config, args.command, stream)
+        else:
+            write_csv(rows, columns, stream)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -166,7 +166,8 @@ def band_linewidths(
     low = mean_n < MEAN_N_FLOOR
     mean = np.where(low, math.nan, mean_n)
     d_rate = -2.0 * deriv.real / mean
-    undefined = {i: _below_floor(m) for i, m in zip(np.flatnonzero(low).tolist(), mean_n[low].tolist())}
+    below = zip(np.flatnonzero(low).tolist(), mean_n[low].tolist())
+    undefined = {i: _below_floor(m) for i, m in below}
     return LinewidthColumns(d_rate, d_rate * mean / kappa, deriv.imag / mean, undefined)
 
 
