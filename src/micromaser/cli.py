@@ -492,16 +492,15 @@ def _json_cell(value) -> str:
 
 @dataclass
 class _Format:
-    """How one output lays out its lines.  `cell` gives the text of a
-    scalar cell, `entry` that of a list entry as it stands in a line, and
-    `exact`, per type, a function that gives the same text as `entry` for
-    every value of that type (every finite one, for float) in one C call.
-    A line is `head`, then each cell's text followed by its entry of
-    `seps`: a separator, or the end of the line after the last cell.
-    `counts` caches the texts of 0, 1, 2, ... for a counting column."""
+    """How one output lays out its lines.  `cell` gives the text of a cell
+    (a scalar, or one entry of a list) as it stands in a line, and `exact`,
+    per type, a function that gives the same text for every value of that
+    type (every finite one, for float) in one C call.  A line is `head`,
+    then each cell's text followed by its entry of `seps`: a separator, or
+    the end of the line after the last cell.  `counts` caches the texts of
+    0, 1, 2, ... for a counting column."""
 
     cell: Callable
-    entry: Callable
     exact: dict
     head: str
     seps: list
@@ -519,7 +518,7 @@ def _texts(values, fmt: _Format) -> Iterable[str]:
         (kind,) = kinds
         if kind is not float or all(map(math.isfinite, values)):
             return map(fmt.exact[kind], values)
-    return map(fmt.entry, values)
+    return map(fmt.cell, values)
 
 
 def _row_text(row: dict, columns: tuple, fmt: _Format) -> str:
@@ -551,12 +550,8 @@ def write_csv(rows: list[dict], columns: tuple, stream) -> None:
         writer.writerow(["", text])  # the csv module's quoting of a cell in a line
         return line.pop()[1:-1]
 
-    def entry(value) -> str:
-        return quoted(value) if isinstance(value, str) else _csv_cell(value)
-
     fmt = _Format(
         cell=lambda value: quoted(_csv_cell(value)),
-        entry=entry,
         exact={float: "{:.16e}".format, int: int.__repr__, str: quoted},
         head="",
         seps=[","] * (len(columns) - 1) + ["\n"],
@@ -576,7 +571,6 @@ def write_json(rows: list[dict], columns: tuple, config: RunConfig, command: str
     keys = [f"      {encode_basestring_ascii(col)}: " for col in columns]
     fmt = _Format(
         cell=_json_cell,
-        entry=_json_cell,
         exact={float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii},
         head=",\n    {\n" + keys[0],
         seps=[",\n" + key for key in keys[1:]] + ["\n    }"],

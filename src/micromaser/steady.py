@@ -323,8 +323,9 @@ def solve_pump_axis(
         columns = moment_columns(p)
         undefined = {}
         if linewidth:
-            *widths, undefined = band_linewidths(model, p, columns[0], kappa)
-            columns += tuple(widths)
+            width = band_linewidths(model, p, columns[0], kappa)
+            columns += width[:3]
+            undefined = width.undefined
         n_maxes[rows[solved]] = model.space.n_max
         values[: len(columns), rows[solved]] = np.array(columns)[:, solved]
         for i, row, ok, total in zip(rows.tolist(), p, solved.tolist(), weight.tolist()):
