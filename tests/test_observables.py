@@ -11,6 +11,7 @@ from micromaser.observables import (
     distribution_distance,
     linewidth,
     linewidth_fd,
+    moment_columns,
     moments,
     operator_norm_estimate,
     semiclassical_intensity,
@@ -65,6 +66,27 @@ def test_moments_vacuum_q_undefined():
     m = moments(p)
     assert m.mean_n == 0.0
     assert math.isnan(m.mandel_q)
+
+
+def test_moment_columns_equal_the_one_row_formula(rng):
+    """Every row as the one-distribution formula gives it, bit for bit: a
+    dot product per row and the mean squared by Python's float **.  Over
+    this many random means NumPy's square differs from it in some."""
+    p = rng.random((20000, 12))
+    p /= p.sum(axis=1, keepdims=True)
+    p[0] = 0.0  # a zero mean: Mandel Q is undefined
+    mean, variance, mandel_q = moment_columns(p)
+    n = np.arange(12, dtype=float)
+    for k, row in enumerate(p):
+        row_mean = float(n @ row)
+        row_variance = float((n * n) @ row) - row_mean**2
+        assert (mean[k], variance[k]) == (row_mean, row_variance)
+        if row_mean > 0:
+            assert mandel_q[k] == row_variance / row_mean - 1.0
+        else:
+            assert math.isnan(mandel_q[k])
+    one = moments(p[7])
+    assert (one.mean_n, one.variance, one.mandel_q) == (mean[7], variance[7], mandel_q[7])
 
 
 def test_semiclassical_intensity_threshold_clamp():
