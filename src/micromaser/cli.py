@@ -101,6 +101,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_int(value):
     """Integral floats (JSON 2.0) become ints; anything else is kept as is."""
     if isinstance(value, float) and value.is_integer():
@@ -190,6 +194,13 @@ class RunConfig:
         }
 
 
+def _pump_range(start: float, stop: float, steps: int) -> tuple:
+    """`steps` values from start to stop, both included."""
+    if steps < 1:
+        raise ConfigError(f"pump range needs at least 1 step, got {steps}")
+    return tuple(float(v) for v in np.linspace(start, stop, steps))
+
+
 def parse_pump_spec(text: str) -> tuple:
     """'START:STOP:STEPS' -> an inclusive linspace; a bare float -> one point."""
     parts = text.split(":")
@@ -197,17 +208,15 @@ def parse_pump_spec(text: str) -> tuple:
         if len(parts) == 1:
             return (float(parts[0]),)
         if len(parts) == 3:
-            start, stop = float(parts[0]), float(parts[1])
-            steps = int(parts[2])
-            if steps < 1:
-                raise ConfigError(f"pump range needs at least 1 step, got {steps}")
-            return tuple(float(v) for v in np.linspace(start, stop, steps))
+            return _pump_range(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise ConfigError(f"cannot parse pump spec {text!r}: {exc}") from None
     raise ConfigError(f"pump spec must be VALUE or START:STOP:STEPS, got {text!r}")
 
 
 def _normalize_models(raw) -> tuple:
+    if not isinstance(raw, list):
+        raise ConfigError(f"models must be a list of model names or objects, got {raw!r}")
     specs = []
     for item in raw:
         if isinstance(item, str):
@@ -226,10 +235,18 @@ def _normalize_pump(raw) -> tuple:
     if isinstance(raw, str):
         return parse_pump_spec(raw)
     if isinstance(raw, dict):
-        missing = {"start", "stop", "steps"} - set(raw)
+        keys = {"start", "stop", "steps"}
+        missing, unknown = keys - set(raw), set(raw) - keys
         if missing:
             raise ConfigError(f"pump range object missing {sorted(missing)}")
-        return parse_pump_spec(f"{raw['start']}:{raw['stop']}:{raw['steps']}")
+        if unknown:
+            raise ConfigError(f"unknown pump range key(s): {sorted(unknown)}")
+        start, stop, steps = raw["start"], raw["stop"], _as_int(raw["steps"])
+        if not (_is_real(start) and _is_real(stop) and _is_int(steps)):
+            raise ConfigError(
+                f"pump range needs numbers start and stop and an integer steps, got {raw!r}"
+            )
+        return _pump_range(float(start), float(stop), steps)
     if isinstance(raw, bool):
         raise ConfigError(f"pump must be a number, got {raw!r}")
     if isinstance(raw, (int, float)):
@@ -283,7 +300,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         kappa = float(data.get("kappa", 1.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric field: {exc}") from None
-    return RunConfig(
+    config = RunConfig(
         models=_normalize_models(data["models"]),
         g_tau_bar=g_tau_bar,
         pump=_normalize_pump(data["pump"]),
@@ -292,6 +309,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cutoff=_as_int(data.get("cutoff", "auto")),
         workers=_as_int(data.get("workers", 4)),
     )
+    if args.command == "compare" and len(config.models) < 2:
+        raise ConfigError("compare needs at least 2 models")
+    return config
 
 
 def _model_order(spec: ModelSpec, default: int) -> int:
@@ -303,7 +323,7 @@ def _model_order(spec: ModelSpec, default: int) -> int:
 
 def _model_real(spec: ModelSpec, key: str) -> float:
     value = spec.options[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -429,8 +449,6 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
     """One row per model pair and pump: the total-variation distance of the
     two distributions and the differences of their moments, which are read
     from each model's columns."""
-    if len(config.models) < 2:
-        raise ConfigError("compare needs at least 2 models")
     grid, failures = _solve_grid(config, command)
     means = [axis.mean_n.tolist() for axis in grid]
     mandel_qs = [axis.mandel_Q.tolist() for axis in grid]
@@ -637,6 +655,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_output(path: str, stack: contextlib.ExitStack):
+    try:
+        return stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -645,18 +670,17 @@ def main(argv=None) -> int:
         # argparse exits on bad flags (code 1 via _Parser) and on --help (0);
         # surface both as return codes so embedding callers get an int
         return int(exc.code or 0)
-    try:
-        config = load_config(args)
-        runner, columns = _COMMANDS[args.command]
-        rows, failures = runner(config, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    # each row goes to the output as it is made: no copy of the whole text
     with contextlib.ExitStack() as stack:
-        stream = sys.stdout
-        if args.out:
-            stream = stack.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
+        try:
+            config = load_config(args)
+            runner, columns = _COMMANDS[args.command]
+            # opened before the solve, so an unwritable path costs no solve
+            stream = sys.stdout if not args.out else _open_output(args.out, stack)
+            rows, failures = runner(config, args.command)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        # each row goes to the output as it is made: no copy of the whole text
         if args.format == "json":
             write_json(rows, columns, config, args.command, stream)
         else:

@@ -21,6 +21,7 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-12
 MEAN_TOL = 1e-10
 MAX_DEGREE = 64  # highest basis degree (and weak-series order) that is tested
+AVERAGE_NODES = 200  # Gauss-Laguerre nodes of `average` on the exponential measure
 
 
 class DegenerateMeasureError(RuntimeError):
@@ -105,12 +106,13 @@ def moment(measure: TimeMeasure, n: int) -> float:
     return float(measure.weights @ measure.nodes**n)
 
 
-def average(measure: TimeMeasure, fn, n_nodes: int = 200) -> float | np.ndarray:
-    """Integrate fn(x) against the measure; exponential falls back to quadrature."""
+def average(measure: TimeMeasure, fn) -> float | np.ndarray:
+    """Integrate fn(x) against the measure; exponential falls back to
+    AVERAGE_NODES-point Gauss-Laguerre quadrature."""
     if measure.kind == "exponential":
         from scipy.special import roots_laguerre
 
-        x, w = roots_laguerre(n_nodes)
+        x, w = roots_laguerre(AVERAGE_NODES)
     else:
         x, w = measure.nodes, measure.weights
     vals = np.asarray([fn(xi) for xi in x])

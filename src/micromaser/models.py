@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,15 +75,12 @@ class ExactPump:
     They are those of the average of the instantaneous dissipators of the
     cosine/gain split, which agrees with r <M_tau - 1> everywhere except the
     top-level column, where it reflects instead of leaking: the result is
-    trace preserving on the whole truncated space.  include_cos=False keeps
-    only the gain family (same photon statistics, different coherence
-    decay).
+    trace preserving on the whole truncated space.
     """
 
     r: float
     g_tau_bar: float
     measure: TimeMeasure
-    include_cos: bool = True
 
     def _alpha(self, n):
         return self.g_tau_bar * np.sqrt(np.asarray(n, dtype=float) + 1.0)
@@ -92,8 +89,6 @@ class ExactPump:
         return self.r * sin_sin_average(self.measure, self._alpha(m), self._alpha(n))
 
     def dephasing(self, m, n):
-        if not self.include_cos:
-            return np.zeros(np.broadcast(m, n).shape)
         am, an = self._alpha(m), self._alpha(n)
         cc = functools.partial(cos_cos_average, self.measure)
         return self.r * (cc(am, an) - 0.5 * (cc(am, am) + cc(an, an)))
@@ -138,8 +133,6 @@ class GeneratorModel:
     feed: Callable
     dephasing: Callable
     build_ops: Callable[[], list] | None = None
-    pump_extra: ExactPump | FourthOrderPump | None = None
-    options: dict = field(default_factory=dict)
 
     @property
     def manifest_lindblad(self) -> bool:
@@ -261,7 +254,6 @@ def _lindblad_model(
     rate: float,
     gain_elements: Callable,
     diagonals: list,
-    options: dict,
     merge: bool = False,
 ) -> GeneratorModel:
     """Model with Lindblad operators sqrt(rate) S_k and sqrt(rate) diag(c_k).
@@ -290,7 +282,6 @@ def _lindblad_model(
         feed=feed,
         dephasing=dephasing,
         build_ops=build_ops,
-        options=options,
     )
 
 
@@ -305,20 +296,17 @@ def exact_model(
     params: PumpParameters,
     space: TruncatedSpace,
     measure: TimeMeasure | None = None,
-    include_cos: bool = True,
 ) -> GeneratorModel:
     """All-orders model from the measure averages of the pump split."""
     if measure is None:
         measure = TimeMeasure.exponential(params.tau_bar)
-    pump = ExactPump(params.r, params.g_tau_bar, measure, include_cos)
+    pump = ExactPump(params.r, params.g_tau_bar, measure)
     return GeneratorModel(
         name=EXACT,
         space=space,
         params=params,
         feed=pump.feed,
         dephasing=pump.dephasing,
-        pump_extra=pump,
-        options={"measure": measure.kind, "include_cos": include_cos},
     )
 
 
@@ -347,7 +335,6 @@ def fourth_order_model(params: PumpParameters, space: TruncatedSpace) -> Generat
         params=params,
         feed=pump.feed,
         dephasing=pump.dephasing,
-        pump_extra=pump,
     )
 
 
@@ -365,9 +352,7 @@ def sixth_order_superoperator(params: PumpParameters, space: TruncatedSpace) -> 
     return Superoperator(space, mat)
 
 
-def weak_coupling_model(
-    params: PumpParameters, space: TruncatedSpace, drop_cos: bool = False
-) -> GeneratorModel:
+def weak_coupling_model(params: PumpParameters, space: TruncatedSpace) -> GeneratorModel:
     """Fourth-order-accurate Lindblad set for the exponential measure.
 
     Gain family (u = (g tau_bar)^2, P = a a*):
@@ -384,10 +369,8 @@ def weak_coupling_model(
         root = gt * np.sqrt(y)
         return [root * (1.0 - u * y), -root * (1.0 - 3.0 * u * y), math.sqrt(10.0) * u * root * y]
 
-    diagonals = [] if drop_cos else [-math.sqrt(6.0) * u * _truncated_p(space)]
-    return _lindblad_model(
-        WEAK, space, params, params.r, gain_elements, diagonals, {"drop_cos": drop_cos}
-    )
+    diagonals = [-math.sqrt(6.0) * u * _truncated_p(space)]
+    return _lindblad_model(WEAK, space, params, params.r, gain_elements, diagonals)
 
 
 def general_weak_model(
@@ -395,7 +378,6 @@ def general_weak_model(
     basis: OrthoBasis,
     order: int,
     space: TruncatedSpace,
-    merge: bool = True,
 ) -> GeneratorModel:
     """Series-truncated Lindblad set for an arbitrary interaction-time measure.
 
@@ -428,16 +410,7 @@ def general_weak_model(
         y = np.asarray(n, dtype=float) + 1.0
         return [np.sqrt(y) * np.polynomial.polynomial.polyval(y, s) for s in s_polys]
 
-    return _lindblad_model(
-        WEAK,
-        space,
-        params,
-        params.r,
-        gain_elements,
-        diagonals,
-        {"order": order, "measure": basis.measure.kind},
-        merge=merge,
-    )
+    return _lindblad_model(WEAK, space, params, params.r, gain_elements, diagonals, merge=True)
 
 
 def exponential_projections(alpha, k_max: int) -> list:
@@ -462,7 +435,6 @@ def uniform_model(
     params: PumpParameters,
     space: TruncatedSpace,
     order: int = 1,
-    drop_cos: bool = False,
 ) -> GeneratorModel:
     """All-orders Lindblad set from polynomial projections of the pump split.
 
@@ -482,16 +454,8 @@ def uniform_model(
 
     levels = np.arange(1, space.dim + 1, dtype=float)  # n+1 with exact top
     cos_k = exponential_projections(g_tau_bar * np.sqrt(levels), max(1, order) - 1)
-    diagonals = [] if drop_cos else [cos for cos, _ in cos_k]
-    return _lindblad_model(
-        UNIFORM,
-        space,
-        params,
-        params.r,
-        gain_elements,
-        diagonals,
-        {"order": order, "drop_cos": drop_cos},
-    )
+    diagonals = [cos for cos, _ in cos_k]
+    return _lindblad_model(UNIFORM, space, params, params.r, gain_elements, diagonals)
 
 
 def heuristic_model(
@@ -516,12 +480,4 @@ def heuristic_model(
         n = np.asarray(n, dtype=float)
         return [np.sqrt((n + 1.0) / (1.0 + beta * (n + shift)))]
 
-    return _lindblad_model(
-        HEURISTIC,
-        space,
-        None,
-        gain,
-        gain_elements,
-        [],
-        {"gain": gain, "beta": beta, "ordering": ordering},
-    )
+    return _lindblad_model(HEURISTIC, space, None, gain, gain_elements, [])

@@ -117,31 +117,6 @@ def _below_floor(mean_n: float) -> str:
     return f"mean photon number {mean_n:.3e} is below {MEAN_N_FLOOR:g}; the linewidth is undefined"
 
 
-def _linewidth_result(mean_n: float, derivative, kappa: float) -> LinewidthResult:
-    """Linewidth from <n> and f'(0) = derivative(), called once <n> clears the floor."""
-    if mean_n < MEAN_N_FLOOR:
-        raise ValueError(_below_floor(mean_n))
-    deriv = complex(derivative())
-    d_rate = -2.0 * deriv.real / mean_n
-    return LinewidthResult(
-        D=d_rate,
-        normalized_D=d_rate * mean_n / kappa,
-        frequency_pull=deriv.imag / mean_n,
-        mean_n=mean_n,
-    )
-
-
-def _dense_linewidth(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
-    """f'(0) = tr[a* X], where X = image_fn(a rho_ss)."""
-    root = np.sqrt(np.arange(1.0, rho_ss.shape[0]))
-
-    def derivative():
-        return root @ np.diagonal(image_fn(_lower(rho_ss)), offset=1)
-
-    populations = np.real(np.diagonal(rho_ss))
-    return _linewidth_result(float(populations @ np.arange(populations.size)), derivative, kappa)
-
-
 class LinewidthColumns(NamedTuple):
     """D, normalized_D and frequency_pull per row, NaN where the linewidth
     is undefined; `undefined` maps each such row to the reason."""
@@ -150,6 +125,38 @@ class LinewidthColumns(NamedTuple):
     normalized_D: np.ndarray
     frequency_pull: np.ndarray
     undefined: dict
+
+
+def _linewidth_columns(deriv: np.ndarray, mean_n: np.ndarray, kappa: float) -> LinewidthColumns:
+    """D = -2 Re f'(0) / <n>, normalized_D and the pull Im f'(0) / <n> of
+    each row from its f'(0) and mean; undefined below MEAN_N_FLOOR."""
+    low = mean_n < MEAN_N_FLOOR
+    mean = np.where(low, math.nan, mean_n)
+    d_rate = -2.0 * deriv.real / mean
+    below = zip(np.flatnonzero(low).tolist(), mean_n[low].tolist())
+    undefined = {i: _below_floor(m) for i, m in below}
+    return LinewidthColumns(d_rate, d_rate * mean / kappa, deriv.imag / mean, undefined)
+
+
+def _one_row(width: LinewidthColumns, mean_n: float) -> LinewidthResult:
+    """The one row of width as a LinewidthResult; ValueError if undefined."""
+    if width.undefined:
+        raise ValueError(width.undefined[0])
+    return LinewidthResult(
+        D=float(width.D[0]),
+        normalized_D=float(width.normalized_D[0]),
+        frequency_pull=float(width.frequency_pull[0]),
+        mean_n=mean_n,
+    )
+
+
+def _dense_linewidth(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
+    """f'(0) = tr[a* X], where X = image_fn(a rho_ss)."""
+    root = np.sqrt(np.arange(1.0, rho_ss.shape[0]))
+    deriv = root @ np.diagonal(image_fn(_lower(rho_ss)), offset=1)
+    populations = np.real(np.diagonal(rho_ss))
+    mean_n = float(populations @ np.arange(populations.size))
+    return _one_row(_linewidth_columns(np.array([deriv]), np.array([mean_n]), kappa), mean_n)
 
 
 def band_linewidths(
@@ -163,12 +170,7 @@ def band_linewidths(
     # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
     root = np.sqrt(np.arange(1.0, p.shape[1]))
     deriv = _row_dots(root, model.apply_band(root * p[:, 1:], 1, kappa))
-    low = mean_n < MEAN_N_FLOOR
-    mean = np.where(low, math.nan, mean_n)
-    d_rate = -2.0 * deriv.real / mean
-    below = zip(np.flatnonzero(low).tolist(), mean_n[low].tolist())
-    undefined = {i: _below_floor(m) for i, m in below}
-    return LinewidthColumns(d_rate, d_rate * mean / kappa, deriv.imag / mean, undefined)
+    return _linewidth_columns(deriv, mean_n, kappa)
 
 
 def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
@@ -185,15 +187,7 @@ def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
     if not isinstance(generator, GeneratorModel):
         raise TypeError("the populations of a diagonal state need a GeneratorModel")
     mean_n = moment_columns(p)[0]
-    width = band_linewidths(generator, p, mean_n, kappa)
-    if width.undefined:
-        raise ValueError(width.undefined[0])
-    return LinewidthResult(
-        D=float(width.D[0]),
-        normalized_D=float(width.normalized_D[0]),
-        frequency_pull=float(width.frequency_pull[0]),
-        mean_n=float(mean_n[0]),
-    )
+    return _one_row(band_linewidths(generator, p, mean_n, kappa), float(mean_n[0]))
 
 
 def linewidth_fd(
@@ -229,10 +223,11 @@ def linewidth_fd(
     return _dense_linewidth(quotient, rho_ss, kappa)
 
 
-def operator_norm_estimate(apply_fn, space: TruncatedSpace, iters: int = 10, seed: int = 0) -> float:
+def operator_norm_estimate(apply_fn, space: TruncatedSpace, iters: int = 10) -> float:
     """Power-iteration estimate of the generator's spectral norm, for
-    choosing the first-difference step when no dense matrix exists."""
-    rng = np.random.default_rng(seed)
+    choosing the first-difference step when no dense matrix exists; it
+    starts from a fixed (seed 0) random matrix."""
+    rng = np.random.default_rng(0)
     v = rng.standard_normal((space.dim, space.dim))
     v /= np.linalg.norm(v)
     est = 1.0

@@ -34,11 +34,12 @@ class PumpParameters:
     """Pump rate r, coupling g, mean interaction time tau_bar.
 
     q in (0, 1) weights the geometric trace regularization used when the
-    cosine part of the pump is split off as a Lindblad operator; assembled
-    generators are independent of it.  r may be a (P, 1) column, one rate
-    per pump value: the band functions of a model built from it then
-    broadcast to (pumps, levels), which is how a whole pump axis is solved
-    at once.  The dense operators need a scalar r (scalar_rate).
+    cosine part of the pump is split off as a Lindblad operator
+    (lindblad_C_S); assembled generators are independent of it, and
+    from_pump keeps its default.  r may be a (P, 1) column, one rate per
+    pump value: the band functions of a model built from it then broadcast
+    to (pumps, levels), which is how a whole pump axis is solved at once.
+    The dense operators need a scalar r (scalar_rate).
     """
 
     g: float
@@ -71,18 +72,11 @@ class PumpParameters:
         """Quartic coefficient B = (g tau_bar)^2 A."""
         return self.u * self.gain_rate
 
-    @property
-    def weak_coupling(self) -> bool:
-        """Advisory flag: series treatments assume g tau_bar < 0.2."""
-        return self.g_tau_bar < 0.2
-
     @classmethod
-    def from_pump(
-        cls, pump: float, g_tau_bar: float, kappa: float = 1.0, q: float = 0.5
-    ) -> "PumpParameters":
+    def from_pump(cls, pump: float, g_tau_bar: float, kappa: float = 1.0) -> "PumpParameters":
         """Parameters with linear gain A = pump * kappa (pump is A/kappa)."""
         r = pump * kappa / (2.0 * g_tau_bar**2)
-        return cls(g=g_tau_bar, tau_bar=1.0, r=r, q=q)
+        return cls(g=g_tau_bar, tau_bar=1.0, r=r)
 
 
 def scalar_rate(rate):
@@ -110,11 +104,12 @@ def sin_shift_op(space: TruncatedSpace, g_tau: float) -> np.ndarray:
     return s
 
 
-def jcp_map(rho: np.ndarray, g_tau: float, warn_tol: float = LEAK_WARN_TOL) -> np.ndarray:
+def jcp_map(rho: np.ndarray, g_tau: float) -> np.ndarray:
     """Apply the single-atom pump map for one interaction time g*tau.
 
     Trace lost through the truncation boundary (population at n_max that
-    the gain would push out of the space) is warned about, not clipped.
+    the gain would push out of the space) is warned about above
+    LEAK_WARN_TOL, not clipped.
     """
     rho = np.asarray(rho)
     space = TruncatedSpace(rho.shape[0] - 1)
@@ -122,7 +117,7 @@ def jcp_map(rho: np.ndarray, g_tau: float, warn_tol: float = LEAK_WARN_TOL) -> n
     s = sin_shift_op(space, g_tau)
     out = c @ rho @ c + s @ rho @ s.T
     leak = float(np.sin(g_tau * np.sqrt(space.n_max + 1.0)) ** 2 * rho[-1, -1].real)
-    if leak > warn_tol:
+    if leak > LEAK_WARN_TOL:
         warnings.warn(
             f"pump map leaked probability {leak:.3e} past n_max={space.n_max}",
             TruncationLeakWarning,

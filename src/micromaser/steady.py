@@ -30,7 +30,6 @@ the same code.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,15 @@ from .observables import band_linewidths, moment_columns
 from .superop import Superoperator, unvec
 
 
+START = 16  # n_max of the truncation search's first stage
 HARD_CAP = 4096  # largest n_max the truncation search tries
+# top-level weight below which a truncation resolves the tail; the search and
+# recurrence_steady's `converged` flag read this one number
+TAIL_TOL = 1e-10
+# nullspace_steady: the steady eigenvalue lies within ZERO_TOL * ||S|| of 0,
+# and no second one within GAP_TOL * ||S||
+ZERO_TOL = 1e-10
+GAP_TOL = 1e-8
 # pumps x levels one search stage or recurrence block holds at once (a float
 # array of it is 2 MB), whatever the length of the pump axis
 BLOCK_ENTRIES = 1 << 18
@@ -53,10 +60,6 @@ class SteadyStateError(RuntimeError):
 
 class DegenerateSteadyStateError(SteadyStateError):
     """More than one eigenvalue indistinguishable from zero."""
-
-
-class CutoffWarning(UserWarning):
-    pass
 
 
 @dataclass(frozen=True)
@@ -79,36 +82,18 @@ class PhotonStatistics:
         return len(self.negative) > 0
 
 
-def _cutoff_index(g_tau_bar: float) -> int:
-    if g_tau_bar <= 0:
-        raise ValueError("g_tau_bar must be positive")
-    return int(np.floor(0.2 / g_tau_bar**2))
-
-
-def default_cutoff(g_tau_bar: float) -> int:
+def expansion_cutoff(g_tau_bar: float) -> int:
     """Truncation index 0.2 / (g tau_bar)^2 for the expansion models.
 
     The fourth-order gain turns negative near 0.25 / (g tau_bar)^2; cutting
     at 80 percent of that keeps the series models inside their validity
-    window.  A cutoff below 1 means the coupling is too strong for them.
+    window.  A cutoff below 1 means the coupling is too strong for them:
+    SteadyStateError.  The truncation search and a fixed truncation share
+    this check, so an unusable expansion model fails its cell on either route.
     """
-    n = _cutoff_index(g_tau_bar)
-    if n < 1:
-        warnings.warn(
-            f"expansion cutoff {n} < 1 at g tau_bar = {g_tau_bar}; "
-            "the series models are unusable here",
-            CutoffWarning,
-            stacklevel=2,
-        )
-    return n
-
-
-def expansion_cutoff(g_tau_bar: float) -> int:
-    """default_cutoff for a run: SteadyStateError, and no warning, where it
-    is below 1.  The truncation search and a fixed truncation share this
-    check, so an unusable expansion model fails its cell on either route.
-    """
-    n = _cutoff_index(g_tau_bar)
+    if g_tau_bar <= 0:
+        raise ValueError("g_tau_bar must be positive")
+    n = int(np.floor(0.2 / g_tau_bar**2))
     if n < 1:
         raise SteadyStateError(
             f"expansion models unusable at g tau_bar = {g_tau_bar} (cutoff {n} < 1)"
@@ -133,8 +118,7 @@ def _ratio_rows(ratio, n: int) -> np.ndarray:
     return np.atleast_2d(np.asarray(ratio(np.arange(n)), dtype=float))
 
 
-def _unresolved(hard_cap: int) -> str:
-    return f"no truncation below {hard_cap} resolves the distribution tail"
+_UNRESOLVED = f"no truncation below {HARD_CAP} resolves the distribution tail"
 
 
 def _not_normalizable(total: float) -> str:
@@ -166,15 +150,14 @@ def recurrence_rows(ratio, space: TruncatedSpace, cutoff: int | None = None) -> 
     return p, weight
 
 
-def recurrence_steady(
-    ratio, space: TruncatedSpace, cutoff: int | None = None, tail_tol: float = 1e-10
-) -> PhotonStatistics:
+def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -> PhotonStatistics:
     """Solve p_{n+1} = ratio(n) p_n on the space, normalize by the signed sum.
 
     ratio may go negative (expansion models); products are accumulated in
     log space with separate sign tracking so long ladders cannot overflow.
-    cutoff zeroes every p_n beyond it.  This is the one-row case of
-    recurrence_rows.
+    cutoff zeroes every p_n beyond it.  Without one, `converged` says
+    whether the top level holds at most TAIL_TOL.  This is the one-row case
+    of recurrence_rows.
     """
     (p,), (weight,) = recurrence_rows(ratio, space, cutoff)
     if not weight > 0:
@@ -182,8 +165,8 @@ def recurrence_steady(
     if cutoff is not None and cutoff <= space.n_max:
         converged = True
     else:
-        # occupancy of the top level, matching the choose_truncation criterion
-        converged = bool(abs(p[-1]) <= tail_tol)
+        # occupancy of the top level, the choose_truncation criterion
+        converged = bool(abs(p[-1]) <= TAIL_TOL)
     negative = tuple((int(n), float(p[n])) for n in np.flatnonzero(p < 0))
     return PhotonStatistics(p, n_cut=cutoff, negative=negative, converged=converged)
 
@@ -195,19 +178,12 @@ def _pieces(rows: np.ndarray, width: int) -> list:
     return [rows[i : i + size] for i in range(0, len(rows), size)]
 
 
-def truncation_levels(
-    probe,
-    rows: int,
-    kappa: float,
-    tail_tol: float = 1e-10,
-    start: int = 16,
-    hard_cap: int = HARD_CAP,
-) -> np.ndarray:
+def truncation_levels(probe, rows: int, kappa: float) -> np.ndarray:
     """choose_truncation's n_max for each of `rows` pump rows; 0 marks a row
-    whose tail no ladder up to hard_cap resolves.  probe(idx) is the model
+    whose tail no ladder up to HARD_CAP resolves.  probe(idx) is the model
     of the pump rows idx (on any space: only its ratio is read).
 
-    The doubling runs in stages: every unresolved row at `start` levels,
+    The doubling runs in stages: every unresolved row at START levels,
     then the rest at twice that, and so on, each row's ladder shifted by its
     own maximum as it would be alone.  A stage builds one probe per piece of
     its unresolved rows (_pieces).
@@ -216,13 +192,13 @@ def truncation_levels(
     if model.name in (WEAK, POST4):
         return np.full(rows, expansion_cutoff(model.params.g_tau_bar))
     levels, todo = np.zeros(rows, dtype=int), np.arange(rows)
-    n_max = start
-    while todo.size and n_max <= hard_cap:
+    n_max = START
+    while todo.size and n_max <= HARD_CAP:
         for part in _pieces(todo, n_max):
             ratios = _ratio_rows(probe(part).gain_ratio(kappa), n_max)
             u = np.exp(_log_ladder(ratios)[0])
             # lower levels may underflow to 0, so compare without dividing
-            ok = u < tail_tol * np.cumsum(u, axis=1)
+            ok = u < TAIL_TOL * np.cumsum(u, axis=1)
             done = ok[:, -1] & (ratios[:, -1] < 1.0)
             levels[part[done]] = np.argmax(ok[done], axis=1)  # >= 1: ok[:, 0] is False
         todo = todo[levels[todo] == 0]
@@ -230,23 +206,18 @@ def truncation_levels(
     return levels
 
 
-def choose_truncation(
-    model,
-    kappa: float,
-    tail_tol: float = 1e-10,
-    start: int = 16,
-    hard_cap: int = HARD_CAP,
-) -> TruncatedSpace:
-    """Smallest n_max whose steady distribution has p_{n_max} < tail_tol.
+def choose_truncation(model, kappa: float) -> TruncatedSpace:
+    """Smallest n_max whose steady distribution has p_{n_max} < TAIL_TOL.
 
     Expansion models (weak_lindblad, post4) are pinned to expansion_cutoff
     instead: their tails are artifacts of the truncated series.  Everything
-    else grows the ladder by doubling until the tail criterion is met.  This
-    is the one-row case of truncation_levels.
+    else grows the ladder by doubling from START until the tail criterion is
+    met, and raises SteadyStateError past HARD_CAP.  This is the one-row case
+    of truncation_levels.
     """
-    n_max = int(truncation_levels(lambda idx: model, 1, kappa, tail_tol, start, hard_cap)[0])
+    n_max = int(truncation_levels(lambda idx: model, 1, kappa)[0])
     if n_max == 0:
-        raise SteadyStateError(_unresolved(hard_cap))
+        raise SteadyStateError(_UNRESOLVED)
     return TruncatedSpace(n_max)
 
 
@@ -313,7 +284,7 @@ def solve_pump_axis(
     except (SteadyStateError, ValueError) as exc:
         return PumpAxis.failed(len(pumps), str(exc))
     # a row the search left unresolved (level 0) keeps this error
-    status = [f"error: {_unresolved(HARD_CAP)}"] * len(pumps)
+    status = [f"error: {_UNRESOLVED}"] * len(pumps)
     populations = [None] * len(pumps)
     n_maxes = np.zeros(len(pumps), dtype=int)
     values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
@@ -340,12 +311,7 @@ def solve_pump_axis(
     return PumpAxis(status, populations, n_maxes, *values)
 
 
-def nullspace_steady(
-    generator: Superoperator,
-    zero_tol: float = 1e-10,
-    gap_tol: float = 1e-8,
-    return_info: bool = False,
-):
+def nullspace_steady(generator: Superoperator, return_info: bool = False):
     """Steady density matrix from the eigenvector of the dense generator
     with the smallest |eigenvalue|; Hermitized and trace normalized.
 
@@ -355,9 +321,9 @@ def nullspace_steady(
     zero entry splits is one block and gets one full eig.  The chosen block
     eigenvector, zero on every other block, is the steady state.
 
-    Raises SteadyStateError when no eigenvalue sits within zero_tol times
+    Raises SteadyStateError when no eigenvalue sits within ZERO_TOL times
     the Frobenius norm, and DegenerateSteadyStateError when a second one
-    sits within gap_tol times the norm (no unique steady state).
+    sits within GAP_TOL times the norm (no unique steady state).
     """
     # imported here: at module level scipy would add about 0.5 s to every `import micromaser`
     import scipy.linalg
@@ -376,15 +342,15 @@ def nullspace_steady(
     lam = np.concatenate([block_lam for block_lam, _ in solved])
     order = np.argsort(np.abs(lam))
     smallest = abs(lam[order[0]])
-    if smallest > zero_tol * scale:
+    if smallest > ZERO_TOL * scale:
         raise SteadyStateError(
             f"smallest |eigenvalue| {smallest:.3e} exceeds "
-            f"{zero_tol:g} * ||S|| = {zero_tol * scale:.3e}"
+            f"{ZERO_TOL:g} * ||S|| = {ZERO_TOL * scale:.3e}"
         )
-    if len(lam) > 1 and abs(lam[order[1]]) <= gap_tol * scale:
+    if len(lam) > 1 and abs(lam[order[1]]) <= GAP_TOL * scale:
         raise DegenerateSteadyStateError(
             f"second eigenvalue {abs(lam[order[1]]):.3e} also lies within "
-            f"{gap_tol:g} * ||S||; steady state is not unique"
+            f"{GAP_TOL:g} * ||S||; steady state is not unique"
         )
     # entry order[0] of lam is column order[0] - first of its block's vectors;
     # complex only if some block is, as one full eig would return it

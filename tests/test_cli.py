@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from micromaser import cli
 from micromaser.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -331,6 +332,9 @@ BASE_CONFIG = {"models": ["exact"], "g_tau_bar": 0.15, "pump": 0.9}
         {"pump": "inf"},
         {"pump": True},
         {"pump": [True, 2]},
+        {"pump": {"start": 0.5, "stop": 1.0, "steps": 2, "stpes": 9}},
+        {"pump": {"start": "0.5", "stop": 1.0, "steps": 2}},
+        {"pump": {"start": 0.5, "stop": 1.0, "steps": 2.5}},
         {"kappa": "inf"},
         {"kappa": True},
         {"g_tau_bar": "inf"},
@@ -350,6 +354,27 @@ def test_bad_config_value_is_one_line_config_error(override, tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_pump_range_object_takes_integral_float_steps(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    echoes = []
+    for steps in (2, 2.0):
+        pump = {"start": 0.5, "stop": 1.0, "steps": steps}
+        cfg.write_text(json.dumps({**BASE_CONFIG, "pump": pump}))
+        code, out, _ = run_cli(["sweep", "--config", str(cfg), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        echoes.append(json.loads(out)["config_echo"]["pump"])
+    assert echoes == [[0.5, 1.0], [0.5, 1.0]]
+
+
+def test_models_that_are_not_a_list_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "models": "exact"}))
+    code, out, err = run_cli(["steady", "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: models must be a list of model names or objects, got 'exact'\n"
 
 
 def test_weak_series_runs_at_order_30(tmp_path, capsys):
@@ -486,6 +511,21 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert code2 == EXIT_OK
     assert captured.out == ""
     assert target.read_text() == out
+
+
+def test_unwritable_out_is_config_error_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output was opened")
+
+    monkeypatch.setattr(cli, "solve_pump_axis", no_solve)
+    target = tmp_path / "missing" / "x.csv"
+    argv = ["steady", "--model", "exact", "--gtau", "0.15", "--pump", "0.9"]
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: cannot write output {str(target)!r}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_json_is_parseable_and_ends_with_newline(capsys):

@@ -1,3 +1,10 @@
+"""Every demo exits 0, writes nothing to stderr and prints the bytes pinned in
+tests/golden/demos/<name>.txt. Regenerate a golden file only for an intended,
+explained output change:
+
+    PYTHONPATH=src python3 demos/<name>.py > tests/golden/demos/<name>.txt
+"""
+
 import os
 import subprocess
 import sys
@@ -7,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -15,8 +23,8 @@ def test_demo_runs_cleanly(demo):
     proc = subprocess.run(
         [sys.executable, "-W", "error", str(demo)],
         capture_output=True,
-        text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_bytes()

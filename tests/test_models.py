@@ -23,12 +23,8 @@ from micromaser.models import (
     weak_coupling_model,
 )
 from micromaser.observables import distribution_distance, linewidth
-from micromaser.pump import (
-    PumpParameters,
-    averaged_pump_superoperator,
-    pump_average_tables,
-)
-from micromaser.steady import default_cutoff, recurrence_steady
+from micromaser.pump import PumpParameters, averaged_pump_superoperator
+from micromaser.steady import expansion_cutoff, recurrence_steady
 from micromaser.superop import dissipator_matrix, loss_dissipator, unvec, vec
 
 from conftest import coherent_density, random_density
@@ -144,7 +140,6 @@ def test_general_series_on_two_point_measure(params15):
     )  # order 1 keeps only the linear gain term S ~ gt a*
     # projection of x onto f_0, f_1 reconstructs x exactly on 2 points
     assert np.allclose(gain, want * 1.0, rtol=0.35)  # loose: order-1 truncation
-    assert series.options["measure"] == "discrete"
 
 
 def test_uniform_operators_closed_forms(params15):
@@ -211,7 +206,7 @@ def test_exponential_projections_keep_low_degree_closed_forms_bitwise():
 
 def test_general_series_converges_to_exact_at_weak_cutoff():
     params = PumpParameters.from_pump(3.0, 0.15, KAPPA)
-    space = TruncatedSpace(default_cutoff(params.g_tau_bar))
+    space = TruncatedSpace(expansion_cutoff(params.g_tau_bar))
     exact = recurrence_steady(exact_model(params, space).gain_ratio(KAPPA), space).p
     distances = {}
     for order in (3, 30, 60):
@@ -253,16 +248,13 @@ def test_heuristic_beta_4u_matches_exact_gain(params15):
 
 ORACLE_VARIANTS = {
     "exact": lambda params, space: exact_model(params, space),
-    "exact_gain_only": lambda params, space: exact_model(params, space, include_cos=False),
     "post4": lambda params, space: fourth_order_model(params, space),
     "weak": lambda params, space: weak_coupling_model(params, space),
-    "weak_drop_cos": lambda params, space: weak_coupling_model(params, space, drop_cos=True),
     "weak_series_3": lambda params, space: general_weak_model(
         params, build_basis(TimeMeasure.exponential(), 3), 3, space
     ),
     "uniform": lambda params, space: uniform_model(params, space),
     "uniform_order_2": lambda params, space: uniform_model(params, space, order=2),
-    "uniform_drop_cos": lambda params, space: uniform_model(params, space, drop_cos=True),
     "heuristic_aa_dag": lambda params, space: heuristic_model(
         params.gain_rate, 4 * params.u, space, ordering="aa_dag"
     ),
@@ -288,11 +280,6 @@ def test_assemble_matches_dense_oracle(variant, g_tau_bar):
         want = loss + fourth_order_generator(params, space).matrix
     elif model.name == EXACT:
         pump = averaged_pump_superoperator(params, space).matrix
-        if not model.options["include_cos"]:
-            # the gain family alone: the cos part decays coherences only
-            cc, _ = pump_average_tables(params, space)
-            dephase = cc - 0.5 * (np.diag(cc)[:, None] + np.diag(cc)[None, :])
-            pump -= params.r * np.diag(vec(dephase))
         want = (loss + pump).reshape(d, d, d, d)
         got = got.reshape(d, d, d, d)
         # compare every column not sourced from the top level
@@ -386,34 +373,6 @@ def test_merge_proportional_quadrature_sum(rng):
     lhs = sum(dissipator_matrix(op) for op in (base, -2.0 * base, other))
     rhs = sum(dissipator_matrix(op) for op in merged)
     assert np.allclose(lhs, rhs, atol=1e-11)
-
-
-def test_dropping_cos_operators_leaves_populations_alone(params15):
-    # diagonal Lindblad operators commute with diagonal states, so the
-    # photon statistics cannot see them; only coherences do
-    space = TruncatedSpace(10)
-    keep = weak_coupling_model(params15, space)
-    drop = weak_coupling_model(params15, space, drop_cos=True)
-    rho_diag = np.diag(np.linspace(0.3, 0.0, space.dim))
-    rho_diag /= np.trace(rho_diag)
-    assert np.allclose(keep.apply(rho_diag, KAPPA), drop.apply(rho_diag, KAPPA), atol=1e-14)
-    off = np.zeros((space.dim, space.dim))
-    off[2, 3] = off[3, 2] = 0.5
-    assert not np.allclose(keep.apply(off, KAPPA), drop.apply(off, KAPPA), atol=1e-10)
-
-
-def test_exact_include_cos_affects_only_coherences(params15):
-    space = TruncatedSpace(10)
-    full = exact_model(params15, space)
-    gain_only = exact_model(params15, space, include_cos=False)
-    rho_diag = np.diag(np.linspace(0.3, 0.0, space.dim))
-    rho_diag /= np.trace(rho_diag)
-    assert np.allclose(
-        full.apply(rho_diag, KAPPA), gain_only.apply(rho_diag, KAPPA), atol=1e-13
-    )
-    off = np.zeros((space.dim, space.dim))
-    off[1, 2] = off[2, 1] = 0.4
-    assert not np.allclose(full.apply(off, KAPPA), gain_only.apply(off, KAPPA), atol=1e-10)
 
 
 def test_fourth_order_gain_turns_negative_past_validity():

@@ -30,7 +30,6 @@ def test_parameters_derived_quantities():
     assert p.u == pytest.approx(0.0225)
     assert p.gain_rate == pytest.approx(2 * 20.0 * 0.0225)
     assert p.saturation_rate == pytest.approx(p.u * p.gain_rate)
-    assert p.weak_coupling
 
 
 def test_from_pump_inverts_gain_relation():

@@ -23,11 +23,10 @@ from micromaser.models import (
 )
 from micromaser.pump import PumpParameters
 from micromaser.steady import (
-    CutoffWarning,
+    HARD_CAP,
     DegenerateSteadyStateError,
     SteadyStateError,
     choose_truncation,
-    default_cutoff,
     expansion_cutoff,
     nullspace_steady,
     recurrence_steady,
@@ -109,15 +108,9 @@ def test_recurrence_convergence_flag_tracks_tail():
     assert not tight.converged
 
 
-def test_default_cutoff_quarter_of_inverse_u():
-    assert default_cutoff(0.15) == math.floor(0.2 / 0.15**2)
-    assert default_cutoff(0.03) == math.floor(0.2 / 0.03**2)
-    with pytest.warns(CutoffWarning):
-        assert default_cutoff(0.5) == 0
-
-
 def test_expansion_cutoff_fails_below_one_without_warning():
-    assert expansion_cutoff(0.15) == default_cutoff(0.15)
+    assert expansion_cutoff(0.15) == math.floor(0.2 / 0.15**2)
+    assert expansion_cutoff(0.03) == math.floor(0.2 / 0.03**2)
     with pytest.raises(SteadyStateError, match=r"cutoff 0 < 1"):
         expansion_cutoff(0.5)
 
@@ -252,7 +245,7 @@ def test_choose_truncation_pins_polynomial_models():
     space_probe = TruncatedSpace(1)
     weak = weak_coupling_model(params, space_probe)
     post4 = fourth_order_model(params, space_probe)
-    want = default_cutoff(0.15)
+    want = expansion_cutoff(0.15)
     assert choose_truncation(weak, KAPPA).n_max == want
     assert choose_truncation(post4, KAPPA).n_max == want
 
@@ -287,8 +280,8 @@ def test_choose_truncation_raises_at_hard_cap():
         feed=lambda m, n: 1.01 * KAPPA * np.sqrt((m + 1.0) * (n + 1.0)),
         dephasing=lambda m, n: 0.0 * (m - n),
     )
-    with pytest.raises(SteadyStateError):
-        choose_truncation(runaway, KAPPA, hard_cap=256)
+    with pytest.raises(SteadyStateError, match=f"no truncation below {HARD_CAP} "):
+        choose_truncation(runaway, KAPPA)
 
 
 def test_heuristic_truncation_matches_exact():
