@@ -246,12 +246,25 @@ def test_heuristic_beta_4u_matches_exact_gain(params15):
     )
 
 
+# exact_model(measure=) on the two measure kinds other than the exponential
+ORACLE_MEASURES = {
+    "exact_two_point": TimeMeasure.discrete([0.6, 1.4], [0.5, 0.5]),
+    "exact_gauss_laguerre": TimeMeasure.gauss_laguerre(3),
+}
+
 ORACLE_VARIANTS = {
     "exact": lambda params, space: exact_model(params, space),
+    **{
+        name: lambda params, space, m=measure: exact_model(params, space, measure=m)
+        for name, measure in ORACLE_MEASURES.items()
+    },
     "post4": lambda params, space: fourth_order_model(params, space),
     "weak": lambda params, space: weak_coupling_model(params, space),
     "weak_series_3": lambda params, space: general_weak_model(
         params, build_basis(TimeMeasure.exponential(), 3), 3, space
+    ),
+    "weak_series_two_point": lambda params, space: general_weak_model(
+        params, build_basis(ORACLE_MEASURES["exact_two_point"], 1), 3, space
     ),
     "uniform": lambda params, space: uniform_model(params, space),
     "uniform_order_2": lambda params, space: uniform_model(params, space, order=2),
@@ -279,7 +292,7 @@ def test_assemble_matches_dense_oracle(variant, g_tau_bar):
     if model.name == POST4:
         want = loss + fourth_order_generator(params, space).matrix
     elif model.name == EXACT:
-        pump = averaged_pump_superoperator(params, space).matrix
+        pump = averaged_pump_superoperator(params, space, ORACLE_MEASURES.get(variant)).matrix
         want = (loss + pump).reshape(d, d, d, d)
         got = got.reshape(d, d, d, d)
         # compare every column not sourced from the top level
