@@ -43,8 +43,7 @@ print(f"derived rates: A = {params.gain_rate:.4f}, B = {params.saturation_rate:.
 results = {}
 for name, model in models.items():
     # expansion models keep their validity cutoff, the rest run to n_max
-    cutoff = 8 if name in ("post4", "weak_lindblad") else None
-    results[name] = recurrence_steady(model.gain_ratio(KAPPA), space, cutoff=cutoff)
+    results[name] = recurrence_steady(model.gain_ratio(KAPPA), space, cutoff=model.cutoff)
 
 print(f"{'model':18s} {'mean_n':>9s} {'variance':>10s} {'Mandel Q':>9s} {'TV to exact':>12s}")
 p_exact = results["exact"].p

@@ -14,7 +14,8 @@ once while the configuration is read, so a model option its constructor
 rejects is a configuration error.  Each model is then solved over its whole
 pump axis in one pass (steady.solve_pump_axis), model by model on the
 calling thread, and its per-pump columns go to the output rows as lists;
-rows and error lines come in grid order (model, then pump).
+rows and error lines come in grid order (model, then pump).  The `cutoff`
+"auto" keeps each model's own cutoff; "off" drops it, an integer replaces it.
 The `workers` setting is accepted, checked and echoed, but ignored.
 """
 
@@ -44,7 +45,6 @@ from .models import (
     POST4,
     UNIFORM,
     WEAK,
-    GeneratorModel,
     exact_model,
     fourth_order_model,
     general_weak_model,
@@ -54,7 +54,7 @@ from .models import (
 )
 from .observables import distribution_distance
 from .pump import PumpParameters
-from .steady import PumpAxis, SteadyStateError, expansion_cutoff, solve_pump_axis
+from .steady import solve_pump_axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -112,15 +112,6 @@ def _as_int(value):
     return value
 
 
-_MODEL_OPTION_KEYS = {
-    EXACT: set(),
-    POST4: set(),
-    WEAK: {"order"},
-    UNIFORM: {"order"},
-    HEURISTIC: {"ordering", "gain", "beta"},
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
@@ -131,7 +122,7 @@ class ModelSpec:
             raise ConfigError(
                 f"unknown model {self.name!r}; choose from {', '.join(MODEL_NAMES)}"
             )
-        bad = set(self.options) - _MODEL_OPTION_KEYS[self.name]
+        bad = set(self.options) - set(_MODELS[self.name].__kwdefaults__ or ())
         if bad:
             raise ConfigError(
                 f"model {self.name!r} does not take option(s) {sorted(bad)}"
@@ -159,6 +150,13 @@ class RunConfig:
             raise ConfigError("pump values must be nonnegative and finite")
         if not 0 < self.kappa < math.inf:
             raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
+        top = max(self.pump)
+        try:  # (g tau_bar)^2 may underflow to 0, or r overflow
+            PumpParameters.from_pump(top, self.g_tau_bar, self.kappa)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"pump rate r = pump * kappa / (2 g_tau_bar^2) is not finite at pump {top}"
+            ) from None
         if self.truncation != "auto":
             if not _is_int(self.truncation) or self.truncation < 1:
                 raise ConfigError(
@@ -314,84 +312,75 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _model_order(spec: ModelSpec, default: int) -> int:
-    order = _as_int(spec.options.get("order", default))
-    if not _is_int(order):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    return order
+# One entry per model.  Its keyword options, with their defaults, are the keys
+# ModelSpec accepts; it checks their types and returns model(params, space),
+# building the polynomial basis of a weak series of order other than 3 once.
+_FROM_PUMP = object()  # a heuristic default that the pump sets: a JSON null stays an error
 
 
-def _model_real(spec: ModelSpec, key: str) -> float:
-    value = spec.options[key]
-    if not _is_real(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _option(key: str, value, ok, kind: str):
+    if value is _FROM_PUMP or ok(value):
+        return value
+    raise ValueError(f"{key} must be {kind}, got {value!r}")
+
+
+def _weak(*, order=3):
+    order = _option("order", _as_int(order), _is_int, "an integer")
+    if order == 3:
+        return weak_coupling_model
+    basis = build_basis(TimeMeasure.exponential(), order)
+    return lambda params, space: general_weak_model(params, basis, order, space)
+
+
+def _uniform(*, order=1):
+    order = _option("order", _as_int(order), _is_int, "an integer")
+    return lambda params, space: uniform_model(params, space, order=order)
+
+
+def _heuristic(*, gain=_FROM_PUMP, beta=_FROM_PUMP, ordering="aa_dag"):
+    gain = _option("gain", gain, _is_real, "a number")
+    beta = _option("beta", beta, _is_real, "a number")
+    return lambda params, space: heuristic_model(
+        params.gain_rate if gain is _FROM_PUMP else np.full(np.shape(params.r), float(gain)),
+        4.0 * params.u if beta is _FROM_PUMP else float(beta),
+        space,
+        ordering=ordering,
+    )
+
+
+_MODELS = {
+    EXACT: lambda: exact_model,
+    POST4: lambda: fourth_order_model,
+    WEAK: _weak,
+    UNIFORM: _uniform,
+    HEURISTIC: _heuristic,
+}
 
 
 def _model_builder(spec: ModelSpec, config: RunConfig):
     """build(pumps, space): the spec's model for one pump value or a (P, 1)
-    column of them, on a space.  A weak series of order other than 3 builds
-    its polynomial basis here, once."""
-    if spec.name == WEAK:
-        order = _model_order(spec, 3)
-        basis = None if order == 3 else build_basis(TimeMeasure.exponential(), order)
-    elif spec.name == UNIFORM:
-        order = _model_order(spec, 1)
-    elif spec.name == HEURISTIC:
-        gain, beta = (
-            _model_real(spec, key) if key in spec.options else None for key in ("gain", "beta")
-        )
-        ordering = spec.options.get("ordering", "aa_dag")
-
-    def build(pumps, space: TruncatedSpace) -> GeneratorModel:
-        params = PumpParameters.from_pump(pumps, config.g_tau_bar, config.kappa)
-        if spec.name == EXACT:
-            return exact_model(params, space)
-        if spec.name == POST4:
-            return fourth_order_model(params, space)
-        if spec.name == WEAK:
-            if basis is None:
-                return weak_coupling_model(params, space)
-            return general_weak_model(params, basis, order, space)
-        if spec.name == UNIFORM:
-            return uniform_model(params, space, order=order)
-        return heuristic_model(
-            params.gain_rate if gain is None else np.full(np.shape(pumps), gain),
-            4.0 * params.u if beta is None else beta,
-            space,
-            ordering=ordering,
-        )
-
-    return build
-
-
-def _point_cutoff(spec: ModelSpec, config: RunConfig) -> int | None:
-    if config.cutoff == "auto" and spec.name in (WEAK, POST4):
-        return expansion_cutoff(config.g_tau_bar)
-    return None if config.cutoff in ("auto", "off") else config.cutoff
+    column of them, on a space."""
+    model = _MODELS[spec.name](**spec.options)
+    return lambda pumps, space: model(
+        PumpParameters.from_pump(pumps, config.g_tau_bar, config.kappa), space
+    )
 
 
 def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tuple[list, int]:
     """Per model, its PumpAxis, solved in one pass (solve_pump_axis); each
     failed cell is reported on stderr under the command's name, in grid
     order."""
-    grid = []
-    for spec in config.models:
-        try:
-            cutoff = _point_cutoff(spec, config)
-        except SteadyStateError as exc:
-            grid.append(PumpAxis.failed(len(config.pump), str(exc)))
-            continue
-        grid.append(
-            solve_pump_axis(
-                _model_builder(spec, config),
-                config.pump,
-                config.kappa,
-                truncation=None if config.truncation == "auto" else config.truncation,
-                cutoff=cutoff,
-                linewidth=linewidth,
-            )
+    grid = [
+        solve_pump_axis(
+            _model_builder(spec, config),
+            config.pump,
+            config.kappa,
+            truncation=None if config.truncation == "auto" else config.truncation,
+            cutoff=None if config.cutoff == "off" else config.cutoff,
+            linewidth=linewidth,
         )
+        for spec in config.models
+    ]
     failures = 0
     for spec, axis in zip(config.models, grid):
         for pump_value, status in zip(config.pump, axis.status):

@@ -7,7 +7,7 @@ atom-induced gain is treated:
   post4            fourth-order expansion of the average (not Lindblad)
   weak_lindblad    weak-coupling series on orthonormal time polynomials,
                    any order up to 64 (closed form at the default 3)
-  uniform_lindblad all-orders Lindblad set from degree-0/1 projections
+  uniform_lindblad all-orders Lindblad set from degree-0/1/2 projections
   heuristic        single saturated-gain Lindblad operator
 
 Every one of them commutes with the phase rotation exp(i theta a* a), so it
@@ -33,6 +33,9 @@ on `apply_band` in O(n_max) time and memory.  A Lindblad model with
 one-quantum gain operators S_k (first subdiagonal s_k) and diagonal
 operators diag(c_k) has F = sum_k s_k(m) s_k(n) and
 H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps only those O(n_max) vectors.
+
+Each model states its truncation rule in `cutoff`: the series models (post4,
+weak_lindblad) hold up to expansion_cutoff, the others have a physical tail.
 
 The independent dense oracles are the explicit operator lists
 (`lindblad_ops`, built from the vectors each time they are read and passed
@@ -124,7 +127,8 @@ class GeneratorModel:
     searches extrapolate with.  build_ops, given for a manifestly Lindblad
     model, returns its pump-side Lindblad operators (loss excluded) as dense
     matrices; they are the oracle and are built only when `lindblad_ops` is
-    read.
+    read.  cutoff is the last level a series model is valid at, None for a
+    model whose tail is physical.
     """
 
     name: str
@@ -133,6 +137,7 @@ class GeneratorModel:
     feed: Callable
     dephasing: Callable
     build_ops: Callable[[], list] | None = None
+    cutoff: int | None = None
 
     @property
     def manifest_lindblad(self) -> bool:
@@ -247,6 +252,15 @@ def merge_proportional(ops: list, tol: float = 1e-12) -> list:
     return [unit * math.sqrt(weight) for unit, weight in merged]
 
 
+def expansion_cutoff(g_tau_bar: float) -> int:
+    """Last level 0.2 / (g tau_bar)^2 of the series models: their gain turns
+    negative near 0.25 / (g tau_bar)^2, and 80 percent of that keeps them
+    inside their validity window.  Below 1 no level is valid."""
+    if g_tau_bar <= 0:
+        raise ValueError("g_tau_bar must be positive")
+    return int(np.floor(0.2 / g_tau_bar**2))
+
+
 def _lindblad_model(
     name: str,
     space: TruncatedSpace,
@@ -255,6 +269,7 @@ def _lindblad_model(
     gain_elements: Callable,
     diagonals: list,
     merge: bool = False,
+    cutoff: int | None = None,
 ) -> GeneratorModel:
     """Model with Lindblad operators sqrt(rate) S_k and sqrt(rate) diag(c_k).
 
@@ -282,6 +297,7 @@ def _lindblad_model(
         feed=feed,
         dephasing=dephasing,
         build_ops=build_ops,
+        cutoff=cutoff,
     )
 
 
@@ -335,6 +351,7 @@ def fourth_order_model(params: PumpParameters, space: TruncatedSpace) -> Generat
         params=params,
         feed=pump.feed,
         dephasing=pump.dephasing,
+        cutoff=expansion_cutoff(params.g_tau_bar),
     )
 
 
@@ -370,7 +387,8 @@ def weak_coupling_model(params: PumpParameters, space: TruncatedSpace) -> Genera
         return [root * (1.0 - u * y), -root * (1.0 - 3.0 * u * y), math.sqrt(10.0) * u * root * y]
 
     diagonals = [-math.sqrt(6.0) * u * _truncated_p(space)]
-    return _lindblad_model(WEAK, space, params, params.r, gain_elements, diagonals)
+    cutoff = expansion_cutoff(gt)
+    return _lindblad_model(WEAK, space, params, params.r, gain_elements, diagonals, cutoff=cutoff)
 
 
 def general_weak_model(
@@ -410,7 +428,10 @@ def general_weak_model(
         y = np.asarray(n, dtype=float) + 1.0
         return [np.sqrt(y) * np.polynomial.polynomial.polyval(y, s) for s in s_polys]
 
-    return _lindblad_model(WEAK, space, params, params.r, gain_elements, diagonals, merge=True)
+    cutoff = expansion_cutoff(gt)
+    return _lindblad_model(
+        WEAK, space, params, params.r, gain_elements, diagonals, merge=True, cutoff=cutoff
+    )
 
 
 def exponential_projections(alpha, k_max: int) -> list:

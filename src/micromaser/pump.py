@@ -48,8 +48,9 @@ class PumpParameters:
     q: float = 0.5
 
     def __post_init__(self):
-        if self.g <= 0 or self.tau_bar <= 0 or np.any(np.asarray(self.r) < 0):
-            raise ValueError("g and tau_bar must be positive, r nonnegative")
+        r = np.asarray(self.r)
+        if self.g <= 0 or self.tau_bar <= 0 or not np.all((0.0 <= r) & (r < np.inf)):
+            raise ValueError("g and tau_bar must be positive, r nonnegative and finite")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
 

@@ -12,17 +12,17 @@ gets one full eig.
 
 A pump axis is solved in one pass (solve_pump_axis), and comes back as
 columns (PumpAxis): one entry per pump for the status, the populations,
-n_max, the moments and the linewidth.  The pump enters a model only
-through per-pump scalars, so a model built on a (P, 1) column of them
-gives ratios with one row per pump.  The truncation search
-(truncation_levels) doubles in stages over the rows not yet resolved, the
-pumps that share an n_max form one block, and the recurrence
-(recurrence_rows), the moments (moment_columns) and the band linewidth
-(band_linewidths) run once per block, the last two on one mean per row.
-A stage or a block takes its rows in pieces of at most BLOCK_ENTRIES
-levels in all, so memory does not grow with the pump axis.  Each row
-takes only elementwise ufuncs, cumulative sums along the row, sums over
-exactly its own filled levels, and dot products of its own, so every
+n_max, the moments and the linewidth.  The pump enters a model only through
+per-pump scalars, so a model built on a (P, 1) column of them gives ratios
+with one row per pump.  The truncation search (truncation_levels) takes the
+model's own cutoff where it has one, else doubles in stages over the rows
+not yet resolved; the pumps that share an n_max form one block, and the
+recurrence (recurrence_rows), the moments (moment_columns) and the band
+linewidth (band_linewidths) run once per block, the last two on one mean
+per row.  A stage or a block takes its rows in pieces of at most
+BLOCK_ENTRIES levels in all, so memory does not grow with the pump axis.
+Each row takes only elementwise ufuncs, cumulative sums along the row, sums
+over exactly its own filled levels, and dot products of its own, so every
 number is bit for bit what the one-pump functions (choose_truncation,
 recurrence_steady, moments, linewidth) give; they are the one-row case of
 the same code.
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import TruncatedSpace
-from .models import POST4, WEAK
 from .observables import band_linewidths, moment_columns
 from .superop import Superoperator, unvec
 
@@ -82,23 +81,15 @@ class PhotonStatistics:
         return len(self.negative) > 0
 
 
-def expansion_cutoff(g_tau_bar: float) -> int:
-    """Truncation index 0.2 / (g tau_bar)^2 for the expansion models.
-
-    The fourth-order gain turns negative near 0.25 / (g tau_bar)^2; cutting
-    at 80 percent of that keeps the series models inside their validity
-    window.  A cutoff below 1 means the coupling is too strong for them:
-    SteadyStateError.  The truncation search and a fixed truncation share
-    this check, so an unusable expansion model fails its cell on either route.
-    """
-    if g_tau_bar <= 0:
-        raise ValueError("g_tau_bar must be positive")
-    n = int(np.floor(0.2 / g_tau_bar**2))
-    if n < 1:
+def _model_cutoff(model) -> int | None:
+    """model.cutoff.  One below 1 leaves a series model no valid level, so it
+    fails on the truncation search and a fixed truncation alike."""
+    if model.cutoff is not None and model.cutoff < 1:
         raise SteadyStateError(
-            f"expansion models unusable at g tau_bar = {g_tau_bar} (cutoff {n} < 1)"
+            f"expansion models unusable at g tau_bar = {model.params.g_tau_bar} "
+            f"(cutoff {model.cutoff} < 1)"
         )
-    return n
+    return model.cutoff
 
 
 def _log_ladder(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,16 +172,16 @@ def _pieces(rows: np.ndarray, width: int) -> list:
 def truncation_levels(probe, rows: int, kappa: float) -> np.ndarray:
     """choose_truncation's n_max for each of `rows` pump rows; 0 marks a row
     whose tail no ladder up to HARD_CAP resolves.  probe(idx) is the model
-    of the pump rows idx (on any space: only its ratio is read).
+    of the pump rows idx (on any space: only its ratio and cutoff are read).
 
     The doubling runs in stages: every unresolved row at START levels,
     then the rest at twice that, and so on, each row's ladder shifted by its
     own maximum as it would be alone.  A stage builds one probe per piece of
     its unresolved rows (_pieces).
     """
-    model = probe(np.arange(min(rows, 1)))
-    if model.name in (WEAK, POST4):
-        return np.full(rows, expansion_cutoff(model.params.g_tau_bar))
+    cutoff = _model_cutoff(probe(np.arange(min(rows, 1))))
+    if cutoff is not None:
+        return np.full(rows, cutoff)
     levels, todo = np.zeros(rows, dtype=int), np.arange(rows)
     n_max = START
     while todo.size and n_max <= HARD_CAP:
@@ -209,11 +200,11 @@ def truncation_levels(probe, rows: int, kappa: float) -> np.ndarray:
 def choose_truncation(model, kappa: float) -> TruncatedSpace:
     """Smallest n_max whose steady distribution has p_{n_max} < TAIL_TOL.
 
-    Expansion models (weak_lindblad, post4) are pinned to expansion_cutoff
-    instead: their tails are artifacts of the truncated series.  Everything
-    else grows the ladder by doubling from START until the tail criterion is
-    met, and raises SteadyStateError past HARD_CAP.  This is the one-row case
-    of truncation_levels.
+    A model with a cutoff of its own is pinned to it instead: the tail of a
+    truncated series is an artifact.  Every other model grows the ladder by
+    doubling from START until the tail criterion is met, and raises
+    SteadyStateError past HARD_CAP.  This is the one-row case of
+    truncation_levels.
     """
     n_max = int(truncation_levels(lambda idx: model, 1, kappa)[0])
     if n_max == 0:
@@ -239,19 +230,13 @@ class PumpAxis:
     normalized_D: np.ndarray
     frequency_pull: np.ndarray
 
-    @classmethod
-    def failed(cls, size: int, error: str) -> "PumpAxis":
-        """Every one of `size` cells failed with `error`."""
-        values = np.full((6, size), np.nan)
-        return cls([f"error: {error}"] * size, [None] * size, np.zeros(size, dtype=int), *values)
-
 
 def solve_pump_axis(
     build,
     pumps,
     kappa: float,
     truncation: int | None = None,
-    cutoff: int | None = None,
+    cutoff: int | str | None = None,
     linewidth: bool = False,
 ) -> PumpAxis:
     """Steady state, moments and (with linewidth=True) band linewidth of one
@@ -259,16 +244,23 @@ def solve_pump_axis(
 
     build(pumps, space) returns the model for a (P, 1) column of pump values
     on a space.  truncation None runs the truncation search of
-    choose_truncation (truncation_levels), an integer fixes n_max.  The
+    choose_truncation (truncation_levels), an integer fixes n_max.  cutoff
+    is recurrence_rows': an integer zeroes every level beyond it, None
+    keeps them all, and "auto" takes each block model's own cutoff.  The
     pumps that share an n_max form one block, taken in pieces (_pieces):
     one model build, one recurrence (recurrence_rows), one moment_columns
     and one band_linewidths per piece, the last two sharing each row's
     mean.  Each cell is bit for bit what choose_truncation,
     recurrence_steady, moments and linewidth give for its pump alone.  An
-    error that no pump escapes (a model build, the expansion cutoff) fails
-    every cell with its message.
+    error that no pump escapes (a model build, a model cutoff below 1)
+    fails every cell with its message.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
+    # a row the search left unresolved (level 0) keeps this error
+    status = [f"error: {_UNRESOLVED}"] * len(pumps)
+    populations = [None] * len(pumps)
+    n_maxes = np.zeros(len(pumps), dtype=int)
+    values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
     try:
         if truncation is None:
             levels = truncation_levels(
@@ -280,16 +272,12 @@ def solve_pump_axis(
         for n_max in np.unique(levels[levels > 0]).tolist():
             for rows in _pieces(np.flatnonzero(levels == n_max), n_max + 1):
                 model = build(pumps[rows], TruncatedSpace(n_max))
-                blocks.append((rows, model, model.gain_ratio(kappa)))
+                top = _model_cutoff(model) if cutoff == "auto" else cutoff
+                blocks.append((rows, model, model.gain_ratio(kappa), top))
     except (SteadyStateError, ValueError) as exc:
-        return PumpAxis.failed(len(pumps), str(exc))
-    # a row the search left unresolved (level 0) keeps this error
-    status = [f"error: {_UNRESOLVED}"] * len(pumps)
-    populations = [None] * len(pumps)
-    n_maxes = np.zeros(len(pumps), dtype=int)
-    values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
-    for rows, model, ratio in blocks:
-        p, weight = recurrence_rows(ratio, model.space, cutoff)
+        return PumpAxis([f"error: {exc}"] * len(pumps), populations, n_maxes, *values)
+    for rows, model, ratio, top in blocks:
+        p, weight = recurrence_rows(ratio, model.space, top)
         solved = weight > 0
         columns = moment_columns(p)
         undefined = {}

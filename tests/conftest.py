@@ -1,7 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from micromaser.fock import TruncatedSpace
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env() -> dict:
+    """The caller's environment with this checkout's src first on PYTHONPATH,
+    so that a subprocess runs the code under test, not an installed copy."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture

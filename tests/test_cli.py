@@ -1,10 +1,8 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,6 +14,8 @@ from micromaser.cli import (
     main,
     parse_pump_spec,
 )
+
+from conftest import checkout_env
 
 
 def run_cli(argv, capsys):
@@ -339,6 +339,8 @@ BASE_CONFIG = {"models": ["exact"], "g_tau_bar": 0.15, "pump": 0.9}
         {"kappa": True},
         {"g_tau_bar": "inf"},
         {"g_tau_bar": True},
+        {"g_tau_bar": 1e-200},
+        {"pump": [1.0, 1e308]},
         {"truncation": True},
         {"cutoff": True},
         {"workers": "abc"},
@@ -477,6 +479,7 @@ def test_stderr_holds_only_the_cell_error_lines():
          "--gtau", "0.5", "--pump", "3"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == EXIT_PARTIAL
     assert proc.stderr == f"steady: weak_lindblad at pump 3.0: {UNUSABLE}\n"
@@ -543,12 +546,10 @@ def test_json_is_parseable_and_ends_with_newline(capsys):
 def test_cli_import_loads_no_scipy():
     # scipy is imported where the dense oracle and quadrature need it, so a
     # CLI start skips it (about 0.5 s and 30 MB)
-    src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, micromaser.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, check=True, env=checkout_env(),
     )
     assert proc.stdout == "[]\n"
 
@@ -559,6 +560,7 @@ def test_console_entry_point():
          "--gtau", "0.15", "--pump", "0.9"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.startswith("model,")

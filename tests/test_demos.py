@@ -5,12 +5,13 @@ explained output change:
     PYTHONPATH=src python3 demos/<name>.py > tests/golden/demos/<name>.txt
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import checkout_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,11 +20,8 @@ GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_cleanly(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-W", "error", str(demo)], capture_output=True, env=checkout_env()
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert proc.stderr == b""

@@ -12,6 +12,7 @@ from micromaser.models import (
     WEAK,
     assemble,
     exact_model,
+    expansion_cutoff,
     exponential_projections,
     fourth_order_generator,
     fourth_order_model,
@@ -24,7 +25,7 @@ from micromaser.models import (
 )
 from micromaser.observables import distribution_distance, linewidth
 from micromaser.pump import PumpParameters, averaged_pump_superoperator
-from micromaser.steady import expansion_cutoff, recurrence_steady
+from micromaser.steady import recurrence_steady
 from micromaser.superop import dissipator_matrix, loss_dissipator, unvec, vec
 
 from conftest import coherent_density, random_density

@@ -130,6 +130,14 @@ CONFIGS = {
         "cutoff": "off",
         "kappa": 2.0,
     },
+    # a fixed truncation above the expansion cutoff (8 here), which the
+    # expansion models still apply by default
+    "expansion_fixed": {
+        "models": ["post4", "weak_lindblad", "exact"],
+        "g_tau_bar": 0.15,
+        "pump": [0.5, 3.0],
+        "truncation": 30,
+    },
     # an explicit cutoff below the searched truncation
     "cutoff": {
         "models": ["exact", "post4", "uniform_lindblad", "heuristic"],

@@ -1,24 +1,25 @@
+import dataclasses
 import math
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
-import micromaser
 from micromaser.fock import TruncatedSpace, annihilation
-
+from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
     GeneratorModel,
     assemble,
     exact_model,
+    expansion_cutoff,
     fourth_order_model,
+    general_weak_model,
     heuristic_model,
+    uniform_model,
     weak_coupling_model,
 )
 from micromaser.pump import PumpParameters
@@ -27,12 +28,12 @@ from micromaser.steady import (
     DegenerateSteadyStateError,
     SteadyStateError,
     choose_truncation,
-    expansion_cutoff,
     nullspace_steady,
     recurrence_steady,
 )
 from micromaser.superop import Superoperator, left_mult, loss_dissipator, right_mult, unvec
 
+from conftest import checkout_env
 from test_models import ORACLE_VARIANTS
 
 KAPPA = 1.0
@@ -111,8 +112,10 @@ def test_recurrence_convergence_flag_tracks_tail():
 def test_expansion_cutoff_fails_below_one_without_warning():
     assert expansion_cutoff(0.15) == math.floor(0.2 / 0.15**2)
     assert expansion_cutoff(0.03) == math.floor(0.2 / 0.03**2)
+    assert expansion_cutoff(0.5) == 0
+    weak = weak_coupling_model(PumpParameters.from_pump(0.9, 0.5, KAPPA), TruncatedSpace(1))
     with pytest.raises(SteadyStateError, match=r"cutoff 0 < 1"):
-        expansion_cutoff(0.5)
+        choose_truncation(weak, KAPPA)
 
 
 def test_nullspace_recovers_vacuum_for_pure_loss():
@@ -231,11 +234,10 @@ def test_nullspace_rejects_one_zero_eigenvalue_per_block(rng):
 
 def test_import_leaves_scipy_sparse_unloaded():
     # nullspace_steady imports csgraph itself, so every CLI start skips it
-    env = {**os.environ, "PYTHONPATH": str(Path(micromaser.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, micromaser; print('scipy.sparse' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=checkout_env(), check=True,
     )
     assert proc.stdout.strip() == "False"
 
@@ -248,6 +250,28 @@ def test_choose_truncation_pins_polynomial_models():
     want = expansion_cutoff(0.15)
     assert choose_truncation(weak, KAPPA).n_max == want
     assert choose_truncation(post4, KAPPA).n_max == want
+
+
+def test_truncation_rule_follows_the_cutoff_field_not_the_name():
+    params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
+    space = TruncatedSpace(1)
+    basis = build_basis(TimeMeasure.exponential(), 5)
+    series = [
+        fourth_order_model(params, space),
+        weak_coupling_model(params, space),
+        general_weak_model(params, basis, 5, space),
+    ]
+    assert [model.cutoff for model in series] == [expansion_cutoff(0.15)] * 3
+    physical = [
+        exact_model(params, space),
+        uniform_model(params, space),
+        uniform_model(params, space, order=2),
+        heuristic_model(params.gain_rate, 4 * params.u, space),
+    ]
+    assert [model.cutoff for model in physical] == [None] * 4
+    pinned = dataclasses.replace(physical[0], cutoff=12)
+    assert choose_truncation(pinned, KAPPA).n_max == 12
+    assert choose_truncation(physical[0], KAPPA).n_max != 12
 
 
 def test_choose_truncation_covers_far_above_threshold():
