@@ -193,15 +193,26 @@ class GeneratorModel:
         """Generator action on the band rho_{m,m+k}, given and returned as a
         vector over the rows m of that band in increasing order (or one such
         vector per pump row of the model, along the last axis).  The
-        generator keeps every band to itself, so this costs O(n_max)."""
+        generator keeps every band to itself, so this costs O(n_max).
+
+        It reads only F and H, not the moves `assemble` scatters: in band k
+        only the first entry has m = 0 or n = 0 and only the last has m or
+        n = n_max, so loss leaves every entry but the first and feed every
+        entry but the last, and each move is one slice."""
         band = np.asarray(band)
         m = np.arange(max(0, -k), self.space.dim - max(0, k))
         if band.shape[-1:] != m.shape:
             raise ValueError(f"band {k} holds {m.size} entries, got shape {band.shape}")
-        pos = np.arange(m.size)
+        n = m + k
+        gain_out = self.gain_fn(np.arange(self.space.dim))
+        gain_out[..., -1] = 0.0  # gain out of the top level is truncated
+        decay = self.dephasing(m, n) - 0.5 * (
+            gain_out[..., m] + gain_out[..., n] + kappa * (m + n)
+        )
         out = np.zeros(band.shape, dtype=np.result_type(band.dtype, float))
-        for sel, shift, rate in self._moves(m, m + k, kappa):
-            out[..., pos[sel] + shift] += rate * band[..., sel]
+        out += decay * band
+        out[..., 1:] += self.feed(m[:-1], n[:-1]) * band[..., :-1]
+        out[..., :-1] += kappa * np.sqrt(m[1:] * n[1:]) * band[..., 1:]
         return out
 
     def apply(self, rho: np.ndarray, kappa: float) -> np.ndarray:

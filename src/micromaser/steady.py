@@ -5,10 +5,11 @@ nearest-neighbour birth-death rates (gain G(n) up, kappa (n+1) down from
 n+1), so the steady distribution obeys p_{n+1} = ratio(n) p_n with
 ratio = G(n) / (kappa (n+1)).  The recurrence is exact for the truncated
 generators, including the models whose ratio turns negative; the dense
-nullspace path is the independent cross-check.  It solves each decoupled
-block of the dense generator (one per offset n - m for a phase-covariant
-model) with its own eig; a matrix with no zero coupling is one block and
-gets one full eig.
+nullspace path is the independent cross-check.  It takes the eigenvalues
+of each decoupled block of the dense generator (one per offset n - m for a
+phase-covariant model) and the eigenvectors of only the block that holds
+the steady state; a matrix with no zero coupling is one block and gets one
+full eig.
 
 A pump axis is solved in one pass (solve_pump_axis), and comes back as
 columns (PumpAxis): one entry per pump for the status, the populations,
@@ -299,15 +300,34 @@ def solve_pump_axis(
     return PumpAxis(status, populations, n_maxes, *values)
 
 
+def _block_labels(mat: np.ndarray) -> tuple:
+    """connected_components(mat != 0, connection="weak") of a square matrix,
+    read from a flat scan: np.flatnonzero lists the nonzero entries row by
+    row, which is already the order of a CSR pattern, and costs a fraction
+    of the 2-D nonzero scan a sparse constructor would make."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    size = len(mat)
+    rows, cols = np.divmod(np.flatnonzero(mat != 0), size)
+    indptr = np.searchsorted(rows, np.arange(size + 1))
+    pattern = csr_array((np.ones(cols.size, dtype=bool), cols, indptr), shape=mat.shape)
+    return connected_components(pattern, connection="weak")
+
+
 def nullspace_steady(generator: Superoperator, return_info: bool = False):
     """Steady density matrix from the eigenvector of the dense generator
     with the smallest |eigenvalue|; Hermitized and trace normalized.
 
     The generator's nonzero pattern splits it into decoupled blocks (one per
-    offset n - m for the phase-covariant models here).  Each block gets its
-    own dense eig, and the spectrum is the union of theirs; a matrix that no
-    zero entry splits is one block and gets one full eig.  The chosen block
-    eigenvector, zero on every other block, is the steady state.
+    offset n - m for the phase-covariant models here), the weakly connected
+    components of that pattern.  Each block gets its own eigenvalue solve,
+    and the spectrum is the union of theirs; a matrix that no zero entry
+    splits is one block.  Only the block holding the smallest |eigenvalue|
+    gets an eigenvector solve (one scipy.linalg.eig), and its
+    smallest-|eigenvalue| vector, zero on every other block, is the steady
+    state.  return_info's eigenvalue comes from that eig, its gap from the
+    union.
 
     Raises SteadyStateError when no eigenvalue sits within ZERO_TOL times
     the Frobenius norm, and DegenerateSteadyStateError when a second one
@@ -315,19 +335,14 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     """
     # imported here: at module level scipy would add about 0.5 s to every `import micromaser`
     import scipy.linalg
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
 
     mat = generator.matrix
     scale = np.linalg.norm(mat)
-    # a sparse pattern: csgraph reads a dense one through masked arrays, ~3x slower
-    n_blocks, labels = connected_components(csr_array(mat != 0), connection="weak")
+    n_blocks, labels = _block_labels(mat)
     members = np.argsort(labels, kind="stable")  # block 0's indices, then 1's, ...
     starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n_blocks))))
-    solved = [
-        scipy.linalg.eig(mat[np.ix_(idx, idx)]) for idx in np.split(members, starts[1:-1])
-    ]
-    lam = np.concatenate([block_lam for block_lam, _ in solved])
+    blocks = np.split(members, starts[1:-1])
+    lam = np.concatenate([np.linalg.eigvals(mat[np.ix_(idx, idx)]) for idx in blocks])
     order = np.argsort(np.abs(lam))
     smallest = abs(lam[order[0]])
     if smallest > ZERO_TOL * scale:
@@ -340,12 +355,13 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
             f"second eigenvalue {abs(lam[order[1]]):.3e} also lies within "
             f"{GAP_TOL:g} * ||S||; steady state is not unique"
         )
-    # entry order[0] of lam is column order[0] - first of its block's vectors;
-    # complex only if some block is, as one full eig would return it
-    block = labels[members[order[0]]]
-    first, stop = starts[block], starts[block + 1]
-    steady = np.zeros(len(lam), dtype=np.result_type(*(v for _, v in solved)))
-    steady[members[first:stop]] = solved[block][1][:, order[0] - first]
+    # block b fills entries starts[b]:starts[b + 1] of lam, as of members
+    idx = blocks[labels[members[order[0]]]]
+    block_lam, vecs = scipy.linalg.eig(mat[np.ix_(idx, idx)])
+    j = np.argmin(np.abs(block_lam))
+    # complex if the matrix or some block's spectrum is, as one full eig would return it
+    steady = np.zeros(len(lam), dtype=np.result_type(mat, lam, vecs))
+    steady[idx] = vecs[:, j]
     rho = unvec(steady, generator.space)
     rho = 0.5 * (rho + rho.conj().T)
     trace = float(np.trace(rho).real)
@@ -354,7 +370,7 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     rho = rho / trace
     if return_info:
         info = {
-            "eigenvalue": complex(lam[order[0]]),
+            "eigenvalue": complex(block_lam[j]),
             "gap": float(abs(lam[order[1]])) if len(lam) > 1 else np.inf,
             "norm": float(scale),
         }

@@ -332,6 +332,21 @@ def test_apply_band_matches_apply(params15, idx, k, rng):
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+def test_apply_band_rows_equal_the_one_pump_models(variant, k, rng):
+    """A model on a (P, 1) pump column, applied to one band per pump row:
+    each row bit for bit what the model of that pump alone gives it."""
+    space = TruncatedSpace(9)
+    pumps = np.array([[0.0], [0.7], [2.0], [5.5]])
+    column = ORACLE_VARIANTS[variant](PumpParameters.from_pump(pumps, 0.15, KAPPA), space)
+    bands = rng.standard_normal((len(pumps), space.dim - abs(k)))
+    got = column.apply_band(bands, k, KAPPA)
+    for pump, band, row in zip(pumps[:, 0], bands, got):
+        alone = ORACLE_VARIANTS[variant](PumpParameters.from_pump(pump, 0.15, KAPPA), space)
+        assert row.tolist() == alone.apply_band(band, k, KAPPA).tolist()
+
+
 @pytest.mark.parametrize("idx", range(5))
 def test_apply_matches_assembled_matrix(params15, idx, rng):
     space = TruncatedSpace(9)

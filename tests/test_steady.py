@@ -27,6 +27,7 @@ from micromaser.steady import (
     HARD_CAP,
     DegenerateSteadyStateError,
     SteadyStateError,
+    _block_labels,
     choose_truncation,
     nullspace_steady,
     recurrence_steady,
@@ -126,12 +127,11 @@ def test_nullspace_recovers_vacuum_for_pure_loss():
     assert np.allclose(rho, want, atol=1e-12)
 
 
-def test_nullspace_matches_recurrence():
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+def test_nullspace_matches_recurrence(variant):
     params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
     space = TruncatedSpace(25)
-    model = exact_model(params, space)
-    from micromaser.models import assemble
-
+    model = ORACLE_VARIANTS[variant](params, space)
     rho = nullspace_steady(assemble(model, KAPPA))
     stats = recurrence_steady(model.gain_ratio(KAPPA), space)
     assert np.abs(np.diag(rho).real - stats.p).max() < 1e-10
@@ -188,6 +188,59 @@ def test_block_nullspace_matches_full_eig(variant, g_tau_bar):
     # phase covariance: one block per offset n - m
     assert _n_blocks(generator) == 2 * space.dim - 1
     _nullspace_matching_full_eig(generator)
+
+
+def _sparse_pattern(rng, size, dtype):
+    mat = np.zeros((size, size), dtype=dtype)
+    entries = rng.random((size, size)) < 0.03
+    mat[entries] = rng.standard_normal(entries.sum())
+    if dtype == complex:
+        mat[entries] += 1j * rng.standard_normal(entries.sum())
+    return mat
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_flat_scan_finds_the_weakly_connected_blocks(dtype, rng):
+    for _ in range(20):
+        mat = _sparse_pattern(rng, 40, dtype)
+        # entry 17 reaches the rest through one one-way coupling, 17 -> 3
+        mat[17, :] = mat[:, 17] = 0.0
+        mat[17, 17] = mat[3, 17] = 1.0
+        n_blocks, labels = _block_labels(mat)
+        want_n, want = connected_components(mat != 0, connection="weak")
+        assert n_blocks == want_n > 1
+        assert labels.tolist() == want.tolist()
+        assert labels[3] == labels[17]
+
+
+def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
+    params = PumpParameters.from_pump(2.0, 0.15, KAPPA)
+    space = TruncatedSpace(12)
+    d = space.dim
+    mat = assemble(exact_model(params, space), KAPPA).matrix
+    assert _n_blocks(Superoperator(space, mat)) == 2 * d - 1
+    calls = []
+    eig = scipy.linalg.eig
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", spy)
+    rho, info = nullspace_steady(Superoperator(space, mat), return_info=True)
+    monkeypatch.undo()
+    # the steady state lives on the diagonal rho_nn: the offset-0 block
+    idx = np.arange(d) * (d + 1)
+    assert calls == [(d, d)]
+    lam, vecs = scipy.linalg.eig(mat[np.ix_(idx, idx)])
+    j = np.argmin(np.abs(lam))
+    steady = np.zeros(d * d, dtype=vecs.dtype)
+    steady[idx] = vecs[:, j]
+    want = unvec(steady, space)
+    want = 0.5 * (want + want.conj().T)
+    want = want / float(np.trace(want).real)
+    assert np.array_equal(rho, want)
+    assert info["eigenvalue"] == lam[j]
 
 
 def test_unsplit_generator_gets_one_full_eig():
