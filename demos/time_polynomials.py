@@ -56,7 +56,7 @@ print("\ntwo-atom-velocity distribution, first polynomial:",
       np.round(basis2.coeffs[1], 6))
 
 # finite-time Kraus channels resolve the identity on the interior
-params = PumpParameters(g=1.0, tau_bar=1.0, r=8.0)
+params = PumpParameters(g_tau_bar=1.0, r=8.0)
 space = TruncatedSpace(12)
 kraus = kraus_operators(params, g_tau=0.4, dt=0.05, space=space)
 defect = kraus.completeness_defect()

@@ -105,6 +105,13 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number(name: str, value) -> float:
+    """A JSON number as a float; a string or true/false is no number here."""
+    if not _is_real(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _as_int(value):
     """Integral floats (JSON 2.0) become ints; anything else is kept as is."""
     if isinstance(value, float) and value.is_integer():
@@ -239,23 +246,16 @@ def _normalize_pump(raw) -> tuple:
             raise ConfigError(f"pump range object missing {sorted(missing)}")
         if unknown:
             raise ConfigError(f"unknown pump range key(s): {sorted(unknown)}")
-        start, stop, steps = raw["start"], raw["stop"], _as_int(raw["steps"])
-        if not (_is_real(start) and _is_real(stop) and _is_int(steps)):
-            raise ConfigError(
-                f"pump range needs numbers start and stop and an integer steps, got {raw!r}"
-            )
-        return _pump_range(float(start), float(stop), steps)
-    if isinstance(raw, bool):
-        raise ConfigError(f"pump must be a number, got {raw!r}")
-    if isinstance(raw, (int, float)):
-        return (float(raw),)
+        start = _number("pump.start", raw["start"])
+        stop = _number("pump.stop", raw["stop"])
+        steps = _as_int(raw["steps"])
+        if not _is_int(steps):
+            raise ConfigError(f"pump.steps must be an integer, got {raw['steps']!r}")
+        return _pump_range(start, stop, steps)
     if isinstance(raw, (list, tuple)):
-        try:
-            if any(isinstance(v, bool) for v in raw):
-                raise TypeError
-            return tuple(float(v) for v in raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"pump list must contain numbers, got {raw!r}") from None
+        return tuple(_number(f"pump[{i}]", v) for i, v in enumerate(raw))
+    if isinstance(raw, (bool, int, float)):
+        return (_number("pump", raw),)
     raise ConfigError(f"cannot interpret pump specification {raw!r}")
 
 
@@ -290,14 +290,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("no g_tau_bar given (config 'g_tau_bar' or --gtau)")
     if "pump" not in data:
         raise ConfigError("no pump values given (config 'pump' or --pump)")
-    for key in ("g_tau_bar", "kappa"):
-        if isinstance(data.get(key), bool):  # JSON true is no number here
-            raise ConfigError(f"{key} must be a number, got {data[key]!r}")
-    try:
-        g_tau_bar = float(data["g_tau_bar"])
-        kappa = float(data.get("kappa", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad numeric field: {exc}") from None
+    g_tau_bar = _number("g_tau_bar", data["g_tau_bar"])
+    kappa = _number("kappa", data.get("kappa", 1.0))
     config = RunConfig(
         models=_normalize_models(data["models"]),
         g_tau_bar=g_tau_bar,

@@ -1,7 +1,9 @@
 """Interaction-time probability measures and their orthonormal polynomials.
 
-Times are handled in the dimensionless variable x = tau / tau_bar, so the
-exponential measure has density e^{-x} dx and moments n!.  Polynomials
+Times are handled in the dimensionless variable x = tau / tau_bar, the only
+form in which the physics reads them, so a measure stores no tau_bar: it is
+either the exponential measure, density e^{-x} dx with moments n!, or
+weights on finitely many nodes with x-mean 1.  Polynomials
 f_0, f_1, ... are orthonormal under the measure and expansions
 x^n = sum_k a_nk f_k(x) carry the model coefficients downstream.
 
@@ -21,7 +23,6 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-12
 MEAN_TOL = 1e-10
 MAX_DEGREE = 64  # highest basis degree (and weak-series order) that is tested
-AVERAGE_NODES = 200  # Gauss-Laguerre nodes of `average` on the exponential measure
 
 
 class DegenerateMeasureError(RuntimeError):
@@ -30,56 +31,54 @@ class DegenerateMeasureError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeMeasure:
-    """Probability measure for the atom-field interaction time.
+    """Probability measure for the atom-field interaction time, in x units.
 
-    kind is 'exponential' (density e^{-x}, moments exact), 'discrete'
-    (finitely many atoms tau_j with weights) or 'quadrature' (nodes/weights
-    standing in for a continuous density).  nodes are stored in x units.
+    Without nodes it is the exponential measure (density e^{-x}, moments
+    exact).  Otherwise it puts weights on finitely many nodes: point atoms
+    at fixed times, or a quadrature standing in for a continuous density;
+    every function treats the two alike.  The x-mean of a node measure is 1.
     """
 
-    kind: str
-    tau_bar: float
     nodes: np.ndarray | None = None
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "discrete", "quadrature"):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.tau_bar <= 0:
-            raise ValueError("tau_bar must be positive")
-        if self.kind != "exponential":
-            if self.nodes is None or self.weights is None:
-                raise ValueError(f"{self.kind} measure needs nodes and weights")
-            w = np.asarray(self.weights, dtype=float)
-            x = np.asarray(self.nodes, dtype=float)
-            if w.shape != x.shape or w.ndim != 1 or w.size == 0:
-                raise ValueError("nodes and weights must be matching 1-d arrays")
-            if np.any(w <= 0) or np.any(x < 0):
-                raise ValueError("weights must be positive and nodes nonnegative")
-            if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-                raise ValueError(f"weights must sum to 1, defect {abs(w.sum()-1.0):.3e}")
-            if abs(float(w @ x) - 1.0) > MEAN_TOL:
-                raise ValueError(
-                    f"first moment must equal tau_bar (x-mean 1), got {float(w @ x):.12f}"
-                )
-            object.__setattr__(self, "nodes", x)
-            object.__setattr__(self, "weights", w)
+        if self.nodes is None and self.weights is None:
+            return
+        if self.nodes is None or self.weights is None:
+            raise ValueError("a node measure needs nodes and weights")
+        w = np.asarray(self.weights, dtype=float)
+        x = np.asarray(self.nodes, dtype=float)
+        if w.shape != x.shape or w.ndim != 1 or w.size == 0:
+            raise ValueError("nodes and weights must be matching 1-d arrays")
+        if not (np.all(w > 0) and np.all(x >= 0)):  # NaN fails both
+            raise ValueError("weights must be positive and nodes nonnegative")
+        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must sum to 1, defect {abs(w.sum()-1.0):.3e}")
+        if abs(float(w @ x) - 1.0) > MEAN_TOL:
+            raise ValueError(
+                f"first moment must equal tau_bar (x-mean 1), got {float(w @ x):.12f}"
+            )
+        object.__setattr__(self, "nodes", x)
+        object.__setattr__(self, "weights", w)
 
     @classmethod
-    def exponential(cls, tau_bar: float = 1.0) -> "TimeMeasure":
-        return cls("exponential", tau_bar)
+    def exponential(cls) -> "TimeMeasure":
+        return cls()
 
     @classmethod
-    def discrete(cls, taus, weights, tau_bar: float | None = None) -> "TimeMeasure":
-        """Measure of point atoms at the given times (in tau units)."""
+    def discrete(cls, taus, weights) -> "TimeMeasure":
+        """Measure of point atoms at the given times, in any unit: they are
+        divided by their mean, which is tau_bar."""
         taus = np.asarray(taus, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if tau_bar is None:
-            tau_bar = float(weights @ taus)
-        return cls("discrete", tau_bar, taus / tau_bar, weights)
+        mean = float(weights @ taus)
+        if not mean > 0:
+            raise ValueError(f"times must have a positive mean, got {mean}")
+        return cls(taus / mean, weights)
 
     @classmethod
-    def gauss_laguerre(cls, n_nodes: int, tau_bar: float = 1.0) -> "TimeMeasure":
+    def gauss_laguerre(cls, n_nodes: int) -> "TimeMeasure":
         """Quadrature stand-in for the exponential measure."""
         from scipy.special import roots_laguerre  # here: scipy costs every import 0.5 s
 
@@ -89,34 +88,21 @@ class TimeMeasure:
         keep = w > 0
         x, w = x[keep], w[keep]
         w = w / w.sum()  # remove O(eps) drift so the weight invariant holds
-        return cls("quadrature", tau_bar, x, w)
+        return cls(x, w)
 
     @property
     def support_size(self) -> int | None:
         """Number of distinct support points, or None for a continuous measure."""
-        return None if self.kind == "exponential" else int(np.unique(self.nodes).size)
+        return None if self.nodes is None else int(np.unique(self.nodes).size)
 
 
 def moment(measure: TimeMeasure, n: int) -> float:
     """n-th moment of x = tau/tau_bar; exact n! for the exponential measure."""
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    if measure.kind == "exponential":
+    if measure.nodes is None:
         return float(math.factorial(n))  # OverflowError for huge n is the report
     return float(measure.weights @ measure.nodes**n)
-
-
-def average(measure: TimeMeasure, fn) -> float | np.ndarray:
-    """Integrate fn(x) against the measure; exponential falls back to
-    AVERAGE_NODES-point Gauss-Laguerre quadrature."""
-    if measure.kind == "exponential":
-        from scipy.special import roots_laguerre
-
-        x, w = roots_laguerre(AVERAGE_NODES)
-    else:
-        x, w = measure.nodes, measure.weights
-    vals = np.asarray([fn(xi) for xi in x])
-    return np.tensordot(w, vals, axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -168,7 +154,7 @@ def build_basis(measure: TimeMeasure, degree: int) -> OrthoBasis:
     degree+1 distinct support points raise DegenerateMeasureError."""
     if not 0 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
-    if measure.kind == "exponential":
+    if measure.nodes is None:
         k = np.arange(degree + 1, dtype=float)
         return OrthoBasis(measure, 2.0 * k + 1.0, -k)
     support = measure.support_size

@@ -70,6 +70,8 @@ HEURISTIC = "heuristic"
 
 MODEL_NAMES = (EXACT, POST4, WEAK, UNIFORM, HEURISTIC)
 
+MERGE_TOL = 1e-12  # relative residual under which merge_proportional merges
+
 
 @dataclass(frozen=True)
 class ExactPump:
@@ -244,7 +246,7 @@ def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
     return Superoperator(model.space, mat)
 
 
-def merge_proportional(ops: list, tol: float = 1e-12) -> list:
+def merge_proportional(ops: list) -> list:
     """Quadrature-sum Lindblad operators that are proportional to each other;
     the assembled generator is unchanged, the list just gets shorter."""
     merged: list[tuple[np.ndarray, float]] = []  # (unit direction, sum of c^2)
@@ -255,7 +257,7 @@ def merge_proportional(ops: list, tol: float = 1e-12) -> list:
             continue
         for i, (unit, weight) in enumerate(merged):
             coeff = np.vdot(unit.reshape(-1), v)
-            if np.linalg.norm(v - coeff * unit.reshape(-1)) <= tol * norm:
+            if np.linalg.norm(v - coeff * unit.reshape(-1)) <= MERGE_TOL * norm:
                 merged[i] = (unit, weight + abs(coeff) ** 2)
                 break
         else:
@@ -326,7 +328,7 @@ def exact_model(
 ) -> GeneratorModel:
     """All-orders model from the measure averages of the pump split."""
     if measure is None:
-        measure = TimeMeasure.exponential(params.tau_bar)
+        measure = TimeMeasure.exponential()
     pump = ExactPump(params.r, params.g_tau_bar, measure)
     return GeneratorModel(
         name=EXACT,
@@ -474,8 +476,6 @@ def uniform_model(
     degree k <= order (0, 1 or 2), the cosine family those of degree
     k < max(1, order).  The identity part of each diagonal operator is dropped.
     """
-    if params.tau_bar <= 0:
-        raise ValueError("tau_bar must be positive")
     if order not in (0, 1, 2):
         raise ValueError(f"uniform expansion order must be 0, 1 or 2, got {order}")
     g_tau_bar = params.g_tau_bar

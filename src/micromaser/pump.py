@@ -8,7 +8,9 @@ field as
 
 with phi^2 = a a* (eigenvalue n+1).  Averaging over the arrival statistics
 (rate r) and the interaction-time measure gives the coarse-grained pump
-generator r * integral dp(tau) (M_tau - 1).
+generator r * integral dp(tau) (M_tau - 1).  With g tau = (g tau_bar) x,
+x = tau / tau_bar, that generator reads only g tau_bar, r and the measure
+in x, which is all that PumpParameters and TimeMeasure hold.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .measures import TimeMeasure
 from .superop import Superoperator, sandwich, vec
 
 LEAK_WARN_TOL = 1e-10
+TRACE_TOL = 1e-14  # geometric weight below which regularized_trace stops
 
 
 class TruncationLeakWarning(UserWarning):
@@ -31,32 +34,23 @@ class TruncationLeakWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PumpParameters:
-    """Pump rate r, coupling g, mean interaction time tau_bar.
+    """Coupling-time product g tau_bar and pump rate r.
 
-    q in (0, 1) weights the geometric trace regularization used when the
-    cosine part of the pump is split off as a Lindblad operator
-    (lindblad_C_S); assembled generators are independent of it, and
-    from_pump keeps its default.  r may be a (P, 1) column, one rate per
-    pump value: the band functions of a model built from it then broadcast
-    to (pumps, levels), which is how a whole pump axis is solved at once.
-    The dense operators need a scalar r (scalar_rate).
+    g and tau_bar enter the pump only as their product, and the interaction
+    time only as x = tau / tau_bar (see measures), so nothing else is stored.
+    r may be a (P, 1) column, one rate per pump value: the band functions of
+    a model built from it then broadcast to (pumps, levels), which is how a
+    whole pump axis is solved at once.  The dense operators need a scalar r
+    (scalar_rate).
     """
 
-    g: float
-    tau_bar: float
+    g_tau_bar: float
     r: float | np.ndarray
-    q: float = 0.5
 
     def __post_init__(self):
         r = np.asarray(self.r)
-        if self.g <= 0 or self.tau_bar <= 0 or not np.all((0.0 <= r) & (r < np.inf)):
-            raise ValueError("g and tau_bar must be positive, r nonnegative and finite")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {self.q}")
-
-    @property
-    def g_tau_bar(self) -> float:
-        return self.g * self.tau_bar
+        if self.g_tau_bar <= 0 or not np.all((0.0 <= r) & (r < np.inf)):
+            raise ValueError("g_tau_bar must be positive, r nonnegative and finite")
 
     @property
     def u(self) -> float:
@@ -77,7 +71,7 @@ class PumpParameters:
     def from_pump(cls, pump: float, g_tau_bar: float, kappa: float = 1.0) -> "PumpParameters":
         """Parameters with linear gain A = pump * kappa (pump is A/kappa)."""
         r = pump * kappa / (2.0 * g_tau_bar**2)
-        return cls(g=g_tau_bar, tau_bar=1.0, r=r)
+        return cls(g_tau_bar, r)
 
 
 def scalar_rate(rate):
@@ -164,13 +158,13 @@ def kraus_operators(
 def riemann_kraus_operators(
     params: PumpParameters, measure: TimeMeasure, dt: float, space: TruncatedSpace
 ) -> KrausSet:
-    """Kraus set for a discrete/quadrature measure: every node tau_j carries
+    """Kraus set for a measure with nodes: every node x_j carries
     both branches scaled by sqrt of its weight."""
     rdt = scalar_rate(params.r) * dt
     if not 0.0 < rdt < 1.0:
         raise ValueError(f"r*dt must lie in (0, 1), got {rdt}")
-    if measure.kind == "exponential":
-        raise ValueError("node-sum Kraus sets need a discrete or quadrature measure")
+    if measure.nodes is None:
+        raise ValueError("node-sum Kraus sets need a measure with nodes")
     ops = [np.sqrt(1.0 - rdt) * np.eye(space.dim)]
     for x_j, w_j in zip(measure.nodes, measure.weights):
         g_tau = params.g_tau_bar * x_j
@@ -179,10 +173,10 @@ def riemann_kraus_operators(
     return KrausSet(tuple(ops), dt)
 
 
-def regularized_trace(g_tau: float, q: float, tol: float = 1e-14) -> float:
+def regularized_trace(g_tau: float, q: float) -> float:
     """Geometric-weighted average sum_n (1-q) q^n cos(g tau sqrt(n+1)).
 
-    Partial sums run until the geometric envelope drops below tol, so the
+    Partial sums run until the geometric envelope drops below TRACE_TOL, so the
     divergence of the plain trace over the infinite ladder never enters.
     """
     if not 0.0 < q < 1.0:
@@ -190,7 +184,7 @@ def regularized_trace(g_tau: float, q: float, tol: float = 1e-14) -> float:
     total = 0.0
     weight = 1.0 - q
     n = 0
-    while weight > tol:
+    while weight > TRACE_TOL:
         total += weight * np.cos(g_tau * np.sqrt(n + 1.0))
         weight *= q
         n += 1
@@ -198,16 +192,17 @@ def regularized_trace(g_tau: float, q: float, tol: float = 1e-14) -> float:
 
 
 def lindblad_C_S(
-    params: PumpParameters, g_tau: float, space: TruncatedSpace
+    params: PumpParameters, g_tau: float, space: TruncatedSpace, q: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
     """Traceless-cosine / gain split of the pump at a fixed interaction time.
 
-    C = sqrt(r) (cos(g tau phi) - w 1) with w the regularized trace, and
-    S = sqrt(r) g tau a* sinc(g tau phi).  Used as Lindblad operators they
-    reproduce the pump generator; the identity shift in C cancels there.
+    C = sqrt(r) (cos(g tau phi) - w 1) with w the regularized trace of
+    weight q in (0, 1), and S = sqrt(r) g tau a* sinc(g tau phi).  Used as
+    Lindblad operators they reproduce the pump generator; the identity shift
+    in C cancels there, so the generator does not depend on q.
     """
     sq = np.sqrt(scalar_rate(params.r))
-    w = regularized_trace(g_tau, params.q)
+    w = regularized_trace(g_tau, q)
     c = sq * (cos_op(space, g_tau) - w * np.eye(space.dim))
     s = sq * sin_shift_op(space, g_tau)
     return c, s
@@ -218,7 +213,7 @@ def cos_cos_average(measure: TimeMeasure, alpha, beta):
     for the exponential measure, node sums otherwise."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if measure.kind == "exponential":
+    if measure.nodes is None:
         return 0.5 * (
             1.0 / (1.0 + (alpha - beta) ** 2) + 1.0 / (1.0 + (alpha + beta) ** 2)
         )
@@ -234,7 +229,7 @@ def sin_sin_average(measure: TimeMeasure, alpha, beta):
     """<sin(alpha x) sin(beta x)> over the measure."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if measure.kind == "exponential":
+    if measure.nodes is None:
         return 0.5 * (
             1.0 / (1.0 + (alpha - beta) ** 2) - 1.0 / (1.0 + (alpha + beta) ** 2)
         )
@@ -252,7 +247,7 @@ def pump_average_tables(
     """Tables cc[m,n] = <cos(a_m x) cos(a_n x)>, ss[m,n] = <sin(a_m x) sin(a_n x)>
     with a_n = g tau_bar sqrt(n+1); they carry the whole averaged pump."""
     if measure is None:
-        measure = TimeMeasure.exponential(params.tau_bar)
+        measure = TimeMeasure.exponential()
     alpha = params.g_tau_bar * np.sqrt(np.arange(1, space.dim + 1, dtype=float))
     cc = cos_cos_average(measure, alpha[:, None], alpha[None, :])
     ss = sin_sin_average(measure, alpha[:, None], alpha[None, :])

@@ -215,7 +215,7 @@ def test_criterion_06_kraus_completeness():
     for _ in range(50):
         g_tau = float(rng.uniform(0.02, 0.6))
         r_dt = float(rng.uniform(0.05, 0.95))
-        params = PumpParameters(g=1.0, tau_bar=1.0, r=10.0)
+        params = PumpParameters(g_tau_bar=1.0, r=10.0)
         kraus = kraus_operators(params, g_tau, r_dt / params.r, space)
         defect = kraus.completeness_defect()
         worst = max(worst, float(np.abs(defect[: d - 1, : d - 1]).max()))

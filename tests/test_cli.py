@@ -358,6 +358,32 @@ def test_bad_config_value_is_one_line_config_error(override, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"g_tau_bar": "0.15"}, "g_tau_bar must be a number, got '0.15'"),
+        ({"kappa": "2"}, "kappa must be a number, got '2'"),
+        ({"kappa": None}, "kappa must be a number, got None"),
+        ({"pump": ["1.0"]}, "pump[0] must be a number, got '1.0'"),
+        ({"pump": [0.5, False]}, "pump[1] must be a number, got False"),
+        (
+            {"pump": {"start": "0.5", "stop": 1.0, "steps": 2}},
+            "pump.start must be a number, got '0.5'",
+        ),
+        (
+            {"pump": {"start": 0.5, "stop": True, "steps": 2}},
+            "pump.stop must be a number, got True",
+        ),
+    ],
+    ids=json.dumps,
+)
+def test_config_numbers_must_be_json_numbers(override, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, **override}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+
 def test_pump_range_object_takes_integral_float_steps(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     echoes = []

@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from micromaser.measures import (
     DegenerateMeasureError,
     TimeMeasure,
-    average,
     build_basis,
     cross_moment_identity,
     expansion_coeffs,
@@ -29,25 +27,22 @@ def test_quadrature_measure_reproduces_exponential_moments():
 
 def test_discrete_measure_normalizes_nodes_to_unit_mean():
     m = TimeMeasure.discrete([1.0, 3.0], [0.5, 0.5])
-    assert m.tau_bar == pytest.approx(2.0)
+    assert m.nodes.tolist() == [0.5, 1.5]
     assert float(m.weights @ m.nodes) == pytest.approx(1.0)
     assert m.support_size == 2
 
 
 def test_measure_validation_rejects_bad_weights():
     with pytest.raises(ValueError):
-        TimeMeasure("discrete", 1.0, np.array([1.0]), np.array([0.5]))
+        TimeMeasure(np.array([1.0]), np.array([0.5]))
     with pytest.raises(ValueError):
-        TimeMeasure("discrete", 1.0, np.array([0.5, 1.5]), np.array([0.7, -0.3]))
+        TimeMeasure(np.array([0.5, 1.5]), np.array([0.7, -0.3]))
     with pytest.raises(ValueError):
-        TimeMeasure("nonsense", 1.0)
-
-
-def test_average_against_scipy_quad():
-    m = TimeMeasure.exponential()
-    got = average(m, lambda x: np.sin(0.4 * x) ** 2)
-    want, _ = scipy.integrate.quad(lambda x: np.sin(0.4 * x) ** 2 * np.exp(-x), 0, np.inf)
-    assert got == pytest.approx(want, abs=1e-12)
+        TimeMeasure(weights=np.array([1.0]))
+    with pytest.raises(ValueError):
+        TimeMeasure(np.array([np.nan]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        TimeMeasure.discrete([0.0], [1.0])
 
 
 class TestExponentialBasis:

@@ -247,7 +247,7 @@ def test_heuristic_beta_4u_matches_exact_gain(params15):
     )
 
 
-# exact_model(measure=) on the two measure kinds other than the exponential
+# exact_model(measure=) on node measures: two point atoms and a quadrature
 ORACLE_MEASURES = {
     "exact_two_point": TimeMeasure.discrete([0.6, 1.4], [0.5, 0.5]),
     "exact_gauss_laguerre": TimeMeasure.gauss_laguerre(3),

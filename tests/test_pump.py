@@ -25,7 +25,7 @@ from conftest import random_density
 
 
 def test_parameters_derived_quantities():
-    p = PumpParameters(g=0.15, tau_bar=1.0, r=20.0)
+    p = PumpParameters(g_tau_bar=0.15, r=20.0)
     assert p.g_tau_bar == pytest.approx(0.15)
     assert p.u == pytest.approx(0.0225)
     assert p.gain_rate == pytest.approx(2 * 20.0 * 0.0225)
@@ -39,11 +39,11 @@ def test_from_pump_inverts_gain_relation():
 
 def test_parameters_validation():
     with pytest.raises(ValueError):
-        PumpParameters(g=-0.1, tau_bar=1.0, r=1.0)
+        PumpParameters(g_tau_bar=-0.1, r=1.0)
     with pytest.raises(ValueError):
-        PumpParameters(g=0.1, tau_bar=1.0, r=1.0, q=1.5)
+        lindblad_C_S(PumpParameters(g_tau_bar=0.1, r=1.0), 0.1, TruncatedSpace(2), q=1.5)
     # r = 0 is the unpumped cavity and must be representable
-    assert PumpParameters(g=0.1, tau_bar=1.0, r=0.0).gain_rate == 0.0
+    assert PumpParameters(g_tau_bar=0.1, r=0.0).gain_rate == 0.0
 
 
 def test_pump_map_preserves_trace_on_interior_state(rng):
@@ -85,7 +85,7 @@ def test_pump_map_is_phi_function():
 class TestKraus:
     def test_completeness_interior(self):
         space = TruncatedSpace(12)
-        params = PumpParameters(g=0.3, tau_bar=1.0, r=5.0)
+        params = PumpParameters(g_tau_bar=0.3, r=5.0)
         ks = kraus_operators(params, g_tau=0.45, dt=0.1, space=space)
         defect = ks.completeness_defect()
         assert np.abs(defect[:-1, :-1]).max() < 1e-14
@@ -95,13 +95,13 @@ class TestKraus:
 
     def test_rejects_bad_probability(self):
         space = TruncatedSpace(4)
-        params = PumpParameters(g=0.3, tau_bar=1.0, r=5.0)
+        params = PumpParameters(g_tau_bar=0.3, r=5.0)
         with pytest.raises(ValueError):
             kraus_operators(params, 0.3, dt=0.5, space=space)  # r dt = 2.5
 
     def test_node_sum_completeness(self):
         space = TruncatedSpace(10)
-        params = PumpParameters(g=0.2, tau_bar=1.0, r=2.0)
+        params = PumpParameters(g_tau_bar=0.2, r=2.0)
         measure = TimeMeasure.gauss_laguerre(24)
         ks = riemann_kraus_operators(params, measure, dt=0.2, space=space)
         defect = ks.completeness_defect()
@@ -109,7 +109,7 @@ class TestKraus:
 
     def test_node_sum_rejects_exponential(self):
         space = TruncatedSpace(4)
-        params = PumpParameters(g=0.2, tau_bar=1.0, r=2.0)
+        params = PumpParameters(g_tau_bar=0.2, r=2.0)
         with pytest.raises(ValueError):
             riemann_kraus_operators(params, TimeMeasure.exponential(), 0.1, space)
 
@@ -126,8 +126,8 @@ def test_traceless_split_is_q_independent_as_generator(rng):
     rho = random_density(space, rng)
     outs = []
     for q in (0.2, 0.5, 0.9):
-        params = PumpParameters(g=0.3, tau_bar=1.0, r=4.0, q=q)
-        c, s = lindblad_C_S(params, g_tau=0.35, space=space)
+        params = PumpParameters(g_tau_bar=0.3, r=4.0)
+        c, s = lindblad_C_S(params, g_tau=0.35, space=space, q=q)
         mat = dissipator_matrix(c) + dissipator_matrix(s)
         outs.append(unvec(mat @ vec(rho), space))
     assert np.allclose(outs[0], outs[1], atol=1e-12)
@@ -138,7 +138,7 @@ def test_split_generator_equals_pump_map_generator(rng):
     # r (M - 1) and the C/S dissipators agree apart from the truncated
     # gain-out-of-top channel, which only affects the boundary column
     space = TruncatedSpace(7)
-    params = PumpParameters(g=0.3, tau_bar=1.0, r=4.0)
+    params = PumpParameters(g_tau_bar=0.3, r=4.0)
     gt = 0.3
     c, s = lindblad_C_S(params, gt, space)
     mat = dissipator_matrix(c) + dissipator_matrix(s)
@@ -173,7 +173,7 @@ def test_averages_on_discrete_measure():
 
 def test_average_tables_diagonal_saturation():
     # <sin^2(a_n x)> = 2u(n+1) / (1 + 4u(n+1)) for the exponential measure
-    params = PumpParameters(g=0.15, tau_bar=1.0, r=1.0)
+    params = PumpParameters(g_tau_bar=0.15, r=1.0)
     space = TruncatedSpace(30)
     _, ss = pump_average_tables(params, space)
     n = np.arange(31.0)
@@ -182,7 +182,7 @@ def test_average_tables_diagonal_saturation():
 
 
 def test_averaged_superoperator_interior_trace_and_leak(rng):
-    params = PumpParameters(g=0.2, tau_bar=1.0, r=3.0)
+    params = PumpParameters(g_tau_bar=0.2, r=3.0)
     space = TruncatedSpace(10)
     sup = averaged_pump_superoperator(params, space)
     interior, boundary = sup.trace_defect()
@@ -196,7 +196,7 @@ def test_averaged_superoperator_interior_trace_and_leak(rng):
 
 def test_averaged_superoperator_matches_node_average(rng):
     # dual route: closed Lorentzian forms vs direct quadrature averaging
-    params = PumpParameters(g=0.25, tau_bar=1.0, r=2.0)
+    params = PumpParameters(g_tau_bar=0.25, r=2.0)
     space = TruncatedSpace(8)
     closed = averaged_pump_superoperator(params, space).matrix
     quad = averaged_pump_superoperator(

@@ -22,6 +22,7 @@ from micromaser.models import (
     uniform_model,
     weak_coupling_model,
 )
+from micromaser.observables import distribution_distance
 from micromaser.pump import PumpParameters
 from micromaser.steady import (
     HARD_CAP,
@@ -359,6 +360,20 @@ def test_choose_truncation_raises_at_hard_cap():
     )
     with pytest.raises(SteadyStateError, match=f"no truncation below {HARD_CAP} "):
         choose_truncation(runaway, KAPPA)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_choose_truncation_passes_a_trapping_dip():
+    # at a fixed interaction time the gain ratio is not monotone: it dips
+    # near the trapping level 0.3 sqrt(n+1) = pi (n ~ 108.7) and the search
+    # stops there (n_max 106, mean 89.7) although the state reaches mean 357.6
+    measure = TimeMeasure.discrete([1.0], [1.0])
+    params = PumpParameters.from_pump(200.0, 0.3, KAPPA)
+    space = choose_truncation(exact_model(params, TruncatedSpace(1), measure), KAPPA)
+    found = recurrence_steady(exact_model(params, space, measure).gain_ratio(KAPPA), space)
+    wide = TruncatedSpace(4000)
+    reference = recurrence_steady(exact_model(params, wide, measure).gain_ratio(KAPPA), wide)
+    assert distribution_distance(found.p, reference.p) <= 1e-8
 
 
 def test_heuristic_truncation_matches_exact():
