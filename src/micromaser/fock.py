@@ -1,16 +1,10 @@
-"""Truncated Fock-space operators and density-matrix diagnostics."""
+"""The truncated Fock space; its dense operators are built in `oracle`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-# Acceptance thresholds for density-matrix validation (double precision
-# with O(dim^3) linear algebra behind it).
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-POSITIVITY_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -29,66 +23,3 @@ class TruncatedSpace:
 
     def levels(self) -> np.ndarray:
         return np.arange(self.dim)
-
-
-def annihilation(space: TruncatedSpace) -> np.ndarray:
-    """Photon annihilation operator a, <n-1|a|n> = sqrt(n)."""
-    a = np.zeros((space.dim, space.dim))
-    for n in range(space.n_max):
-        a[n, n + 1] = np.sqrt(n + 1.0)
-    return a
-
-
-def creation(space: TruncatedSpace) -> np.ndarray:
-    """Photon creation operator, transpose of `annihilation`."""
-    return annihilation(space).T.copy()
-
-
-def number(space: TruncatedSpace) -> np.ndarray:
-    """Photon number operator diag(0, 1, ..., n_max)."""
-    return np.diag(np.arange(space.dim, dtype=float))
-
-
-def phi_squared(space: TruncatedSpace) -> np.ndarray:
-    """diag(n+1): spectrum of a a* with the exact eigenvalue kept at the top.
-
-    The plain product a @ a.T has a zero at the (n_max, n_max) entry because
-    the ladder is cut; diagonal operator functions built from this matrix
-    stay exact on every level, pushing all truncation error into tail mass.
-    """
-    return np.diag(np.arange(1, space.dim + 1, dtype=float))
-
-
-def phi_fn(space: TruncatedSpace, f) -> np.ndarray:
-    """Diagonal operator f(sqrt(n+1)) from a scalar or vectorized callable f."""
-    vals = f(np.sqrt(np.arange(1, space.dim + 1, dtype=float)))
-    return np.diag(np.asarray(vals, dtype=float))
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Defect sizes of a candidate density matrix; reported, never clipped."""
-
-    trace_defect: float
-    hermiticity_defect: float
-    min_eigenvalue: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.trace_defect <= TRACE_TOL
-            and self.hermiticity_defect <= HERMITICITY_TOL
-            and self.min_eigenvalue >= POSITIVITY_FLOOR
-        )
-
-
-def validate_density(rho: np.ndarray) -> DensityReport:
-    """Measure trace, hermiticity and positivity defects of rho."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    trace_defect = abs(rho.trace() - 1.0)
-    herm_defect = np.abs(rho - rho.conj().T).max()
-    # smallest eigenvalue of the Hermitian part; negative values are the signal
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    return DensityReport(float(trace_defect), float(herm_defect), min_eig)

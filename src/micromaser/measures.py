@@ -37,10 +37,12 @@ class TimeMeasure:
     exact).  Otherwise it puts weights on finitely many nodes: point atoms
     at fixed times, or a quadrature standing in for a continuous density;
     every function treats the two alike.  The x-mean of a node measure is 1.
+    Two measures are equal when their nodes and weights are, value by value.
     """
 
-    nodes: np.ndarray | None = None
-    weights: np.ndarray | None = None
+    nodes: np.ndarray | None = field(default=None, compare=False)
+    weights: np.ndarray | None = field(default=None, compare=False)
+    _values: tuple | None = field(default=None, init=False, repr=False)  # for == and hash
 
     def __post_init__(self):
         if self.nodes is None and self.weights is None:
@@ -61,6 +63,7 @@ class TimeMeasure:
             )
         object.__setattr__(self, "nodes", x)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_values", (tuple(x.tolist()), tuple(w.tolist())))
 
     @classmethod
     def exponential(cls) -> "TimeMeasure":

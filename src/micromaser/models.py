@@ -37,10 +37,11 @@ H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps only those O(n_max) vectors.
 Each model states its truncation rule in `cutoff`: the series models (post4,
 weak_lindblad) hold up to expansion_cutoff, the others have a physical tail.
 
-The independent dense oracles are the explicit operator lists
-(`lindblad_ops`, built from the vectors each time they are read and passed
-through `superop.dissipator_matrix`), the kron formula of
-`fourth_order_generator` and `pump.averaged_pump_superoperator`.
+The independent dense references live in `oracle`, which no product module
+imports: the explicit operator lists (`oracle.lindblad_ops(model)`, built
+from those vectors and summed through `oracle.dissipator_matrix`), the
+series generators `fourth_order_generator` and `sixth_order_superoperator`,
+and `oracle.averaged_pump_superoperator`.
 
 Polynomial occurrences of a a* in the series models use the plain truncated
 product (zero at the top entry) so that expansion identities and trace
@@ -57,10 +58,10 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import TruncatedSpace, annihilation
+from .fock import TruncatedSpace
 from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, expansion_coeffs
 from .pump import PumpParameters, cos_cos_average, scalar_rate, sin_sin_average
-from .superop import Superoperator, left_mult, right_mult, sandwich
+from .superop import Superoperator
 
 EXACT = "exact"
 POST4 = "post4"
@@ -69,8 +70,6 @@ UNIFORM = "uniform_lindblad"
 HEURISTIC = "heuristic"
 
 MODEL_NAMES = (EXACT, POST4, WEAK, UNIFORM, HEURISTIC)
-
-MERGE_TOL = 1e-12  # relative residual under which merge_proportional merges
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,11 @@ class GeneratorModel:
 
     feed(m, n) and dephasing(m, n) are the model's pair functions (see the
     module docstring); feed holds at any level n, which is what truncation
-    searches extrapolate with.  build_ops, given for a manifestly Lindblad
-    model, returns its pump-side Lindblad operators (loss excluded) as dense
-    matrices; they are the oracle and are built only when `lindblad_ops` is
-    read.  cutoff is the last level a series model is valid at, None for a
-    model whose tail is physical.
+    searches extrapolate with.  lindblad, given for a manifestly Lindblad
+    model, holds (rate, gain_elements, diagonals, merge) as passed to
+    `_lindblad_model`: the O(n_max) data from which `oracle.lindblad_ops`
+    builds its pump-side Lindblad operators.  cutoff is the last level a
+    series model is valid at, None for a model whose tail is physical.
     """
 
     name: str
@@ -138,23 +137,17 @@ class GeneratorModel:
     params: PumpParameters | None
     feed: Callable
     dephasing: Callable
-    build_ops: Callable[[], list] | None = None
+    lindblad: tuple | None = None
     cutoff: int | None = None
 
     @property
     def manifest_lindblad(self) -> bool:
-        return self.build_ops is not None
-
-    @property
-    def lindblad_ops(self) -> list:
-        """Dense pump-side Lindblad operators, built anew on every read."""
-        self._require_one_pump()
-        return [] if self.build_ops is None else self.build_ops()
+        return self.lindblad is not None
 
     def _require_one_pump(self) -> None:
         """ValueError for a model built on a (P, 1) column of pump values:
         its band functions have one row per pump, and the dense forms (apply,
-        assemble, lindblad_ops) act at one pump value."""
+        assemble, oracle.lindblad_ops) act at one pump value."""
         scalar_rate(self.gain_fn(0))
 
     def gain_fn(self, n):
@@ -246,25 +239,6 @@ def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
     return Superoperator(model.space, mat)
 
 
-def merge_proportional(ops: list) -> list:
-    """Quadrature-sum Lindblad operators that are proportional to each other;
-    the assembled generator is unchanged, the list just gets shorter."""
-    merged: list[tuple[np.ndarray, float]] = []  # (unit direction, sum of c^2)
-    for op in ops:
-        v = op.reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        for i, (unit, weight) in enumerate(merged):
-            coeff = np.vdot(unit.reshape(-1), v)
-            if np.linalg.norm(v - coeff * unit.reshape(-1)) <= MERGE_TOL * norm:
-                merged[i] = (unit, weight + abs(coeff) ** 2)
-                break
-        else:
-            merged.append((op / norm, norm**2))
-    return [unit * math.sqrt(weight) for unit, weight in merged]
-
-
 def expansion_cutoff(g_tau_bar: float) -> int:
     """Last level 0.2 / (g tau_bar)^2 of the series models: their gain turns
     negative near 0.25 / (g tau_bar)^2, and 80 percent of that keeps them
@@ -287,7 +261,8 @@ def _lindblad_model(
     """Model with Lindblad operators sqrt(rate) S_k and sqrt(rate) diag(c_k).
 
     gain_elements(n) returns the list of s_k(n) = <n+1|S_k|n>, valid at any
-    level n; diagonals lists the vectors c_k on the levels of the space.
+    level n; diagonals lists the vectors c_k on the levels of the space;
+    merge asks the dense list to quadrature-sum proportional operators.
     """
 
     def feed(m, n):
@@ -297,19 +272,13 @@ def _lindblad_model(
         zero = np.zeros(np.broadcast(m, n).shape)
         return -0.5 * rate * sum(((c[m] - c[n]) ** 2 for c in diagonals), zero)
 
-    def build_ops():
-        scale = math.sqrt(rate)
-        ops = [scale * np.diag(s, -1) for s in gain_elements(np.arange(space.n_max))]
-        ops += [scale * np.diag(c) for c in diagonals]
-        return merge_proportional(ops) if merge else ops
-
     return GeneratorModel(
         name=name,
         space=space,
         params=params,
         feed=feed,
         dephasing=dephasing,
-        build_ops=build_ops,
+        lindblad=(rate, gain_elements, diagonals, merge),
         cutoff=cutoff,
     )
 
@@ -339,23 +308,6 @@ def exact_model(
     )
 
 
-def fourth_order_generator(params: PumpParameters, space: TruncatedSpace) -> Superoperator:
-    """Dense pump generator truncated at fourth order in g tau (no loss):
-    A (D[a*] with P = a a*) + B (3 P rho P + {P^2, rho}/2 - 2 a*{P, rho} a)."""
-    scalar_rate(params.r)
-    a = annihilation(space)
-    ad = a.T
-    p = a @ ad  # truncated product: top diagonal entry is zero
-    p2 = p @ p
-    lin = sandwich(ad) - 0.5 * (left_mult(p) + right_mult(p))
-    quart = (
-        3.0 * sandwich(p)
-        + 0.5 * (left_mult(p2) + right_mult(p2))
-        - 2.0 * (np.kron(a.T, ad @ p) + np.kron((p @ a).T, ad))
-    )
-    return Superoperator(space, params.gain_rate * lin + params.saturation_rate * quart)
-
-
 def fourth_order_model(params: PumpParameters, space: TruncatedSpace) -> GeneratorModel:
     pump = FourthOrderPump(params.gain_rate, params.saturation_rate, space.n_max)
     return GeneratorModel(
@@ -366,20 +318,6 @@ def fourth_order_model(params: PumpParameters, space: TruncatedSpace) -> Generat
         dephasing=pump.dephasing,
         cutoff=expansion_cutoff(params.g_tau_bar),
     )
-
-
-def sixth_order_superoperator(params: PumpParameters, space: TruncatedSpace) -> Superoperator:
-    """The sixth-order remainder carried by the fourth-order-accurate
-    Lindblad set: 20 r (g tau_bar)^6 (a*aa* rho aa*a - {(aa*)^3, rho}/2)."""
-    a = annihilation(space)
-    ad = a.T
-    p = a @ ad
-    coeff = 20.0 * scalar_rate(params.r) * params.u**3
-    mat = coeff * (
-        np.kron((p @ a).T, ad @ p)
-        - 0.5 * (left_mult(p @ p @ p) + right_mult(p @ p @ p))
-    )
-    return Superoperator(space, mat)
 
 
 def weak_coupling_model(params: PumpParameters, space: TruncatedSpace) -> GeneratorModel:

@@ -1,7 +1,6 @@
-"""Column-stacked vectorization of superoperators on the truncated space.
-
-Convention: vec(rho) stacks columns (Fortran order), so A rho B maps to
-(B^T kron A) vec(rho) and a sandwich L rho L* maps to (conj(L) kron L).
+"""Dense superoperators on column-stacked (Fortran-order) density matrices:
+the generator `models.assemble` writes for `steady.nullspace_steady` and
+`observables.linewidth`.  Dissipator matrices are built in `oracle`.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TruncatedSpace, annihilation
+from .fock import TruncatedSpace
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -19,31 +18,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, space: TruncatedSpace) -> np.ndarray:
     return np.asarray(v).reshape((space.dim, space.dim), order="F")
-
-
-def left_mult(op: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> op rho."""
-    return np.kron(np.eye(op.shape[0]), op)
-
-def right_mult(op: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> rho op."""
-    return np.kron(op.T, np.eye(op.shape[0]))
-
-
-def sandwich(op: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> op rho op*."""
-    return np.kron(op.conj(), op)
-
-
-def dissipator_matrix(op: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> op rho op* - (op* op rho + rho op* op)/2."""
-    opd_op = op.conj().T @ op
-    return sandwich(op) - 0.5 * (left_mult(opd_op) + right_mult(opd_op))
-
-
-def apply_dissipator(op: np.ndarray, opd_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Action of the dissipator of `op` on a density matrix (no kron needed)."""
-    return op @ rho @ op.conj().T - 0.5 * (opd_op @ rho + rho @ opd_op)
 
 
 @dataclass(frozen=True)
@@ -92,10 +66,3 @@ class Superoperator:
         boundary = float(max(grid[d - 1, :].max(), grid[:, d - 1].max()))
         return interior, boundary
 
-
-def loss_dissipator(kappa: float, space: TruncatedSpace) -> Superoperator:
-    """Cavity damping at rate kappa: kappa (a rho a* - {a* a, rho}/2)."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    a = annihilation(space)
-    return Superoperator(space, kappa * dissipator_matrix(a))

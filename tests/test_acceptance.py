@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from micromaser.fock import TruncatedSpace, annihilation, validate_density
+from micromaser.fock import TruncatedSpace
 from micromaser.measures import (
     TimeMeasure,
     build_basis,
@@ -26,11 +26,9 @@ from micromaser.models import (
     WEAK,
     assemble,
     exact_model,
-    fourth_order_generator,
     fourth_order_model,
     general_weak_model,
     heuristic_model,
-    sixth_order_superoperator,
     uniform_model,
     weak_coupling_model,
 )
@@ -40,13 +38,22 @@ from micromaser.observables import (
     moments,
     operator_norm_estimate,
 )
-from micromaser.pump import PumpParameters, kraus_operators
+from micromaser.oracle import (
+    annihilation,
+    dissipator_matrix,
+    fourth_order_generator,
+    kraus_operators,
+    lindblad_ops,
+    sixth_order_superoperator,
+    validate_density,
+)
+from micromaser.pump import PumpParameters
 from micromaser.steady import (
     choose_truncation,
     nullspace_steady,
     recurrence_steady,
 )
-from micromaser.superop import dissipator_matrix, unvec, vec
+from micromaser.superop import unvec, vec
 
 from conftest import random_density
 
@@ -256,7 +263,7 @@ def test_criterion_08_uniform_operators_closed_form_and_quadrature():
     params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
     space = TruncatedSpace(40)
     model = uniform_model(params, space, order=1)
-    s0, s1, c0 = model.lindblad_ops
+    s0, s1, c0 = lindblad_ops(model)
 
     levels = np.arange(1.0, space.dim + 1.0)
     alpha = params.g_tau_bar * np.sqrt(levels)

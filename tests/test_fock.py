@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from micromaser.fock import (
-    TruncatedSpace,
+from micromaser.fock import TruncatedSpace
+from micromaser.oracle import (
     annihilation,
     creation,
     number,

@@ -32,6 +32,24 @@ def test_discrete_measure_normalizes_nodes_to_unit_mean():
     assert m.support_size == 2
 
 
+def test_measures_compare_and_hash_by_value():
+    two_point = TimeMeasure.discrete([1.0, 3.0], [0.5, 0.5])
+    same = TimeMeasure(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
+    assert two_point == same and hash(two_point) == hash(same)
+    assert TimeMeasure.exponential() == TimeMeasure()
+    assert hash(TimeMeasure.exponential()) == hash(TimeMeasure())
+    # other weights, other nodes, another node count, the exponential measure
+    assert two_point != TimeMeasure.discrete([1.0, 3.0], [0.75, 0.25])
+    assert two_point != TimeMeasure.discrete([1.0, 2.0], [0.5, 0.5])
+    assert two_point != TimeMeasure.discrete([1.0, 2.0, 3.0], [0.25, 0.5, 0.25])
+    assert two_point != TimeMeasure.exponential()
+    assert TimeMeasure.exponential() != TimeMeasure.gauss_laguerre(8)
+    assert two_point != (two_point.nodes, two_point.weights)
+    table = {TimeMeasure.exponential(): "exp", two_point: "two"}
+    assert table[TimeMeasure()] == "exp" and table[same] == "two"
+    assert len({two_point, same, TimeMeasure.discrete([2.0], [1.0])}) == 2
+
+
 def test_measure_validation_rejects_bad_weights():
     with pytest.raises(ValueError):
         TimeMeasure(np.array([1.0]), np.array([0.5]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from micromaser.fock import TruncatedSpace, annihilation, validate_density
+from micromaser.fock import TruncatedSpace
 from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
     EXACT,
@@ -14,19 +14,27 @@ from micromaser.models import (
     exact_model,
     expansion_cutoff,
     exponential_projections,
-    fourth_order_generator,
     fourth_order_model,
     general_weak_model,
     heuristic_model,
-    merge_proportional,
-    sixth_order_superoperator,
     uniform_model,
     weak_coupling_model,
 )
 from micromaser.observables import distribution_distance, linewidth
-from micromaser.pump import PumpParameters, averaged_pump_superoperator
+from micromaser.oracle import (
+    annihilation,
+    averaged_pump_superoperator,
+    dissipator_matrix,
+    fourth_order_generator,
+    lindblad_ops,
+    loss_dissipator,
+    merge_proportional,
+    sixth_order_superoperator,
+    validate_density,
+)
+from micromaser.pump import PumpParameters
 from micromaser.steady import recurrence_steady
-from micromaser.superop import dissipator_matrix, loss_dissipator, unvec, vec
+from micromaser.superop import unvec, vec
 
 from conftest import coherent_density, random_density
 
@@ -116,7 +124,7 @@ def test_general_series_reproduces_closed_form_weak_set(params15):
     lhs = assemble(series, KAPPA).matrix
     rhs = assemble(reference, KAPPA).matrix
     assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(rhs).max()
-    assert len(series.lindblad_ops) == len(reference.lindblad_ops) == 4
+    assert len(lindblad_ops(series)) == len(lindblad_ops(reference)) == 4
 
 
 def test_general_series_rejects_order_beyond_degree(params15):
@@ -149,7 +157,7 @@ def test_uniform_operators_closed_forms(params15):
     lv = np.arange(1, space.dim + 1, dtype=float)
     alpha = params15.g_tau_bar * np.sqrt(lv)
     sq = np.sqrt(params15.r)
-    s0, s1, c0 = model.lindblad_ops
+    s0, s1, c0 = lindblad_ops(model)
     assert np.allclose(np.diag(s0, -1), (sq * alpha / (1 + alpha**2))[:-1], rtol=1e-13)
     want1 = sq * (-alpha * (1 - alpha**2) / (1 + alpha**2) ** 2)
     assert np.allclose(np.diag(s1, -1), want1[:-1], rtol=1e-13)
@@ -165,7 +173,7 @@ def test_uniform_operators_match_direct_quadrature(params15):
     lv = np.arange(1, space.dim + 1, dtype=float)
     alpha = params15.g_tau_bar * np.sqrt(lv)
     sq = np.sqrt(params15.r)
-    s0, s1, s2, c0, c1 = model.lindblad_ops
+    s0, s1, s2, c0, c1 = lindblad_ops(model)
     for k, op in ((0, s0), (1, s1), (2, s2)):
         fk = basis.evaluate(k, x)
         want = sq * np.einsum("j,nj->n", w * fk, np.sin(alpha[:, None] * x))
@@ -300,7 +308,7 @@ def test_assemble_matches_dense_oracle(variant, g_tau_bar):
         want, got = want[:, :, : d - 1, : d - 1], got[:, :, : d - 1, : d - 1]
     else:
         assert model.manifest_lindblad
-        want = loss + sum(dissipator_matrix(op) for op in model.lindblad_ops)
+        want = loss + sum(dissipator_matrix(op) for op in lindblad_ops(model))
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 

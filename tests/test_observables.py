@@ -16,9 +16,9 @@ from micromaser.observables import (
     operator_norm_estimate,
     semiclassical_intensity,
 )
+from micromaser.oracle import loss_dissipator
 from micromaser.pump import PumpParameters
 from micromaser.steady import nullspace_steady, recurrence_steady
-from micromaser.superop import loss_dissipator
 
 from conftest import coherent_density
 

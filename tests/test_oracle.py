@@ -1,0 +1,102 @@
+"""The dense references stand apart from the product: no product module
+imports `oracle` or forms a kron product, and every name the benchmark and
+the package namespace import still resolves."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import micromaser
+from micromaser.fock import TruncatedSpace
+from micromaser.models import GeneratorModel, exact_model, fourth_order_model
+from micromaser.oracle import lindblad_ops
+from micromaser.pump import PumpParameters
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "micromaser"
+ORACLE = "micromaser.oracle"
+
+
+def imports(path: Path):
+    """(module, name) for every import in a file, function-level ones
+    included; name is None for `import module`.  Relative imports resolve
+    against the package."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ["micromaser", module]))
+            for alias in node.names:
+                yield module, alias.name
+
+
+def identifiers(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname or ""
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_the_package_namespace_imports_the_oracle():
+    readers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for module, name in imports(path)
+        if module == ORACLE or (module == "micromaser" and name == "oracle")
+    }
+    assert readers == {"__init__.py"}
+
+
+def test_no_product_module_forms_a_kron_product():
+    users = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any("kron" in ident for ident in identifiers(path))
+    }
+    assert users == {"oracle.py"}
+
+
+def test_benchmark_imports_resolve():
+    wanted = {
+        (module, name)
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for module, name in imports(path)
+        if module.split(".")[0] == "micromaser"
+    }
+    assert ("micromaser.models", "assemble") in wanted
+    missing = []
+    for module, name in sorted(wanted, key=str):
+        namespace = importlib.import_module(module)
+        if name is None or hasattr(namespace, name):
+            continue
+        try:
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            missing.append(f"{module}.{name}")
+    assert missing == []
+    # perfbench/spans.py wraps this method on every traced and smoke run
+    assert inspect.isfunction(GeneratorModel.apply)
+
+
+def test_package_namespace_exports_resolve():
+    names = micromaser.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(micromaser, name)] == []
+
+
+def test_models_outside_lindblad_form_have_no_operator_list():
+    params = PumpParameters(0.15, 2.0)
+    space = TruncatedSpace(8)
+    for model in (exact_model(params, space), fourth_order_model(params, space)):
+        assert not model.manifest_lindblad
+        assert lindblad_ops(model) == []

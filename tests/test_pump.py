@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from micromaser.fock import TruncatedSpace, phi_squared
+from micromaser.fock import TruncatedSpace
 from micromaser.measures import TimeMeasure
-from micromaser.pump import (
-    PumpParameters,
+from micromaser.oracle import (
     TruncationLeakWarning,
     averaged_pump_superoperator,
-    cos_cos_average,
     cos_op,
+    dissipator_matrix,
     jcp_map,
     kraus_operators,
     lindblad_C_S,
+    phi_squared,
     pump_average_tables,
     regularized_trace,
     riemann_kraus_operators,
     sin_shift_op,
-    sin_sin_average,
 )
-from micromaser.superop import dissipator_matrix, unvec, vec
+from micromaser.pump import PumpParameters, cos_cos_average, sin_sin_average
+from micromaser.superop import unvec, vec
 
 from conftest import random_density
 

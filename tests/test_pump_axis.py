@@ -32,6 +32,7 @@ from micromaser import (
     heuristic_model,
     kraus_operators,
     lindblad_C_S,
+    lindblad_ops,
     linewidth,
     moments,
     recurrence_steady,
@@ -327,7 +328,7 @@ def test_dense_forms_refuse_a_pump_column(pumps):
             model.apply(rho, 1.0)
     for model in models[2:]:
         with pytest.raises(ValueError, match="one pump value"):
-            model.lindblad_ops
+            lindblad_ops(model)
     for dense in (
         lambda: averaged_pump_superoperator(params, space),
         lambda: lindblad_C_S(params, 0.15, space),

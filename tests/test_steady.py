@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
-from micromaser.fock import TruncatedSpace, annihilation
+from micromaser.fock import TruncatedSpace
 from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
     GeneratorModel,
@@ -23,6 +23,7 @@ from micromaser.models import (
     weak_coupling_model,
 )
 from micromaser.observables import distribution_distance
+from micromaser.oracle import annihilation, left_mult, loss_dissipator, right_mult
 from micromaser.pump import PumpParameters
 from micromaser.steady import (
     HARD_CAP,
@@ -33,7 +34,7 @@ from micromaser.steady import (
     nullspace_steady,
     recurrence_steady,
 )
-from micromaser.superop import Superoperator, left_mult, loss_dissipator, right_mult, unvec
+from micromaser.superop import Superoperator, unvec
 
 from conftest import checkout_env
 from test_models import ORACLE_VARIANTS

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from micromaser.fock import TruncatedSpace, annihilation
-from micromaser.superop import (
-    Superoperator,
+from micromaser.fock import TruncatedSpace
+from micromaser.oracle import (
+    annihilation,
     apply_dissipator,
     dissipator_matrix,
     left_mult,
     loss_dissipator,
     right_mult,
     sandwich,
-    unvec,
-    vec,
 )
+from micromaser.superop import Superoperator, unvec, vec
 
 from conftest import random_density
 
