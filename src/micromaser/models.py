@@ -32,14 +32,30 @@ CLI linewidth needs only the offset-1 band of a diagonal state, so it runs
 on `apply_band` in O(n_max) time and memory.  A Lindblad model with
 one-quantum gain operators S_k (first subdiagonal s_k) and diagonal
 operators diag(c_k) has F = sum_k s_k(m) s_k(n) and
-H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps only those O(n_max) vectors.
+H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps only the functions s_k and c_k.
+
+The pump and the levels are split in every model.  F and H are each a sum
+of terms rate_t * level_t(y_m, y_n) (PairTerms): rate_t is a scalar or a
+(P, 1) column with one value per pump, level_t a pump-free function of the
+a a* eigenvalues y = n + 1 of the two levels (LevelTable).  exact has
+F = r <sin sin> and H = r (...); the Lindblad models F = rate sum_k s s and
+H = (-rate/2) sum_k (c_m - c_n)^2 (rate = A for heuristic); post4 has two
+feed terms, A sqrt(y_m y_n) - 2B (...).  So one model serves a whole pump
+axis: its level functions are evaluated once per band offset into a table
+that grows by doubling (once per truncation-search stage that reaches
+further, once for the largest block of the linewidth band), and each stage
+or block of pumps slices the table and multiplies its own rate rows in last
+(`GeneratorModel.at`, `ratio_rows`, `apply_band`).  Tables hold the exact
+eigenvalues at every level; where H reads the truncated product a a*
+(truncated_top), the term at the top level is applied to the block's last
+band entry, as the truncated gain out of the top level is.
 
 Each model states its truncation rule in `cutoff`: the series models (post4,
 weak_lindblad) hold up to expansion_cutoff, the others have a physical tail.
 
 The independent dense references live in `oracle`, which no product module
 imports: the explicit operator lists (`oracle.lindblad_ops(model)`, built
-from those vectors and summed through `oracle.dissipator_matrix`), the
+from those functions and summed through `oracle.dissipator_matrix`), the
 series generators `fourth_order_generator` and `sixth_order_superoperator`,
 and `oracle.averaged_pump_superoperator`.
 
@@ -53,7 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -72,71 +88,109 @@ HEURISTIC = "heuristic"
 MODEL_NAMES = (EXACT, POST4, WEAK, UNIFORM, HEURISTIC)
 
 
-@dataclass(frozen=True)
-class ExactPump:
-    """Pair functions of the measure-averaged pump.
+def _weigh(rates: tuple, levels) -> np.ndarray:
+    """sum_t rates[t] * levels[t]: the pump side multiplied in last."""
+    total = rates[0] * levels[0]
+    for rate, level in zip(rates[1:], levels[1:]):
+        total = total + rate * level
+    return total
 
-    They are those of the average of the instantaneous dissipators of the
-    cosine/gain split, which agrees with r <M_tau - 1> everywhere except the
-    top-level column, where it reflects instead of leaking: the result is
-    trace preserving on the whole truncated space.
+
+class LevelTable:
+    """A pump-free level function and its values on the bands.
+
+    fn(y_m, y_n) returns one array per pump-side rate of its PairTerms; it
+    reads the levels m and n only through their a a* eigenvalues y.  The
+    table of band k holds fn at the pairs (i, i + k) with the exact
+    eigenvalues y = level + 1, i = 0, 1, ...: a caller that reaches past it
+    evaluates fn once on twice the length it held (or the length asked for,
+    if more), and every shorter request is a slice.  An entry's value does
+    not depend on its position in the table, so a slice is what fn gives on
+    that band alone.
     """
 
-    r: float
-    g_tau_bar: float
-    measure: TimeMeasure
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self._bands = {}  # k -> (length, one array per term)
 
-    def _alpha(self, n):
-        return self.g_tau_bar * np.sqrt(np.asarray(n, dtype=float) + 1.0)
-
-    def feed(self, m, n):
-        return self.r * sin_sin_average(self.measure, self._alpha(m), self._alpha(n))
-
-    def dephasing(self, m, n):
-        am, an = self._alpha(m), self._alpha(n)
-        cc = functools.partial(cos_cos_average, self.measure)
-        return self.r * (cc(am, an) - 0.5 * (cc(am, am) + cc(an, an)))
+    def band(self, k: int, length: int) -> tuple:
+        size, table = self._bands.get(k, (0, None))
+        if table is None or size < length:
+            size = max(length, 2 * size)
+            y = np.arange(1.0, size + 1.0)
+            table = tuple(self.fn(y, y + k))
+            for t in table:
+                t.flags.writeable = False  # callers hold slices of it
+            self._bands[k] = (size, table)
+        return tuple(t[:length] for t in table)
 
 
 @dataclass(frozen=True)
-class FourthOrderPump:
-    """Pump expanded to fourth order in g tau: linear gain A with quartic
-    correction B; not of Lindblad form (!), kept for comparison."""
+class PairTerms:
+    """A pair function sum_t rates[t] * levels.fn(y_m, y_n)[t].
 
-    gain: float
-    quartic: float
-    n_max: int
+    The pump enters only through rates, one scalar or (P, 1) column of
+    per-pump values per term; levels (a LevelTable) is pump free.  The rates
+    are multiplied in last, so a row of a column of rates gives bit for bit
+    what that rate alone gives.
+    """
 
-    def feed(self, m, n):
-        ym = np.asarray(m, dtype=float) + 1.0
-        yn = np.asarray(n, dtype=float) + 1.0
-        root = np.sqrt(ym * yn)
-        return self.gain * root - 2.0 * self.quartic * (root * (ym + yn))
+    rates: tuple
+    levels: LevelTable
 
-    def dephasing(self, m, n):
-        # P = a a* with the truncated zero at the top entry
-        pm, pn = (np.where(np.asarray(k) < self.n_max, k + 1.0, 0.0) for k in (m, n))
-        return -1.5 * self.quartic * (pm - pn) ** 2
+    def __call__(self, ym, yn) -> np.ndarray:
+        return _weigh(self.rates, self.levels.fn(ym, yn))
+
+    def band(self, k: int, length: int, top: tuple | None = None) -> np.ndarray:
+        """The pair function on the first `length` pairs (i, i + k) of band
+        k, read from the level table; top, a pair (y_m, y_n) of one-entry
+        arrays, replaces the eigenvalues of the last pair."""
+        levels = self.levels.band(k, length)
+        if top is not None:
+            last = self.levels.fn(*top)
+            levels = [np.concatenate((t[:-1], end)) for t, end in zip(levels, last)]
+        return _weigh(self.rates, levels)
+
+    def rows(self, idx) -> "PairTerms":
+        """The terms at the pump rows idx; a scalar rate stays as it is."""
+        rates = tuple(r if np.ndim(r) == 0 else r[idx] for r in self.rates)
+        return PairTerms(rates, self.levels)
+
+
+def _y(n) -> np.ndarray:
+    """Eigenvalue n + 1 of a a* at the levels n."""
+    return np.asarray(n, dtype=float) + 1.0
 
 
 @dataclass
 class GeneratorModel:
     """One gain treatment bound to a space, in the band normal form.
 
-    feed(m, n) and dephasing(m, n) are the model's pair functions (see the
-    module docstring); feed holds at any level n, which is what truncation
-    searches extrapolate with.  lindblad, given for a manifestly Lindblad
-    model, holds (rate, gain_elements, diagonals, merge) as passed to
-    `_lindblad_model`: the O(n_max) data from which `oracle.lindblad_ops`
-    builds its pump-side Lindblad operators.  cutoff is the last level a
-    series model is valid at, None for a model whose tail is physical.
+    feed_terms and dephasing_terms hold the pair functions F and H (see the
+    module docstring) as pump-side rates times pump-free level functions of
+    the a a* eigenvalues y of the two levels; feed(m, n) and dephasing(m, n)
+    evaluate them, rates included.  F reads the exact eigenvalue y = n + 1
+    at every level, which is what truncation searches extrapolate with.  H
+    does too, unless truncated_top is set: then it reads the truncated
+    product a a*, whose eigenvalue at the top level of the space is 0.
+    lindblad, given for a manifestly Lindblad model, holds (gain_elements,
+    diagonals, merge) as passed to `_lindblad_model`: the level functions
+    from which `oracle.lindblad_ops` builds its pump-side Lindblad
+    operators.  cutoff is the last level a series model is valid at, None
+    for a model whose tail is physical.
+
+    A model built on a (P, 1) column of pump values has one row per pump.
+    `at(rows, space)` is the model of some of them on another space: it
+    shares the level tables, so the level functions are evaluated once per
+    model and band however many blocks read them.
     """
 
     name: str
     space: TruncatedSpace
     params: PumpParameters | None
-    feed: Callable
-    dephasing: Callable
+    feed_terms: PairTerms
+    dephasing_terms: PairTerms
+    truncated_top: bool = False
     lindblad: tuple | None = None
     cutoff: int | None = None
 
@@ -150,6 +204,29 @@ class GeneratorModel:
         assemble, oracle.lindblad_ops) act at one pump value."""
         scalar_rate(self.gain_fn(0))
 
+    def at(self, rows, space: TruncatedSpace) -> "GeneratorModel":
+        """The model at its pump rows `rows` (an index array) on `space`,
+        sharing this model's level tables."""
+        return replace(
+            self,
+            space=space,
+            feed_terms=self.feed_terms.rows(rows),
+            dephasing_terms=self.dephasing_terms.rows(rows),
+        )
+
+    def diagonal_y(self, n) -> np.ndarray:
+        """The a a* eigenvalues that H reads at the levels n of the space."""
+        y = _y(n)
+        return np.where(np.asarray(n) < self.space.n_max, y, 0.0) if self.truncated_top else y
+
+    def feed(self, m, n):
+        """F(m, n), the rate at which rho_{m,n} feeds rho_{m+1,n+1}."""
+        return self.feed_terms(_y(m), _y(n))
+
+    def dephasing(self, m, n):
+        """H(m, n), the extra decay of rho_{m,n}."""
+        return self.dephasing_terms(self.diagonal_y(m), self.diagonal_y(n))
+
     def gain_fn(self, n):
         """One-quantum gain rate F(n, n) out of level n, for any n."""
         n = np.asarray(n, dtype=float)
@@ -157,14 +234,20 @@ class GeneratorModel:
 
     def gain_ratio(self, kappa: float):
         """Detailed-balance ratio p_{n+1}/p_n = F(n, n) / (kappa (n+1))."""
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
+        _check_kappa(kappa)
 
         def ratio(n):
             n = np.asarray(n, dtype=float)
             return self.gain_fn(n) / (kappa * (n + 1.0))
 
         return ratio
+
+    def ratio_rows(self, kappa: float, length: int) -> np.ndarray:
+        """gain_ratio(kappa) at the levels 0..length-1, one row per pump row,
+        read from the level table of band 0."""
+        _check_kappa(kappa)
+        n = np.arange(length, dtype=float)
+        return np.atleast_2d(self.feed_terms.band(0, length) / (kappa * (n + 1.0)))
 
     def _moves(self, m: np.ndarray, n: np.ndarray, kappa: float) -> tuple:
         """The generator on the entries (m, n), as (sources, level shift of
@@ -190,23 +273,30 @@ class GeneratorModel:
         vector per pump row of the model, along the last axis).  The
         generator keeps every band to itself, so this costs O(n_max).
 
-        It reads only F and H, not the moves `assemble` scatters: in band k
-        only the first entry has m = 0 or n = 0 and only the last has m or
-        n = n_max, so loss leaves every entry but the first and feed every
-        entry but the last, and each move is one slice."""
+        It reads F and H from the level tables of band |k| (both are
+        symmetric in m and n), with the truncated top of H applied to the
+        last entry, not the moves `assemble` scatters: in band k only the
+        first entry has m = 0 or n = 0 and only the last has m or n = n_max,
+        so loss leaves every entry but the first and feed every entry but
+        the last, and each move is one slice."""
         band = np.asarray(band)
-        m = np.arange(max(0, -k), self.space.dim - max(0, k))
-        if band.shape[-1:] != m.shape:
-            raise ValueError(f"band {k} holds {m.size} entries, got shape {band.shape}")
-        n = m + k
-        gain_out = self.gain_fn(np.arange(self.space.dim))
+        dim, width = self.space.dim, abs(k)
+        size = max(0, dim - width)
+        if band.shape[-1:] != (size,):
+            raise ValueError(f"band {k} holds {size} entries, got shape {band.shape}")
+        m = np.arange(size)  # band -k holds the values of band k, entry by entry
+        n = m + width
+        gain_out = self.feed_terms.band(0, dim)
         gain_out[..., -1] = 0.0  # gain out of the top level is truncated
-        decay = self.dephasing(m, n) - 0.5 * (
+        top = None
+        if self.truncated_top and size:
+            top = (self.diagonal_y([size - 1]), self.diagonal_y([dim - 1]))
+        decay = self.dephasing_terms.band(width, size, top) - 0.5 * (
             gain_out[..., m] + gain_out[..., n] + kappa * (m + n)
         )
         out = np.zeros(band.shape, dtype=np.result_type(band.dtype, float))
         out += decay * band
-        out[..., 1:] += self.feed(m[:-1], n[:-1]) * band[..., :-1]
+        out[..., 1:] += self.feed_terms.band(width, max(0, size - 1)) * band[..., :-1]
         out[..., :-1] += kappa * np.sqrt(m[1:] * n[1:]) * band[..., 1:]
         return out
 
@@ -222,6 +312,11 @@ class GeneratorModel:
         for sel, shift, rate in self._moves(m, n, kappa):
             out[m[sel] + shift, n[sel] + shift] += rate * vals[sel]
         return out
+
+
+def _check_kappa(kappa: float) -> None:
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
 
 
 def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
@@ -252,42 +347,40 @@ def _lindblad_model(
     name: str,
     space: TruncatedSpace,
     params: PumpParameters | None,
-    rate: float,
+    rate,
     gain_elements: Callable,
-    diagonals: list,
+    diagonals: Callable,
     merge: bool = False,
+    truncated_top: bool = False,
     cutoff: int | None = None,
 ) -> GeneratorModel:
-    """Model with Lindblad operators sqrt(rate) S_k and sqrt(rate) diag(c_k).
+    """Model with Lindblad operators sqrt(rate) S_k and sqrt(rate) diag(c_k):
+    F = rate sum_k s_k(m) s_k(n), H = (-rate/2) sum_k (c_k(m) - c_k(n))^2.
 
-    gain_elements(n) returns the list of s_k(n) = <n+1|S_k|n>, valid at any
-    level n; diagonals lists the vectors c_k on the levels of the space;
-    merge asks the dense list to quadrature-sum proportional operators.
+    gain_elements(y) returns the list of s_k(n) = <n+1|S_k|n> and
+    diagonals(y) the list of c_k(n), both as functions of the eigenvalue y
+    of a a* at level n; truncated_top makes the diagonals read the truncated
+    product a a* (see GeneratorModel); merge asks the dense list to
+    quadrature-sum proportional operators.
     """
 
-    def feed(m, n):
-        return rate * sum(sm * sn for sm, sn in zip(gain_elements(m), gain_elements(n)))
+    def feed(ym, yn):
+        return (sum(sm * sn for sm, sn in zip(gain_elements(ym), gain_elements(yn))),)
 
-    def dephasing(m, n):
-        zero = np.zeros(np.broadcast(m, n).shape)
-        return -0.5 * rate * sum(((c[m] - c[n]) ** 2 for c in diagonals), zero)
+    def dephasing(ym, yn):
+        zero = np.zeros(np.broadcast(ym, yn).shape)
+        return (sum(((cm - cn) ** 2 for cm, cn in zip(diagonals(ym), diagonals(yn))), zero),)
 
     return GeneratorModel(
         name=name,
         space=space,
         params=params,
-        feed=feed,
-        dephasing=dephasing,
-        lindblad=(rate, gain_elements, diagonals, merge),
+        feed_terms=PairTerms((rate,), LevelTable(feed)),
+        dephasing_terms=PairTerms((-0.5 * rate,), LevelTable(dephasing)),
+        truncated_top=truncated_top,
+        lindblad=(gain_elements, diagonals, merge),
         cutoff=cutoff,
     )
-
-
-def _truncated_p(space: TruncatedSpace) -> np.ndarray:
-    """Diagonal of the plain product a a*: n+1 with a zero at the top."""
-    p = np.arange(1.0, space.dim + 1.0)
-    p[-1] = 0.0
-    return p
 
 
 def exact_model(
@@ -295,27 +388,57 @@ def exact_model(
     space: TruncatedSpace,
     measure: TimeMeasure | None = None,
 ) -> GeneratorModel:
-    """All-orders model from the measure averages of the pump split."""
+    """All-orders model from the measure averages of the pump split.
+
+    Its pair functions are those of the average of the instantaneous
+    dissipators of the cosine/gain split, F = r <sin sin> and
+    H = r (<cos cos>(m, n) - (<cos cos>(m, m) + <cos cos>(n, n)) / 2) at the
+    arguments g tau_bar sqrt(y) x.  That agrees with r <M_tau - 1>
+    everywhere except the top-level column, where it reflects instead of
+    leaking: the result is trace preserving on the whole truncated space.
+    """
     if measure is None:
         measure = TimeMeasure.exponential()
-    pump = ExactPump(params.r, params.g_tau_bar, measure)
+    g_tau_bar = params.g_tau_bar
+
+    def feed(ym, yn):
+        return (sin_sin_average(measure, g_tau_bar * np.sqrt(ym), g_tau_bar * np.sqrt(yn)),)
+
+    def dephasing(ym, yn):
+        am, an = g_tau_bar * np.sqrt(ym), g_tau_bar * np.sqrt(yn)
+        cc = functools.partial(cos_cos_average, measure)
+        return (cc(am, an) - 0.5 * (cc(am, am) + cc(an, an)),)
+
     return GeneratorModel(
         name=EXACT,
         space=space,
         params=params,
-        feed=pump.feed,
-        dephasing=pump.dephasing,
+        feed_terms=PairTerms((params.r,), LevelTable(feed)),
+        dephasing_terms=PairTerms((params.r,), LevelTable(dephasing)),
     )
 
 
 def fourth_order_model(params: PumpParameters, space: TruncatedSpace) -> GeneratorModel:
-    pump = FourthOrderPump(params.gain_rate, params.saturation_rate, space.n_max)
+    """Pump expanded to fourth order in g tau: linear gain A with quartic
+    correction B; not of Lindblad form (!), kept for comparison.
+    F = A sqrt(y_m y_n) - 2B sqrt(y_m y_n) (y_m + y_n) and
+    H = -1.5 B (y_m - y_n)^2, where H reads the truncated product a a*."""
+
+    def feed(ym, yn):
+        root = np.sqrt(ym * yn)
+        return root, root * (ym + yn)
+
+    def dephasing(ym, yn):
+        return ((ym - yn) ** 2,)
+
+    gain, quartic = params.gain_rate, params.saturation_rate
     return GeneratorModel(
         name=POST4,
         space=space,
         params=params,
-        feed=pump.feed,
-        dephasing=pump.dephasing,
+        feed_terms=PairTerms((gain, -2.0 * quartic), LevelTable(feed)),
+        dephasing_terms=PairTerms((-1.5 * quartic,), LevelTable(dephasing)),
+        truncated_top=True,
         cutoff=expansion_cutoff(params.g_tau_bar),
     )
 
@@ -332,14 +455,23 @@ def weak_coupling_model(params: PumpParameters, space: TruncatedSpace) -> Genera
     """
     gt, u = params.g_tau_bar, params.u
 
-    def gain_elements(n):
-        y = np.asarray(n, dtype=float) + 1.0  # eigenvalue of P below the top
+    def gain_elements(y):
         root = gt * np.sqrt(y)
         return [root * (1.0 - u * y), -root * (1.0 - 3.0 * u * y), math.sqrt(10.0) * u * root * y]
 
-    diagonals = [-math.sqrt(6.0) * u * _truncated_p(space)]
-    cutoff = expansion_cutoff(gt)
-    return _lindblad_model(WEAK, space, params, params.r, gain_elements, diagonals, cutoff=cutoff)
+    def diagonals(y):
+        return [-math.sqrt(6.0) * u * y]
+
+    return _lindblad_model(
+        WEAK,
+        space,
+        params,
+        params.r,
+        gain_elements,
+        diagonals,
+        truncated_top=True,
+        cutoff=expansion_cutoff(gt),
+    )
 
 
 def general_weak_model(
@@ -372,16 +504,24 @@ def general_weak_model(
         c_polys.append(polys[0])
         s_polys.append(polys[1])
     s_polys = [s for s in s_polys if np.any(s)]
-    p = _truncated_p(space)
-    diagonals = [np.polynomial.polynomial.polyval(p, c) for c in c_polys if np.any(c)]
+    c_polys = [c for c in c_polys if np.any(c)]
 
-    def gain_elements(n):
-        y = np.asarray(n, dtype=float) + 1.0
+    def gain_elements(y):
         return [np.sqrt(y) * np.polynomial.polynomial.polyval(y, s) for s in s_polys]
 
-    cutoff = expansion_cutoff(gt)
+    def diagonals(y):
+        return [np.polynomial.polynomial.polyval(y, c) for c in c_polys]
+
     return _lindblad_model(
-        WEAK, space, params, params.r, gain_elements, diagonals, merge=True, cutoff=cutoff
+        WEAK,
+        space,
+        params,
+        params.r,
+        gain_elements,
+        diagonals,
+        merge=True,
+        truncated_top=True,
+        cutoff=expansion_cutoff(gt),
     )
 
 
@@ -412,19 +552,20 @@ def uniform_model(
 
     Exponential measure only.  The gain family keeps the sin projections of
     degree k <= order (0, 1 or 2), the cosine family those of degree
-    k < max(1, order).  The identity part of each diagonal operator is dropped.
+    k < max(1, order).  The identity part of each diagonal operator is
+    dropped; the diagonals read a a* with its exact top eigenvalue.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"uniform expansion order must be 0, 1 or 2, got {order}")
     g_tau_bar = params.g_tau_bar
 
-    def gain_elements(n):
-        alpha = g_tau_bar * np.sqrt(np.asarray(n, dtype=float) + 1.0)
-        return [sin for _, sin in exponential_projections(alpha, order)]
+    def gain_elements(y):
+        return [sin for _, sin in exponential_projections(g_tau_bar * np.sqrt(y), order)]
 
-    levels = np.arange(1, space.dim + 1, dtype=float)  # n+1 with exact top
-    cos_k = exponential_projections(g_tau_bar * np.sqrt(levels), max(1, order) - 1)
-    diagonals = [cos for cos, _ in cos_k]
+    def diagonals(y):
+        cos_k = exponential_projections(g_tau_bar * np.sqrt(y), max(1, order) - 1)
+        return [cos for cos, _ in cos_k]
+
     return _lindblad_model(UNIFORM, space, params, params.r, gain_elements, diagonals)
 
 
@@ -440,14 +581,17 @@ def heuristic_model(
     reproduces the all-orders photon statistics when beta = 4 (g tau_bar)^2;
     X = a* a evaluates it before.  gain may be a (P, 1) column, one per pump.
     """
-    if not (np.all((0.0 <= gain) & (gain < math.inf)) and 0.0 <= beta < math.inf):
-        raise ValueError(f"gain and beta must be nonnegative and finite, got {gain}, {beta}")
+    gains = np.ravel(gain)
+    bad = gains[~((0.0 <= gains) & (gains < math.inf))]
+    if bad.size or not 0.0 <= beta < math.inf:
+        # one value, not the whole pump column, so the message stays one line
+        shown = bad[0] if bad.size else gains[0]
+        raise ValueError(f"gain and beta must be nonnegative and finite, got {shown}, {beta}")
     if ordering not in ("aa_dag", "a_dag_a"):
         raise ValueError(f"ordering must be 'aa_dag' or 'a_dag_a', got {ordering!r}")
-    shift = 1.0 if ordering == "aa_dag" else 0.0
+    shift = 0.0 if ordering == "aa_dag" else 1.0  # eigenvalue of X is y - shift
 
-    def gain_elements(n):
-        n = np.asarray(n, dtype=float)
-        return [np.sqrt((n + 1.0) / (1.0 + beta * (n + shift)))]
+    def gain_elements(y):
+        return [np.sqrt(y / (1.0 + beta * (y - shift)))]
 
-    return _lindblad_model(HEURISTIC, space, None, gain, gain_elements, [])
+    return _lindblad_model(HEURISTIC, space, None, gain, gain_elements, lambda y: [])

@@ -31,11 +31,11 @@ class PhotonMoments:
 
 
 def _row_dots(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """vector @ row for each row: one BLAS dot product per row, so each
-    comes out as it does alone (a matrix product sums in another order).
-    ndarray.dot reaches the same dot product as @ with less overhead."""
-    dtype = np.result_type(vector, rows)
-    return np.fromiter(map(vector.dot, rows), dtype=dtype, count=len(rows))
+    """vector @ row for each row, as it comes out alone.  A stack of 1 x w
+    by w x 1 products reaches the same BLAS dot product per row that
+    ndarray.dot does; rows @ vector would be one matrix-vector product,
+    which sums in another order."""
+    return np.matmul(rows[:, None, :], vector[:, None])[:, 0, 0]
 
 
 def moment_columns(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,16 @@ operator lists and the series generators, as explicit matrices.
 
 vec(rho) stacks columns (Fortran order), so A rho B maps to (B^T kron A)
 vec(rho) and L rho L* to (conj(L) kron L); kron products are formed sparse.
+
+Not every check here is independent of the band route.  `models.assemble`
+no longer scatters the moves `apply_band` takes, but it reads the same pair
+functions F and H (the model's level functions and rates, evaluated
+directly where `apply_band` slices their tables), so a wrong F or H passes
+a comparison of the two.  The Lindblad operator lists are built from the
+same level functions too.  What checks F and H themselves is the comparison
+with the operators built here from first principles: the averaged pump
+superoperator, the Kraus sets and the kron formula of the quartic
+generator.
 """
 
 from __future__ import annotations
@@ -313,15 +323,18 @@ def merge_proportional(ops: list) -> list:
 
 def lindblad_ops(model: GeneratorModel) -> list:
     """Pump-side Lindblad operators sqrt(rate) S_k and sqrt(rate) diag(c_k)
-    of a model (loss excluded), built from its `lindblad` vectors; empty for
-    a model that is not manifestly Lindblad."""
+    of a model (loss excluded), built from its `lindblad` level functions on
+    the levels of its space (rate is the model's one feed rate); empty for a
+    model that is not manifestly Lindblad."""
     model._require_one_pump()
     if model.lindblad is None:
         return []
-    rate, gain_elements, diagonals, merge = model.lindblad
+    gain_elements, diagonals, merge = model.lindblad
+    (rate,) = model.feed_terms.rates
     scale = math.sqrt(rate)
-    ops = [scale * np.diag(s, -1) for s in gain_elements(np.arange(model.space.n_max))]
-    ops += [scale * np.diag(c) for c in diagonals]
+    levels = np.arange(model.space.dim)
+    ops = [scale * np.diag(s, -1) for s in gain_elements(levels[:-1] + 1.0)]
+    ops += [scale * np.diag(c) for c in diagonals(model.diagonal_y(levels))]
     return merge_proportional(ops) if merge else ops
 
 

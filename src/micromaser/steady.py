@@ -14,19 +14,30 @@ full eig.
 A pump axis is solved in one pass (solve_pump_axis), and comes back as
 columns (PumpAxis): one entry per pump for the status, the populations,
 n_max, the moments and the linewidth.  The pump enters a model only through
-per-pump scalars, so a model built on a (P, 1) column of them gives ratios
-with one row per pump.  The truncation search (truncation_levels) takes the
-model's own cutoff where it has one, else doubles in stages over the rows
-not yet resolved; the pumps that share an n_max form one block, and the
-recurrence (recurrence_rows), the moments (moment_columns) and the band
-linewidth (band_linewidths) run once per block, the last two on one mean
-per row.  A stage or a block takes its rows in pieces of at most
-BLOCK_ENTRIES levels in all, so memory does not grow with the pump axis.
-Each row takes only elementwise ufuncs, cumulative sums along the row, sums
-over exactly its own filled levels, and dot products of its own, so every
-number is bit for bit what the one-pump functions (choose_truncation,
-recurrence_steady, moments, linewidth) give; they are the one-row case of
-the same code.
+per-pump rates multiplied in last (models.PairTerms), so one model, built
+once per axis on a (P, 1) column of them, serves every pump:
+
+  once per axis    the model build, its cutoff;
+  once per stage   the truncation search (truncation_levels) takes the
+                   model's own cutoff where it has one, else doubles in
+                   stages over the rows not yet resolved; a stage that
+                   reaches past the model's ratio table evaluates it once,
+                   and reads only the magnitudes of the ladder;
+  once per block   the pumps that share an n_max form one block, taken
+                   largest first (so the first sizes the linewidth band's
+                   table): a view of the model on its space
+                   (GeneratorModel.at), whose ratios and band are slices of
+                   the shared tables times the block's own rate rows, the
+                   recurrence (recurrence_rows), the moments
+                   (moment_columns) and the band linewidth (band_linewidths),
+                   the last two on one mean per row.
+
+A stage or a block takes its rows in pieces of at most BLOCK_ENTRIES levels
+in all, so memory does not grow with the pump axis.  Each row takes only
+elementwise ufuncs, cumulative sums along the row, sums over exactly its
+own filled levels, and dot products of its own, so every number is bit for
+bit what the one-pump functions (choose_truncation, recurrence_steady,
+moments, linewidth) give; they are the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -93,21 +104,29 @@ def _model_cutoff(model) -> int | None:
     return model.cutoff
 
 
-def _log_ladder(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log|p_n| and sign(p_n) of p_0 = 1, p_{n+1} = ratios[:, n] p_n, one
-    ladder per row, each row's logs shifted so that its largest finite one is 0."""
+def _log_magnitudes(ratios: np.ndarray) -> np.ndarray:
+    """log|p_n| of p_0 = 1, p_{n+1} = ratios[:, n] p_n, one ladder per row,
+    each row's logs shifted so that its largest finite one is 0."""
     with np.errstate(divide="ignore"):
         steps = np.log(np.abs(ratios))
-    first = np.zeros((len(ratios), 1))
-    logs = np.concatenate((first, np.cumsum(steps, axis=1)), axis=1)
-    signs = np.concatenate((first + 1.0, np.cumprod(np.sign(ratios), axis=1)), axis=1)
+    logs = np.concatenate((np.zeros((len(ratios), 1)), np.cumsum(steps, axis=1)), axis=1)
     top = np.max(logs, axis=1, keepdims=True, where=np.isfinite(logs), initial=-np.inf)
-    return logs - top, signs
+    return logs - top
+
+
+def _signs(ratios: np.ndarray) -> np.ndarray:
+    """sign(p_n) of the same ladders."""
+    return np.concatenate((np.ones((len(ratios), 1)), np.cumprod(np.sign(ratios), axis=1)), axis=1)
 
 
 def _ratio_rows(ratio, n: int) -> np.ndarray:
     """ratio(0..n-1) as one row per pump row (a model with scalar rates has one)."""
     return np.atleast_2d(np.asarray(ratio(np.arange(n)), dtype=float))
+
+
+def _top_level(space: TruncatedSpace, cutoff: int | None) -> int:
+    """The last level a recurrence fills: n_max, or the cutoff below it."""
+    return space.n_max if cutoff is None else min(cutoff, space.n_max)
 
 
 _UNRESOLVED = f"no truncation below {HARD_CAP} resolves the distribution tail"
@@ -120,25 +139,21 @@ def _not_normalizable(total: float) -> str:
     )
 
 
-def recurrence_rows(ratio, space: TruncatedSpace, cutoff: int | None = None) -> tuple:
-    """The populations of recurrence_steady for every pump row of ratio at
-    once, as a (rows, dim) array, and each row's signed weight: a row whose
-    weight is not positive has no state and is left zero.
+def recurrence_rows(ratios: np.ndarray, dim: int) -> tuple:
+    """The populations of recurrence_steady for every row of ratios, the
+    ratios at the levels 0..n_top-1 (n_top < dim), at once, as a (rows, dim)
+    array, and each row's signed weight: a row whose weight is not positive
+    has no state and is left zero.
 
     Every step is an elementwise ufunc, a cumulative sum or product along
     the row, or a sum over exactly the row's filled levels, so each row
     comes out bit for bit as it does alone.
     """
-    n_top = space.n_max if cutoff is None else min(cutoff, space.n_max)
-    if n_top == 0:
-        filled = np.ones((len(_ratio_rows(ratio, 1)), 1))
-    else:
-        logs, signs = _log_ladder(_ratio_rows(ratio, n_top))
-        filled = signs * np.exp(logs)
+    filled = _signs(ratios) * np.exp(_log_magnitudes(ratios))
     weight = filled.sum(axis=1)
     good = weight > 0
-    p = np.zeros((len(filled), space.dim))
-    p[good, : n_top + 1] = filled[good] / weight[good, None]
+    p = np.zeros((len(filled), dim))
+    p[good, : filled.shape[1]] = filled[good] / weight[good, None]
     return p, weight
 
 
@@ -151,7 +166,7 @@ def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -
     whether the top level holds at most TAIL_TOL.  This is the one-row case
     of recurrence_rows.
     """
-    (p,), (weight,) = recurrence_rows(ratio, space, cutoff)
+    (p,), (weight,) = recurrence_rows(_ratio_rows(ratio, _top_level(space, cutoff)), space.dim)
     if not weight > 0:
         raise SteadyStateError(_not_normalizable(weight))
     if cutoff is not None and cutoff <= space.n_max:
@@ -170,25 +185,26 @@ def _pieces(rows: np.ndarray, width: int) -> list:
     return [rows[i : i + size] for i in range(0, len(rows), size)]
 
 
-def truncation_levels(probe, rows: int, kappa: float) -> np.ndarray:
-    """choose_truncation's n_max for each of `rows` pump rows; 0 marks a row
-    whose tail no ladder up to HARD_CAP resolves.  probe(idx) is the model
-    of the pump rows idx (on any space: only its ratio and cutoff are read).
+def truncation_levels(model, rows: int, kappa: float) -> np.ndarray:
+    """choose_truncation's n_max for each of the model's `rows` pump rows; 0
+    marks a row whose tail no ladder up to HARD_CAP resolves.
 
     The doubling runs in stages: every unresolved row at START levels,
     then the rest at twice that, and so on, each row's ladder shifted by its
-    own maximum as it would be alone.  A stage builds one probe per piece of
-    its unresolved rows (_pieces).
+    own maximum as it would be alone.  A stage reads the model's ratio
+    table (evaluated once per stage that reaches further) for each piece of
+    its unresolved rows (_pieces), and needs only the magnitudes of the
+    ladder.
     """
-    cutoff = _model_cutoff(probe(np.arange(min(rows, 1))))
+    cutoff = _model_cutoff(model)
     if cutoff is not None:
         return np.full(rows, cutoff)
     levels, todo = np.zeros(rows, dtype=int), np.arange(rows)
     n_max = START
     while todo.size and n_max <= HARD_CAP:
         for part in _pieces(todo, n_max):
-            ratios = _ratio_rows(probe(part).gain_ratio(kappa), n_max)
-            u = np.exp(_log_ladder(ratios)[0])
+            ratios = model.at(part, model.space).ratio_rows(kappa, n_max)
+            u = np.exp(_log_magnitudes(ratios))
             # lower levels may underflow to 0, so compare without dividing
             ok = u < TAIL_TOL * np.cumsum(u, axis=1)
             done = ok[:, -1] & (ratios[:, -1] < 1.0)
@@ -207,7 +223,7 @@ def choose_truncation(model, kappa: float) -> TruncatedSpace:
     SteadyStateError past HARD_CAP.  This is the one-row case of
     truncation_levels.
     """
-    n_max = int(truncation_levels(lambda idx: model, 1, kappa)[0])
+    n_max = int(truncation_levels(model, 1, kappa)[0])
     if n_max == 0:
         raise SteadyStateError(_UNRESOLVED)
     return TruncatedSpace(n_max)
@@ -244,17 +260,18 @@ def solve_pump_axis(
     model at every pump value, as one PumpAxis.
 
     build(pumps, space) returns the model for a (P, 1) column of pump values
-    on a space.  truncation None runs the truncation search of
-    choose_truncation (truncation_levels), an integer fixes n_max.  cutoff
-    is recurrence_rows': an integer zeroes every level beyond it, None
-    keeps them all, and "auto" takes each block model's own cutoff.  The
-    pumps that share an n_max form one block, taken in pieces (_pieces):
-    one model build, one recurrence (recurrence_rows), one moment_columns
-    and one band_linewidths per piece, the last two sharing each row's
-    mean.  Each cell is bit for bit what choose_truncation,
+    on a space; it is called once, for the whole axis.  truncation None
+    runs the truncation search of choose_truncation (truncation_levels), an
+    integer fixes n_max.  cutoff is recurrence_steady's: an integer zeroes
+    every level beyond it, None keeps them all, and "auto" takes the model's
+    own cutoff.  The pumps that share an n_max form one block, taken in
+    pieces (_pieces), the largest n_max first: one view of the model
+    (GeneratorModel.at), one recurrence (recurrence_rows), one
+    moment_columns and one band_linewidths per piece, the last two sharing
+    each row's mean.  Each cell is bit for bit what choose_truncation,
     recurrence_steady, moments and linewidth give for its pump alone.  An
-    error that no pump escapes (a model build, a model cutoff below 1)
-    fails every cell with its message.
+    error that no pump escapes (a model build, a model cutoff below 1, a
+    kappa that is not positive) fails every cell with its message.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
     # a row the search left unresolved (level 0) keeps this error
@@ -263,40 +280,41 @@ def solve_pump_axis(
     n_maxes = np.zeros(len(pumps), dtype=int)
     values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
     try:
+        model = build(pumps, TruncatedSpace(1))
         if truncation is None:
-            levels = truncation_levels(
-                lambda idx: build(pumps[idx], TruncatedSpace(1)), len(pumps), kappa
-            )
+            levels = truncation_levels(model, len(pumps), kappa)
         else:
             levels = np.full(len(pumps), truncation)
-        blocks = []
-        for n_max in np.unique(levels[levels > 0]).tolist():
-            for rows in _pieces(np.flatnonzero(levels == n_max), n_max + 1):
-                model = build(pumps[rows], TruncatedSpace(n_max))
-                top = _model_cutoff(model) if cutoff == "auto" else cutoff
-                blocks.append((rows, model, model.gain_ratio(kappa), top))
+        top = _model_cutoff(model) if cutoff == "auto" else cutoff
+        if not kappa > 0:
+            raise ValueError("kappa must be positive")
     except (SteadyStateError, ValueError) as exc:
         return PumpAxis([f"error: {exc}"] * len(pumps), populations, n_maxes, *values)
-    for rows, model, ratio, top in blocks:
-        p, weight = recurrence_rows(ratio, model.space, top)
-        solved = weight > 0
-        columns = moment_columns(p)
-        undefined = {}
-        if linewidth:
-            width = band_linewidths(model, p, columns[0], kappa)
-            columns += width[:3]
-            undefined = width.undefined
-        n_maxes[rows[solved]] = model.space.n_max
-        values[: len(columns), rows[solved]] = np.array(columns)[:, solved]
-        for i, row, ok, total in zip(rows.tolist(), p, solved.tolist(), weight.tolist()):
-            if ok:
-                populations[i] = row
-                status[i] = "ok"
-            else:
-                status[i] = f"error: {_not_normalizable(total)}"
-        for j, reason in undefined.items():
-            if solved[j]:
-                status[rows[j]] = f"undefined: {reason}"
+    # the largest block first: it sizes the level tables in one evaluation
+    for n_max in np.unique(levels[levels > 0]).tolist()[::-1]:
+        space = TruncatedSpace(n_max)
+        for rows in _pieces(np.flatnonzero(levels == n_max), n_max + 1):
+            block = model.at(rows, space)
+            ratios = block.ratio_rows(kappa, _top_level(space, top))
+            p, weight = recurrence_rows(ratios, space.dim)
+            solved = weight > 0
+            columns = moment_columns(p)
+            undefined = {}
+            if linewidth:
+                width = band_linewidths(block, p, columns[0], kappa)
+                columns += width[:3]
+                undefined = width.undefined
+            n_maxes[rows[solved]] = n_max
+            values[: len(columns), rows[solved]] = np.array(columns)[:, solved]
+            for i, row, ok, total in zip(rows.tolist(), p, solved.tolist(), weight.tolist()):
+                if ok:
+                    populations[i] = row
+                    status[i] = "ok"
+                else:
+                    status[i] = f"error: {_not_normalizable(total)}"
+            for j, reason in undefined.items():
+                if solved[j]:
+                    status[rows[j]] = f"undefined: {reason}"
     return PumpAxis(status, populations, n_maxes, *values)
 
 

@@ -10,6 +10,7 @@ from micromaser.models import (
     POST4,
     UNIFORM,
     WEAK,
+    LevelTable,
     assemble,
     exact_model,
     expansion_cutoff,
@@ -353,6 +354,68 @@ def test_apply_band_rows_equal_the_one_pump_models(variant, k, rng):
     for pump, band, row in zip(pumps[:, 0], bands, got):
         alone = ORACLE_VARIANTS[variant](PumpParameters.from_pump(pump, 0.15, KAPPA), space)
         assert row.tolist() == alone.apply_band(band, k, KAPPA).tolist()
+
+
+# every model of ORACLE_VARIANTS, plus a quadrature wide enough that its node
+# sums run over many SIMD lanes
+TABLE_VARIANTS = {
+    **ORACLE_VARIANTS,
+    "exact_gauss_laguerre_40": lambda params, space: exact_model(
+        params, space, measure=TimeMeasure.gauss_laguerre(40)
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("variant", sorted(TABLE_VARIANTS))
+def test_level_tables_are_prefixes(variant, k):
+    """A level table of band k at length L is bit for bit the first L
+    entries of the table at 2L + k, whether evaluated there at once or
+    grown to it: what lets one table serve every block of a pump axis."""
+    params = PumpParameters.from_pump(np.array([[0.7], [2.0]]), 0.15, KAPPA)
+    model = TABLE_VARIANTS[variant](params, TruncatedSpace(1))
+    for terms in (model.feed_terms, model.dephasing_terms):
+        for length in (1, 7, 16, 33):
+            short = LevelTable(terms.levels.fn).band(k, length)
+            long = LevelTable(terms.levels.fn).band(k, 2 * length + k)
+            grown = LevelTable(terms.levels.fn)
+            grown.band(k, length)
+            for table in (long, grown.band(k, 2 * length + k)):
+                assert [t[:length].tobytes() for t in table] == [t.tobytes() for t in short]
+
+
+def band_from_pair_functions(model, band, k, kappa):
+    """apply_band evaluated directly from model.feed, model.dephasing and
+    model.gain_fn on the band's own levels, as it was before level tables."""
+    m = np.arange(max(0, -k), model.space.dim - max(0, k))
+    n = m + k
+    gain_out = model.gain_fn(np.arange(model.space.dim))
+    gain_out[..., -1] = 0.0
+    decay = model.dephasing(m, n) - 0.5 * (gain_out[..., m] + gain_out[..., n] + kappa * (m + n))
+    out = np.zeros(band.shape)
+    out += decay * band
+    out[..., 1:] += model.feed(m[:-1], n[:-1]) * band[..., :-1]
+    out[..., :-1] += kappa * np.sqrt(m[1:] * n[1:]) * band[..., 1:]
+    return out
+
+
+@pytest.mark.parametrize("variant", sorted(TABLE_VARIANTS))
+def test_blocks_read_the_pair_functions_of_their_space(variant, rng):
+    """Views of one pump-axis model on spaces of several sizes, in any order,
+    share its tables; each block's apply_band (the truncated top included)
+    is bit for bit the direct pair functions on that block's space, in
+    every band."""
+    pumps = np.array([[0.0], [0.7], [2.0], [5.5]])
+    axis = TABLE_VARIANTS[variant](PumpParameters.from_pump(pumps, 0.15, KAPPA), TruncatedSpace(1))
+    rows = np.array([3, 1])
+    for n_max in (9, 30, 4, 17):
+        block = axis.at(rows, TruncatedSpace(n_max))
+        for k in (-2, -1, 0, 1, 2):
+            bands = rng.standard_normal((len(rows), n_max + 1 - abs(k)))
+            got = block.apply_band(bands, k, KAPPA)
+            assert got.tobytes() == band_from_pair_functions(block, bands, k, KAPPA).tobytes()
+        ratios = block.ratio_rows(KAPPA, n_max)
+        assert ratios.tobytes() == block.gain_ratio(KAPPA)(np.arange(n_max)).tobytes()
 
 
 @pytest.mark.parametrize("idx", range(5))

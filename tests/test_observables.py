@@ -8,6 +8,7 @@ from micromaser.fock import TruncatedSpace
 from micromaser.models import assemble, exact_model, heuristic_model, uniform_model
 from micromaser.observables import (
     LinewidthResult,
+    _row_dots,
     distribution_distance,
     linewidth,
     linewidth_fd,
@@ -66,6 +67,20 @@ def test_moments_vacuum_q_undefined():
     m = moments(p)
     assert m.mean_n == 0.0
     assert math.isnan(m.mandel_q)
+
+
+@pytest.mark.parametrize("rows", [0, 5])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 16, 17, 32, 33, 66, 2236])
+def test_row_dots_equal_one_dot_per_row_bitwise(width, rows, rng):
+    """The batched row dots against ndarray.dot per row, bit for bit: a
+    matrix-vector product, which sums in another order, differs from width
+    17 up, and one last bit of a moment moves a near-zero Mandel Q."""
+    vector = rng.standard_normal(width)
+    matrix = rng.standard_normal((rows, width))
+    got = _row_dots(vector, matrix)
+    want = np.array([vector.dot(row) for row in matrix], dtype=float)
+    assert got.shape == (rows,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_moment_columns_equal_the_one_row_formula(rng):

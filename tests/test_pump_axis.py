@@ -41,7 +41,8 @@ from micromaser import (
     uniform_model,
     weak_coupling_model,
 )
-from micromaser import steady
+from micromaser import models, steady
+from micromaser.models import GeneratorModel
 from micromaser.cli import EXIT_OK, EXIT_PARTIAL, main
 
 
@@ -274,7 +275,8 @@ def axis_numbers(axis):
 @pytest.mark.parametrize("budget", [1, 40, 300])
 def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
     """Search stages and blocks taken in pieces of at most BLOCK_ENTRIES
-    levels: every cell as from one piece, and no build larger than that."""
+    levels: every cell as from one piece, one model build per axis, and no
+    piece (a view of the model at some of its rows) larger than that."""
     kappa = 1.0
     pumps = np.concatenate(([0.0], np.linspace(0.2, 6.0, 23), [3.0]))
 
@@ -284,27 +286,75 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
     def saturating(pump_values, space):  # beta 0 gives up at the hard cap above threshold
         return heuristic_model(2.0 * pump_values * kappa, 0.0, space)
 
-    sizes = []
+    builds, sizes = [], []
 
     def counted(build):
         def wrapped(pump_values, space):
-            sizes.append((len(pump_values), space.dim))
+            builds.append(len(pump_values))
             return build(pump_values, space)
 
         return wrapped
+
+    view = GeneratorModel.at
+
+    def counted_view(model, rows, space):
+        sizes.append((len(rows), space.dim))
+        return view(model, rows, space)
 
     for build, truncation in ((exact, None), (exact, 20), (saturating, None)):
         whole = solve_pump_axis(build, pumps, kappa, truncation=truncation, linewidth=True)
         with monkeypatch.context() as patch:
             patch.setattr(steady, "BLOCK_ENTRIES", budget)
+            patch.setattr(GeneratorModel, "at", counted_view)
             parts = solve_pump_axis(
                 counted(build), pumps, kappa, truncation=truncation, linewidth=True
             )
         assert axis_numbers(parts) == axis_numbers(whole)
+    assert builds == [len(pumps)] * 3
     assert any(rows > 1 for rows, _ in sizes) == (budget > 32)
-    # a block build holds rows x dim levels; a probe build (dim 2) serves a
-    # search stage of at least 16 levels
+    # a block holds rows x dim levels; a search piece (on the build's space,
+    # dim 2) serves a search stage of at least 16 levels
     assert all(rows <= max(1, budget // (16 if dim == 2 else dim)) for rows, dim in sizes)
+
+
+def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
+    """One exact model serves the pump axis: its feed table is evaluated
+    once per truncation-search stage and once for the linewidth band, its
+    dephasing once, however many blocks (here 12, one per pump) read them."""
+    calls = {"sin_sin_average": 0, "cos_cos_average": 0}
+    for name in calls:
+
+        def counted(*args, name=name, average=getattr(models, name)):
+            calls[name] += 1
+            return average(*args)
+
+        monkeypatch.setattr(models, name, counted)
+    pumps = np.linspace(0.5, 8.0, 12)
+    axis = solve_pump_axis(
+        lambda values, space: exact_model(PumpParameters.from_pump(values, 0.03), space),
+        pumps,
+        1.0,
+        linewidth=True,
+    )
+    assert axis.status == ["ok"] * 12
+    assert len(set(axis.n_max.tolist())) == 12  # one block per pump
+    # stages at START, 2 START, ... up to the first that holds the largest n_max
+    stages = int(np.ceil(np.log2((axis.n_max.max() + 1) / steady.START))) + 1
+    assert stages == 9
+    assert calls["sin_sin_average"] <= stages + 1
+    assert calls["cos_cos_average"] <= 3  # one dephasing table: three averages
+
+
+def test_an_invalid_gain_column_fails_every_cell_on_one_line():
+    """The model is built once for the whole axis, so a build error names
+    one offending value, not the whole column of pumps."""
+    axis = solve_pump_axis(
+        lambda values, space: heuristic_model(1.0 - values, 0.1, space),
+        np.linspace(0.5, 3.0, 6),
+        1.0,
+    )
+    message = "error: gain and beta must be nonnegative and finite, got -0.5, 0.1"
+    assert axis.status == [message] * 6
 
 
 @pytest.mark.parametrize("pumps", [3, 9])

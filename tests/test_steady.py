@@ -13,6 +13,8 @@ from micromaser.fock import TruncatedSpace
 from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
     GeneratorModel,
+    LevelTable,
+    PairTerms,
     assemble,
     exact_model,
     expansion_cutoff,
@@ -356,8 +358,8 @@ def test_choose_truncation_raises_at_hard_cap():
         name="exact",
         space=space,
         params=None,
-        feed=lambda m, n: 1.01 * KAPPA * np.sqrt((m + 1.0) * (n + 1.0)),
-        dephasing=lambda m, n: 0.0 * (m - n),
+        feed_terms=PairTerms((1.01 * KAPPA,), LevelTable(lambda ym, yn: (np.sqrt(ym * yn),))),
+        dephasing_terms=PairTerms((0.0,), LevelTable(lambda ym, yn: (ym - yn,))),
     )
     with pytest.raises(SteadyStateError, match=f"no truncation below {HARD_CAP} "):
         choose_truncation(runaway, KAPPA)
