@@ -9,9 +9,10 @@ and byte-stable for a fixed config; the constant columns of each output row
 into the fixed text between its list columns, and each row's lines are one
 join of that text with the texts of its list columns.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
-rest are still emitted), 1 on configuration errors.  Every model is built
-once while the configuration is read, so a model option its constructor
-rejects is a configuration error.  Each model is then solved over its whole
+rest are still emitted), 1 on configuration errors and, without a
+traceback, on an output its reader closed early (`| head`).  Every model is
+built once while the configuration is read, so a model option its
+constructor rejects is a configuration error.  Each model is then solved over its whole
 pump axis in one pass (steady.solve_pump_axis), model by model on the
 calling thread, and its per-pump columns go to the output rows as lists;
 rows and error lines come in grid order (model, then pump).  The `cutoff`
@@ -58,6 +59,7 @@ from .steady import solve_pump_axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
+EXIT_CLOSED = 1  # the reader closed the output before the last row
 EXIT_PARTIAL = 2
 
 STEADY_COLUMNS = ("model", "g_tau_bar", "pump_A_over_kappa", "n", "p_n", "negative_flag")
@@ -664,10 +666,20 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         # each row goes to the output as it is made: no copy of the whole text
-        if args.format == "json":
-            write_json(rows, columns, config, args.command, stream)
-        else:
-            write_csv(rows, columns, stream)
+        try:
+            if args.format == "json":
+                write_json(rows, columns, config, args.command, stream)
+            else:
+                write_csv(rows, columns, stream)
+            stream.flush()
+        except BrokenPipeError:
+            import os
+
+            # stdout now points at devnull, so the interpreter's last flush of
+            # what is still buffered cannot fail again (Python docs, "Note on
+            # SIGPIPE"); no signal handler, since callers run main in process
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_CLOSED
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -5,11 +5,15 @@ nearest-neighbour birth-death rates (gain G(n) up, kappa (n+1) down from
 n+1), so the steady distribution obeys p_{n+1} = ratio(n) p_n with
 ratio = G(n) / (kappa (n+1)).  The recurrence is exact for the truncated
 generators, including the models whose ratio turns negative; the dense
-nullspace path is the independent cross-check.  It takes the eigenvalues
-of each decoupled block of the dense generator (one per offset n - m for a
-phase-covariant model) and the eigenvectors of only the block that holds
-the steady state; a matrix with no zero coupling is one block and gets one
-full eig.
+nullspace path is the independent cross-check.  It splits the dense
+generator into decoupled blocks (one per offset n - m for a phase-covariant
+model) and solves their eigenvalues in ascending order of a Gershgorin
+bound on them, min_i (|a_ii| - sum_{j != i} |a_ij|) over a block's rows or
+its columns, whichever is larger; it stops at the first bound above twice
+what the answer still needs (GAP_TOL * ||S|| once it holds a kernel, else
+the second smallest |eigenvalue| so far; with return_info always the
+latter).  Only the block that holds the steady state gets eigenvectors; a
+matrix with no zero coupling is one block and gets one full eig.
 
 A pump axis is solved in one pass (solve_pump_axis), and comes back as
 columns (PumpAxis): one entry per pump for the status, the populations,
@@ -166,6 +170,8 @@ def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -
     whether the top level holds at most TAIL_TOL.  This is the one-row case
     of recurrence_rows.
     """
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be None or a nonnegative integer, got {cutoff!r}")
     (p,), (weight,) = recurrence_rows(_ratio_rows(ratio, _top_level(space, cutoff)), space.dim)
     if not weight > 0:
         raise SteadyStateError(_not_normalizable(weight))
@@ -271,7 +277,8 @@ def solve_pump_axis(
     each row's mean.  Each cell is bit for bit what choose_truncation,
     recurrence_steady, moments and linewidth give for its pump alone.  An
     error that no pump escapes (a model build, a model cutoff below 1, a
-    kappa that is not positive) fails every cell with its message.
+    kappa that is not positive, a truncation below 1, a negative cutoff)
+    fails every cell with its message.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
     # a row the search left unresolved (level 0) keeps this error
@@ -280,6 +287,12 @@ def solve_pump_axis(
     n_maxes = np.zeros(len(pumps), dtype=int)
     values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
     try:
+        if truncation is not None and truncation < 1:
+            raise ValueError(f"truncation must be None or a positive integer, got {truncation!r}")
+        if cutoff not in (None, "auto") and cutoff < 0:
+            raise ValueError(
+                f"cutoff must be None, 'auto' or a nonnegative integer, got {cutoff!r}"
+            )
         model = build(pumps, TruncatedSpace(1))
         if truncation is None:
             levels = truncation_levels(model, len(pumps), kappa)
@@ -320,9 +333,19 @@ def solve_pump_axis(
 
 def _block_labels(mat: np.ndarray) -> tuple:
     """connected_components(mat != 0, connection="weak") of a square matrix,
-    read from a flat scan: np.flatnonzero lists the nonzero entries row by
-    row, which is already the order of a CSR pattern, and costs a fraction
-    of the 2-D nonzero scan a sparse constructor would make."""
+    and the Gershgorin margins |a_ii| - sum_{j != i} |a_ij| of its rows and
+    (second row of the array) of its columns.
+
+    One flat scan reads the pattern: np.flatnonzero lists the nonzero
+    entries row by row, which is already the order of a CSR pattern, and
+    costs a fraction of the 2-D nonzero scan a sparse constructor would
+    make.  The same entries give the sums of |a_ij| (np.bincount).  Every
+    eigenvalue of a block lies in a disc |z - a_ii| <= sum_{j != i} |a_ij|
+    of one of its rows, and in one of its columns' discs, so no |eigenvalue|
+    of the block is below the larger of its rows' least margin and its
+    columns' (a margin is negative where its disc holds zero, NaN where the
+    matrix has a NaN).
+    """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
@@ -330,7 +353,12 @@ def _block_labels(mat: np.ndarray) -> tuple:
     rows, cols = np.divmod(np.flatnonzero(mat != 0), size)
     indptr = np.searchsorted(rows, np.arange(size + 1))
     pattern = csr_array((np.ones(cols.size, dtype=bool), cols, indptr), shape=mat.shape)
-    return connected_components(pattern, connection="weak")
+    n_blocks, labels = connected_components(pattern, connection="weak")
+    magnitudes = np.abs(mat[rows, cols])
+    sums = np.stack((np.bincount(rows, magnitudes, size), np.bincount(cols, magnitudes, size)))
+    diagonal = np.abs(np.diagonal(mat))
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, as for a NaN entry
+        return n_blocks, labels, diagonal - (sums - diagonal)
 
 
 def nullspace_steady(generator: Superoperator, return_info: bool = False):
@@ -339,13 +367,23 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
 
     The generator's nonzero pattern splits it into decoupled blocks (one per
     offset n - m for the phase-covariant models here), the weakly connected
-    components of that pattern.  Each block gets its own eigenvalue solve,
-    and the spectrum is the union of theirs; a matrix that no zero entry
-    splits is one block.  Only the block holding the smallest |eigenvalue|
-    gets an eigenvector solve (one scipy.linalg.eig), and its
-    smallest-|eigenvalue| vector, zero on every other block, is the steady
-    state.  return_info's eigenvalue comes from that eig, its gap from the
-    union.
+    components of that pattern; a matrix that no zero entry splits is one
+    block.  Each block's Gershgorin bound, the larger of its rows' and its
+    columns' least margin (_block_labels), is at most the smallest
+    |eigenvalue| it holds.  Blocks get their eigenvalue solves
+    (np.linalg.eigvals) one at a time in ascending order of bound, until the
+    next bound exceeds twice what the answer still needs: GAP_TOL * ||S||
+    once a kernel (|eigenvalue| <= ZERO_TOL * ||S||) is found and
+    return_info is off, else the second smallest |eigenvalue| solved so
+    far (twice: room for the rounding of the bounds and of eigvals).  No
+    block left unsolved can then hold an eigenvalue that changes a
+    decision, a message or return_info, so the zero and gap tests on the
+    union of the solved spectra decide as the whole spectrum would.  Only
+    the block holding the smallest |eigenvalue| gets an eigenvector solve
+    (one scipy.linalg.eig), and its smallest-|eigenvalue| vector, zero on
+    every other block, is the steady state: complex if the matrix or that
+    block's eigenvectors are.  return_info's eigenvalue comes from that
+    eig, its gap from the union.
 
     Raises SteadyStateError when no eigenvalue sits within ZERO_TOL times
     the Frobenius norm, and DegenerateSteadyStateError when a second one
@@ -356,11 +394,25 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
 
     mat = generator.matrix
     scale = np.linalg.norm(mat)
-    n_blocks, labels = _block_labels(mat)
+    n_blocks, labels, margins = _block_labels(mat)
     members = np.argsort(labels, kind="stable")  # block 0's indices, then 1's, ...
     starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n_blocks))))
-    blocks = np.split(members, starts[1:-1])
-    lam = np.concatenate([np.linalg.eigvals(mat[np.ix_(idx, idx)]) for idx in blocks])
+    bounds = np.minimum.reduceat(margins[:, members], starts[:-1], axis=1).max(axis=0)
+    starts = starts.tolist()
+    solved, spectra = [], []  # the indices of each block solved, its eigenvalues
+    least = [np.inf, np.inf]  # the two smallest |eigenvalue|s solved so far
+    # a block with an inf or NaN entry has a NaN or -inf bound and goes first:
+    # its eigvals raises, as it would in any order
+    for b in np.argsort(np.where(np.isnan(bounds), -np.inf, bounds), kind="stable").tolist():
+        kernel = least[0] <= ZERO_TOL * scale
+        if bounds[b] > 2 * (GAP_TOL * scale if kernel and not return_info else least[1]):
+            break
+        solved.append(members[starts[b] : starts[b + 1]])
+        spectra.append(np.linalg.eigvals(mat[np.ix_(solved[-1], solved[-1])]))
+        least = sorted(least + np.abs(spectra[-1]).tolist())[:2]
+    lam = np.concatenate(spectra)
+    # lam[i] is an eigenvalue of the block solved[owner[i]]
+    owner = np.repeat(np.arange(len(solved)), [len(s) for s in spectra])
     order = np.argsort(np.abs(lam))
     smallest = abs(lam[order[0]])
     if smallest > ZERO_TOL * scale:
@@ -373,12 +425,10 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
             f"second eigenvalue {abs(lam[order[1]]):.3e} also lies within "
             f"{GAP_TOL:g} * ||S||; steady state is not unique"
         )
-    # block b fills entries starts[b]:starts[b + 1] of lam, as of members
-    idx = blocks[labels[members[order[0]]]]
+    idx = solved[owner[order[0]]]
     block_lam, vecs = scipy.linalg.eig(mat[np.ix_(idx, idx)])
     j = np.argmin(np.abs(block_lam))
-    # complex if the matrix or some block's spectrum is, as one full eig would return it
-    steady = np.zeros(len(lam), dtype=np.result_type(mat, lam, vecs))
+    steady = np.zeros(len(mat), dtype=np.result_type(mat, vecs))
     steady[idx] = vecs[:, j]
     rho = unvec(steady, generator.space)
     rho = 0.5 * (rho + rho.conj().T)

@@ -8,6 +8,7 @@ import pytest
 
 from micromaser import cli
 from micromaser.cli import (
+    EXIT_CLOSED,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
@@ -578,6 +579,21 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True, env=checkout_env(),
     )
     assert proc.stdout == "[]\n"
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # the reader is gone before the first row is written, as after `| head -1`
+    with subprocess.Popen(
+        [sys.executable, "-m", "micromaser.cli", "steady", "--model", "exact",
+         "--gtau", "0.1", "--pump", "0.5:3:200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=checkout_env(),
+    ) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == EXIT_CLOSED == 1
+    assert stderr == b""
 
 
 def test_console_entry_point():

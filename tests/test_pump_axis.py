@@ -357,6 +357,32 @@ def test_an_invalid_gain_column_fails_every_cell_on_one_line():
     assert axis.status == [message] * 6
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ({"truncation": 0}, "truncation must be None or a positive integer, got 0"),
+        ({"truncation": -3}, "truncation must be None or a positive integer, got -3"),
+        ({"cutoff": -2}, "cutoff must be None, 'auto' or a nonnegative integer, got -2"),
+    ],
+)
+def test_an_invalid_truncation_or_cutoff_fails_every_cell_on_one_line(option, message):
+    """The CLI rejects these at config time; a library caller gets the
+    argument's own message in every cell, not a search's or NumPy's."""
+    axis = solve_pump_axis(
+        lambda values, space: exact_model(PumpParameters.from_pump(values, 0.1), space),
+        [1.0, 2.0],
+        1.0,
+        **option,
+    )
+    assert axis.status == [f"error: {message}"] * 2
+    assert axis.p == [None, None]
+
+
+def test_recurrence_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError, match=r"^cutoff must be None or a nonnegative integer, got -1$"):
+        recurrence_steady(lambda n: np.full(n.shape, 0.5), TruncatedSpace(8), cutoff=-1)
+
+
 @pytest.mark.parametrize("pumps", [3, 9])
 def test_dense_forms_refuse_a_pump_column(pumps):
     """With as many pumps as rows of an operator (3) or of a superoperator

@@ -28,7 +28,9 @@ from micromaser.observables import distribution_distance
 from micromaser.oracle import annihilation, left_mult, loss_dissipator, right_mult
 from micromaser.pump import PumpParameters
 from micromaser.steady import (
+    GAP_TOL,
     HARD_CAP,
+    ZERO_TOL,
     DegenerateSteadyStateError,
     SteadyStateError,
     _block_labels,
@@ -210,7 +212,7 @@ def test_flat_scan_finds_the_weakly_connected_blocks(dtype, rng):
         # entry 17 reaches the rest through one one-way coupling, 17 -> 3
         mat[17, :] = mat[:, 17] = 0.0
         mat[17, 17] = mat[3, 17] = 1.0
-        n_blocks, labels = _block_labels(mat)
+        n_blocks, labels, _ = _block_labels(mat)
         want_n, want = connected_components(mat != 0, connection="weak")
         assert n_blocks == want_n > 1
         assert labels.tolist() == want.tolist()
@@ -245,6 +247,155 @@ def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
     want = want / float(np.trace(want).real)
     assert np.array_equal(rho, want)
     assert info["eigenvalue"] == lam[j]
+
+
+def _all_blocks_reference(generator, return_info=False):
+    """nullspace_steady's answer with every block's eigenvalues solved: the
+    decisions, messages and info read the whole spectrum."""
+    mat = generator.matrix
+    scale = np.linalg.norm(mat)
+    n_blocks, labels = connected_components(mat != 0, connection="weak")
+    blocks = [np.flatnonzero(labels == b) for b in range(n_blocks)]
+    spectra = [np.linalg.eigvals(mat[np.ix_(idx, idx)]) for idx in blocks]
+    lam = np.concatenate(spectra)
+    owner = np.repeat(np.arange(n_blocks), [len(s) for s in spectra])
+    order = np.argsort(np.abs(lam))
+    first, second = abs(lam[order[0]]), abs(lam[order[1]]) if len(lam) > 1 else np.inf
+    if first > ZERO_TOL * scale:
+        raise SteadyStateError(
+            f"smallest |eigenvalue| {first:.3e} exceeds "
+            f"{ZERO_TOL:g} * ||S|| = {ZERO_TOL * scale:.3e}"
+        )
+    if second <= GAP_TOL * scale:
+        raise DegenerateSteadyStateError(
+            f"second eigenvalue {second:.3e} also lies within "
+            f"{GAP_TOL:g} * ||S||; steady state is not unique"
+        )
+    idx = blocks[owner[order[0]]]
+    block_lam, vecs = scipy.linalg.eig(mat[np.ix_(idx, idx)])
+    j = np.argmin(np.abs(block_lam))
+    steady = np.zeros(len(mat), dtype=np.result_type(mat, vecs))
+    steady[idx] = vecs[:, j]
+    rho = unvec(steady, generator.space)
+    rho = 0.5 * (rho + rho.conj().T)
+    trace = float(np.trace(rho).real)
+    if abs(trace) < 1e-12 * np.linalg.norm(rho) * rho.shape[0]:
+        raise SteadyStateError("nullspace vector is traceless; not a state")
+    rho = rho / trace
+    info = {"eigenvalue": complex(block_lam[j]), "gap": float(second), "norm": float(scale)}
+    return (rho, info) if return_info else rho
+
+
+def _outcome(solve, generator, return_info):
+    """A nullspace solve's exception and message, or its rho's dtype and
+    bytes and its info (None without return_info)."""
+    try:
+        got = solve(generator, return_info=return_info)
+    except (SteadyStateError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    rho, info = got if return_info else (got, None)
+    return rho.dtype, rho.tobytes(), info
+
+
+class _EigvalsSpy:
+    """np.linalg.eigvals, recording the matrix of every call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            self.calls.append(np.array(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+
+
+def test_nullspace_solves_eigenvalues_of_the_steady_block_only(monkeypatch):
+    params = PumpParameters.from_pump(2.0, 0.15, KAPPA)
+    space = TruncatedSpace(12)
+    d = space.dim
+    generator = assemble(exact_model(params, space), KAPPA)
+    spy = _EigvalsSpy(monkeypatch)
+    got = _outcome(nullspace_steady, generator, False)
+    monkeypatch.undo()
+    # the offset-0 block's column discs touch zero, every other block's exclude
+    # it by more than 2 GAP_TOL ||S||: one eigenvalue solve, on rho_nn
+    idx = np.arange(d) * (d + 1)
+    assert len(spy.calls) == 1
+    assert np.array_equal(spy.calls[0], generator.matrix[np.ix_(idx, idx)])
+    assert got == _outcome(_all_blocks_reference, generator, False)
+
+
+def _random_block(rng, size, kind, dtype):
+    entries = rng.standard_normal((size, size))
+    if dtype == complex:
+        entries = entries + 1j * rng.standard_normal((size, size))
+    entries[rng.random((size, size)) < 0.3] = 0.0
+    if kind == "kernel":
+        # columns summing to zero: a zero eigenvalue, discs that reach it
+        off = np.abs(entries) if dtype == float else entries
+        np.fill_diagonal(off, 0.0)
+        return off - np.diag(off.sum(axis=0))
+    if kind == "slow":
+        # an eigenvalue of 1e-9 (within GAP_TOL * ||S||) behind discs that reach zero
+        basis = np.eye(size) + 0.3 * entries
+        values = np.concatenate(([1e-9], -rng.uniform(0.5, 2.0, size - 1)))
+        return basis @ np.diag(values) @ np.linalg.inv(basis)
+    if kind == "wide":
+        return entries  # discs that reach zero, no eigenvalue near it
+    # "decay": discs shifted off zero, some by little, some by far
+    return 0.3 * entries - rng.uniform(0.2, 40.0) * np.eye(size)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pruned_blocks_match_the_all_blocks_reference(dtype, rng, monkeypatch):
+    spy = _EigvalsSpy(monkeypatch)
+    unsolved = 0
+    outcomes = set()
+    for trial in range(60):
+        space = TruncatedSpace(int(rng.integers(3, 6)))
+        total = space.dim**2
+        kinds = ["kernel"] * (trial % 3)  # missing, one and two kernels
+        if rng.random() < 0.2:
+            kinds.append("slow")
+        if rng.random() < 0.3:
+            kinds.append("wide")
+        sizes = []
+        while sum(sizes) < total:
+            sizes.append(min(int(rng.integers(1, 6)), total - sum(sizes)))
+        kinds += ["decay"] * (len(sizes) - len(kinds))
+        kinds = kinds[: len(sizes)]
+        parts = [_random_block(rng, n, k, dtype) for n, k in zip(sizes, rng.permutation(kinds))]
+        perm = rng.permutation(total)
+        mat = scipy.linalg.block_diag(*parts)[np.ix_(perm, perm)]
+        n_blocks, labels, margins = _block_labels(mat)
+        for b in range(n_blocks):
+            idx = np.flatnonzero(labels == b)
+            least = np.abs(np.linalg.eigvals(mat[np.ix_(idx, idx)])).min()
+            assert margins[:, idx].min(axis=1).max() <= least + 1e-12
+        if trial % 10 == 9:  # a non-finite entry in one block, on or off its diagonal
+            i, j = np.flatnonzero(labels == labels[rng.integers(total)])[[0, -1]]
+            mat[i, rng.choice([i, j])] = rng.choice([np.nan, np.inf])
+        generator = Superoperator(space, mat)
+        for return_info in (False, True):
+            spy.calls.clear()
+            got = _outcome(nullspace_steady, generator, return_info)
+            unsolved += n_blocks - len(spy.calls)
+            want = _outcome(_all_blocks_reference, generator, return_info)
+            assert got == want
+            outcomes.add(want[0].__name__ if isinstance(want[0], type) else "ok")
+    assert outcomes == {"ok", "SteadyStateError", "DegenerateSteadyStateError", "LinAlgError"}
+    assert unsolved > 0
+
+
+@pytest.mark.parametrize("return_info", [False, True])
+@pytest.mark.parametrize("variant", ["exact", "post4", "weak", "uniform", "heuristic_aa_dag"])
+def test_dense_route_models_match_the_all_blocks_reference(variant, return_info):
+    params = PumpParameters.from_pump(2.0, 0.05, KAPPA)
+    generator = assemble(ORACLE_VARIANTS[variant](params, TruncatedSpace(30)), KAPPA)
+    got = _outcome(nullspace_steady, generator, return_info)
+    assert got == _outcome(_all_blocks_reference, generator, return_info)
 
 
 def test_unsplit_generator_gets_one_full_eig():
