@@ -10,11 +10,12 @@ into the fixed text between its list columns, and each row's lines are one
 join of that text with the texts of its list columns.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
 rest are still emitted), 1 on configuration errors and, without a
-traceback, on an output its reader closed early (`| head`).  Every model is
-built once while the configuration is read, so a model option its
-constructor rejects is a configuration error.  Each model is then solved over its whole
-pump axis in one pass (steady.solve_pump_axis), model by model on the
-calling thread, and its per-pump columns go to the output rows as lists;
+traceback, on an output its reader closed early (`| head`).  Each model's
+builder is made once while the configuration is read and builds the model
+once there, so a model option its constructor rejects is a configuration
+error.  The same builder then solves the model over its whole pump axis in
+one pass (steady.solve_pump_axis), model by model on the calling thread,
+and its per-pump columns go to the output rows as lists;
 rows and error lines come in grid order (model, then pump).  The `cutoff`
 "auto" keeps each model's own cutoff; "off" drops it, an integer replaces it.
 The `workers` setting is accepted, checked and echoed, but ignored.
@@ -51,7 +52,6 @@ from .models import (
     general_weak_model,
     heuristic_model,
     uniform_model,
-    weak_coupling_model,
 )
 from .observables import distribution_distance
 from .pump import PumpParameters
@@ -147,6 +147,8 @@ class RunConfig:
     truncation: int | str = "auto"
     cutoff: int | str = "auto"
     workers: int = 4
+    # one build(pumps, space) per model spec, made once by __post_init__
+    builders: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.models:
@@ -180,12 +182,17 @@ class RunConfig:
                 )
         if not _is_int(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
-        # the model constructors judge the option values
+        # the model constructors judge the option values; the builder that
+        # passes is the one the grid is solved with
+        builders = []
         for spec in self.models:
             try:
-                _model_builder(spec, self)(self.pump[0], TruncatedSpace(1))
+                build = _model_builder(spec, self)
+                build(self.pump[0], TruncatedSpace(1))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model {spec.name!r}: {exc}") from None
+            builders.append(build)
+        object.__setattr__(self, "builders", tuple(builders))
 
     def echo(self) -> dict:
         return {
@@ -283,7 +290,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.gtau is not None:
         data["g_tau_bar"] = args.gtau
     if args.pump is not None:
-        data["pump"] = args.pump
+        data["pump"] = args.pump  # its text is parsed below, as a config string is
     if args.workers is not None:
         data["workers"] = args.workers
     if "models" not in data:
@@ -310,7 +317,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 # One entry per model.  Its keyword options, with their defaults, are the keys
 # ModelSpec accepts; it checks their types and returns model(params, space),
-# building the polynomial basis of a weak series of order other than 3 once.
+# building the polynomial basis of a weak series once.
 _FROM_PUMP = object()  # a heuristic default that the pump sets: a JSON null stays an error
 
 
@@ -322,8 +329,6 @@ def _option(key: str, value, ok, kind: str):
 
 def _weak(*, order=3):
     order = _option("order", _as_int(order), _is_int, "an integer")
-    if order == 3:
-        return weak_coupling_model
     basis = build_basis(TimeMeasure.exponential(), order)
     return lambda params, space: general_weak_model(params, basis, order, space)
 
@@ -368,14 +373,14 @@ def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tup
     order."""
     grid = [
         solve_pump_axis(
-            _model_builder(spec, config),
+            build,
             config.pump,
             config.kappa,
             truncation=None if config.truncation == "auto" else config.truncation,
             cutoff=None if config.cutoff == "off" else config.cutoff,
             linewidth=linewidth,
         )
-        for spec in config.models
+        for build in config.builders
     ]
     failures = 0
     for spec, axis in zip(config.models, grid):
@@ -631,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--gtau", type=float, help="coupling-time product g tau_bar")
         cmd.add_argument(
             "--pump",
-            type=parse_pump_spec,
             help="pump value or START:STOP:STEPS range (A/kappa units)",
         )
         cmd.add_argument(

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class TruncatedSpace:
@@ -20,6 +18,3 @@ class TruncatedSpace:
     @property
     def dim(self) -> int:
         return self.n_max + 1
-
-    def levels(self) -> np.ndarray:
-        return np.arange(self.dim)

@@ -6,7 +6,7 @@ atom-induced gain is treated:
   exact            measure-averaged pump, all orders in g tau
   post4            fourth-order expansion of the average (not Lindblad)
   weak_lindblad    weak-coupling series on orthonormal time polynomials,
-                   any order up to 64 (closed form at the default 3)
+                   any order up to 64 (3 by default)
   uniform_lindblad all-orders Lindblad set from degree-0/1/2 projections
   heuristic        single saturated-gain Lindblad operator
 
@@ -75,7 +75,7 @@ from typing import Callable
 import numpy as np
 
 from .fock import TruncatedSpace
-from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, expansion_coeffs
+from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, build_basis, expansion_coeffs
 from .pump import PumpParameters, cos_cos_average, scalar_rate, sin_sin_average
 from .superop import Superoperator
 
@@ -443,37 +443,6 @@ def fourth_order_model(params: PumpParameters, space: TruncatedSpace) -> Generat
     )
 
 
-def weak_coupling_model(params: PumpParameters, space: TruncatedSpace) -> GeneratorModel:
-    """Fourth-order-accurate Lindblad set for the exponential measure.
-
-    Gain family (u = (g tau_bar)^2, P = a a*):
-        S0 = sqrt(r) g tau_bar a* (1 - u P)
-        S1 = -sqrt(r) g tau_bar a* (1 - 3 u P)
-        S2 = sqrt(10 r) (g tau_bar)^3 a* P
-    plus one diagonal operator sqrt(6 r) u P (identity part dropped), which
-    leaves photon statistics alone and only widens the line.
-    """
-    gt, u = params.g_tau_bar, params.u
-
-    def gain_elements(y):
-        root = gt * np.sqrt(y)
-        return [root * (1.0 - u * y), -root * (1.0 - 3.0 * u * y), math.sqrt(10.0) * u * root * y]
-
-    def diagonals(y):
-        return [-math.sqrt(6.0) * u * y]
-
-    return _lindblad_model(
-        WEAK,
-        space,
-        params,
-        params.r,
-        gain_elements,
-        diagonals,
-        truncated_top=True,
-        cutoff=expansion_cutoff(gt),
-    )
-
-
 def general_weak_model(
     params: PumpParameters,
     basis: OrthoBasis,
@@ -486,8 +455,8 @@ def general_weak_model(
     g tau and projected onto the orthonormal polynomials of the measure:
     x^j = sum_k a_jk f_k turns each series coefficient into Lindblad
     operators C_k (diagonal, identity parts dropped) and S_k (one-quantum
-    gain).  With the exponential measure and order 3 this reproduces the
-    closed-form set of weak_coupling_model.
+    gain).  weak_coupling_model is this series at order 3 on the exponential
+    measure; the CLI's weak_lindblad builds it at any order on that measure.
     """
     if not 1 <= order <= MAX_DEGREE:
         raise ValueError(f"series order must be in 1..{MAX_DEGREE}, got {order}")
@@ -523,6 +492,19 @@ def general_weak_model(
         truncated_top=True,
         cutoff=expansion_cutoff(gt),
     )
+
+
+def weak_coupling_model(params: PumpParameters, space: TruncatedSpace) -> GeneratorModel:
+    """The weak-coupling series at order 3 on the exponential measure
+    (general_weak_model, its basis built per call).
+
+    This is the fourth-order-accurate Lindblad set: gain operators a* times
+    polynomials of degree 1 in P = a a*, whose generator carries the quartic
+    expansion plus a sixth-order remainder, and one diagonal operator
+    proportional to u P (u = (g tau_bar)^2, identity part dropped), which
+    leaves photon statistics alone and only widens the line.
+    """
+    return general_weak_model(params, build_basis(TimeMeasure.exponential(), 3), 3, space)
 
 
 def exponential_projections(alpha, k_max: int) -> list:

@@ -88,7 +88,6 @@ class PhotonStatistics:
     """
 
     p: np.ndarray = field(repr=False)
-    n_cut: int | None
     negative: tuple = ()
     converged: bool = True
 
@@ -181,7 +180,7 @@ def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -
         # occupancy of the top level, the choose_truncation criterion
         converged = bool(abs(p[-1]) <= TAIL_TOL)
     negative = tuple((int(n), float(p[n])) for n in np.flatnonzero(p < 0))
-    return PhotonStatistics(p, n_cut=cutoff, negative=negative, converged=converged)
+    return PhotonStatistics(p, negative=negative, converged=converged)
 
 
 def _pieces(rows: np.ndarray, width: int) -> list:

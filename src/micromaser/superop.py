@@ -41,28 +41,6 @@ class Superoperator:
             return unvec(self.matrix @ v.real + 1j * (self.matrix @ v.imag), self.space)
         return unvec(self.matrix @ v, self.space)
 
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if other.space != self.space:
-            raise ValueError("superoperators live on different spaces")
-        return Superoperator(self.space, self.matrix + other.matrix)
-
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
-
-    def trace_defect(self) -> tuple[float, float]:
-        """Column sums of the trace functional: (interior max, boundary max).
-
-        The boundary figure collects columns whose source entry touches the
-        top level n_max, where truncation leaks are reported rather than
-        hidden; a trace-preserving generator has both equal to zero.
-        """
-        d = self.space.dim
-        trace_row = np.zeros(d * d)
-        trace_row[:: d + 1] = 1.0
-        col_sums = np.abs(trace_row @ self.matrix)
-        grid = col_sums.reshape((d, d), order="F")  # [row index m, col index n]
-        interior = float(grid[: d - 1, : d - 1].max()) if d > 1 else 0.0
-        boundary = float(max(grid[d - 1, :].max(), grid[:, d - 1].max()))
-        return interior, boundary
-

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from micromaser.fock import TruncatedSpace
+from micromaser.oracle import annihilation
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,8 +42,6 @@ def random_density(space: TruncatedSpace, rng, envelope: float = 0.5) -> np.ndar
 
 def coherent_density(space: TruncatedSpace, amplitude: float) -> np.ndarray:
     """Truncated coherent state |alpha><alpha|, renormalized on the space."""
-    import math
-
     n = np.arange(space.dim)
     amp = np.array(
         [amplitude**k / math.sqrt(math.factorial(k)) for k in n], dtype=float
@@ -49,3 +49,24 @@ def coherent_density(space: TruncatedSpace, amplitude: float) -> np.ndarray:
     amp *= np.exp(-(amplitude**2) / 2.0)
     amp /= np.linalg.norm(amp)
     return np.outer(amp, amp)
+
+
+def reference_weak_operators(params, space, q=0.5):
+    """The closed-form Lindblad family of the third-order expansion, written
+    out literally, including the identity offset that must drop out."""
+    a = annihilation(space)
+    ad = a.T
+    eye = np.eye(space.dim)
+    p_op = a @ ad
+    gt = params.g_tau_bar
+    u = params.u
+    sr = math.sqrt(params.r)
+    c0 = sr * u * (eye / (1.0 - q) - p_op)
+    return [
+        c0,
+        -2.0 * c0,
+        c0,
+        sr * gt * ad @ (eye - u * p_op),
+        -sr * gt * ad @ (eye - 3.0 * u * p_op),
+        math.sqrt(10.0 * params.r) * gt**3 * (ad @ a @ ad),
+    ]

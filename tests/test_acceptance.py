@@ -39,7 +39,6 @@ from micromaser.observables import (
     operator_norm_estimate,
 )
 from micromaser.oracle import (
-    annihilation,
     dissipator_matrix,
     fourth_order_generator,
     kraus_operators,
@@ -55,7 +54,7 @@ from micromaser.steady import (
 )
 from micromaser.superop import unvec, vec
 
-from conftest import random_density
+from conftest import random_density, reference_weak_operators
 
 KAPPA = 1.0
 
@@ -66,36 +65,13 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def reference_weak_operators(params, space, q=0.5):
-    """The closed-form Lindblad family of the third-order expansion, written
-    out literally, including the identity offset that must drop out."""
-    a = annihilation(space)
-    ad = a.T
-    eye = np.eye(space.dim)
-    p_op = a @ ad
-    gt = params.g_tau_bar
-    u = params.u
-    sr = math.sqrt(params.r)
-    c0 = sr * u * (eye / (1.0 - q) - p_op)
-    return [
-        c0,
-        -2.0 * c0,
-        c0,
-        sr * gt * ad @ (eye - u * p_op),
-        -sr * gt * ad @ (eye - 3.0 * u * p_op),
-        math.sqrt(10.0 * params.r) * gt**3 * (ad @ a @ ad),
-    ]
-
-
 def test_criterion_01_series_reproduces_reference_operator_set():
     basis = build_basis(TimeMeasure.exponential(), 3)
     space = TruncatedSpace(60)
     worst = 0.0
     for gt in (0.03, 0.15):
         params = PumpParameters.from_pump(0.9, gt, KAPPA)
-        reference = sum(
-            dissipator_matrix(op) for op in reference_weak_operators(params, space)
-        )
+        reference = dissipator_matrix(*reference_weak_operators(params, space))
         series = assemble(general_weak_model(params, basis, 3, space), 0.0).matrix
         worst = max(worst, float(np.abs(series - reference).max()))
         del reference, series

@@ -385,6 +385,43 @@ def test_config_numbers_must_be_json_numbers(override, message, tmp_path, capsys
     assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("1:2:0", "cannot parse pump spec '1:2:0': pump range needs at least 1 step, got 0"),
+        ("1:2", "pump spec must be VALUE or START:STOP:STEPS, got '1:2'"),
+        ("1:2:x", "cannot parse pump spec '1:2:x': invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_bad_pump_flag_prints_the_spec_message(spec, message, tmp_path, capsys):
+    want = (EXIT_CONFIG, "", f"config error: {message}\n")
+    flag = ["sweep", "--model", "exact", "--gtau", "0.15", "--pump", spec]
+    assert run_cli(flag, capsys) == want
+    # the flag's text takes the path a config string takes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "pump": spec}))
+    assert run_cli(["sweep", "--config", str(cfg)], capsys) == want
+
+
+def test_each_weak_spec_builds_its_basis_once(monkeypatch, tmp_path, capsys):
+    degrees = []
+    build_basis = cli.build_basis
+
+    def counting(measure, degree):
+        degrees.append(degree)
+        return build_basis(measure, degree)
+
+    monkeypatch.setattr(cli, "build_basis", counting)
+    models = ["weak_lindblad", {"name": "weak_lindblad", "order": 5}, "exact"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "models": models, "pump": [0.5, 3.0]}))
+    for command in ("sweep", "compare"):
+        degrees.clear()
+        code, _, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert degrees == [3, 5]
+
+
 def test_pump_range_object_takes_integral_float_steps(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     echoes = []

@@ -4,7 +4,10 @@ the package namespace import still resolves."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
 import micromaser
@@ -86,6 +89,23 @@ def test_benchmark_imports_resolve():
     assert missing == []
     # perfbench/spans.py wraps this method on every traced and smoke run
     assert inspect.isfunction(GeneratorModel.apply)
+
+
+def test_benchmark_workloads_run_in_process(monkeypatch):
+    """Each workload's smoke input through the benchmark's own route and
+    checks: a name or call signature it relies on that changes fails here."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    names = [wl["name"] for wl in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(names) == sorted(workloads.WORKLOADS)
+    for name in names:
+        inputs = workloads.make_inputs(workloads.WORKLOADS[name], 7, smoke=True)
+        out = workloads.run_once(inputs)
+        assert out.code == 0, name
+        values = workloads.cell_values(inputs, out)
+        assert values and None not in values, name
 
 
 def test_package_namespace_exports_resolve():

@@ -404,8 +404,9 @@ def test_unsplit_generator_gets_one_full_eig():
     a = annihilation(space)
     eps = 0.2
     drive = eps * (a + a.conj().T)
-    generator = loss_dissipator(KAPPA, space) + Superoperator(
-        space, -1j * (left_mult(drive) - right_mult(drive))
+    generator = Superoperator(
+        space,
+        loss_dissipator(KAPPA, space).matrix - 1j * (left_mult(drive) - right_mult(drive)),
     )
     assert _n_blocks(generator) == 1
     rho = _nullspace_matching_full_eig(generator)

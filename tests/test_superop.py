@@ -5,6 +5,7 @@ from micromaser.fock import TruncatedSpace
 from micromaser.oracle import (
     annihilation,
     apply_dissipator,
+    column_trace_defects,
     dissipator_matrix,
     left_mult,
     loss_dissipator,
@@ -55,14 +56,13 @@ def test_dissipator_action_and_trace(rng):
     assert abs(np.trace(drho)) < 1e-13
 
 
-def test_superoperator_apply_add_and_norm(rng):
+def test_superoperator_apply_and_norm(rng):
     space = TruncatedSpace(3)
-    m1 = rng.standard_normal((16, 16))
-    m2 = rng.standard_normal((16, 16))
-    s = Superoperator(space, m1) + Superoperator(space, m2)
+    mat = rng.standard_normal((16, 16))
+    s = Superoperator(space, mat)
     rho = rng.standard_normal((4, 4))
-    assert np.allclose(s.apply(rho), unvec((m1 + m2) @ vec(rho), space))
-    assert s.norm == pytest.approx(np.linalg.norm(m1 + m2))
+    assert np.allclose(s.apply(rho), unvec(mat @ vec(rho), space))
+    assert s.norm == pytest.approx(np.linalg.norm(mat))
 
 
 def test_apply_complex_state_with_real_matrix(rng):
@@ -92,7 +92,7 @@ def test_loss_dissipator_trace_defects_vanish():
     # photon loss maps the truncated space into itself: no boundary leak
     space = TruncatedSpace(8)
     loss = loss_dissipator(2.3, space)
-    interior, boundary = loss.trace_defect()
+    interior, boundary = column_trace_defects(loss)
     assert interior < 1e-13
     assert boundary < 1e-13
 
