@@ -218,14 +218,15 @@ def _pump_range(start: float, stop: float, steps: int) -> tuple:
 def parse_pump_spec(text: str) -> tuple:
     """'START:STOP:STEPS' -> an inclusive linspace; a bare float -> one point."""
     parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"pump spec must be VALUE or START:STOP:STEPS, got {text!r}")
     try:
         if len(parts) == 1:
             return (float(parts[0]),)
-        if len(parts) == 3:
-            return _pump_range(float(parts[0]), float(parts[1]), int(parts[2]))
+        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"cannot parse pump spec {text!r}: {exc}") from None
-    raise ConfigError(f"pump spec must be VALUE or START:STOP:STEPS, got {text!r}")
+    return _pump_range(start, stop, steps)
 
 
 def _normalize_models(raw) -> tuple:

@@ -13,7 +13,9 @@ its columns, whichever is larger; it stops at the first bound above twice
 what the answer still needs (GAP_TOL * ||S|| once it holds a kernel, else
 the second smallest |eigenvalue| so far; with return_info always the
 latter).  Only the block that holds the steady state gets eigenvectors; a
-matrix with no zero coupling is one block and gets one full eig.
+matrix with no zero coupling is one block and gets one full eig.  The
+blocks are labelled (_weak_components) and solved (np.linalg.eigvals, eig)
+with NumPy alone, so the dense route never loads scipy.
 
 A pump axis is solved in one pass (solve_pump_axis), and comes back as
 columns (PumpAxis): one entry per pump for the status, the populations,
@@ -330,29 +332,48 @@ def solve_pump_axis(
     return PumpAxis(status, populations, n_maxes, *values)
 
 
+def _weak_components(size: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """The number of weakly connected components of the graph on `size`
+    entries with a coupling rows[k] -> cols[k] for each k, and each entry's
+    component, numbered in order of its least entry.
+
+    Every entry points at an entry of its own component no later than
+    itself, at first itself.  Each round hooks every root to the least
+    root it couples to (np.minimum.at), then pointer-jumps until every
+    entry points at a root; it stops when every coupling joins two entries
+    with the same root, which is then its component's least entry.
+    """
+    root = np.arange(size)
+    while True:
+        head, tail = root[rows], root[cols]
+        if np.array_equal(head, tail):
+            break
+        np.minimum.at(root, head, tail)
+        np.minimum.at(root, tail, head)
+        while not np.array_equal(up := root[root], root):
+            root = up
+    least, labels = np.unique(root, return_inverse=True)
+    return len(least), labels
+
+
 def _block_labels(mat: np.ndarray) -> tuple:
-    """connected_components(mat != 0, connection="weak") of a square matrix,
-    and the Gershgorin margins |a_ii| - sum_{j != i} |a_ij| of its rows and
-    (second row of the array) of its columns.
+    """The weakly connected components of a square matrix's nonzero pattern
+    (_weak_components: their number and each index's, as
+    scipy.sparse.csgraph.connected_components(mat != 0, connection="weak")
+    numbers them), and the Gershgorin margins |a_ii| - sum_{j != i} |a_ij|
+    of its rows and (second row of the array) of its columns.
 
     One flat scan reads the pattern: np.flatnonzero lists the nonzero
-    entries row by row, which is already the order of a CSR pattern, and
-    costs a fraction of the 2-D nonzero scan a sparse constructor would
-    make.  The same entries give the sums of |a_ij| (np.bincount).  Every
-    eigenvalue of a block lies in a disc |z - a_ii| <= sum_{j != i} |a_ij|
-    of one of its rows, and in one of its columns' discs, so no |eigenvalue|
-    of the block is below the larger of its rows' least margin and its
-    columns' (a margin is negative where its disc holds zero, NaN where the
-    matrix has a NaN).
+    entries row by row.  The same entries give the sums of |a_ij|
+    (np.bincount).  Every eigenvalue of a block lies in a disc
+    |z - a_ii| <= sum_{j != i} |a_ij| of one of its rows, and in one of its
+    columns' discs, so no |eigenvalue| of the block is below the larger of
+    its rows' least margin and its columns' (a margin is negative where its
+    disc holds zero, NaN where the matrix has a NaN).
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
     size = len(mat)
     rows, cols = np.divmod(np.flatnonzero(mat != 0), size)
-    indptr = np.searchsorted(rows, np.arange(size + 1))
-    pattern = csr_array((np.ones(cols.size, dtype=bool), cols, indptr), shape=mat.shape)
-    n_blocks, labels = connected_components(pattern, connection="weak")
+    n_blocks, labels = _weak_components(size, rows, cols)
     magnitudes = np.abs(mat[rows, cols])
     sums = np.stack((np.bincount(rows, magnitudes, size), np.bincount(cols, magnitudes, size)))
     diagonal = np.abs(np.diagonal(mat))
@@ -379,7 +400,7 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     decision, a message or return_info, so the zero and gap tests on the
     union of the solved spectra decide as the whole spectrum would.  Only
     the block holding the smallest |eigenvalue| gets an eigenvector solve
-    (one scipy.linalg.eig), and its smallest-|eigenvalue| vector, zero on
+    (one np.linalg.eig), and its smallest-|eigenvalue| vector, zero on
     every other block, is the steady state: complex if the matrix or that
     block's eigenvectors are.  return_info's eigenvalue comes from that
     eig, its gap from the union.
@@ -388,9 +409,6 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     the Frobenius norm, and DegenerateSteadyStateError when a second one
     sits within GAP_TOL times the norm (no unique steady state).
     """
-    # imported here: at module level scipy would add about 0.5 s to every `import micromaser`
-    import scipy.linalg
-
     mat = generator.matrix
     scale = np.linalg.norm(mat)
     n_blocks, labels, margins = _block_labels(mat)
@@ -425,7 +443,7 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
             f"{GAP_TOL:g} * ||S||; steady state is not unique"
         )
     idx = solved[owner[order[0]]]
-    block_lam, vecs = scipy.linalg.eig(mat[np.ix_(idx, idx)])
+    block_lam, vecs = np.linalg.eig(mat[np.ix_(idx, idx)])
     j = np.argmin(np.abs(block_lam))
     steady = np.zeros(len(mat), dtype=np.result_type(mat, vecs))
     steady[idx] = vecs[:, j]

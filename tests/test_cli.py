@@ -388,7 +388,7 @@ def test_config_numbers_must_be_json_numbers(override, message, tmp_path, capsys
 @pytest.mark.parametrize(
     "spec, message",
     [
-        ("1:2:0", "cannot parse pump spec '1:2:0': pump range needs at least 1 step, got 0"),
+        ("1:2:0", "pump range needs at least 1 step, got 0"),
         ("1:2", "pump spec must be VALUE or START:STOP:STEPS, got '1:2'"),
         ("1:2:x", "cannot parse pump spec '1:2:x': invalid literal for int() with base 10: 'x'"),
     ],

@@ -1,6 +1,7 @@
 """The dense references stand apart from the product: no product module
-imports `oracle` or forms a kron product, and every name the benchmark and
-the package namespace import still resolves."""
+imports `oracle` or forms a kron product, only quadrature and the oracle
+import scipy, and every name the benchmark and the package namespace import
+still resolves."""
 
 import ast
 import importlib
@@ -67,6 +68,17 @@ def test_no_product_module_forms_a_kron_product():
         if any("kron" in ident for ident in identifiers(path))
     }
     assert users == {"oracle.py"}
+
+
+def test_only_quadrature_and_the_oracle_import_scipy():
+    # steady.py's blocks and eigenvectors are NumPy's own
+    users = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for module, _ in imports(path)
+        if module.split(".")[0] == "scipy"
+    }
+    assert users == {"measures.py", "oracle.py"}
 
 
 def test_benchmark_imports_resolve():

@@ -219,6 +219,61 @@ def test_flat_scan_finds_the_weakly_connected_blocks(dtype, rng):
         assert labels[3] == labels[17]
 
 
+def _shuffled_path(rng, size):
+    """A one-way path through every index, in shuffled order."""
+    perm = rng.permutation(size)
+    mat = np.zeros((size, size))
+    mat[perm[:-1], perm[1:]] = 1.0
+    return mat
+
+
+def _one_way_chains(rng):
+    """Chains of one-way couplings, some running up the indices and some
+    down, each through indices spread over the whole matrix."""
+    size = 60
+    mat = np.zeros((size, size))
+    for chain in np.array_split(rng.permutation(size), 7):
+        if rng.random() < 0.5:
+            chain = np.sort(chain)[::-1]
+        mat[chain[:-1], chain[1:]] = rng.standard_normal(len(chain) - 1)
+    return mat
+
+
+def _with_nan(rng):
+    mat = _sparse_pattern(rng, 30, float)
+    mat[4, 21] = np.nan
+    return mat
+
+
+def _dense_oracle_generator(name):
+    params = PumpParameters.from_pump(2.0, 0.05, KAPPA)
+    return assemble(ORACLE_VARIANTS[name](params, TruncatedSpace(30)), KAPPA).matrix
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda rng: _shuffled_path(rng, 2000), id="shuffled_path_2000"),
+        pytest.param(_one_way_chains, id="one_way_chains"),
+        pytest.param(lambda rng: np.zeros((50, 50)), id="all_zero"),
+        pytest.param(lambda rng: np.zeros((1, 1)), id="one_by_one_zero"),
+        pytest.param(lambda rng: np.full((1, 1), -2.0), id="one_by_one"),
+        pytest.param(_with_nan, id="nan_entry"),
+        pytest.param(lambda rng: _sparse_pattern(rng, 80, complex), id="complex"),
+        *(
+            pytest.param(lambda rng, name=name: _dense_oracle_generator(name), id=name)
+            for name in ["exact", "post4", "weak", "uniform", "heuristic_aa_dag"]
+        ),
+    ],
+)
+def test_block_labels_equal_csgraph_on_hard_patterns(build, rng):
+    mat = build(rng)
+    n_blocks, labels, _ = _block_labels(mat)
+    want_n, want = connected_components(mat != 0, connection="weak")
+    assert n_blocks == want_n
+    assert labels.tolist() == want.tolist()
+
+
 def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
     params = PumpParameters.from_pump(2.0, 0.15, KAPPA)
     space = TruncatedSpace(12)
@@ -226,19 +281,19 @@ def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
     mat = assemble(exact_model(params, space), KAPPA).matrix
     assert _n_blocks(Superoperator(space, mat)) == 2 * d - 1
     calls = []
-    eig = scipy.linalg.eig
+    eig = np.linalg.eig
 
     def spy(a, *args, **kwargs):
         calls.append(a.shape)
         return eig(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eig", spy)
+    monkeypatch.setattr(np.linalg, "eig", spy)
     rho, info = nullspace_steady(Superoperator(space, mat), return_info=True)
     monkeypatch.undo()
     # the steady state lives on the diagonal rho_nn: the offset-0 block
     idx = np.arange(d) * (d + 1)
     assert calls == [(d, d)]
-    lam, vecs = scipy.linalg.eig(mat[np.ix_(idx, idx)])
+    lam, vecs = np.linalg.eig(mat[np.ix_(idx, idx)])
     j = np.argmin(np.abs(lam))
     steady = np.zeros(d * d, dtype=vecs.dtype)
     steady[idx] = vecs[:, j]
@@ -272,7 +327,7 @@ def _all_blocks_reference(generator, return_info=False):
             f"{GAP_TOL:g} * ||S||; steady state is not unique"
         )
     idx = blocks[owner[order[0]]]
-    block_lam, vecs = scipy.linalg.eig(mat[np.ix_(idx, idx)])
+    block_lam, vecs = np.linalg.eig(mat[np.ix_(idx, idx)])
     j = np.argmin(np.abs(block_lam))
     steady = np.zeros(len(mat), dtype=np.result_type(mat, vecs))
     steady[idx] = vecs[:, j]
@@ -442,13 +497,56 @@ def test_nullspace_rejects_one_zero_eigenvalue_per_block(rng):
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # nullspace_steady imports csgraph itself, so every CLI start skips it
+    # only the oracle's kron imports scipy.sparse, inside the call
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, micromaser; print('scipy.sparse' in sys.modules)"],
         capture_output=True, text=True, env=checkout_env(), check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+_DENSE_ROUTE = """
+import sys
+import numpy as np
+from micromaser.fock import TruncatedSpace
+from micromaser.models import (
+    assemble, exact_model, fourth_order_model, heuristic_model, uniform_model,
+    weak_coupling_model,
+)
+from micromaser.observables import linewidth, linewidth_fd
+from micromaser.pump import PumpParameters
+from micromaser.steady import nullspace_steady, recurrence_steady
+
+params = PumpParameters.from_pump(2.0, 0.05, 1.0)
+space = TruncatedSpace(6)
+models = [
+    exact_model(params, space),
+    fourth_order_model(params, space),
+    weak_coupling_model(params, space),
+    uniform_model(params, space),
+    heuristic_model(params.gain_rate, 4.0 * params.u, space),
+]
+for model in models:
+    generator = assemble(model, 1.0)
+    rho = nullspace_steady(generator)
+    _, info = nullspace_steady(generator, return_info=True)
+    p = recurrence_steady(model.gain_ratio(1.0), space).p
+    assert np.abs(np.diagonal(rho).real - p).max() < 1e-10, model.name
+    assert abs(info["eigenvalue"]) <= 1e-10 * info["norm"], model.name
+    linewidth(generator, rho, 1.0)
+    linewidth_fd(generator, rho, 1.0)
+print(len(models), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_dense_route_loads_no_scipy():
+    # the benchmark's dense route for all five models, in a fresh interpreter
+    proc = subprocess.run(
+        [sys.executable, "-c", _DENSE_ROUTE],
+        capture_output=True, text=True, env=checkout_env(), check=True,
+    )
+    assert proc.stdout.strip() == "5 []"
 
 
 def test_choose_truncation_pins_polynomial_models():
