@@ -194,10 +194,6 @@ class GeneratorModel:
     lindblad: tuple | None = None
     cutoff: int | None = None
 
-    @property
-    def manifest_lindblad(self) -> bool:
-        return self.lindblad is not None
-
     def _require_one_pump(self) -> None:
         """ValueError for a model built on a (P, 1) column of pump values:
         its band functions have one row per pump, and the dense forms (apply,
@@ -338,8 +334,8 @@ def expansion_cutoff(g_tau_bar: float) -> int:
     """Last level 0.2 / (g tau_bar)^2 of the series models: their gain turns
     negative near 0.25 / (g tau_bar)^2, and 80 percent of that keeps them
     inside their validity window.  Below 1 no level is valid."""
-    if g_tau_bar <= 0:
-        raise ValueError("g_tau_bar must be positive")
+    if not 0.0 < g_tau_bar < np.inf:
+        raise ValueError("g_tau_bar must be positive and finite")
     return int(np.floor(0.2 / g_tau_bar**2))
 
 

@@ -7,10 +7,11 @@ vec(rho) stacks columns (Fortran order), so A rho B maps to (B^T kron A)
 vec(rho) and L rho L* to (conj(L) kron L); kron products are formed sparse.
 
 Not every check here is independent of the band route.  `models.assemble`
-no longer scatters the moves `apply_band` takes, but it reads the same pair
-functions F and H (the model's level functions and rates, evaluated
-directly where `apply_band` slices their tables), so a wrong F or H passes
-a comparison of the two.  The Lindblad operator lists are built from the
+and `apply` scatter one list of moves, while `apply_band` takes each move
+as a slice of the band, but all three read the same pair functions F and
+H (the model's level functions and rates, evaluated directly where
+`apply_band` slices their tables), so a wrong F or H passes a comparison
+of them.  The Lindblad operator lists are built from the
 same level functions too.  What checks F and H themselves is the comparison
 with the operators built here from first principles: the averaged pump
 superoperator, the Kraus sets and the kron formula of the quartic

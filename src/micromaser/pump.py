@@ -41,8 +41,8 @@ class PumpParameters:
 
     def __post_init__(self):
         r = np.asarray(self.r)
-        if self.g_tau_bar <= 0 or not np.all((0.0 <= r) & (r < np.inf)):
-            raise ValueError("g_tau_bar must be positive, r nonnegative and finite")
+        if not 0.0 < self.g_tau_bar < np.inf or not np.all((0.0 <= r) & (r < np.inf)):
+            raise ValueError("g_tau_bar must be positive and finite, r nonnegative and finite")
 
     @property
     def u(self) -> float:

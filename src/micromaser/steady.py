@@ -5,17 +5,16 @@ nearest-neighbour birth-death rates (gain G(n) up, kappa (n+1) down from
 n+1), so the steady distribution obeys p_{n+1} = ratio(n) p_n with
 ratio = G(n) / (kappa (n+1)).  The recurrence is exact for the truncated
 generators, including the models whose ratio turns negative; the dense
-nullspace path is the independent cross-check.  It splits the dense
-generator into decoupled blocks (one per offset n - m for a phase-covariant
-model) and solves their eigenvalues in ascending order of a Gershgorin
-bound on them, min_i (|a_ii| - sum_{j != i} |a_ij|) over a block's rows or
-its columns, whichever is larger; it stops at the first bound above twice
-what the answer still needs (GAP_TOL * ||S|| once it holds a kernel, else
-the second smallest |eigenvalue| so far; with return_info always the
-latter).  Only the block that holds the steady state gets eigenvectors; a
-matrix with no zero coupling is one block and gets one full eig.  The
-blocks are labelled (_weak_components) and solved (np.linalg.eigvals, eig)
-with NumPy alone, so the dense route never loads scipy.
+nullspace path is the independent cross-check.  Its blocks are the offsets
+n - m, which a phase-covariant generator never couples (checked on its
+nonzero pattern; a matrix that couples two offsets is one block).  It
+solves their eigenvalues in ascending order of a Gershgorin bound on them,
+min_i (|a_ii| - sum_{j != i} |a_ij|) over a block's rows or its columns,
+whichever is larger; it stops at the first bound above twice what the
+answer still needs (GAP_TOL * ||S|| once it holds a kernel, else the second
+smallest |eigenvalue| so far; with return_info always the latter).  Only
+the block that holds the steady state gets eigenvectors.  It uses NumPy
+alone (np.linalg.eigvals, eig), so the dense route never loads scipy.
 
 A pump axis is solved in one pass (solve_pump_axis), and comes back as
 columns (PumpAxis): one entry per pump for the status, the populations,
@@ -92,10 +91,6 @@ class PhotonStatistics:
     p: np.ndarray = field(repr=False)
     negative: tuple = ()
     converged: bool = True
-
-    @property
-    def has_negative(self) -> bool:
-        return len(self.negative) > 0
 
 
 def _model_cutoff(model) -> int | None:
@@ -332,48 +327,31 @@ def solve_pump_axis(
     return PumpAxis(status, populations, n_maxes, *values)
 
 
-def _weak_components(size: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """The number of weakly connected components of the graph on `size`
-    entries with a coupling rows[k] -> cols[k] for each k, and each entry's
-    component, numbered in order of its least entry.
+def _block_labels(mat: np.ndarray, dim: int) -> tuple:
+    """The decoupled blocks of a generator on column-stacked dim x dim
+    matrices: their number and each vec index's block; and the Gershgorin
+    margins |a_ii| - sum_{j != i} |a_ij| of its rows and (second row of the
+    array) of its columns.
 
-    Every entry points at an entry of its own component no later than
-    itself, at first itself.  Each round hooks every root to the least
-    root it couples to (np.minimum.at), then pointer-jumps until every
-    entry points at a root; it stops when every coupling joins two entries
-    with the same root, which is then its component's least entry.
-    """
-    root = np.arange(size)
-    while True:
-        head, tail = root[rows], root[cols]
-        if np.array_equal(head, tail):
-            break
-        np.minimum.at(root, head, tail)
-        np.minimum.at(root, tail, head)
-        while not np.array_equal(up := root[root], root):
-            root = up
-    least, labels = np.unique(root, return_inverse=True)
-    return len(least), labels
-
-
-def _block_labels(mat: np.ndarray) -> tuple:
-    """The weakly connected components of a square matrix's nonzero pattern
-    (_weak_components: their number and each index's, as
-    scipy.sparse.csgraph.connected_components(mat != 0, connection="weak")
-    numbers them), and the Gershgorin margins |a_ii| - sum_{j != i} |a_ij|
-    of its rows and (second row of the array) of its columns.
-
-    One flat scan reads the pattern: np.flatnonzero lists the nonzero
-    entries row by row.  The same entries give the sums of |a_ij|
-    (np.bincount).  Every eigenvalue of a block lies in a disc
-    |z - a_ii| <= sum_{j != i} |a_ij| of one of its rows, and in one of its
-    columns' discs, so no |eigenvalue| of the block is below the larger of
-    its rows' least margin and its columns' (a margin is negative where its
-    disc holds zero, NaN where the matrix has a NaN).
+    A phase-covariant generator maps the entries of each offset n - m only
+    to that offset, so the blocks are the offsets, numbered in order of
+    their least index: 0, -1, ..., 1 - dim, then 1, ..., dim - 1.  One flat
+    scan of the nonzero pattern (np.flatnonzero, row by row) checks that no
+    entry couples two offsets; a matrix with one that does is one block.
+    The same entries give the sums of |a_ij| (np.bincount).  Every
+    eigenvalue of a block lies in a disc |z - a_ii| <= sum_{j != i} |a_ij|
+    of one of its rows, and in one of its columns' discs, so no |eigenvalue|
+    of the block is below the larger of its rows' least margin and its
+    columns' (a margin is negative where its disc holds zero, NaN where the
+    matrix has a NaN).
     """
     size = len(mat)
     rows, cols = np.divmod(np.flatnonzero(mat != 0), size)
-    n_blocks, labels = _weak_components(size, rows, cols)
+    offset = np.arange(size) // dim - np.arange(size) % dim
+    if np.array_equal(offset[rows], offset[cols]):
+        n_blocks, labels = 2 * dim - 1, np.where(offset > 0, dim - 1 + offset, -offset)
+    else:
+        n_blocks, labels = 1, np.zeros(size, dtype=int)
     magnitudes = np.abs(mat[rows, cols])
     sums = np.stack((np.bincount(rows, magnitudes, size), np.bincount(cols, magnitudes, size)))
     diagonal = np.abs(np.diagonal(mat))
@@ -385,23 +363,23 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     """Steady density matrix from the eigenvector of the dense generator
     with the smallest |eigenvalue|; Hermitized and trace normalized.
 
-    The generator's nonzero pattern splits it into decoupled blocks (one per
-    offset n - m for the phase-covariant models here), the weakly connected
-    components of that pattern; a matrix that no zero entry splits is one
-    block.  Each block's Gershgorin bound, the larger of its rows' and its
-    columns' least margin (_block_labels), is at most the smallest
-    |eigenvalue| it holds.  Blocks get their eigenvalue solves
-    (np.linalg.eigvals) one at a time in ascending order of bound, until the
-    next bound exceeds twice what the answer still needs: GAP_TOL * ||S||
-    once a kernel (|eigenvalue| <= ZERO_TOL * ||S||) is found and
-    return_info is off, else the second smallest |eigenvalue| solved so
-    far (twice: room for the rounding of the bounds and of eigvals).  No
-    block left unsolved can then hold an eigenvalue that changes a
-    decision, a message or return_info, so the zero and gap tests on the
-    union of the solved spectra decide as the whole spectrum would.  Only
-    the block holding the smallest |eigenvalue| gets an eigenvector solve
-    (one np.linalg.eig), and its smallest-|eigenvalue| vector, zero on
-    every other block, is the steady state: complex if the matrix or that
+    The blocks are the offsets n - m of the vec indices, which a
+    phase-covariant generator does not couple; a matrix with an entry that
+    couples two offsets is one block (_block_labels).  Each block's
+    Gershgorin bound, the larger of its rows' and its columns' least
+    margin, is at most the smallest |eigenvalue| it holds.  Blocks get
+    their eigenvalue solves (np.linalg.eigvals) one at a time in ascending
+    order of bound, until the next bound exceeds twice what the answer
+    still needs: GAP_TOL * ||S|| (generator.norm) once a kernel
+    (|eigenvalue| <= ZERO_TOL * ||S||) is found and return_info is off,
+    else the second smallest |eigenvalue| solved so far (twice: room for
+    the rounding of the bounds and of eigvals).  No block left unsolved
+    can then hold an eigenvalue that changes a decision, a message or
+    return_info, so the zero and gap tests on the union of the solved
+    spectra decide as the whole spectrum would.  Only the block holding
+    the smallest |eigenvalue| gets an eigenvector solve (one
+    np.linalg.eig), and its smallest-|eigenvalue| vector, zero on every
+    other block, is the steady state: complex if the matrix or that
     block's eigenvectors are.  return_info's eigenvalue comes from that
     eig, its gap from the union.
 
@@ -410,8 +388,8 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     sits within GAP_TOL times the norm (no unique steady state).
     """
     mat = generator.matrix
-    scale = np.linalg.norm(mat)
-    n_blocks, labels, margins = _block_labels(mat)
+    scale = generator.norm
+    n_blocks, labels, margins = _block_labels(mat, generator.space.dim)
     members = np.argsort(labels, kind="stable")  # block 0's indices, then 1's, ...
     starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n_blocks))))
     bounds = np.minimum.reduceat(margins[:, members], starts[:-1], axis=1).max(axis=0)

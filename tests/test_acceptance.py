@@ -141,10 +141,10 @@ def test_criterion_04_quartic_recurrence_goes_negative():
 
     ok = (
         populated
-        and stats_post4.has_negative
+        and stats_post4.negative
         and all(lvl > boundary for lvl in neg_levels)
         and min(neg_levels) == 12
-        and not stats_weak.has_negative
+        and not stats_weak.negative
         and np.all(stats_weak.p >= 0)
     )
     report(
@@ -308,9 +308,9 @@ def test_criterion_09_lindblad_models_preserve_positivity():
         uniform_model(params, space),
         heuristic_model(params.gain_rate, 4.0 * params.u, space),
     ]
-    assert [m.manifest_lindblad for m in models] == [True, True, True]
-    assert not exact_model(params, space).manifest_lindblad
-    assert not fourth_order_model(params, space).manifest_lindblad
+    assert [m.lindblad is not None for m in models] == [True, True, True]
+    assert exact_model(params, space).lindblad is None
+    assert fourth_order_model(params, space).lindblad is None
 
     rng = np.random.default_rng(907)
     states = np.stack([vec(random_density(space, rng, envelope=0.7)) for _ in range(10)], axis=1)

@@ -63,7 +63,7 @@ def test_model_names_and_lindblad_flags(params15):
     models = build_all(params15, space)
     names = [m.name for m in models]
     assert names == [EXACT, POST4, WEAK, UNIFORM, HEURISTIC]
-    flags = {m.name: m.manifest_lindblad for m in models}
+    flags = {m.name: m.lindblad is not None for m in models}
     assert flags == {
         EXACT: False,
         POST4: False,
@@ -310,7 +310,7 @@ def test_assemble_matches_dense_oracle(variant, g_tau_bar):
         # compare every column not sourced from the top level
         want, got = want[:, :, : d - 1, : d - 1], got[:, :, : d - 1, : d - 1]
     else:
-        assert model.manifest_lindblad
+        assert model.lindblad is not None
         want = loss + dissipator_matrix(*lindblad_ops(model))
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 

@@ -192,7 +192,7 @@ def test_band_linewidth_memory_is_linear_in_n_max(build):
     tracemalloc.start()
     try:
         model = build(params, space)
-        assert model.manifest_lindblad
+        assert model.lindblad is not None
         stats = recurrence_steady(model.gain_ratio(KAPPA), space)
         res = linewidth(model, stats.p, KAPPA)
         _, peak = tracemalloc.get_traced_memory()

@@ -130,5 +130,5 @@ def test_models_outside_lindblad_form_have_no_operator_list():
     params = PumpParameters(0.15, 2.0)
     space = TruncatedSpace(8)
     for model in (exact_model(params, space), fourth_order_model(params, space)):
-        assert not model.manifest_lindblad
+        assert model.lindblad is None
         assert lindblad_ops(model) == []

@@ -47,6 +47,12 @@ def test_parameters_validation():
     assert PumpParameters(g_tau_bar=0.1, r=0.0).gain_rate == 0.0
 
 
+@pytest.mark.parametrize("g_tau_bar", [np.nan, np.inf, 0.0, -1.0])
+def test_parameters_reject_a_coupling_that_is_not_positive_and_finite(g_tau_bar):
+    with pytest.raises(ValueError, match="g_tau_bar must be positive and finite"):
+        PumpParameters(g_tau_bar=g_tau_bar, r=1.0)
+
+
 def test_pump_map_preserves_trace_on_interior_state(rng):
     space = TruncatedSpace(20)
     rho = random_density(space, rng, envelope=1.0)

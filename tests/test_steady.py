@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import subprocess
 import sys
@@ -51,7 +52,7 @@ def test_recurrence_matches_direct_product():
     stats = recurrence_steady(lambda n: ratios[n], TruncatedSpace(4))
     raw = np.concatenate([[1.0], np.cumprod(ratios)])
     assert np.allclose(stats.p, raw / raw.sum(), rtol=1e-14)
-    assert not stats.has_negative
+    assert not stats.negative
 
 
 def test_recurrence_survives_geometric_overflow():
@@ -70,7 +71,7 @@ def test_recurrence_tracks_negative_entries():
         return out
 
     stats = recurrence_steady(ratio, TruncatedSpace(5))
-    assert stats.has_negative
+    assert stats.negative
     levels = [n for n, _ in stats.negative]
     assert levels == [3, 4, 5]
     signed = np.array([1, 0.5, 0.25, -0.125, -0.0625, -0.03125])
@@ -123,6 +124,12 @@ def test_expansion_cutoff_fails_below_one_without_warning():
     weak = weak_coupling_model(PumpParameters.from_pump(0.9, 0.5, KAPPA), TruncatedSpace(1))
     with pytest.raises(SteadyStateError, match=r"cutoff 0 < 1"):
         choose_truncation(weak, KAPPA)
+
+
+@pytest.mark.parametrize("g_tau_bar", [np.nan, np.inf, 0.0, -1.0])
+def test_expansion_cutoff_rejects_a_coupling_that_is_not_positive_and_finite(g_tau_bar):
+    with pytest.raises(ValueError, match="g_tau_bar must be positive and finite"):
+        expansion_cutoff(g_tau_bar)
 
 
 def test_nullspace_recovers_vacuum_for_pure_loss():
@@ -196,82 +203,18 @@ def test_block_nullspace_matches_full_eig(variant, g_tau_bar):
     _nullspace_matching_full_eig(generator)
 
 
-def _sparse_pattern(rng, size, dtype):
-    mat = np.zeros((size, size), dtype=dtype)
-    entries = rng.random((size, size)) < 0.03
-    mat[entries] = rng.standard_normal(entries.sum())
-    if dtype == complex:
-        mat[entries] += 1j * rng.standard_normal(entries.sum())
-    return mat
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_flat_scan_finds_the_weakly_connected_blocks(dtype, rng):
-    for _ in range(20):
-        mat = _sparse_pattern(rng, 40, dtype)
-        # entry 17 reaches the rest through one one-way coupling, 17 -> 3
-        mat[17, :] = mat[:, 17] = 0.0
-        mat[17, 17] = mat[3, 17] = 1.0
-        n_blocks, labels, _ = _block_labels(mat)
-        want_n, want = connected_components(mat != 0, connection="weak")
-        assert n_blocks == want_n > 1
-        assert labels.tolist() == want.tolist()
-        assert labels[3] == labels[17]
-
-
-def _shuffled_path(rng, size):
-    """A one-way path through every index, in shuffled order."""
-    perm = rng.permutation(size)
-    mat = np.zeros((size, size))
-    mat[perm[:-1], perm[1:]] = 1.0
-    return mat
-
-
-def _one_way_chains(rng):
-    """Chains of one-way couplings, some running up the indices and some
-    down, each through indices spread over the whole matrix."""
-    size = 60
-    mat = np.zeros((size, size))
-    for chain in np.array_split(rng.permutation(size), 7):
-        if rng.random() < 0.5:
-            chain = np.sort(chain)[::-1]
-        mat[chain[:-1], chain[1:]] = rng.standard_normal(len(chain) - 1)
-    return mat
-
-
-def _with_nan(rng):
-    mat = _sparse_pattern(rng, 30, float)
-    mat[4, 21] = np.nan
-    return mat
-
-
-def _dense_oracle_generator(name):
-    params = PumpParameters.from_pump(2.0, 0.05, KAPPA)
-    return assemble(ORACLE_VARIANTS[name](params, TruncatedSpace(30)), KAPPA).matrix
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        pytest.param(lambda rng: _shuffled_path(rng, 2000), id="shuffled_path_2000"),
-        pytest.param(_one_way_chains, id="one_way_chains"),
-        pytest.param(lambda rng: np.zeros((50, 50)), id="all_zero"),
-        pytest.param(lambda rng: np.zeros((1, 1)), id="one_by_one_zero"),
-        pytest.param(lambda rng: np.full((1, 1), -2.0), id="one_by_one"),
-        pytest.param(_with_nan, id="nan_entry"),
-        pytest.param(lambda rng: _sparse_pattern(rng, 80, complex), id="complex"),
-        *(
-            pytest.param(lambda rng, name=name: _dense_oracle_generator(name), id=name)
-            for name in ["exact", "post4", "weak", "uniform", "heuristic_aa_dag"]
-        ),
-    ],
-)
-def test_block_labels_equal_csgraph_on_hard_patterns(build, rng):
-    mat = build(rng)
-    n_blocks, labels, _ = _block_labels(mat)
-    want_n, want = connected_components(mat != 0, connection="weak")
-    assert n_blocks == want_n
-    assert labels.tolist() == want.tolist()
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+def test_offset_blocks_equal_csgraph_on_the_model_generators(variant):
+    for g_tau_bar in (0.05, 0.15):
+        for pump in (0.9, 2.0):
+            for n_max in (12, 30):
+                params = PumpParameters.from_pump(pump, g_tau_bar, KAPPA)
+                space = TruncatedSpace(n_max)
+                mat = assemble(ORACLE_VARIANTS[variant](params, space), KAPPA).matrix
+                n_blocks, labels, _ = _block_labels(mat, space.dim)
+                want_n, want = connected_components(mat != 0, connection="weak")
+                assert n_blocks == want_n == 2 * space.dim - 1
+                assert labels.tolist() == want.tolist()
 
 
 def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
@@ -304,16 +247,27 @@ def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
     assert info["eigenvalue"] == lam[j]
 
 
-def _all_blocks_reference(generator, return_info=False):
+def _offset_blocks(dim):
+    """The vec indices of each offset n - m of a dim x dim matrix, offsets
+    0, -1, ..., -(dim - 1), then 1, ..., dim - 1."""
+    n, m = np.divmod(np.arange(dim * dim), dim)  # column-stacked: rho[m, n]
+    offsets = [*range(0, -dim, -1), *range(1, dim)]
+    return [np.flatnonzero(n - m == k) for k in offsets]
+
+
+def _all_blocks_reference(generator, return_info=False, blocks=None):
     """nullspace_steady's answer with every block's eigenvalues solved: the
-    decisions, messages and info read the whole spectrum."""
+    decisions, messages and info read the whole spectrum.  The blocks are
+    the given index sets, by default the weakly connected components of the
+    nonzero pattern."""
     mat = generator.matrix
     scale = np.linalg.norm(mat)
-    n_blocks, labels = connected_components(mat != 0, connection="weak")
-    blocks = [np.flatnonzero(labels == b) for b in range(n_blocks)]
+    if blocks is None:
+        n_blocks, labels = connected_components(mat != 0, connection="weak")
+        blocks = [np.flatnonzero(labels == b) for b in range(n_blocks)]
     spectra = [np.linalg.eigvals(mat[np.ix_(idx, idx)]) for idx in blocks]
     lam = np.concatenate(spectra)
-    owner = np.repeat(np.arange(n_blocks), [len(s) for s in spectra])
+    owner = np.repeat(np.arange(len(blocks)), [len(s) for s in spectra])
     order = np.argsort(np.abs(lam))
     first, second = abs(lam[order[0]]), abs(lam[order[1]]) if len(lam) > 1 else np.inf
     if first > ZERO_TOL * scale:
@@ -410,34 +364,33 @@ def test_pruned_blocks_match_the_all_blocks_reference(dtype, rng, monkeypatch):
     outcomes = set()
     for trial in range(60):
         space = TruncatedSpace(int(rng.integers(3, 6)))
-        total = space.dim**2
+        blocks = _offset_blocks(space.dim)
         kinds = ["kernel"] * (trial % 3)  # missing, one and two kernels
         if rng.random() < 0.2:
             kinds.append("slow")
         if rng.random() < 0.3:
             kinds.append("wide")
-        sizes = []
-        while sum(sizes) < total:
-            sizes.append(min(int(rng.integers(1, 6)), total - sum(sizes)))
-        kinds += ["decay"] * (len(sizes) - len(kinds))
-        kinds = kinds[: len(sizes)]
-        parts = [_random_block(rng, n, k, dtype) for n, k in zip(sizes, rng.permutation(kinds))]
-        perm = rng.permutation(total)
-        mat = scipy.linalg.block_diag(*parts)[np.ix_(perm, perm)]
-        n_blocks, labels, margins = _block_labels(mat)
-        for b in range(n_blocks):
-            idx = np.flatnonzero(labels == b)
+        kinds += ["decay"] * (len(blocks) - len(kinds))
+        # a phase-covariant generator: one random block on each offset
+        mat = np.zeros((space.dim**2,) * 2, dtype=dtype)
+        for idx, kind in zip(blocks, rng.permutation(kinds)):
+            mat[np.ix_(idx, idx)] = _random_block(rng, len(idx), kind, dtype)
+        n_blocks, labels, margins = _block_labels(mat, space.dim)
+        assert n_blocks == len(blocks)
+        for b, idx in enumerate(blocks):
+            assert np.flatnonzero(labels == b).tolist() == idx.tolist()
             least = np.abs(np.linalg.eigvals(mat[np.ix_(idx, idx)])).min()
             assert margins[:, idx].min(axis=1).max() <= least + 1e-12
         if trial % 10 == 9:  # a non-finite entry in one block, on or off its diagonal
-            i, j = np.flatnonzero(labels == labels[rng.integers(total)])[[0, -1]]
+            i, j = blocks[rng.integers(len(blocks))][[0, -1]]
             mat[i, rng.choice([i, j])] = rng.choice([np.nan, np.inf])
         generator = Superoperator(space, mat)
+        reference = functools.partial(_all_blocks_reference, blocks=blocks)
         for return_info in (False, True):
             spy.calls.clear()
             got = _outcome(nullspace_steady, generator, return_info)
             unsolved += n_blocks - len(spy.calls)
-            want = _outcome(_all_blocks_reference, generator, return_info)
+            want = _outcome(reference, generator, return_info)
             assert got == want
             outcomes.add(want[0].__name__ if isinstance(want[0], type) else "ok")
     assert outcomes == {"ok", "SteadyStateError", "DegenerateSteadyStateError", "LinAlgError"}
@@ -463,7 +416,7 @@ def test_unsplit_generator_gets_one_full_eig():
         space,
         loss_dissipator(KAPPA, space).matrix - 1j * (left_mult(drive) - right_mult(drive)),
     )
-    assert _n_blocks(generator) == 1
+    assert _n_blocks(generator) == _block_labels(generator.matrix, space.dim)[0] == 1
     rho = _nullspace_matching_full_eig(generator)
     # the driven damped mode settles in the coherent state alpha = -2i eps / kappa
     alpha = -2j * eps / KAPPA
@@ -474,10 +427,13 @@ def test_unsplit_generator_gets_one_full_eig():
 
 def test_one_way_coupling_joins_its_ends_in_one_block():
     # rho_00 feeds rho_10 but nothing feeds back: the kernel vector spreads
-    # over both, so the blocks are weakly, not strongly, connected pieces
+    # over both, so a one-way coupling across offsets joins them in one block
     space = TruncatedSpace(1)
     mat = np.diag([0.0, -1.0, -1.0, -2.0])
     mat[1, 0] = 1.0
+    n_blocks, labels, _ = _block_labels(mat, space.dim)
+    assert n_blocks == 1
+    assert not labels.any()
     rho = _nullspace_matching_full_eig(Superoperator(space, mat))
     assert rho[1, 0] == pytest.approx(0.5)
 
