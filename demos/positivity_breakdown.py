@@ -19,10 +19,10 @@ from micromaser import (
     fourth_order_model,
     recurrence_steady,
     unvec,
-    validate_density,
     vec,
     weak_coupling_model,
 )
+from micromaser.oracle import validate_density
 
 KAPPA = 1.0
 

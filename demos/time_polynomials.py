@@ -20,8 +20,8 @@ from micromaser import (
     build_basis,
     cross_moment_identity,
     expansion_coeffs,
-    kraus_operators,
 )
+from micromaser.oracle import kraus_operators
 
 # orthonormal polynomials of the exponential measure
 measure = TimeMeasure.exponential()

@@ -6,9 +6,14 @@ Lindblad form), two Lindblad-by-construction series treatments, and a
 saturated-gain heuristic all expose the same interface: build a model,
 assemble or apply its generator, solve for the steady state, and read off
 photon statistics and the phase-diffusion linewidth.
+
+This namespace is the product.  The independent dense references that the
+tests compare it with (ladder operators, Kraus sets, Lindblad operator
+lists, the series generators) live in `micromaser.oracle`, which no module
+of the package imports: import them from there.
 """
 
-from .fock import TruncatedSpace
+from .fock import Superoperator, TruncatedSpace, unvec, vec
 from .measures import (
     DegenerateMeasureError,
     OrthoBasis,
@@ -44,30 +49,6 @@ from .observables import (
     operator_norm_estimate,
     semiclassical_intensity,
 )
-from .oracle import (
-    DensityReport,
-    KrausSet,
-    TruncationLeakWarning,
-    annihilation,
-    averaged_pump_superoperator,
-    creation,
-    dissipator_matrix,
-    fourth_order_generator,
-    jcp_map,
-    kraus_operators,
-    lindblad_C_S,
-    lindblad_ops,
-    loss_dissipator,
-    merge_proportional,
-    number,
-    phi_fn,
-    phi_squared,
-    pump_average_tables,
-    regularized_trace,
-    riemann_kraus_operators,
-    sixth_order_superoperator,
-    validate_density,
-)
 from .pump import PumpParameters
 from .steady import (
     DegenerateSteadyStateError,
@@ -79,19 +60,14 @@ from .steady import (
     recurrence_steady,
     solve_pump_axis,
 )
-from .superop import Superoperator, unvec, vec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityReport",
+    "Superoperator",
     "TruncatedSpace",
-    "annihilation",
-    "creation",
-    "number",
-    "phi_fn",
-    "phi_squared",
-    "validate_density",
+    "unvec",
+    "vec",
     "DegenerateMeasureError",
     "OrthoBasis",
     "TimeMeasure",
@@ -108,12 +84,9 @@ __all__ = [
     "assemble",
     "exact_model",
     "expansion_cutoff",
-    "fourth_order_generator",
     "fourth_order_model",
     "general_weak_model",
     "heuristic_model",
-    "merge_proportional",
-    "sixth_order_superoperator",
     "uniform_model",
     "weak_coupling_model",
     "LinewidthResult",
@@ -124,17 +97,7 @@ __all__ = [
     "moments",
     "operator_norm_estimate",
     "semiclassical_intensity",
-    "KrausSet",
     "PumpParameters",
-    "TruncationLeakWarning",
-    "averaged_pump_superoperator",
-    "jcp_map",
-    "kraus_operators",
-    "lindblad_C_S",
-    "lindblad_ops",
-    "pump_average_tables",
-    "regularized_trace",
-    "riemann_kraus_operators",
     "DegenerateSteadyStateError",
     "PhotonStatistics",
     "PumpAxis",
@@ -143,10 +106,5 @@ __all__ = [
     "nullspace_steady",
     "recurrence_steady",
     "solve_pump_axis",
-    "Superoperator",
-    "dissipator_matrix",
-    "loss_dissipator",
-    "unvec",
-    "vec",
     "__version__",
 ]

@@ -62,6 +62,11 @@ EXIT_CONFIG = 1
 EXIT_CLOSED = 1  # the reader closed the output before the last row
 EXIT_PARTIAL = 2
 
+# Largest explicit truncation a run takes.  A sweep of exact and heuristic at
+# two pumps there peaks at about 0.7 GB; far above it the level tables cannot
+# be allocated (7 PiB at 10**15).
+MAX_TRUNCATION = 2**22
+
 STEADY_COLUMNS = ("model", "g_tau_bar", "pump_A_over_kappa", "n", "p_n", "negative_flag")
 SWEEP_COLUMNS = (
     "model",
@@ -173,6 +178,11 @@ class RunConfig:
                 raise ConfigError(
                     f"truncation must be 'auto' or a positive integer, "
                     f"got {self.truncation!r}"
+                )
+            if self.truncation > MAX_TRUNCATION:
+                raise ConfigError(
+                    f"truncation must be at most {MAX_TRUNCATION} (2**22), "
+                    f"got {self.truncation}"
                 )
         if self.cutoff not in ("auto", "off"):
             if not _is_int(self.cutoff) or self.cutoff < 0:

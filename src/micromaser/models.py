@@ -74,10 +74,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import TruncatedSpace
+from .fock import Superoperator, TruncatedSpace, vec_entries
 from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, build_basis, expansion_coeffs
 from .pump import PumpParameters, cos_cos_average, scalar_rate, sin_sin_average
-from .superop import Superoperator
 
 EXACT = "exact"
 POST4 = "post4"
@@ -321,8 +320,8 @@ def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
         raise ValueError("kappa must be nonnegative")
     model._require_one_pump()
     d = model.space.dim
-    pos = np.arange(d * d)  # column-stacked vec index of the entry (m, n)
-    m, n = pos % d, pos // d
+    pos = np.arange(d * d)
+    m, n = vec_entries(d)
     mat = np.zeros((d * d, d * d))
     for sel, shift, rate in model._moves(m, n, kappa):
         src = pos[sel]

@@ -18,9 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import TruncatedSpace
+from .fock import Superoperator, TruncatedSpace
 from .models import GeneratorModel
-from .superop import Superoperator
 
 
 @dataclass(frozen=True)

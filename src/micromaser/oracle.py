@@ -1,10 +1,13 @@
 """Independent dense references that the tests compare with the band route
-and `assemble`; no product module imports this one.  Operators, density
-checks, the single-atom map and its Kraus sets, the averaged pump, Lindblad
-operator lists and the series generators, as explicit matrices.
+and `assemble`; no module of the package imports this one, the package
+namespace included, so its readers import it as `micromaser.oracle`.
+Operators, density checks, the single-atom map and its Kraus sets, the
+averaged pump, Lindblad operator lists and the series generators, as
+explicit matrices.
 
-vec(rho) stacks columns (Fortran order), so A rho B maps to (B^T kron A)
-vec(rho) and L rho L* to (conj(L) kron L); kron products are formed sparse.
+vec(rho) stacks columns (Fortran order, `fock.vec`), so A rho B maps to
+(B^T kron A) vec(rho) and L rho L* to (conj(L) kron L); kron products are
+formed sparse.
 
 Not every check here is independent of the band route.  `models.assemble`
 and `apply` scatter one list of moves, while `apply_band` takes each move
@@ -26,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TruncatedSpace
+from .fock import Superoperator, TruncatedSpace, vec
 from .measures import TimeMeasure
 from .models import GeneratorModel
 from .pump import PumpParameters, cos_cos_average, scalar_rate, sin_sin_average
-from .superop import Superoperator, vec
 
 # Acceptance thresholds for density-matrix validation (double precision
 # with O(dim^3) linear algebra behind it).

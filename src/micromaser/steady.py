@@ -51,9 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import TruncatedSpace
+from .fock import Superoperator, TruncatedSpace, unvec, vec_entries
 from .observables import band_linewidths, moment_columns
-from .superop import Superoperator, unvec
 
 
 START = 16  # n_max of the truncation search's first stage
@@ -347,7 +346,8 @@ def _block_labels(mat: np.ndarray, dim: int) -> tuple:
     """
     size = len(mat)
     rows, cols = np.divmod(np.flatnonzero(mat != 0), size)
-    offset = np.arange(size) // dim - np.arange(size) % dim
+    m, n = vec_entries(dim)
+    offset = n - m
     if np.array_equal(offset[rows], offset[cols]):
         n_blocks, labels = 2 * dim - 1, np.where(offset > 0, dim - 1 + offset, -offset)
     else:

@@ -2,6 +2,11 @@ import math
 import os
 from pathlib import Path
 
+# One BLAS thread unless the caller sets its own: the tests' small dense
+# products lose more to OpenBLAS thread hand-offs than they gain.  It must
+# be set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

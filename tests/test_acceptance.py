@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from micromaser.fock import TruncatedSpace
+from micromaser.fock import TruncatedSpace, unvec, vec
 from micromaser.measures import (
     TimeMeasure,
     build_basis,
@@ -52,7 +52,6 @@ from micromaser.steady import (
     nullspace_steady,
     recurrence_steady,
 )
-from micromaser.superop import unvec, vec
 
 from conftest import random_density, reference_weak_operators
 

@@ -12,6 +12,9 @@ from micromaser.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
+    MAX_TRUNCATION,
+    ModelSpec,
+    RunConfig,
     main,
     parse_pump_spec,
 )
@@ -383,6 +386,22 @@ def test_config_numbers_must_be_json_numbers(override, message, tmp_path, capsys
     cfg.write_text(json.dumps({**BASE_CONFIG, **override}))
     code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
     assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("truncation", [10**15, 2**22 + 1])
+def test_truncation_above_the_ceiling_is_a_config_error(truncation, tmp_path, capsys):
+    # 10**15 levels would fail allocating 7 PiB of level tables
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "truncation": truncation}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    message = f"truncation must be at most 4194304 (2**22), got {truncation}"
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+
+def test_truncation_at_the_ceiling_is_accepted():
+    # constructed only: solving it takes seconds and hundreds of MB
+    config = RunConfig((ModelSpec("exact"),), 0.15, (1.0,), truncation=2**22)
+    assert config.truncation == MAX_TRUNCATION == 2**22
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,19 @@ def test_space_rejects_bad_n_max():
         TruncatedSpace(-3)
 
 
+@pytest.mark.parametrize("n_max", [2.0, True, "3", 0, -3, np.float64(3.0), np.bool_(True)], ids=repr)
+def test_space_takes_integers_at_least_1_only(n_max):
+    # 2.0 would give a float dim, True a silent dim of 2
+    with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
+        TruncatedSpace(n_max)
+
+
+def test_space_takes_numpy_integers():
+    space = TruncatedSpace(np.int64(3))
+    assert space.dim == 4
+    assert np.array_equal(np.diag(number(space)), np.arange(4))
+
+
 def test_ladder_matrix_elements():
     space = TruncatedSpace(5)
     a = annihilation(space)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from micromaser.fock import TruncatedSpace
+from micromaser.fock import TruncatedSpace, unvec, vec
 from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
     EXACT,
@@ -36,7 +36,6 @@ from micromaser.oracle import (
 )
 from micromaser.pump import PumpParameters
 from micromaser.steady import recurrence_steady
-from micromaser.superop import unvec, vec
 
 from conftest import coherent_density, random_density, reference_weak_operators
 

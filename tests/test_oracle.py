@@ -1,13 +1,15 @@
-"""The dense references stand apart from the product: no product module
-imports `oracle` or forms a kron product, only quadrature and the oracle
-import scipy, and every name the benchmark and the package namespace import
-still resolves."""
+"""The dense references stand apart from the product: no module of the
+package imports `oracle` or (but the oracle) forms a kron product, a fresh
+import of the package or the CLI leaves the oracle unloaded, only quadrature
+and the oracle import scipy, and every name the benchmark and the package
+namespace import still resolves."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,6 +18,8 @@ from micromaser.fock import TruncatedSpace
 from micromaser.models import GeneratorModel, exact_model, fourth_order_model
 from micromaser.oracle import lindblad_ops
 from micromaser.pump import PumpParameters
+
+from conftest import checkout_env
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "micromaser"
@@ -51,14 +55,30 @@ def identifiers(path: Path):
             yield node.name
 
 
-def test_only_the_package_namespace_imports_the_oracle():
+def test_no_module_of_the_package_imports_the_oracle():
     readers = {
         path.name
         for path in PACKAGE.glob("*.py")
         for module, name in imports(path)
         if module == ORACLE or (module == "micromaser" and name == "oracle")
     }
-    assert readers == {"__init__.py"}
+    assert readers == set()
+
+
+def test_a_fresh_import_leaves_the_oracle_unloaded():
+    oracle = importlib.import_module(ORACLE)
+    # the functions and classes the oracle defines, not those it imports
+    names = {name for name, obj in vars(oracle).items() if getattr(obj, "__module__", None) == ORACLE}
+    assert {"validate_density", "kraus_operators", "KrausSet"} <= names
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, micromaser, micromaser.cli; "
+         f"print(json.dumps([{ORACLE!r} in sys.modules, micromaser.__all__]))"],
+        capture_output=True, text=True, check=True, env=checkout_env(),
+    )
+    loaded, exported = json.loads(proc.stdout)
+    assert not loaded
+    assert set(exported).isdisjoint(names)
 
 
 def test_no_product_module_forms_a_kron_product():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from micromaser.fock import TruncatedSpace
+from micromaser.fock import TruncatedSpace, unvec, vec
 from micromaser.measures import TimeMeasure
 from micromaser.oracle import (
     TruncationLeakWarning,
@@ -20,7 +20,6 @@ from micromaser.oracle import (
     sin_shift_op,
 )
 from micromaser.pump import PumpParameters, cos_cos_average, sin_sin_average
-from micromaser.superop import unvec, vec
 
 from conftest import random_density
 

@@ -21,28 +21,30 @@ from micromaser import (
     TimeMeasure,
     TruncatedSpace,
     assemble,
-    averaged_pump_superoperator,
     build_basis,
     choose_truncation,
     exact_model,
     expansion_cutoff,
-    fourth_order_generator,
     fourth_order_model,
     general_weak_model,
     heuristic_model,
-    kraus_operators,
-    lindblad_C_S,
-    lindblad_ops,
     linewidth,
     moments,
     recurrence_steady,
-    sixth_order_superoperator,
     solve_pump_axis,
     uniform_model,
     weak_coupling_model,
 )
 from micromaser import models, steady
 from micromaser.models import GeneratorModel
+from micromaser.oracle import (
+    averaged_pump_superoperator,
+    fourth_order_generator,
+    kraus_operators,
+    lindblad_C_S,
+    lindblad_ops,
+    sixth_order_superoperator,
+)
 from micromaser.cli import EXIT_OK, EXIT_PARTIAL, main
 
 

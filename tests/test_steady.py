@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
-from micromaser.fock import TruncatedSpace
+from micromaser.fock import Superoperator, TruncatedSpace, unvec
 from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
     GeneratorModel,
@@ -39,7 +39,6 @@ from micromaser.steady import (
     nullspace_steady,
     recurrence_steady,
 )
-from micromaser.superop import Superoperator, unvec
 
 from conftest import checkout_env
 from test_models import ORACLE_VARIANTS

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from micromaser.fock import TruncatedSpace
+from micromaser.fock import Superoperator, TruncatedSpace, unvec, vec, vec_entries
 from micromaser.oracle import (
     annihilation,
     apply_dissipator,
@@ -12,7 +12,6 @@ from micromaser.oracle import (
     right_mult,
     sandwich,
 )
-from micromaser.superop import Superoperator, unvec, vec
 
 from conftest import random_density
 
@@ -26,6 +25,13 @@ def test_vec_unvec_roundtrip(rng):
 def test_vec_is_column_stacking():
     rho = np.array([[1.0, 3.0], [2.0, 4.0]])
     assert np.array_equal(vec(rho), [1.0, 2.0, 3.0, 4.0])
+
+
+def test_vec_entries_index_vec(rng):
+    rho = rng.standard_normal((5, 5))
+    assert not np.array_equal(rho, rho.T)
+    m, n = vec_entries(5)
+    assert np.array_equal(vec(rho), rho[m, n])
 
 
 @pytest.mark.parametrize("builder", [left_mult, right_mult, sandwich])
