@@ -55,17 +55,12 @@ from .models import (
 )
 from .observables import distribution_distance
 from .pump import PumpParameters
-from .steady import solve_pump_axis
+from .steady import MAX_TRUNCATION, solve_pump_axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CLOSED = 1  # the reader closed the output before the last row
 EXIT_PARTIAL = 2
-
-# Largest explicit truncation a run takes.  A sweep of exact and heuristic at
-# two pumps there peaks at about 0.7 GB; far above it the level tables cannot
-# be allocated (7 PiB at 10**15).
-MAX_TRUNCATION = 2**22
 
 STEADY_COLUMNS = ("model", "g_tau_bar", "pump_A_over_kappa", "n", "p_n", "negative_flag")
 SWEEP_COLUMNS = (

@@ -1,10 +1,13 @@
-"""The truncated Fock space and the one dense layout of operators on it.
+"""The truncated Fock space and the one column-stacked layout of operators on it.
 
 A density matrix rho on the space is vectorized by stacking its columns
 (Fortran order): vec index n * dim + m holds rho[m, n] (`vec_entries`).
-`vec`, `unvec` and the dense `Superoperator` that `models.assemble` writes
-for `steady.nullspace_steady` and `observables.linewidth` use that layout;
-the dense operators and dissipator matrices are built in `oracle`.
+`vec`, `unvec` and `Superoperator` use that layout.  A Superoperator holds
+a generator on the (n_max+1)^2 vec indices as its nonzero entries only:
+`models.assemble` writes at most three per column for
+`steady.nullspace_steady` and `observables.linewidth`, so none of them
+forms the (n_max+1)^2 x (n_max+1)^2 array; the dense operators and
+dissipator matrices are built in `oracle`.
 """
 
 from __future__ import annotations
@@ -46,27 +49,68 @@ def vec_entries(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return m, n
 
 
-@dataclass(frozen=True)
 class Superoperator:
-    """Dense generator matrix acting on column-stacked density matrices."""
+    """Generator on column-stacked density matrices, held as its nonzero
+    entries (rows[i], cols[i]) = values[i] in row-major order, the order
+    np.flatnonzero reads a dense array in.
 
-    space: TruncatedSpace
-    matrix: np.ndarray
+    Superoperator(space, matrix) takes a dense (n_max+1)^2 square array
+    once; from_entries takes the entries themselves.  `matrix` scatters the
+    entries into a fresh dense array; `norm` is the Frobenius norm of the
+    values.
+    """
 
-    def __post_init__(self):
-        d2 = self.space.dim**2
-        if self.matrix.shape != (d2, d2):
-            raise ValueError(
-                f"superoperator for n_max={self.space.n_max} must be {d2}x{d2}"
-            )
+    def __init__(self, space: TruncatedSpace, matrix):
+        matrix = np.asarray(matrix)
+        d2 = space.dim**2
+        if matrix.shape != (d2, d2):
+            raise ValueError(f"superoperator for n_max={space.n_max} must be {d2}x{d2}")
+        rows, cols = np.divmod(np.flatnonzero(matrix), d2)
+        self._hold(space, rows, cols, matrix[rows, cols])
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        v = vec(rho)
-        if np.iscomplexobj(v) and not np.iscomplexobj(self.matrix):
-            # two real products: `real @ complex` would copy the matrix to complex
-            return unvec(self.matrix @ v.real + 1j * (self.matrix @ v.imag), self.space)
-        return unvec(self.matrix @ v, self.space)
+    @classmethod
+    def from_entries(cls, space: TruncatedSpace, rows, cols, values) -> "Superoperator":
+        """The generator whose entry (rows[i], cols[i]) is values[i] and
+        every other entry zero.  Zero values are dropped; a position given
+        twice or outside the (n_max+1)^2 square is a ValueError."""
+        rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values)
+        if not rows.shape == cols.shape == values.shape == (len(values),):
+            raise ValueError("rows, cols and values must be 1-D arrays of one length")
+        if values.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise ValueError("rows and cols must be integer arrays")
+        d2 = space.dim**2
+        if values.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= d2):
+            raise ValueError(f"an entry lies outside the {d2}x{d2} superoperator")
+        flat = rows.astype(np.int64) * d2 + cols.astype(np.int64)
+        order = np.argsort(flat, kind="stable")  # runs of sorted entries merge in O(n)
+        flat, values = flat[order], values[order]
+        if np.any(flat[1:] == flat[:-1]):
+            raise ValueError("an entry position is given twice")
+        keep = values != 0
+        op = cls.__new__(cls)
+        op._hold(space, *np.divmod(flat[keep], d2), values[keep])
+        return op
+
+    def _hold(self, space, rows, cols, values) -> None:
+        self.space, self.rows, self.cols, self.values = space, rows, cols, values
+        self.norm = float(np.linalg.norm(values))
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+    def matrix(self) -> np.ndarray:
+        d2 = self.space.dim**2
+        mat = np.zeros((d2, d2), dtype=self.values.dtype)
+        mat[self.rows, self.cols] = self.values
+        return mat
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The generator on rho: each row's sum over its entries in column
+        order (np.bincount), a complex sum as its real and imaginary parts."""
+        rho = np.asarray(rho)
+        if np.iscomplexobj(rho) and not np.iscomplexobj(self.values):
+            return self.apply(rho.real) + 1j * self.apply(rho.imag)
+        terms = self.values * vec(rho)[self.cols]
+        d2 = self.space.dim**2
+        if np.iscomplexobj(terms):  # np.bincount sums real weights only
+            real, imag = (np.bincount(self.rows, part, d2) for part in (terms.real, terms.imag))
+            return unvec(real + 1j * imag, self.space)
+        return unvec(np.bincount(self.rows, terms, d2), self.space)

@@ -27,12 +27,14 @@ space is truncated, which keeps the generator trace preserving),
 GeneratorModel derives everything else from F and H: the detailed-balance
 ratio F(n, n) / (kappa (n+1)), `apply_band` (the generator on one band
 rho_{m,m+k} as a vector, O(n_max)), the matrix-free `apply` (evaluated only
-at the nonzero entries of a density matrix) and the dense `assemble`.  The
-CLI linewidth needs only the offset-1 band of a diagonal state, so it runs
-on `apply_band` in O(n_max) time and memory.  A Lindblad model with
-one-quantum gain operators S_k (first subdiagonal s_k) and diagonal
-operators diag(c_k) has F = sum_k s_k(m) s_k(n) and
-H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps only the functions s_k and c_k.
+at the nonzero entries of a density matrix) and `assemble`, the nonzero
+entries of the generator on column-stacked density matrices (at most three
+per column, so O(n_max^2)).  The CLI linewidth needs only the offset-1 band
+of a diagonal state, so it runs on `apply_band` in O(n_max) time and
+memory.  A Lindblad model with one-quantum gain operators S_k (first
+subdiagonal s_k) and diagonal operators diag(c_k) has
+F = sum_k s_k(m) s_k(n) and H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps
+only the functions s_k and c_k.
 
 The pump and the levels are split in every model.  F and H are each a sum
 of terms rate_t * level_t(y_m, y_n) (PairTerms): rate_t is a scalar or a
@@ -315,18 +317,24 @@ def _check_kappa(kappa: float) -> None:
 
 
 def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
-    """Dense generator: the model's band coefficients plus loss at rate kappa."""
+    """The generator on column-stacked density matrices: the model's band
+    coefficients plus loss at rate kappa, as the entries (target, source,
+    rate) of its three moves, at most three per column."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     model._require_one_pump()
     d = model.space.dim
     pos = np.arange(d * d)
     m, n = vec_entries(d)
-    mat = np.zeros((d * d, d * d))
+    targets, sources, rates = [], [], []
     for sel, shift, rate in model._moves(m, n, kappa):
         src = pos[sel]
-        mat[src + shift * (d + 1), src] = rate
-    return Superoperator(model.space, mat)
+        targets.append(src + shift * (d + 1))
+        sources.append(src)
+        rates.append(np.broadcast_to(rate, src.shape))
+    return Superoperator.from_entries(
+        model.space, np.concatenate(targets), np.concatenate(sources), np.concatenate(rates)
+    )
 
 
 def expansion_cutoff(g_tau_bar: float) -> int:

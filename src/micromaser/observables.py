@@ -224,8 +224,9 @@ def linewidth_fd(
 
 def operator_norm_estimate(apply_fn, space: TruncatedSpace, iters: int = 10) -> float:
     """Power-iteration estimate of the generator's spectral norm, for
-    choosing the first-difference step when no dense matrix exists; it
-    starts from a fixed (seed 0) random matrix."""
+    choosing the first-difference step of a matrix-free generator (one
+    with no Superoperator.norm); it starts from a fixed (seed 0) random
+    matrix."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal((space.dim, space.dim))
     v /= np.linalg.norm(v)

@@ -139,6 +139,12 @@ def _anticommutator(op: np.ndarray):
     return _kron(eye, op) + _kron(op.T, eye)
 
 
+def _stored_entries(space: TruncatedSpace, mat) -> Superoperator:
+    """The Superoperator of a sparse matrix, from its stored entries."""
+    coo = mat.tocoo()
+    return Superoperator.from_entries(space, coo.row, coo.col, coo.data)
+
+
 def left_mult(op: np.ndarray) -> np.ndarray:
     """Matrix of rho -> op rho."""
     return _kron(np.eye(op.shape[0]), op).toarray()
@@ -377,7 +383,7 @@ def fourth_order_generator(params: PumpParameters, space: TruncatedSpace) -> Sup
         - 2.0 * (_kron(a.T, ad @ p) + _kron((p @ a).T, ad))
     )
     mat = params.gain_rate * lin + params.saturation_rate * quart
-    return Superoperator(space, mat.toarray())
+    return _stored_entries(space, mat)
 
 
 def sixth_order_superoperator(params: PumpParameters, space: TruncatedSpace) -> Superoperator:
@@ -388,4 +394,4 @@ def sixth_order_superoperator(params: PumpParameters, space: TruncatedSpace) -> 
     p = a @ ad
     coeff = 20.0 * scalar_rate(params.r) * params.u**3
     mat = coeff * (_kron((p @ a).T, ad @ p) - 0.5 * _anticommutator(p @ p @ p))
-    return Superoperator(space, mat.toarray())
+    return _stored_entries(space, mat)

@@ -1,20 +1,21 @@
-"""Steady states: detailed-balance recurrence and dense nullspace solver.
+"""Steady states: detailed-balance recurrence and block nullspace solver.
 
 Every model in this package drives the photon-number populations with
 nearest-neighbour birth-death rates (gain G(n) up, kappa (n+1) down from
 n+1), so the steady distribution obeys p_{n+1} = ratio(n) p_n with
 ratio = G(n) / (kappa (n+1)).  The recurrence is exact for the truncated
-generators, including the models whose ratio turns negative; the dense
+generators, including the models whose ratio turns negative; the
 nullspace path is the independent cross-check.  Its blocks are the offsets
 n - m, which a phase-covariant generator never couples (checked on its
-nonzero pattern; a matrix that couples two offsets is one block).  It
-solves their eigenvalues in ascending order of a Gershgorin bound on them,
+nonzero entries; a generator that couples two offsets is one block), each
+solved as a dense array of its own entries.  It solves their eigenvalues
+in ascending order of a Gershgorin bound on them,
 min_i (|a_ii| - sum_{j != i} |a_ij|) over a block's rows or its columns,
 whichever is larger; it stops at the first bound above twice what the
 answer still needs (GAP_TOL * ||S|| once it holds a kernel, else the second
 smallest |eigenvalue| so far; with return_info always the latter).  Only
 the block that holds the steady state gets eigenvectors.  It uses NumPy
-alone (np.linalg.eigvals, eig), so the dense route never loads scipy.
+alone (np.linalg.eigvals, eig), so the nullspace route never loads scipy.
 
 A pump axis is solved in one pass (solve_pump_axis), and comes back as
 columns (PumpAxis): one entry per pump for the status, the populations,
@@ -57,6 +58,10 @@ from .observables import band_linewidths, moment_columns
 
 START = 16  # n_max of the truncation search's first stage
 HARD_CAP = 4096  # largest n_max the truncation search tries
+# Largest explicit truncation solve_pump_axis (and the CLI) takes.  A sweep
+# of exact and heuristic at two pumps there peaks at about 0.7 GB; far above
+# it the level tables cannot be allocated (7 PiB at 10**15).
+MAX_TRUNCATION = 2**22
 # top-level weight below which a truncation resolves the tail; the search and
 # recurrence_steady's `converged` flag read this one number
 TAIL_TOL = 1e-10
@@ -272,8 +277,8 @@ def solve_pump_axis(
     each row's mean.  Each cell is bit for bit what choose_truncation,
     recurrence_steady, moments and linewidth give for its pump alone.  An
     error that no pump escapes (a model build, a model cutoff below 1, a
-    kappa that is not positive, a truncation below 1, a negative cutoff)
-    fails every cell with its message.
+    kappa that is not positive, a truncation below 1 or above
+    MAX_TRUNCATION, a negative cutoff) fails every cell with its message.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
     # a row the search left unresolved (level 0) keeps this error
@@ -284,6 +289,10 @@ def solve_pump_axis(
     try:
         if truncation is not None and truncation < 1:
             raise ValueError(f"truncation must be None or a positive integer, got {truncation!r}")
+        if truncation is not None and truncation > MAX_TRUNCATION:
+            raise ValueError(
+                f"truncation must be at most {MAX_TRUNCATION} (2**22), got {truncation}"
+            )
         if cutoff not in (None, "auto") and cutoff < 0:
             raise ValueError(
                 f"cutoff must be None, 'auto' or a nonnegative integer, got {cutoff!r}"
@@ -326,46 +335,64 @@ def solve_pump_axis(
     return PumpAxis(status, populations, n_maxes, *values)
 
 
-def _block_labels(mat: np.ndarray, dim: int) -> tuple:
-    """The decoupled blocks of a generator on column-stacked dim x dim
-    matrices: their number and each vec index's block; and the Gershgorin
-    margins |a_ii| - sum_{j != i} |a_ij| of its rows and (second row of the
-    array) of its columns.
+def _block_labels(generator: Superoperator) -> tuple:
+    """The decoupled blocks of a generator on column-stacked matrices: their
+    number and each vec index's block; and the Gershgorin margins
+    |a_ii| - sum_{j != i} |a_ij| of its rows and (second row of the array)
+    of its columns.
 
     A phase-covariant generator maps the entries of each offset n - m only
     to that offset, so the blocks are the offsets, numbered in order of
-    their least index: 0, -1, ..., 1 - dim, then 1, ..., dim - 1.  One flat
-    scan of the nonzero pattern (np.flatnonzero, row by row) checks that no
-    entry couples two offsets; a matrix with one that does is one block.
-    The same entries give the sums of |a_ij| (np.bincount).  Every
+    their least index: 0, -1, ..., 1 - dim, then 1, ..., dim - 1.  The
+    generator's nonzero entries (row-major) show whether any of them couples
+    two offsets; a generator with one that does is one block.  The same
+    entries give the sums of |a_ij| (np.bincount) and the diagonal.  Every
     eigenvalue of a block lies in a disc |z - a_ii| <= sum_{j != i} |a_ij|
     of one of its rows, and in one of its columns' discs, so no |eigenvalue|
     of the block is below the larger of its rows' least margin and its
     columns' (a margin is negative where its disc holds zero, NaN where the
-    matrix has a NaN).
+    generator has a NaN).
     """
-    size = len(mat)
-    rows, cols = np.divmod(np.flatnonzero(mat != 0), size)
+    dim = generator.space.dim
+    size = dim * dim
+    rows, cols = generator.rows, generator.cols
     m, n = vec_entries(dim)
     offset = n - m
     if np.array_equal(offset[rows], offset[cols]):
         n_blocks, labels = 2 * dim - 1, np.where(offset > 0, dim - 1 + offset, -offset)
     else:
         n_blocks, labels = 1, np.zeros(size, dtype=int)
-    magnitudes = np.abs(mat[rows, cols])
+    magnitudes = np.abs(generator.values)
     sums = np.stack((np.bincount(rows, magnitudes, size), np.bincount(cols, magnitudes, size)))
-    diagonal = np.abs(np.diagonal(mat))
+    diagonal = np.zeros(size)
+    on = rows == cols
+    diagonal[rows[on]] = magnitudes[on]
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, as for a NaN entry
         return n_blocks, labels, diagonal - (sums - diagonal)
 
 
+def _block_matrix(generator: Superoperator, idx: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The block on the ascending vec indices idx as a dense array: what
+    mat[np.ix_(idx, idx)] reads, from the entries the mask `entries` picks,
+    all of whose rows and columns lie in the block."""
+    where = np.zeros(generator.space.dim**2, dtype=int)
+    where[idx] = np.arange(len(idx))
+    block = np.zeros((len(idx), len(idx)), dtype=generator.values.dtype)
+    rows, cols = where[generator.rows[entries]], where[generator.cols[entries]]
+    block[rows, cols] = generator.values[entries]
+    return block
+
+
 def nullspace_steady(generator: Superoperator, return_info: bool = False):
-    """Steady density matrix from the eigenvector of the dense generator
-    with the smallest |eigenvalue|; Hermitized and trace normalized.
+    """Steady density matrix from the eigenvector of the generator with the
+    smallest |eigenvalue|; Hermitized and trace normalized.
 
     The blocks are the offsets n - m of the vec indices, which a
-    phase-covariant generator does not couple; a matrix with an entry that
-    couples two offsets is one block (_block_labels).  Each block's
+    phase-covariant generator does not couple; a generator with an entry
+    that couples two offsets is one block (_block_labels).  A block is
+    solved as a dense k x k array built from its own entries
+    (_block_matrix), so no (n_max+1)^2 square array is formed unless the
+    generator is one block.  Each block's
     Gershgorin bound, the larger of its rows' and its columns' least
     margin, is at most the smallest |eigenvalue| it holds.  Blocks get
     their eigenvalue solves (np.linalg.eigvals) one at a time in ascending
@@ -379,7 +406,7 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     spectra decide as the whole spectrum would.  Only the block holding
     the smallest |eigenvalue| gets an eigenvector solve (one
     np.linalg.eig), and its smallest-|eigenvalue| vector, zero on every
-    other block, is the steady state: complex if the matrix or that
+    other block, is the steady state: complex if the generator or that
     block's eigenvectors are.  return_info's eigenvalue comes from that
     eig, its gap from the union.
 
@@ -387,14 +414,14 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     the Frobenius norm, and DegenerateSteadyStateError when a second one
     sits within GAP_TOL times the norm (no unique steady state).
     """
-    mat = generator.matrix
     scale = generator.norm
-    n_blocks, labels, margins = _block_labels(mat, generator.space.dim)
+    n_blocks, labels, margins = _block_labels(generator)
     members = np.argsort(labels, kind="stable")  # block 0's indices, then 1's, ...
     starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n_blocks))))
     bounds = np.minimum.reduceat(margins[:, members], starts[:-1], axis=1).max(axis=0)
     starts = starts.tolist()
-    solved, spectra = [], []  # the indices of each block solved, its eigenvalues
+    entry_labels = labels[generator.rows]  # an entry's row and column share a block
+    solved, blocks, spectra = [], [], []  # each solved block's indices, matrix, eigenvalues
     least = [np.inf, np.inf]  # the two smallest |eigenvalue|s solved so far
     # a block with an inf or NaN entry has a NaN or -inf bound and goes first:
     # its eigvals raises, as it would in any order
@@ -403,7 +430,8 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
         if bounds[b] > 2 * (GAP_TOL * scale if kernel and not return_info else least[1]):
             break
         solved.append(members[starts[b] : starts[b + 1]])
-        spectra.append(np.linalg.eigvals(mat[np.ix_(solved[-1], solved[-1])]))
+        blocks.append(_block_matrix(generator, solved[-1], entry_labels == b))
+        spectra.append(np.linalg.eigvals(blocks[-1]))
         least = sorted(least + np.abs(spectra[-1]).tolist())[:2]
     lam = np.concatenate(spectra)
     # lam[i] is an eigenvalue of the block solved[owner[i]]
@@ -421,9 +449,9 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
             f"{GAP_TOL:g} * ||S||; steady state is not unique"
         )
     idx = solved[owner[order[0]]]
-    block_lam, vecs = np.linalg.eig(mat[np.ix_(idx, idx)])
+    block_lam, vecs = np.linalg.eig(blocks[owner[order[0]]])
     j = np.argmin(np.abs(block_lam))
-    steady = np.zeros(len(mat), dtype=np.result_type(mat, vecs))
+    steady = np.zeros(generator.space.dim**2, dtype=np.result_type(generator.values, vecs))
     steady[idx] = vecs[:, j]
     rho = unvec(steady, generator.space)
     rho = 0.5 * (rho + rho.conj().T)

@@ -202,6 +202,40 @@ def test_band_linewidth_memory_is_linear_in_n_max(build):
     assert peak < 8e6
 
 
+def test_dense_route_holds_no_square_array():
+    """assemble, nullspace_steady and linewidth_fd at n_max 30 stay below a
+    quarter of one (n_max+1)^2 x (n_max+1)^2 float array (7.4 MB): the
+    generator is held as its nonzero entries, and no step densifies it."""
+    params = PumpParameters.from_pump(2.0, 0.05, KAPPA)
+    space = TruncatedSpace(30)
+    model = exact_model(params, space)
+    tracemalloc.start()
+    try:
+        gen = assemble(model, KAPPA)
+        rho = nullspace_steady(gen)
+        res = linewidth_fd(gen, rho, KAPPA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.D > 0
+    assert peak < space.dim**4 * 8 / 4
+
+
+def test_dense_route_at_a_truncation_no_square_array_could_hold():
+    """The README quickstart (n_max 271), where a dense generator would take
+    41 GiB: the nullspace populations are the recurrence's, and the linewidth
+    on the assembled generator is the band linewidth on the populations."""
+    params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
+    space = TruncatedSpace(271)
+    model = exact_model(params, space)
+    gen = assemble(model, KAPPA)
+    rho = nullspace_steady(gen)
+    p = recurrence_steady(model.gain_ratio(KAPPA), space).p
+    assert np.abs(np.diagonal(rho).real - p).max() < 1e-10
+    band = linewidth(model, p, KAPPA)
+    assert linewidth(gen, rho, KAPPA).D == pytest.approx(band.D, rel=1e-9)
+
+
 def test_linewidth_rejects_empty_cavity():
     space = TruncatedSpace(6)
     gen = loss_dissipator(KAPPA, space)

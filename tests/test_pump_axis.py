@@ -9,6 +9,7 @@ moments + linewidth(model, p), and every number must be equal, not close.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,27 @@ def test_an_invalid_truncation_or_cutoff_fails_every_cell_on_one_line(option, me
     )
     assert axis.status == [f"error: {message}"] * 2
     assert axis.p == [None, None]
+
+
+@pytest.mark.parametrize("truncation", [steady.MAX_TRUNCATION + 1, 10**15])
+def test_a_truncation_past_the_ceiling_fails_every_cell_before_any_table(truncation):
+    """At 10**15 the level tables would take 7 PiB; the limit is checked
+    before the model is built."""
+    tracemalloc.start()
+    try:
+        axis = solve_pump_axis(
+            lambda values, space: exact_model(PumpParameters.from_pump(values, 0.1), space),
+            [1.0, 2.0],
+            1.0,
+            truncation=truncation,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    message = f"error: truncation must be at most 4194304 (2**22), got {truncation}"
+    assert axis.status == [message] * 2
+    assert axis.p == [None, None]
+    assert peak < 1e5
 
 
 def test_recurrence_rejects_a_negative_cutoff():

@@ -82,11 +82,62 @@ def test_apply_complex_state_with_real_matrix(rng):
 
 def test_apply_real_state_keeps_the_real_product(rng):
     space = TruncatedSpace(6)
-    mat = rng.standard_normal((49, 49))
-    rho = rng.standard_normal((7, 7))
+    # integer values: every sum is exact in any order, so the bits must agree
+    mat = rng.integers(-9, 10, (49, 49)).astype(float)
+    rho = rng.integers(-9, 10, (7, 7)).astype(float)
     got = Superoperator(space, mat).apply(rho)
     assert got.dtype == np.float64
     assert np.array_equal(got, unvec(mat @ vec(rho), space))
+    mat = rng.standard_normal((49, 49))
+    rho = rng.standard_normal((7, 7))
+    got = Superoperator(space, mat).apply(rho)
+    want = unvec(mat @ vec(rho), space)
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_entries_are_the_nonzeros_in_row_major_order(rng):
+    space = TruncatedSpace(3)
+    mat = rng.standard_normal((16, 16))
+    mat[rng.random((16, 16)) < 0.7] = 0.0
+    s = Superoperator(space, mat)
+    flat = np.flatnonzero(mat)
+    assert np.array_equal(s.rows * 16 + s.cols, flat)
+    assert np.array_equal(s.values, mat.reshape(-1)[flat])
+    assert np.array_equal(s.matrix, mat)
+    assert s.norm == np.linalg.norm(mat[mat != 0])
+
+
+def test_from_entries_sorts_and_drops_zeros(rng):
+    space = TruncatedSpace(3)
+    mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    mat[rng.random((16, 16)) < 0.7] = 0.0
+    rows, cols = np.divmod(np.arange(256), 16)
+    order = rng.permutation(256)  # every position, the zeros included, shuffled
+    s = Superoperator.from_entries(space, rows[order], cols[order], mat.reshape(-1)[order])
+    want = Superoperator(space, mat)
+    for name in ("rows", "cols", "values"):
+        assert np.array_equal(getattr(s, name), getattr(want, name))
+    assert np.array_equal(s.matrix, mat)
+    rho = random_density(space, rng)
+    assert np.array_equal(s.apply(rho), want.apply(rho))
+    assert np.abs(s.apply(rho) - unvec(mat @ vec(rho), space)).max() < 1e-14 * np.abs(mat).sum()
+
+
+@pytest.mark.parametrize(
+    "rows, cols, match",
+    [
+        ([0, 3, 0], [1, 2, 1], "given twice"),
+        ([0, 16], [1, 2], "outside"),
+        ([0, -1], [1, 2], "outside"),
+        ([0.0, 1.0], [1, 2], "integer"),
+        ([0, 1], [1], "one length"),
+    ],
+)
+def test_from_entries_rejects_bad_positions(rows, cols, match):
+    values = np.ones(len(rows))
+    with pytest.raises(ValueError, match=match):
+        Superoperator.from_entries(TruncatedSpace(3), rows, cols, values)
 
 
 def test_superoperator_shape_validation():
