@@ -12,9 +12,9 @@ import numpy as np
 from micromaser import (
     PumpParameters,
     TruncatedSpace,
+    assemble,
     exact_model,
     linewidth_fd,
-    operator_norm_estimate,
     solve_pump_axis,
     uniform_model,
     weak_coupling_model,
@@ -54,9 +54,7 @@ for k, pump in enumerate(PUMPS):
         # the check: one model at this pump, on the full density matrix
         space = TruncatedSpace(p.size - 1)
         model = build(PumpParameters.from_pump(pump, G_TAU_BAR, KAPPA), space)
-        apply_fn = lambda r: model.apply(r, KAPPA)
-        scale = operator_norm_estimate(apply_fn, space)
-        fd = linewidth_fd(apply_fn, np.diag(p), KAPPA, norm_scale=scale)
+        fd = linewidth_fd(assemble(model, KAPPA), np.diag(p), KAPPA)
         rel = abs(d_rate - fd.D) / fd.D
         print(f"{pump:8.2f} {name:18s} {mean_n:10.3f} {d_rate:12.5e} "
               f"{axis.normalized_D[k]:13.4f} {rel:10.1e}")

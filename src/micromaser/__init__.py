@@ -46,7 +46,6 @@ from .observables import (
     linewidth,
     linewidth_fd,
     moments,
-    operator_norm_estimate,
     semiclassical_intensity,
 )
 from .pump import PumpParameters
@@ -95,7 +94,6 @@ __all__ = [
     "linewidth",
     "linewidth_fd",
     "moments",
-    "operator_norm_estimate",
     "semiclassical_intensity",
     "PumpParameters",
     "DegenerateSteadyStateError",

@@ -27,9 +27,10 @@ space is truncated, which keeps the generator trace preserving),
 GeneratorModel derives everything else from F and H: the detailed-balance
 ratio F(n, n) / (kappa (n+1)), `apply_band` (the generator on one band
 rho_{m,m+k} as a vector, O(n_max)), the matrix-free `apply` (evaluated only
-at the nonzero entries of a density matrix) and `assemble`, the nonzero
-entries of the generator on column-stacked density matrices (at most three
-per column, so O(n_max^2)).  The CLI linewidth needs only the offset-1 band
+at the nonzero entries of a density matrix; the tests hold it to `assemble`)
+and `assemble`, the nonzero entries of the generator on column-stacked
+density matrices (at most three per column, so O(n_max^2)), which the dense
+linewidths take.  The CLI linewidth needs only the offset-1 band
 of a diagonal state, so it runs on `apply_band` in O(n_max) time and
 memory.  A Lindblad model with one-quantum gain operators S_k (first
 subdiagonal s_k) and diagonal operators diag(c_k) has
@@ -174,9 +175,9 @@ class GeneratorModel:
     at every level, which is what truncation searches extrapolate with.  H
     does too, unless truncated_top is set: then it reads the truncated
     product a a*, whose eigenvalue at the top level of the space is 0.
-    lindblad, given for a manifestly Lindblad model, holds (gain_elements,
-    diagonals, merge) as passed to `_lindblad_model`: the level functions
-    from which `oracle.lindblad_ops` builds its pump-side Lindblad
+    lindblad, given for a manifestly Lindblad model, holds the pair
+    (gain_elements, diagonals) passed to `_lindblad_model`: the level
+    functions from which `oracle.lindblad_ops` builds its pump-side Lindblad
     operators.  cutoff is the last level a series model is valid at, None
     for a model whose tail is physical.
 
@@ -353,7 +354,6 @@ def _lindblad_model(
     rate,
     gain_elements: Callable,
     diagonals: Callable,
-    merge: bool = False,
     truncated_top: bool = False,
     cutoff: int | None = None,
 ) -> GeneratorModel:
@@ -363,8 +363,8 @@ def _lindblad_model(
     gain_elements(y) returns the list of s_k(n) = <n+1|S_k|n> and
     diagonals(y) the list of c_k(n), both as functions of the eigenvalue y
     of a a* at level n; truncated_top makes the diagonals read the truncated
-    product a a* (see GeneratorModel); merge asks the dense list to
-    quadrature-sum proportional operators.
+    product a a* (see GeneratorModel).  GeneratorModel.lindblad keeps the
+    pair (gain_elements, diagonals).
     """
 
     def feed(ym, yn):
@@ -381,7 +381,7 @@ def _lindblad_model(
         feed_terms=PairTerms((rate,), LevelTable(feed)),
         dephasing_terms=PairTerms((-0.5 * rate,), LevelTable(dephasing)),
         truncated_top=truncated_top,
-        lindblad=(gain_elements, diagonals, merge),
+        lindblad=(gain_elements, diagonals),
         cutoff=cutoff,
     )
 
@@ -491,7 +491,6 @@ def general_weak_model(
         params.r,
         gain_elements,
         diagonals,
-        merge=True,
         truncated_top=True,
         cutoff=expansion_cutoff(gt),
     )

@@ -6,8 +6,8 @@ f'(0)/f(0) = i * pull - D/2, so D = -2 Re tr[a* S(a rho_ss)] / <n>.
 Loss alone gives D = kappa exactly, truncation notwithstanding, which the
 tests lean on.  For a diagonal state a rho_ss and its image fill only the
 offset-1 band, which is all `linewidth` touches when handed a model and the
-populations.  A first-difference evaluation of the same quotient through
-the phi1 series of (e^{S delta} - 1)/delta serves as the independent check.
+populations.  The independent check, `linewidth_fd`, takes the same quotient
+through the phi1 series of (e^{S delta} - 1)/delta on the assembled generator.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import Superoperator, TruncatedSpace
+from .fock import Superoperator
 from .models import GeneratorModel
 
 
@@ -104,12 +104,10 @@ def _lower(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resolve_apply(generator):
-    if isinstance(generator, Superoperator):
-        return generator.apply
-    if callable(generator):
-        return generator
-    raise TypeError("generator must be a Superoperator or a callable rho -> drho")
+def _assembled(generator) -> Superoperator:
+    if not isinstance(generator, Superoperator):
+        raise TypeError("a density matrix needs the assembled generator, assemble(model, kappa)")
+    return generator
 
 
 def _below_floor(mean_n: float) -> str:
@@ -177,36 +175,26 @@ def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
     (pump and loss together).  normalized_D = D <n> / kappa is 1 for pure
     loss and tends to the interaction-free value far above threshold.
 
-    With a GeneratorModel, rho_ss may be the populations p of diag(p): then
-    only the offset-1 band is built, O(n_max) in time and memory (the
-    one-row case of band_linewidths)."""
+    A density matrix rho_ss takes the Superoperator that `assemble` builds;
+    a GeneratorModel takes the populations p of diag(p) and builds only the
+    offset-1 band, O(n_max) in time and memory (band_linewidths' one row)."""
     p = np.asarray(rho_ss)
     if p.ndim == 2:
-        return _dense_linewidth(_resolve_apply(generator), rho_ss, kappa)
+        return _dense_linewidth(_assembled(generator).apply, rho_ss, kappa)
     if not isinstance(generator, GeneratorModel):
         raise TypeError("the populations of a diagonal state need a GeneratorModel")
     mean_n = moment_columns(p)[0]
     return _one_row(band_linewidths(generator, p, mean_n, kappa), float(mean_n[0]))
 
 
-def linewidth_fd(
-    generator,
-    rho_ss: np.ndarray,
-    kappa: float,
-    norm_scale: float | None = None,
-) -> LinewidthResult:
-    """First-difference variant: replaces S by (e^{S delta} - 1)/delta with
-    delta = 1e-6 / ||S||, evaluated through the series
-    S + delta S^2/2 + delta^2 S^3/6 + delta^3 S^4/24 to dodge cancellation."""
-    apply_fn = _resolve_apply(generator)
-    if norm_scale is None:
-        if isinstance(generator, Superoperator):
-            norm_scale = generator.norm
-        else:
-            raise ValueError("norm_scale is required for a matrix-free generator")
-    if norm_scale <= 0:
-        raise ValueError("norm_scale must be positive")
-    delta = 1e-6 / norm_scale
+def linewidth_fd(generator: Superoperator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
+    """First-difference variant on the assembled generator: S becomes
+    (e^{S delta} - 1)/delta, delta = 1e-6 / Superoperator.norm, through the
+    series S + delta S^2/2 + delta^2 S^3/6 + delta^3 S^4/24 (no cancellation)."""
+    apply_fn = _assembled(generator).apply
+    if generator.norm == 0.0:
+        raise ValueError("the generator is zero, so the step 1e-6 / ||S|| is undefined")
+    delta = 1e-6 / generator.norm
 
     def quotient(w):
         w = apply_fn(w)
@@ -220,21 +208,3 @@ def linewidth_fd(
         return total
 
     return _dense_linewidth(quotient, rho_ss, kappa)
-
-
-def operator_norm_estimate(apply_fn, space: TruncatedSpace, iters: int = 10) -> float:
-    """Power-iteration estimate of the generator's spectral norm, for
-    choosing the first-difference step of a matrix-free generator (one
-    with no Superoperator.norm); it starts from a fixed (seed 0) random
-    matrix."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((space.dim, space.dim))
-    v /= np.linalg.norm(v)
-    est = 1.0
-    for _ in range(iters):
-        w = apply_fn(v)
-        est = np.linalg.norm(w)
-        if est == 0.0:
-            return 0.0
-        v = w / est
-    return float(est)

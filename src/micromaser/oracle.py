@@ -354,18 +354,18 @@ def merge_proportional(ops: list) -> list:
 def lindblad_ops(model: GeneratorModel) -> list:
     """Pump-side Lindblad operators sqrt(rate) S_k and sqrt(rate) diag(c_k)
     of a model (loss excluded), built from its `lindblad` level functions on
-    the levels of its space (rate is the model's one feed rate); empty for a
-    model that is not manifestly Lindblad."""
+    the levels of its space (rate is the model's one feed rate), one per
+    level function and unmerged (merge_proportional shortens the list);
+    empty for a model that is not manifestly Lindblad."""
     model._require_one_pump()
     if model.lindblad is None:
         return []
-    gain_elements, diagonals, merge = model.lindblad
+    gain_elements, diagonals = model.lindblad
     (rate,) = model.feed_terms.rates
     scale = math.sqrt(rate)
     levels = np.arange(model.space.dim)
-    ops = [scale * np.diag(s, -1) for s in gain_elements(levels[:-1] + 1.0)]
-    ops += [scale * np.diag(c) for c in diagonals(model.diagonal_y(levels))]
-    return merge_proportional(ops) if merge else ops
+    gains = [scale * np.diag(s, -1) for s in gain_elements(levels[:-1] + 1.0)]
+    return gains + [scale * np.diag(c) for c in diagonals(model.diagonal_y(levels))]
 
 
 def fourth_order_generator(params: PumpParameters, space: TruncatedSpace) -> Superoperator:

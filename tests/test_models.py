@@ -126,7 +126,7 @@ def test_general_series_reproduces_closed_form_weak_set(params15):
     lhs = assemble(series, KAPPA).matrix
     rhs = loss_dissipator(KAPPA, space).matrix + dissipator_matrix(*reference)
     assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(rhs).max()
-    assert len(lindblad_ops(series)) == len(merge_proportional(reference)) == 4
+    assert len(merge_proportional(lindblad_ops(series))) == len(merge_proportional(reference)) == 4
 
 
 def test_general_series_rejects_order_beyond_degree(params15):
@@ -136,7 +136,7 @@ def test_general_series_rejects_order_beyond_degree(params15):
 
 
 def test_general_series_on_two_point_measure(params15):
-    # finite support: the expansion is exact, so the merged generator must
+    # finite support: the expansion is exact, so the series generator must
     # equal the measure-averaged pump of that discrete measure (interior)
     measure = TimeMeasure.discrete([0.6, 1.4], [0.5, 0.5])
     basis = build_basis(measure, 1)

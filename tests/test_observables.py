@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from micromaser.fock import TruncatedSpace
+from micromaser.fock import Superoperator, TruncatedSpace
 from micromaser.models import assemble, exact_model, heuristic_model, uniform_model
 from micromaser.observables import (
     LinewidthResult,
@@ -14,7 +14,6 @@ from micromaser.observables import (
     linewidth_fd,
     moment_columns,
     moments,
-    operator_norm_estimate,
     semiclassical_intensity,
 )
 from micromaser.oracle import loss_dissipator
@@ -147,24 +146,13 @@ def test_linewidth_matches_finite_difference_oracle():
     assert direct.normalized_D == pytest.approx(direct.D * direct.mean_n / KAPPA)
 
 
-def test_linewidth_accepts_apply_callable():
-    params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
-    space = TruncatedSpace(30)
-    model = exact_model(params, space)
-    gen = assemble(model, KAPPA)
-    rho = nullspace_steady(gen)
-    via_matrix = linewidth(gen, rho, KAPPA)
-    via_apply = linewidth(lambda r: model.apply(r, KAPPA), rho, KAPPA)
-    assert via_apply.D == pytest.approx(via_matrix.D, rel=1e-12)
-
-
 def test_linewidth_diagonal_state_has_no_pull():
     params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
     space = TruncatedSpace(25)
     model = heuristic_model(params.gain_rate, 4 * params.u, space)
     stats = recurrence_steady(model.gain_ratio(KAPPA), space)
     rho = np.diag(stats.p).astype(complex)
-    res = linewidth(lambda r: model.apply(r, KAPPA), rho, KAPPA)
+    res = linewidth(assemble(model, KAPPA), rho, KAPPA)
     assert abs(res.frequency_pull) < 1e-10
     assert res.D > 0
 
@@ -174,6 +162,29 @@ def test_linewidth_of_populations_needs_a_model():
     p = np.full(space.dim, 1.0 / space.dim)
     with pytest.raises(TypeError):
         linewidth(loss_dissipator(KAPPA, space), p, KAPPA)
+
+
+@pytest.mark.parametrize(
+    "route, given, error, match",
+    [
+        (linewidth, "callable", TypeError, r"assemble\(model, kappa\)"),
+        (linewidth, "model", TypeError, r"assemble\(model, kappa\)"),
+        (linewidth_fd, "callable", TypeError, r"assemble\(model, kappa\)"),
+        (linewidth_fd, "model", TypeError, r"assemble\(model, kappa\)"),
+        (linewidth_fd, "zero", ValueError, "zero"),
+    ],
+    ids=["callable", "model", "fd-callable", "fd-model", "fd-zero"],
+)
+def test_a_density_matrix_needs_an_assembled_nonzero_generator(route, given, error, match):
+    space = TruncatedSpace(6)
+    model = exact_model(PumpParameters.from_pump(0.9, 0.15, KAPPA), space)
+    generator = {
+        "callable": lambda r: model.apply(r, KAPPA),
+        "model": model,
+        "zero": Superoperator(space, np.zeros((space.dim**2, space.dim**2))),
+    }[given]
+    with pytest.raises(error, match=match):
+        route(generator, coherent_density(space, 1.0), KAPPA)
 
 
 @pytest.mark.parametrize(
@@ -253,11 +264,3 @@ def test_fd_oracle_on_pure_loss():
     rho = coherent_density(space, 0.9)
     fd = linewidth_fd(gen, rho, KAPPA)
     assert fd.D == pytest.approx(KAPPA, rel=1e-7)
-
-
-def test_operator_norm_estimate_tracks_spectral_norm():
-    space = TruncatedSpace(8)
-    gen = loss_dissipator(KAPPA, space)
-    dense = np.linalg.norm(gen.matrix, 2)
-    est = operator_norm_estimate(gen.apply, space, iters=30)
-    assert 0.3 * dense <= est <= 1.05 * dense

@@ -589,3 +589,16 @@ def test_heuristic_truncation_matches_exact():
     heur = heuristic_model(params.gain_rate, 4 * params.u, TruncatedSpace(1))
     exact = exact_model(params, TruncatedSpace(1))
     assert choose_truncation(heur, KAPPA) == choose_truncation(exact, KAPPA)
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateSteadyStateError, reason="ROADMAP item 14")
+def test_nullspace_steady_at_the_truncation_the_search_chooses():
+    # the gap threshold GAP_TOL * ||S|| grows with r d, while the offset-1
+    # relaxation rate (1.357e-3 here, n_max 429) falls: the unique steady
+    # state is called degenerate
+    params = PumpParameters.from_pump(2.0, 0.03, KAPPA)
+    space = choose_truncation(exact_model(params, TruncatedSpace(1)), KAPPA)
+    model = exact_model(params, space)
+    rho = nullspace_steady(assemble(model, KAPPA))
+    p = recurrence_steady(model.gain_ratio(KAPPA), space).p
+    assert np.abs(np.diagonal(rho).real - p).max() <= 1e-10
