@@ -17,6 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a NumPy integer; True is an int to Python,
+    but not here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TruncatedSpace:
     """Photon-number space kept up to n_max; operators are (n_max+1) square."""
@@ -24,10 +30,9 @@ class TruncatedSpace:
     n_max: int
 
     def __post_init__(self):
-        # a float n_max would make dim a float, and True is an int to Python
-        n_max = self.n_max
-        if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+        # a float n_max would make dim a float
+        if not is_integer(self.n_max) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
     @property
     def dim(self) -> int:

@@ -26,14 +26,13 @@ space is truncated, which keeps the generator trace preserving),
 
 GeneratorModel derives everything else from F and H: the detailed-balance
 ratio F(n, n) / (kappa (n+1)), `apply_band` (the generator on one band
-rho_{m,m+k} as a vector, O(n_max)), the matrix-free `apply` (evaluated only
-at the nonzero entries of a density matrix; the tests hold it to `assemble`)
-and `assemble`, the nonzero entries of the generator on column-stacked
-density matrices (at most three per column, so O(n_max^2)), which the dense
-linewidths take.  The CLI linewidth needs only the offset-1 band
-of a diagonal state, so it runs on `apply_band` in O(n_max) time and
-memory.  A Lindblad model with one-quantum gain operators S_k (first
-subdiagonal s_k) and diagonal operators diag(c_k) has
+rho_{m,m+k} as a vector, O(n_max)), `assemble`, the nonzero entries of the
+generator on column-stacked density matrices (at most three per column, so
+O(n_max^2)), which the dense linewidths take, and `apply`, the assembled
+generator's action on a density matrix.  The CLI linewidth needs only the
+offset-1 band of a diagonal state, so it runs on `apply_band` in O(n_max)
+time and memory.  A Lindblad model with one-quantum gain operators S_k
+(first subdiagonal s_k) and diagonal operators diag(c_k) has
 F = sum_k s_k(m) s_k(n) and H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps
 only the functions s_k and c_k.
 
@@ -247,24 +246,6 @@ class GeneratorModel:
         n = np.arange(length, dtype=float)
         return np.atleast_2d(self.feed_terms.band(0, length) / (kappa * (n + 1.0)))
 
-    def _moves(self, m: np.ndarray, n: np.ndarray, kappa: float) -> tuple:
-        """The generator on the entries (m, n), as (sources, level shift of
-        their target, rate) per move: decay in place, feed one level up,
-        loss one level down."""
-        top = self.space.n_max
-        gain_out = self.gain_fn(np.arange(top + 1))
-        gain_out[..., top] = 0.0  # gain out of the top level is truncated
-        decay = self.dephasing(m, n) - 0.5 * (
-            gain_out[..., m] + gain_out[..., n] + kappa * (m + n)
-        )
-        up = (m < top) & (n < top)
-        down = (m > 0) & (n > 0)
-        return (
-            (slice(None), 0, decay),
-            (up, 1, self.feed(m[up], n[up])),
-            (down, -1, kappa * np.sqrt(m[down] * n[down])),
-        )
-
     def apply_band(self, band: np.ndarray, k: int, kappa: float) -> np.ndarray:
         """Generator action on the band rho_{m,m+k}, given and returned as a
         vector over the rows m of that band in increasing order (or one such
@@ -299,42 +280,37 @@ class GeneratorModel:
         return out
 
     def apply(self, rho: np.ndarray, kappa: float) -> np.ndarray:
-        """Generator action on a density matrix.  F and H are evaluated only
-        at the nonzero entries of rho, so one band costs O(n_max) beyond the
-        scan that finds them."""
-        self._require_one_pump()
-        rho = np.asarray(rho)
-        m, n = np.nonzero(rho)
-        vals = rho[m, n]
-        out = np.zeros(rho.shape, dtype=np.result_type(rho.dtype, float))
-        for sel, shift, rate in self._moves(m, n, kappa):
-            out[m[sel] + shift, n[sel] + shift] += rate * vals[sel]
-        return out
+        """Generator action on a density matrix: the action of
+        assemble(self, kappa)."""
+        return assemble(self, kappa).apply(rho)
 
 
 def _check_kappa(kappa: float) -> None:
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
 
 
 def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
     """The generator on column-stacked density matrices: the model's band
     coefficients plus loss at rate kappa, as the entries (target, source,
-    rate) of its three moves, at most three per column."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    rate) of its three moves, at most three per column: decay in place,
+    feed one level up, loss one level down."""
+    if not 0 <= kappa < math.inf:
+        raise ValueError("kappa must be nonnegative and finite")
     model._require_one_pump()
-    d = model.space.dim
+    d, top = model.space.dim, model.space.n_max
     pos = np.arange(d * d)
     m, n = vec_entries(d)
-    targets, sources, rates = [], [], []
-    for sel, shift, rate in model._moves(m, n, kappa):
-        src = pos[sel]
-        targets.append(src + shift * (d + 1))
-        sources.append(src)
-        rates.append(np.broadcast_to(rate, src.shape))
+    gain_out = model.gain_fn(np.arange(d))
+    gain_out[top] = 0.0  # gain out of the top level is truncated
+    decay = model.dephasing(m, n) - 0.5 * (gain_out[m] + gain_out[n] + kappa * (m + n))
+    up = (m < top) & (n < top)
+    down = (m > 0) & (n > 0)
     return Superoperator.from_entries(
-        model.space, np.concatenate(targets), np.concatenate(sources), np.concatenate(rates)
+        model.space,
+        np.concatenate((pos, pos[up] + d + 1, pos[down] - d - 1)),
+        np.concatenate((pos, pos[up], pos[down])),
+        np.concatenate((decay, model.feed(m[up], n[up]), kappa * np.sqrt(m[down] * n[down]))),
     )
 
 

@@ -10,15 +10,15 @@ vec(rho) stacks columns (Fortran order, `fock.vec`), so A rho B maps to
 formed sparse.
 
 Not every check here is independent of the band route.  `models.assemble`
-and `apply` scatter one list of moves, while `apply_band` takes each move
-as a slice of the band, but all three read the same pair functions F and
-H (the model's level functions and rates, evaluated directly where
-`apply_band` slices their tables), so a wrong F or H passes a comparison
-of them.  The Lindblad operator lists are built from the
-same level functions too.  What checks F and H themselves is the comparison
-with the operators built here from first principles: the averaged pump
-superoperator, the Kraus sets and the kron formula of the quartic
-generator.
+scatters the generator's moves into entries (`apply` is their action),
+while `apply_band` takes each move as a slice of the band, but both read
+the same pair functions F and H (the model's level functions and rates,
+evaluated directly where `apply_band` slices their tables), so a wrong F
+or H passes a comparison of them.  The Lindblad operator lists are built
+from the same level functions too.  What checks F and H themselves is the
+comparison with the operators built here from first principles: the
+averaged pump superoperator, the Kraus sets and the kron formula of the
+quartic generator.
 """
 
 from __future__ import annotations

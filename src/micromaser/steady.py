@@ -13,7 +13,8 @@ in ascending order of a Gershgorin bound on them,
 min_i (|a_ii| - sum_{j != i} |a_ij|) over a block's rows or its columns,
 whichever is larger; it stops at the first bound above twice what the
 answer still needs (GAP_TOL * ||S|| once it holds a kernel, else the second
-smallest |eigenvalue| so far; with return_info always the latter).  Only
+smallest |eigenvalue| so far; with return_info always the latter).  ||S||
+is the largest absolute row sum, which the same Gershgorin sums hold.  Only
 the block that holds the steady state gets eigenvectors.  It uses NumPy
 alone (np.linalg.eigvals, eig), so the nullspace route never loads scipy.
 
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import Superoperator, TruncatedSpace, unvec, vec_entries
+from .fock import Superoperator, TruncatedSpace, is_integer, unvec, vec_entries
 from .observables import band_linewidths, moment_columns
 
 
@@ -66,7 +67,7 @@ MAX_TRUNCATION = 2**22
 # recurrence_steady's `converged` flag read this one number
 TAIL_TOL = 1e-10
 # nullspace_steady: the steady eigenvalue lies within ZERO_TOL * ||S|| of 0,
-# and no second one within GAP_TOL * ||S||
+# and no second one within GAP_TOL * ||S|| (||S|| the largest absolute row sum)
 ZERO_TOL = 1e-10
 GAP_TOL = 1e-8
 # pumps x levels one search stage or recurrence block holds at once (a float
@@ -170,7 +171,7 @@ def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -
     whether the top level holds at most TAIL_TOL.  This is the one-row case
     of recurrence_rows.
     """
-    if cutoff is not None and cutoff < 0:
+    if cutoff is not None and not (is_integer(cutoff) and cutoff >= 0):
         raise ValueError(f"cutoff must be None or a nonnegative integer, got {cutoff!r}")
     (p,), (weight,) = recurrence_rows(_ratio_rows(ratio, _top_level(space, cutoff)), space.dim)
     if not weight > 0:
@@ -276,9 +277,10 @@ def solve_pump_axis(
     moment_columns and one band_linewidths per piece, the last two sharing
     each row's mean.  Each cell is bit for bit what choose_truncation,
     recurrence_steady, moments and linewidth give for its pump alone.  An
-    error that no pump escapes (a model build, a model cutoff below 1, a
-    kappa that is not positive, a truncation below 1 or above
-    MAX_TRUNCATION, a negative cutoff) fails every cell with its message.
+    error that no pump escapes (a kappa that is not positive and finite, a
+    truncation that is not an integer from 1 to MAX_TRUNCATION, a cutoff
+    that is not a nonnegative integer, a model build, a model cutoff below
+    1) fails every cell with its message.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
     # a row the search left unresolved (level 0) keeps this error
@@ -287,13 +289,15 @@ def solve_pump_axis(
     n_maxes = np.zeros(len(pumps), dtype=int)
     values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
     try:
-        if truncation is not None and truncation < 1:
+        if not 0 < kappa < np.inf:
+            raise ValueError("kappa must be positive and finite")
+        if truncation is not None and not (is_integer(truncation) and truncation >= 1):
             raise ValueError(f"truncation must be None or a positive integer, got {truncation!r}")
         if truncation is not None and truncation > MAX_TRUNCATION:
             raise ValueError(
                 f"truncation must be at most {MAX_TRUNCATION} (2**22), got {truncation}"
             )
-        if cutoff not in (None, "auto") and cutoff < 0:
+        if cutoff not in (None, "auto") and not (is_integer(cutoff) and cutoff >= 0):
             raise ValueError(
                 f"cutoff must be None, 'auto' or a nonnegative integer, got {cutoff!r}"
             )
@@ -303,8 +307,6 @@ def solve_pump_axis(
         else:
             levels = np.full(len(pumps), truncation)
         top = _model_cutoff(model) if cutoff == "auto" else cutoff
-        if not kappa > 0:
-            raise ValueError("kappa must be positive")
     except (SteadyStateError, ValueError) as exc:
         return PumpAxis([f"error: {exc}"] * len(pumps), populations, n_maxes, *values)
     # the largest block first: it sizes the level tables in one evaluation
@@ -337,9 +339,10 @@ def solve_pump_axis(
 
 def _block_labels(generator: Superoperator) -> tuple:
     """The decoupled blocks of a generator on column-stacked matrices: their
-    number and each vec index's block; and the Gershgorin margins
+    number and each vec index's block; the Gershgorin margins
     |a_ii| - sum_{j != i} |a_ij| of its rows and (second row of the array)
-    of its columns.
+    of its columns; and its largest absolute row sum
+    ||S|| = max_i sum_j |a_ij|.
 
     A phase-covariant generator maps the entries of each offset n - m only
     to that offset, so the blocks are the offsets, numbered in order of
@@ -368,7 +371,8 @@ def _block_labels(generator: Superoperator) -> tuple:
     on = rows == cols
     diagonal[rows[on]] = magnitudes[on]
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, as for a NaN entry
-        return n_blocks, labels, diagonal - (sums - diagonal)
+        margins = diagonal - (sums - diagonal)
+    return n_blocks, labels, margins, sums[0].max()
 
 
 def _block_matrix(generator: Superoperator, idx: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -397,8 +401,8 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     margin, is at most the smallest |eigenvalue| it holds.  Blocks get
     their eigenvalue solves (np.linalg.eigvals) one at a time in ascending
     order of bound, until the next bound exceeds twice what the answer
-    still needs: GAP_TOL * ||S|| (generator.norm) once a kernel
-    (|eigenvalue| <= ZERO_TOL * ||S||) is found and return_info is off,
+    still needs: GAP_TOL * ||S|| once a kernel (|eigenvalue| <=
+    ZERO_TOL * ||S||) is found and return_info is off,
     else the second smallest |eigenvalue| solved so far (twice: room for
     the rounding of the bounds and of eigvals).  No block left unsolved
     can then hold an eigenvalue that changes a decision, a message or
@@ -410,12 +414,14 @@ def nullspace_steady(generator: Superoperator, return_info: bool = False):
     block's eigenvectors are.  return_info's eigenvalue comes from that
     eig, its gap from the union.
 
-    Raises SteadyStateError when no eigenvalue sits within ZERO_TOL times
-    the Frobenius norm, and DegenerateSteadyStateError when a second one
-    sits within GAP_TOL times the norm (no unique steady state).
+    ||S|| is the largest absolute row sum, which the Gershgorin sums
+    already hold and return_info reports as "norm"; it bounds every
+    |eigenvalue| and grows with the largest rate, not, as the Frobenius
+    norm does, with the number of entries.  Raises SteadyStateError when no eigenvalue sits
+    within ZERO_TOL * ||S||, and DegenerateSteadyStateError when a second
+    one sits within GAP_TOL * ||S|| (no unique steady state).
     """
-    scale = generator.norm
-    n_blocks, labels, margins = _block_labels(generator)
+    n_blocks, labels, margins, scale = _block_labels(generator)
     members = np.argsort(labels, kind="stable")  # block 0's indices, then 1's, ...
     starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n_blocks))))
     bounds = np.minimum.reduceat(margins[:, members], starts[:-1], axis=1).max(axis=0)

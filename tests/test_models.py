@@ -420,17 +420,6 @@ def test_blocks_read_the_pair_functions_of_their_space(variant, rng):
 
 
 @pytest.mark.parametrize("idx", range(5))
-def test_apply_matches_assembled_matrix(params15, idx, rng):
-    space = TruncatedSpace(9)
-    model = build_all(params15, space)[idx]
-    gen = assemble(model, KAPPA)
-    rho = random_density(space, rng)
-    lhs = model.apply(rho, KAPPA)
-    rhs = unvec(gen.matrix @ vec(rho), space)
-    assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
-
-
-@pytest.mark.parametrize("idx", range(5))
 def test_gain_fn_matches_transition_elements(params15, idx):
     space = TruncatedSpace(9)
     model = build_all(params15, space)[idx]

@@ -10,6 +10,7 @@ moments + linewidth(model, p), and every number must be equal, not close.
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -366,11 +367,16 @@ def test_an_invalid_gain_column_fails_every_cell_on_one_line():
         ({"truncation": 0}, "truncation must be None or a positive integer, got 0"),
         ({"truncation": -3}, "truncation must be None or a positive integer, got -3"),
         ({"cutoff": -2}, "cutoff must be None, 'auto' or a nonnegative integer, got -2"),
+        ({"truncation": True}, "truncation must be None or a positive integer, got True"),
+        ({"truncation": 2.5}, "truncation must be None or a positive integer, got 2.5"),
+        ({"cutoff": True}, "cutoff must be None, 'auto' or a nonnegative integer, got True"),
+        ({"cutoff": 2.5}, "cutoff must be None, 'auto' or a nonnegative integer, got 2.5"),
     ],
 )
 def test_an_invalid_truncation_or_cutoff_fails_every_cell_on_one_line(option, message):
     """The CLI rejects these at config time; a library caller gets the
-    argument's own message in every cell, not a search's or NumPy's."""
+    argument's own message in every cell, not a search's or NumPy's.  A
+    bool or a float is not an integer, as TruncatedSpace holds."""
     axis = solve_pump_axis(
         lambda values, space: exact_model(PumpParameters.from_pump(values, 0.1), space),
         [1.0, 2.0],
@@ -405,6 +411,35 @@ def test_a_truncation_past_the_ceiling_fails_every_cell_before_any_table(truncat
 def test_recurrence_rejects_a_negative_cutoff():
     with pytest.raises(ValueError, match=r"^cutoff must be None or a nonnegative integer, got -1$"):
         recurrence_steady(lambda n: np.full(n.shape, 0.5), TruncatedSpace(8), cutoff=-1)
+
+
+@pytest.mark.parametrize("cutoff", [True, 2.5])
+def test_recurrence_rejects_a_cutoff_that_is_not_an_integer(cutoff):
+    """True would cut at level 1 and 2.5 fill three levels, both converged."""
+    message = f"^cutoff must be None or a nonnegative integer, got {cutoff!r}$"
+    with pytest.raises(ValueError, match=message):
+        recurrence_steady(lambda n: np.full(n.shape, 0.5), TruncatedSpace(8), cutoff=cutoff)
+
+
+@pytest.mark.parametrize("truncation", [None, 8])
+@pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.0, -1.0])
+def test_a_kappa_that_is_not_positive_and_finite_fails_every_cell(kappa, truncation):
+    """Checked before the model is built or the truncation searched: no
+    NumPy warning, no row read off a zero or NaN ratio."""
+    build = lambda values, space: exact_model(PumpParameters.from_pump(values, 0.1), space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        axis = solve_pump_axis(build, [3.0, 8.0], kappa, truncation=truncation, linewidth=True)
+    assert axis.status == ["error: kappa must be positive and finite"] * 2
+    assert axis.p == [None, None]
+    model = build(3.0, TruncatedSpace(8))
+    for call in (lambda: model.gain_ratio(kappa), lambda: model.ratio_rows(kappa, 8)):
+        with pytest.raises(ValueError, match="^kappa must be positive and finite$"):
+            call()
+    if kappa != 0.0:  # the loss-free generator is a generator
+        for call in (lambda: assemble(model, kappa), lambda: model.apply(np.eye(9), kappa)):
+            with pytest.raises(ValueError, match="^kappa must be nonnegative and finite$"):
+                call()
 
 
 @pytest.mark.parametrize("pumps", [3, 9])
