@@ -10,15 +10,20 @@ into the fixed text between its list columns, and each row's lines are one
 join of that text with the texts of its list columns.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
 rest are still emitted), 1 on configuration errors and, without a
-traceback, on an output its reader closed early (`| head`).  Each model's
-builder is made once while the configuration is read and builds the model
-once there, so a model option its constructor rejects is a configuration
-error.  The same builder then solves the model over its whole pump axis in
-one pass (steady.solve_pump_axis), model by model on the calling thread,
-and its per-pump columns go to the output rows as lists;
-rows and error lines come in grid order (model, then pump).  The `cutoff`
-"auto" keeps each model's own cutoff; "off" drops it, an integer replaces it.
-The `workers` setting is accepted, checked and echoed, but ignored.
+traceback, on an output its reader closed early (`| head`).
+
+This module checks only what the library cannot know: the JSON types (a
+string or true/false where a number belongs), empty model and pump lists,
+unknown keys, models and options, and `workers` (accepted, checked and
+echoed, but ignored).  Every range, and its message, is the library's:
+RunConfig maps the words (`truncation` "auto" and `cutoff` "off" to None;
+`cutoff` "auto" keeps each model's own), calls steady.check_axis_options
+(kappa, truncation, cutoff) and PumpParameters.from_pump on the whole pump
+axis (g tau_bar, each pump's rate r), and builds each model once, so that
+its constructor judges its options; a ValueError becomes a ConfigError.
+The same builder then solves the model's whole pump axis in one pass
+(steady.solve_pump_axis), model by model; rows and error lines come in
+grid order (model, then pump).
 """
 
 from __future__ import annotations
@@ -31,14 +36,14 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 import numpy as np
 
-from .fock import TruncatedSpace
+from .fock import TruncatedSpace, is_integer
 from .measures import TimeMeasure, build_basis
 from .models import (
     EXACT,
@@ -55,7 +60,7 @@ from .models import (
 )
 from .observables import distribution_distance
 from .pump import PumpParameters
-from .steady import MAX_TRUNCATION, solve_pump_axis
+from .steady import check_axis_options, solve_pump_axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -99,17 +104,9 @@ class ConfigError(ValueError):
     """Bad configuration; the CLI maps this to exit code 1."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _number(name: str, value) -> float:
     """A JSON number as a float; a string or true/false is no number here."""
-    if not _is_real(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -121,6 +118,22 @@ def _as_int(value):
     return value
 
 
+# The config's words for truncation and cutoff, as solve_pump_axis takes them.
+_WORDS = {"truncation": {"auto": None}, "cutoff": {"auto": "auto", "off": None}}
+
+
+def _library_value(name: str, value):
+    """A truncation or cutoff as solve_pump_axis takes it: a word mapped by
+    _WORDS, a number as it is, for the library to judge."""
+    words = _WORDS[name]
+    if not isinstance(value, str) and value is not None:
+        return value
+    if value not in words:
+        choices = ", ".join(map(repr, words))
+        raise ConfigError(f"{name} must be {choices} or a number, got {value!r}")
+    return words[value]
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     name: str
@@ -128,14 +141,10 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
-            raise ConfigError(
-                f"unknown model {self.name!r}; choose from {', '.join(MODEL_NAMES)}"
-            )
+            raise ConfigError(f"unknown model {self.name!r}; choose from {', '.join(MODEL_NAMES)}")
         bad = set(self.options) - set(_MODELS[self.name].__kwdefaults__ or ())
         if bad:
-            raise ConfigError(
-                f"model {self.name!r} does not take option(s) {sorted(bad)}"
-            )
+            raise ConfigError(f"model {self.name!r} does not take option(s) {sorted(bad)}")
 
 
 @dataclass(frozen=True)
@@ -147,48 +156,25 @@ class RunConfig:
     truncation: int | str = "auto"
     cutoff: int | str = "auto"
     workers: int = 4
-    # one build(pumps, space) per model spec, made once by __post_init__
+    # made by __post_init__: solve_pump_axis's truncation and cutoff, one build per model spec
+    axis_options: dict = field(init=False, repr=False, compare=False)
     builders: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.models:
             raise ConfigError("at least one model is required")
-        if not 0 < self.g_tau_bar < math.inf:
-            raise ConfigError(f"g_tau_bar must be positive and finite, got {self.g_tau_bar}")
         if not self.pump:
             raise ConfigError("at least one pump value is required")
-        if not all(0 <= p < math.inf for p in self.pump):
-            raise ConfigError("pump values must be nonnegative and finite")
-        if not 0 < self.kappa < math.inf:
-            raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
-        top = max(self.pump)
-        try:  # (g tau_bar)^2 may underflow to 0, or r overflow
-            PumpParameters.from_pump(top, self.g_tau_bar, self.kappa)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"pump rate r = pump * kappa / (2 g_tau_bar^2) is not finite at pump {top}"
-            ) from None
-        if self.truncation != "auto":
-            if not _is_int(self.truncation) or self.truncation < 1:
-                raise ConfigError(
-                    f"truncation must be 'auto' or a positive integer, "
-                    f"got {self.truncation!r}"
-                )
-            if self.truncation > MAX_TRUNCATION:
-                raise ConfigError(
-                    f"truncation must be at most {MAX_TRUNCATION} (2**22), "
-                    f"got {self.truncation}"
-                )
-        if self.cutoff not in ("auto", "off"):
-            if not _is_int(self.cutoff) or self.cutoff < 0:
-                raise ConfigError(
-                    f"cutoff must be 'auto', 'off' or a nonnegative integer, "
-                    f"got {self.cutoff!r}"
-                )
-        if not _is_int(self.workers) or self.workers < 1:
+        options = {name: _library_value(name, getattr(self, name)) for name in _WORDS}
+        try:  # the library's own checks, of every pump at once
+            check_axis_options(self.kappa, **options)
+            PumpParameters.from_pump(np.asarray(self.pump), self.g_tau_bar, self.kappa)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not is_integer(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
-        # the model constructors judge the option values; the builder that
-        # passes is the one the grid is solved with
+        object.__setattr__(self, "axis_options", options)
+        # each model's constructor judges its options; the builder that passes solves the grid
         builders = []
         for spec in self.models:
             try:
@@ -200,17 +186,10 @@ class RunConfig:
         object.__setattr__(self, "builders", tuple(builders))
 
     def echo(self) -> dict:
-        return {
-            "models": [
-                {"name": spec.name, **spec.options} for spec in self.models
-            ],
-            "g_tau_bar": self.g_tau_bar,
-            "pump": list(self.pump),
-            "kappa": self.kappa,
-            "truncation": self.truncation,
-            "cutoff": self.cutoff,
-            "workers": self.workers,
-        }
+        """The config keys (the init fields) with their values, in order."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        models = [{"name": spec.name, **spec.options} for spec in self.models]
+        return {**echo, "models": models, "pump": list(self.pump)}
 
 
 def _pump_range(start: float, stop: float, steps: int) -> tuple:
@@ -264,7 +243,7 @@ def _normalize_pump(raw) -> tuple:
         start = _number("pump.start", raw["start"])
         stop = _number("pump.stop", raw["stop"])
         steps = _as_int(raw["steps"])
-        if not _is_int(steps):
+        if not is_integer(steps):
             raise ConfigError(f"pump.steps must be an integer, got {raw['steps']!r}")
         return _pump_range(start, stop, steps)
     if isinstance(raw, (list, tuple)):
@@ -287,31 +266,20 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
-    known = {"models", "g_tau_bar", "pump", "kappa", "truncation", "cutoff", "workers"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(RunConfig) if f.init}
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    if args.model:
-        data["models"] = list(args.model)
-    if args.gtau is not None:
-        data["g_tau_bar"] = args.gtau
-    if args.pump is not None:
-        data["pump"] = args.pump  # its text is parsed below, as a config string is
-    if args.workers is not None:
-        data["workers"] = args.workers
-    if "models" not in data:
-        raise ConfigError("no models given (config 'models' or --model)")
-    if "g_tau_bar" not in data:
-        raise ConfigError("no g_tau_bar given (config 'g_tau_bar' or --gtau)")
-    if "pump" not in data:
-        raise ConfigError("no pump values given (config 'pump' or --pump)")
-    g_tau_bar = _number("g_tau_bar", data["g_tau_bar"])
-    kappa = _number("kappa", data.get("kappa", 1.0))
+    # a --pump text is parsed below, as a config string is
+    flags = dict(models=args.model, g_tau_bar=args.gtau, pump=args.pump, workers=args.workers)
+    data.update({key: value for key, value in flags.items() if value is not None})
+    for key, flag in (("models", "--model"), ("g_tau_bar", "--gtau"), ("pump", "--pump")):
+        if key not in data:
+            raise ConfigError(f"no {key} given (config {key!r} or {flag})")
     config = RunConfig(
         models=_normalize_models(data["models"]),
-        g_tau_bar=g_tau_bar,
+        g_tau_bar=_number("g_tau_bar", data["g_tau_bar"]),
         pump=_normalize_pump(data["pump"]),
-        kappa=kappa,
+        kappa=_number("kappa", data.get("kappa", 1.0)),
         truncation=_as_int(data.get("truncation", "auto")),
         cutoff=_as_int(data.get("cutoff", "auto")),
         workers=_as_int(data.get("workers", 4)),
@@ -322,34 +290,28 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 # One entry per model.  Its keyword options, with their defaults, are the keys
-# ModelSpec accepts; it checks their types and returns model(params, space),
-# building the polynomial basis of a weak series once.
+# ModelSpec accepts; it returns model(params, space), building the polynomial
+# basis of a weak series once.  The library judges each option's value (an
+# integral float, JSON 2.0, as an int); heuristic's gain and beta must be JSON
+# numbers first.
 _FROM_PUMP = object()  # a heuristic default that the pump sets: a JSON null stays an error
 
 
-def _option(key: str, value, ok, kind: str):
-    if value is _FROM_PUMP or ok(value):
-        return value
-    raise ValueError(f"{key} must be {kind}, got {value!r}")
-
-
 def _weak(*, order=3):
-    order = _option("order", _as_int(order), _is_int, "an integer")
     basis = build_basis(TimeMeasure.exponential(), order)
     return lambda params, space: general_weak_model(params, basis, order, space)
 
 
 def _uniform(*, order=1):
-    order = _option("order", _as_int(order), _is_int, "an integer")
     return lambda params, space: uniform_model(params, space, order=order)
 
 
 def _heuristic(*, gain=_FROM_PUMP, beta=_FROM_PUMP, ordering="aa_dag"):
-    gain = _option("gain", gain, _is_real, "a number")
-    beta = _option("beta", beta, _is_real, "a number")
+    gain = gain if gain is _FROM_PUMP else _number("gain", gain)
+    beta = beta if beta is _FROM_PUMP else _number("beta", beta)
     return lambda params, space: heuristic_model(
-        params.gain_rate if gain is _FROM_PUMP else np.full(np.shape(params.r), float(gain)),
-        4.0 * params.u if beta is _FROM_PUMP else float(beta),
+        params.gain_rate if gain is _FROM_PUMP else np.full(np.shape(params.r), gain),
+        4.0 * params.u if beta is _FROM_PUMP else beta,
         space,
         ordering=ordering,
     )
@@ -367,7 +329,7 @@ _MODELS = {
 def _model_builder(spec: ModelSpec, config: RunConfig):
     """build(pumps, space): the spec's model for one pump value or a (P, 1)
     column of them, on a space."""
-    model = _MODELS[spec.name](**spec.options)
+    model = _MODELS[spec.name](**{key: _as_int(value) for key, value in spec.options.items()})
     return lambda pumps, space: model(
         PumpParameters.from_pump(pumps, config.g_tau_bar, config.kappa), space
     )
@@ -382,9 +344,8 @@ def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tup
             build,
             config.pump,
             config.kappa,
-            truncation=None if config.truncation == "auto" else config.truncation,
-            cutoff=None if config.cutoff == "off" else config.cutoff,
             linewidth=linewidth,
+            **config.axis_options,
         )
         for build in config.builders
     ]

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import is_integer
+
 WEIGHT_SUM_TOL = 1e-12
 MEAN_TOL = 1e-10
 MAX_DEGREE = 64  # highest basis degree (and weak-series order) that is tested
@@ -155,8 +157,8 @@ def build_basis(measure: TimeMeasure, degree: int) -> OrthoBasis:
     measure; otherwise the discretized Stieltjes procedure on sqrt(w_i) f_k(x_i)
     (Gautschi, Orthogonal Polynomials, OUP 2004, sec. 2.2).  Fewer than
     degree+1 distinct support points raise DegenerateMeasureError."""
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
+    if not (is_integer(degree) and 0 <= degree <= MAX_DEGREE):
+        raise ValueError(f"degree must be an integer in 0..{MAX_DEGREE}, got {degree!r}")
     if measure.nodes is None:
         k = np.arange(degree + 1, dtype=float)
         return OrthoBasis(measure, 2.0 * k + 1.0, -k)

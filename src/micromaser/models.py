@@ -76,9 +76,10 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import Superoperator, TruncatedSpace, vec_entries
+from .fock import Superoperator, TruncatedSpace, is_integer, vec_entries
 from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, build_basis, expansion_coeffs
-from .pump import PumpParameters, cos_cos_average, scalar_rate, sin_sin_average
+from .pump import PumpParameters, check_g_tau_bar, check_kappa, check_rates, scalar_rate
+from .pump import cos_cos_average, sin_sin_average
 
 EXACT = "exact"
 POST4 = "post4"
@@ -231,7 +232,7 @@ class GeneratorModel:
 
     def gain_ratio(self, kappa: float):
         """Detailed-balance ratio p_{n+1}/p_n = F(n, n) / (kappa (n+1))."""
-        _check_kappa(kappa)
+        check_kappa(kappa, zero=False)
 
         def ratio(n):
             n = np.asarray(n, dtype=float)
@@ -242,7 +243,7 @@ class GeneratorModel:
     def ratio_rows(self, kappa: float, length: int) -> np.ndarray:
         """gain_ratio(kappa) at the levels 0..length-1, one row per pump row,
         read from the level table of band 0."""
-        _check_kappa(kappa)
+        check_kappa(kappa, zero=False)
         n = np.arange(length, dtype=float)
         return np.atleast_2d(self.feed_terms.band(0, length) / (kappa * (n + 1.0)))
 
@@ -258,6 +259,7 @@ class GeneratorModel:
         first entry has m = 0 or n = 0 and only the last has m or n = n_max,
         so loss leaves every entry but the first and feed every entry but
         the last, and each move is one slice."""
+        check_kappa(kappa, zero=True)
         band = np.asarray(band)
         dim, width = self.space.dim, abs(k)
         size = max(0, dim - width)
@@ -285,18 +287,12 @@ class GeneratorModel:
         return assemble(self, kappa).apply(rho)
 
 
-def _check_kappa(kappa: float) -> None:
-    if not 0 < kappa < math.inf:
-        raise ValueError("kappa must be positive and finite")
-
-
 def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
     """The generator on column-stacked density matrices: the model's band
     coefficients plus loss at rate kappa, as the entries (target, source,
     rate) of its three moves, at most three per column: decay in place,
     feed one level up, loss one level down."""
-    if not 0 <= kappa < math.inf:
-        raise ValueError("kappa must be nonnegative and finite")
+    check_kappa(kappa, zero=True)
     model._require_one_pump()
     d, top = model.space.dim, model.space.n_max
     pos = np.arange(d * d)
@@ -318,8 +314,7 @@ def expansion_cutoff(g_tau_bar: float) -> int:
     """Last level 0.2 / (g tau_bar)^2 of the series models: their gain turns
     negative near 0.25 / (g tau_bar)^2, and 80 percent of that keeps them
     inside their validity window.  Below 1 no level is valid."""
-    if not 0.0 < g_tau_bar < np.inf:
-        raise ValueError("g_tau_bar must be positive and finite")
+    check_g_tau_bar(g_tau_bar)
     return int(np.floor(0.2 / g_tau_bar**2))
 
 
@@ -437,8 +432,8 @@ def general_weak_model(
     gain).  weak_coupling_model is this series at order 3 on the exponential
     measure; the CLI's weak_lindblad builds it at any order on that measure.
     """
-    if not 1 <= order <= MAX_DEGREE:
-        raise ValueError(f"series order must be in 1..{MAX_DEGREE}, got {order}")
+    if not (is_integer(order) and 1 <= order <= MAX_DEGREE):
+        raise ValueError(f"series order must be an integer in 1..{MAX_DEGREE}, got {order!r}")
     k_top = min(order, basis.degree)
     coeff_table = [expansion_coeffs(basis, j) for j in range(order + 1)]
     gt = params.g_tau_bar
@@ -515,8 +510,8 @@ def uniform_model(
     k < max(1, order).  The identity part of each diagonal operator is
     dropped; the diagonals read a a* with its exact top eigenvalue.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"uniform expansion order must be 0, 1 or 2, got {order}")
+    if not (is_integer(order) and order in (0, 1, 2)):  # True == 1 and 2.0 == 2
+        raise ValueError(f"uniform expansion order must be 0, 1 or 2, got {order!r}")
     g_tau_bar = params.g_tau_bar
 
     def gain_elements(y):
@@ -541,12 +536,9 @@ def heuristic_model(
     reproduces the all-orders photon statistics when beta = 4 (g tau_bar)^2;
     X = a* a evaluates it before.  gain may be a (P, 1) column, one per pump.
     """
-    gains = np.ravel(gain)
-    bad = gains[~((0.0 <= gains) & (gains < math.inf))]
-    if bad.size or not 0.0 <= beta < math.inf:
-        # one value, not the whole pump column, so the message stays one line
-        shown = bad[0] if bad.size else gains[0]
-        raise ValueError(f"gain and beta must be nonnegative and finite, got {shown}, {beta}")
+    check_rates("gain", gain, None)  # names one value, not the whole pump column
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
     if ordering not in ("aa_dag", "a_dag_a"):
         raise ValueError(f"ordering must be 'aa_dag' or 'a_dag_a', got {ordering!r}")
     shift = 0.0 if ordering == "aa_dag" else 1.0  # eigenvalue of X is y - shift

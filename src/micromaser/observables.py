@@ -20,6 +20,7 @@ import numpy as np
 
 from .fock import Superoperator
 from .models import GeneratorModel
+from .pump import check_kappa
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,9 @@ def moments(p: np.ndarray) -> PhotonMoments:
 def semiclassical_intensity(gain: float, kappa: float, beta: float) -> float:
     """Rate-equation photon number: gain clamps the saturated pump against
     the loss, (gain/kappa - 1)/beta above threshold and 0 below."""
-    if kappa <= 0 or beta <= 0:
-        raise ValueError("kappa and beta must be positive")
+    check_kappa(kappa, zero=False)
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     if gain <= kappa:
         return 0.0
     return (gain / kappa - 1.0) / beta
@@ -149,6 +151,7 @@ def _one_row(width: LinewidthColumns, mean_n: float) -> LinewidthResult:
 
 def _dense_linewidth(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
     """f'(0) = tr[a* X], where X = image_fn(a rho_ss)."""
+    check_kappa(kappa, zero=False)
     root = np.sqrt(np.arange(1.0, rho_ss.shape[0]))
     deriv = root @ np.diagonal(image_fn(_lower(rho_ss)), offset=1)
     populations = np.real(np.diagonal(rho_ss))
@@ -163,6 +166,7 @@ def band_linewidths(
     of the model, whose mean photon numbers are mean_n (moment_columns).
     One apply_band serves every row; the dot products stay per row, so each
     row comes out bit for bit as it does alone."""
+    check_kappa(kappa, zero=False)
     p = np.atleast_2d(populations)
     # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
     root = np.sqrt(np.arange(1.0, p.shape[1]))

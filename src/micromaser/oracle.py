@@ -32,7 +32,7 @@ import numpy as np
 from .fock import Superoperator, TruncatedSpace, vec
 from .measures import TimeMeasure
 from .models import GeneratorModel
-from .pump import PumpParameters, cos_cos_average, scalar_rate, sin_sin_average
+from .pump import PumpParameters, check_kappa, cos_cos_average, scalar_rate, sin_sin_average
 
 # Acceptance thresholds for density-matrix validation (double precision
 # with O(dim^3) linear algebra behind it).
@@ -176,8 +176,7 @@ def apply_dissipator(op: np.ndarray, opd_op: np.ndarray, rho: np.ndarray) -> np.
 
 def loss_dissipator(kappa: float, space: TruncatedSpace) -> Superoperator:
     """Cavity damping at rate kappa: kappa (a rho a* - {a* a, rho}/2)."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    check_kappa(kappa, zero=True)
     return Superoperator(space, kappa * dissipator_matrix(annihilation(space)))
 
 

@@ -17,11 +17,42 @@ map itself, its Kraus sets and the dense average are in `oracle`.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import TimeMeasure
+
+
+def check_kappa(kappa: float, *, zero: bool) -> None:
+    """The rule for the loss rate kappa: positive and finite, or zero too
+    where `zero` allows a loss-free generator."""
+    if not (0.0 <= kappa if zero else 0.0 < kappa) or not kappa < math.inf:
+        kind = "nonnegative" if zero else "positive"
+        raise ValueError(f"kappa must be {kind} and finite, got {kappa}")
+
+
+def check_g_tau_bar(g_tau_bar: float) -> None:
+    """The rule for g tau_bar: positive and finite, and so its square u,
+    which every model reads; a subnormal u counts as zero, so that 1/u (in
+    r = A / (2u)) is finite too."""
+    g = float(g_tau_bar) if 0.0 < g_tau_bar < math.inf else math.nan
+    if not sys.float_info.min <= g * g < math.inf:  # float ** raises on overflow
+        raise ValueError(f"g_tau_bar and its square must be positive and finite, got {g_tau_bar}")
+
+
+def check_rates(name: str, rates, pumps) -> None:
+    """The rule for a pump-side rate (r, or a gain A): every value
+    nonnegative and finite.  The first that is not is named, with its pump
+    where the pumps are given."""
+    rates = np.asarray(rates)
+    bad = ~((0.0 <= rates) & (rates < np.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = "" if pumps is None else f" at pump {np.ravel(pumps)[i]}"
+        raise ValueError(f"{name} must be nonnegative and finite, got {rates.flat[i]}{at}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +71,8 @@ class PumpParameters:
     r: float | np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r)
-        if not 0.0 < self.g_tau_bar < np.inf or not np.all((0.0 <= r) & (r < np.inf)):
-            raise ValueError("g_tau_bar must be positive and finite, r nonnegative and finite")
+        check_g_tau_bar(self.g_tau_bar)
+        check_rates("pump rate r", self.r, None)
 
     @property
     def u(self) -> float:
@@ -61,8 +91,13 @@ class PumpParameters:
 
     @classmethod
     def from_pump(cls, pump: float, g_tau_bar: float, kappa: float = 1.0) -> "PumpParameters":
-        """Parameters with linear gain A = pump * kappa (pump is A/kappa)."""
-        r = pump * kappa / (2.0 * g_tau_bar**2)
+        """Parameters with linear gain A = pump * kappa (pump is A/kappa); a
+        pump whose r is negative or not finite (overflow too) is named."""
+        check_kappa(kappa, zero=False)
+        check_g_tau_bar(g_tau_bar)
+        with np.errstate(over="ignore"):
+            r = pump * kappa / (2.0 * g_tau_bar**2)
+        check_rates("pump rate r", r, pump)
         return cls(g_tau_bar, r)
 
 

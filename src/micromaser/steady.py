@@ -55,6 +55,7 @@ import numpy as np
 
 from .fock import Superoperator, TruncatedSpace, is_integer, unvec, vec_entries
 from .observables import band_linewidths, moment_columns
+from .pump import check_kappa
 
 
 START = 16  # n_max of the truncation search's first stage
@@ -171,8 +172,7 @@ def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -
     whether the top level holds at most TAIL_TOL.  This is the one-row case
     of recurrence_rows.
     """
-    if cutoff is not None and not (is_integer(cutoff) and cutoff >= 0):
-        raise ValueError(f"cutoff must be None or a nonnegative integer, got {cutoff!r}")
+    _check_cutoff(cutoff)
     (p,), (weight,) = recurrence_rows(_ratio_rows(ratio, _top_level(space, cutoff)), space.dim)
     if not weight > 0:
         raise SteadyStateError(_not_normalizable(weight))
@@ -236,6 +236,25 @@ def choose_truncation(model, kappa: float) -> TruncatedSpace:
     return TruncatedSpace(n_max)
 
 
+def _check_cutoff(cutoff) -> None:
+    """The rule for a cutoff: None or a nonnegative integer."""
+    if cutoff is not None and not (is_integer(cutoff) and cutoff >= 0):
+        raise ValueError(f"cutoff must be a nonnegative integer, got {cutoff!r}")
+
+
+def check_axis_options(kappa: float, truncation, cutoff) -> None:
+    """ValueError unless kappa is positive and finite, truncation None or an
+    integer from 1 to MAX_TRUNCATION, and cutoff None, "auto" or a
+    nonnegative integer: solve_pump_axis's check, and the CLI's."""
+    check_kappa(kappa, zero=False)
+    if not (truncation is None or is_integer(truncation) and 1 <= truncation <= MAX_TRUNCATION):
+        raise ValueError(
+            f"truncation must be an integer in 1..{MAX_TRUNCATION}, got {truncation!r}"
+        )
+    if cutoff != "auto":
+        _check_cutoff(cutoff)
+
+
 @dataclass(frozen=True)
 class PumpAxis:
     """One model solved along its pump axis, as columns with one entry per
@@ -277,10 +296,8 @@ def solve_pump_axis(
     moment_columns and one band_linewidths per piece, the last two sharing
     each row's mean.  Each cell is bit for bit what choose_truncation,
     recurrence_steady, moments and linewidth give for its pump alone.  An
-    error that no pump escapes (a kappa that is not positive and finite, a
-    truncation that is not an integer from 1 to MAX_TRUNCATION, a cutoff
-    that is not a nonnegative integer, a model build, a model cutoff below
-    1) fails every cell with its message.
+    error that no pump escapes (check_axis_options, a model build, a model
+    cutoff below 1) fails every cell with its message.
     """
     pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
     # a row the search left unresolved (level 0) keeps this error
@@ -289,18 +306,7 @@ def solve_pump_axis(
     n_maxes = np.zeros(len(pumps), dtype=int)
     values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
     try:
-        if not 0 < kappa < np.inf:
-            raise ValueError("kappa must be positive and finite")
-        if truncation is not None and not (is_integer(truncation) and truncation >= 1):
-            raise ValueError(f"truncation must be None or a positive integer, got {truncation!r}")
-        if truncation is not None and truncation > MAX_TRUNCATION:
-            raise ValueError(
-                f"truncation must be at most {MAX_TRUNCATION} (2**22), got {truncation}"
-            )
-        if cutoff not in (None, "auto") and not (is_integer(cutoff) and cutoff >= 0):
-            raise ValueError(
-                f"cutoff must be None, 'auto' or a nonnegative integer, got {cutoff!r}"
-            )
+        check_axis_options(kappa, truncation, cutoff)
         model = build(pumps, TruncatedSpace(1))
         if truncation is None:
             levels = truncation_levels(model, len(pumps), kappa)

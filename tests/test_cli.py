@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from micromaser import cli
@@ -12,12 +14,16 @@ from micromaser.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
-    MAX_TRUNCATION,
     ModelSpec,
     RunConfig,
     main,
     parse_pump_spec,
 )
+from micromaser.fock import TruncatedSpace
+from micromaser.measures import TimeMeasure, build_basis
+from micromaser.models import exact_model, general_weak_model, uniform_model
+from micromaser.pump import PumpParameters
+from micromaser.steady import MAX_TRUNCATION, solve_pump_axis
 
 from conftest import checkout_env
 
@@ -394,7 +400,100 @@ def test_truncation_above_the_ceiling_is_a_config_error(truncation, tmp_path, ca
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, "truncation": truncation}))
     code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
-    message = f"truncation must be at most 4194304 (2**22), got {truncation}"
+    message = f"truncation must be an integer in 1..4194304, got {truncation}"
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+
+def _raised(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def _axis_error(kappa=1.0, truncation=None, cutoff="auto") -> str:
+    """The message solve_pump_axis fails every cell with."""
+    build = lambda pumps, space: exact_model(PumpParameters.from_pump(pumps, 0.15), space)
+    (status,) = solve_pump_axis(build, [0.9], kappa, truncation=truncation, cutoff=cutoff).status
+    assert status.startswith("error: ")
+    return status[len("error: ") :]
+
+
+PARAMS = PumpParameters.from_pump(0.9, 0.15)
+UNIFORM = "model 'uniform_lindblad': "
+
+
+@pytest.mark.parametrize(
+    "override, library",
+    [
+        ({"kappa": 0.0}, lambda: _axis_error(kappa=0.0)),
+        ({"kappa": -1.0}, lambda: _axis_error(kappa=-1.0)),
+        ({"kappa": math.inf}, lambda: _axis_error(kappa=math.inf)),
+        ({"g_tau_bar": -0.15}, lambda: _raised(lambda: PumpParameters.from_pump(0.9, -0.15))),
+        ({"g_tau_bar": 1e200}, lambda: _raised(lambda: PumpParameters.from_pump(0.9, 1e200))),
+        ({"g_tau_bar": 1e-200}, lambda: _raised(lambda: PumpParameters.from_pump(0.9, 1e-200))),
+        (
+            {"pump": [0.5, -1.0]},
+            lambda: _raised(lambda: PumpParameters.from_pump(np.array([0.5, -1.0]), 0.15)),
+        ),
+        (
+            {"pump": [1.0, 1e308]},
+            lambda: _raised(lambda: PumpParameters.from_pump(np.array([1.0, 1e308]), 0.15)),
+        ),
+        ({"truncation": 0}, lambda: _axis_error(truncation=0)),
+        ({"truncation": 2.5}, lambda: _axis_error(truncation=2.5)),
+        ({"truncation": True}, lambda: _axis_error(truncation=True)),
+        ({"truncation": 2**22 + 1}, lambda: _axis_error(truncation=2**22 + 1)),
+        ({"cutoff": -1}, lambda: _axis_error(cutoff=-1)),
+        ({"cutoff": 2.5}, lambda: _axis_error(cutoff=2.5)),
+        ({"cutoff": True}, lambda: _axis_error(cutoff=True)),
+        (
+            {"models": [{"name": "uniform_lindblad", "order": 7}]},
+            lambda: UNIFORM + _raised(lambda: uniform_model(PARAMS, TruncatedSpace(1), order=7)),
+        ),
+        (
+            {"models": [{"name": "uniform_lindblad", "order": 1.5}]},
+            lambda: UNIFORM + _raised(lambda: uniform_model(PARAMS, TruncatedSpace(1), order=1.5)),
+        ),
+        (
+            {"models": [{"name": "uniform_lindblad", "order": True}]},
+            lambda: UNIFORM + _raised(lambda: uniform_model(PARAMS, TruncatedSpace(1), order=True)),
+        ),
+        (
+            {"models": [{"name": "weak_lindblad", "order": 0}]},
+            lambda: "model 'weak_lindblad': "
+            + _raised(
+                lambda: general_weak_model(
+                    PARAMS, build_basis(TimeMeasure.exponential(), 0), 0, TruncatedSpace(1)
+                )
+            ),
+        ),
+    ],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else "library",
+)
+def test_the_cli_prints_the_library_message(override, library, tmp_path, capsys):
+    """Each range lives in one library check, which RunConfig calls: the
+    config error is the message the library raises (a model option's behind
+    the model's name), and none of them offers Python's None."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, **override}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {library()}\n")
+    assert "None" not in err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"truncation": "x"}, "truncation must be 'auto' or a number, got 'x'"),
+        ({"truncation": "off"}, "truncation must be 'auto' or a number, got 'off'"),
+        ({"cutoff": "x"}, "cutoff must be 'auto', 'off' or a number, got 'x'"),
+    ],
+    ids=json.dumps,
+)
+def test_truncation_and_cutoff_words(override, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, **override}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
     assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ def test_expansion_beyond_degree_needs_finite_support():
     basis = build_basis(TimeMeasure.exponential(), 2)
     with pytest.raises(ValueError):
         expansion_coeffs(basis, 3)
+
+
+@pytest.mark.parametrize("measure", [TimeMeasure.exponential(), TimeMeasure.discrete([1.0], [1.0])])
+@pytest.mark.parametrize("degree", [2.0, True, "2"])
+def test_basis_degree_must_be_an_integer(measure, degree):
+    """Checked before anything is built: 2.0 used to build a basis on the
+    exponential measure and fail in range on a node measure."""
+    message = f"degree must be an integer in 0..64, got {degree!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_basis(measure, degree)
 
 
 def test_point_mass_spans_everything():

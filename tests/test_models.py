@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -234,6 +236,24 @@ def test_general_series_order_ceiling(params15):
     basis = build_basis(TimeMeasure.discrete([0.5, 1.5], [0.5, 0.5]), 1)
     with pytest.raises(ValueError):
         general_weak_model(params15, basis, 65, TruncatedSpace(4))
+
+
+@pytest.mark.parametrize("order", [2.0, True, "2"])
+def test_general_series_order_must_be_an_integer(params15, order):
+    """2.0 used to die in range with a bare TypeError, and True to mean 1."""
+    basis = build_basis(TimeMeasure.exponential(), 3)
+    message = f"series order must be an integer in 1..64, got {order!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        general_weak_model(params15, basis, order, TruncatedSpace(4))
+
+
+@pytest.mark.parametrize("order", [2.0, True, np.float64(1.0)])
+def test_uniform_order_must_be_an_integer(params15, order):
+    """True == 1 and 2.0 == 2, so a membership test alone let them through."""
+    message = f"uniform expansion order must be 0, 1 or 2, got {order!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        uniform_model(params15, TruncatedSpace(4), order=order)
+    assert uniform_model(params15, TruncatedSpace(4), order=np.int64(2)).name == UNIFORM
 
 
 def test_heuristic_orderings_differ_by_one_level():

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from micromaser.models import assemble, exact_model, heuristic_model, uniform_mo
 from micromaser.observables import (
     LinewidthResult,
     _row_dots,
+    band_linewidths,
     distribution_distance,
     linewidth,
     linewidth_fd,
@@ -155,6 +158,29 @@ def test_linewidth_diagonal_state_has_no_pull():
     res = linewidth(assemble(model, KAPPA), rho, KAPPA)
     assert abs(res.frequency_pull) < 1e-10
     assert res.D > 0
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.inf, math.nan])
+def test_every_linewidth_route_rejects_a_kappa_that_is_not_positive_and_finite(kappa):
+    """Every route divides by kappa.  The band route did not check it: kappa
+    0 gave normalized_D -inf with a RuntimeWarning, -1 a finite D of -1.90."""
+    space = TruncatedSpace(30)
+    model = exact_model(PumpParameters.from_pump(2.0, 0.15, KAPPA), space)
+    p = recurrence_steady(model.gain_ratio(KAPPA), space).p
+    generator, rho = assemble(model, KAPPA), np.diag(p)
+    routes = [
+        lambda: linewidth(model, p, kappa),
+        lambda: band_linewidths(model, p[None, :], moment_columns(p)[0], kappa),
+        lambda: linewidth(generator, rho, kappa),
+        lambda: linewidth_fd(generator, rho, kappa),
+        lambda: semiclassical_intensity(2.0, kappa, 0.1),
+    ]
+    message = f"^{re.escape(f'kappa must be positive and finite, got {kappa}')}$"
+    for route in routes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                route()
 
 
 def test_linewidth_of_populations_needs_a_model():

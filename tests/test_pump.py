@@ -46,9 +46,9 @@ def test_parameters_validation():
     assert PumpParameters(g_tau_bar=0.1, r=0.0).gain_rate == 0.0
 
 
-@pytest.mark.parametrize("g_tau_bar", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("g_tau_bar", [np.nan, np.inf, 0.0, -1.0, 1e200, 1e-160])
 def test_parameters_reject_a_coupling_that_is_not_positive_and_finite(g_tau_bar):
-    with pytest.raises(ValueError, match="g_tau_bar must be positive and finite"):
+    with pytest.raises(ValueError, match="g_tau_bar and its square must be positive and finite"):
         PumpParameters(g_tau_bar=g_tau_bar, r=1.0)
 
 

@@ -125,9 +125,9 @@ def test_expansion_cutoff_fails_below_one_without_warning():
         choose_truncation(weak, KAPPA)
 
 
-@pytest.mark.parametrize("g_tau_bar", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("g_tau_bar", [np.nan, np.inf, 0.0, -1.0, 1e200, 1e-160])
 def test_expansion_cutoff_rejects_a_coupling_that_is_not_positive_and_finite(g_tau_bar):
-    with pytest.raises(ValueError, match="g_tau_bar must be positive and finite"):
+    with pytest.raises(ValueError, match="g_tau_bar and its square must be positive and finite"):
         expansion_cutoff(g_tau_bar)
 
 

@@ -1,7 +1,11 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from micromaser.fock import Superoperator, TruncatedSpace, unvec, vec, vec_entries
+from micromaser.models import assemble, exact_model
 from micromaser.oracle import (
     annihilation,
     apply_dissipator,
@@ -12,6 +16,7 @@ from micromaser.oracle import (
     right_mult,
     sandwich,
 )
+from micromaser.pump import PumpParameters
 
 from conftest import random_density
 
@@ -164,3 +169,16 @@ def test_loss_dissipator_damps_mean(rng):
     mean = np.trace(n_op @ rho).real
     dmean = np.trace(n_op @ drho).real
     assert dmean == pytest.approx(-kappa * mean, rel=1e-10)
+
+
+@pytest.mark.parametrize("kappa", [math.inf, math.nan, -1.0])
+def test_loss_dissipator_takes_the_kappa_assemble_takes(kappa):
+    """inf and NaN used to give a Superoperator of NaN entries (inf with a
+    RuntimeWarning, NaN silently); both now follow assemble's 0 <= kappa < inf."""
+    space = TruncatedSpace(3)
+    model = exact_model(PumpParameters.from_pump(0.9, 0.15), space)
+    message = f"^{re.escape(f'kappa must be nonnegative and finite, got {kappa}')}$"
+    for build in (loss_dissipator, lambda k, s: assemble(model, k)):
+        with pytest.raises(ValueError, match=message):
+            build(kappa, space)
+    assert loss_dissipator(0.0, space).values.size == 0  # the loss-free cavity
