@@ -52,6 +52,7 @@ from .models import (
     POST4,
     UNIFORM,
     WEAK,
+    check_series_order,
     exact_model,
     fourth_order_model,
     general_weak_model,
@@ -105,10 +106,15 @@ class ConfigError(ValueError):
 
 
 def _number(name: str, value) -> float:
-    """A JSON number as a float; a string or true/false is no number here."""
+    """A JSON number as a float; a string or true/false is no number here.
+    An integer past the float range is +-inf, as JSON 1e400 is, for the
+    library to name."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _as_int(value):
@@ -192,10 +198,20 @@ class RunConfig:
         return {**echo, "models": models, "pump": list(self.pump)}
 
 
+# The most pumps a START:STOP:STEPS range makes: far above any grid a sweep
+# is run on, and checked before linspace allocates the whole axis.
+MAX_PUMP_STEPS = 1_000_000
+
+
 def _pump_range(start: float, stop: float, steps: int) -> tuple:
     """`steps` values from start to stop, both included."""
     if steps < 1:
         raise ConfigError(f"pump range needs at least 1 step, got {steps}")
+    if steps > MAX_PUMP_STEPS:
+        raise ConfigError(f"pump range takes at most {MAX_PUMP_STEPS} steps, got {steps}")
+    for end, value in (("start", start), ("stop", stop), ("stop - start", stop - start)):
+        if not math.isfinite(value):
+            raise ConfigError(f"pump range {end} must be finite, got {value}")
     return tuple(float(v) for v in np.linspace(start, stop, steps))
 
 
@@ -262,7 +278,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             else:
                 with open(args.config, encoding="utf-8") as fh:
                     data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON, UTF-8 and int-digit errors
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
@@ -298,6 +314,7 @@ _FROM_PUMP = object()  # a heuristic default that the pump sets: a JSON null sta
 
 
 def _weak(*, order=3):
+    check_series_order(order)  # before the basis can name it a degree
     basis = build_basis(TimeMeasure.exponential(), order)
     return lambda params, space: general_weak_model(params, basis, order, space)
 

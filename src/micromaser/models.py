@@ -36,10 +36,11 @@ time and memory.  A Lindblad model with one-quantum gain operators S_k
 F = sum_k s_k(m) s_k(n) and H = -sum_k (c_k(m) - c_k(n))^2 / 2; it keeps
 only the functions s_k and c_k.
 
-The pump and the levels are split in every model.  F and H are each a sum
-of terms rate_t * level_t(y_m, y_n) (PairTerms): rate_t is a scalar or a
-(P, 1) column with one value per pump, level_t a pump-free function of the
-a a* eigenvalues y = n + 1 of the two levels (LevelTable).  exact has
+The pump and the levels are split in every model.  F and H are each one
+PairTerms, the one type for a pair function: a sum of terms
+rate_t * level_t(y_m, y_n), where rate_t is a scalar or a (P, 1) column
+with one value per pump and level_t a pump-free function of the a a*
+eigenvalues y = n + 1 of the two levels, with its band tables.  exact has
 F = r <sin sin> and H = r (...); the Lindblad models F = rate sum_k s s and
 H = (-rate/2) sum_k (c_m - c_n)^2 (rate = A for heuristic); post4 has two
 feed terms, A sqrt(y_m y_n) - 2B (...).  So one model serves a whole pump
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -90,73 +92,54 @@ HEURISTIC = "heuristic"
 MODEL_NAMES = (EXACT, POST4, WEAK, UNIFORM, HEURISTIC)
 
 
-def _weigh(rates: tuple, levels) -> np.ndarray:
-    """sum_t rates[t] * levels[t]: the pump side multiplied in last."""
-    total = rates[0] * levels[0]
-    for rate, level in zip(rates[1:], levels[1:]):
-        total = total + rate * level
-    return total
+class PairTerms:
+    """A pair function sum_t rates[t] * fn(y_m, y_n)[t], with its level tables.
 
+    The pump enters only through rates, one scalar or (P, 1) column of
+    per-pump values per term; fn is pump free and returns one array per
+    rate, reading the levels m and n only through their a a* eigenvalues y.
+    The rates are multiplied in last, so a row of a column of rates gives
+    bit for bit what that rate alone gives.
 
-class LevelTable:
-    """A pump-free level function and its values on the bands.
-
-    fn(y_m, y_n) returns one array per pump-side rate of its PairTerms; it
-    reads the levels m and n only through their a a* eigenvalues y.  The
-    table of band k holds fn at the pairs (i, i + k) with the exact
-    eigenvalues y = level + 1, i = 0, 1, ...: a caller that reaches past it
-    evaluates fn once on twice the length it held (or the length asked for,
-    if more), and every shorter request is a slice.  An entry's value does
-    not depend on its position in the table, so a slice is what fn gives on
-    that band alone.
+    The table of band k holds fn at the pairs (i, i + k) with the exact
+    eigenvalues y = level + 1, i = 0, 1, ...: a request past it evaluates fn
+    once on twice the length it held (or the length asked for, if more), and
+    every shorter one is a slice.  An entry's value does not depend on its
+    position in the table, so a slice is what fn gives on that band alone.
+    The views rows(idx) share the tables.
     """
 
-    def __init__(self, fn: Callable):
+    def __init__(self, rates: tuple, fn: Callable):
+        self.rates = rates
         self.fn = fn
-        self._bands = {}  # k -> (length, one array per term)
+        self.tables = {}  # k -> (length, one array per term)
 
-    def band(self, k: int, length: int) -> tuple:
-        size, table = self._bands.get(k, (0, None))
+    def __call__(self, ym, yn) -> np.ndarray:
+        return functools.reduce(operator.add, map(operator.mul, self.rates, self.fn(ym, yn)))
+
+    def band(self, k: int, length: int, top: tuple | None = None) -> np.ndarray:
+        """The pair function on the first `length` pairs (i, i + k) of band
+        k, read from its table; top, a pair (y_m, y_n) of one-entry arrays,
+        replaces the eigenvalues of the last pair."""
+        size, table = self.tables.get(k, (0, None))
         if table is None or size < length:
             size = max(length, 2 * size)
             y = np.arange(1.0, size + 1.0)
             table = tuple(self.fn(y, y + k))
             for t in table:
                 t.flags.writeable = False  # callers hold slices of it
-            self._bands[k] = (size, table)
-        return tuple(t[:length] for t in table)
-
-
-@dataclass(frozen=True)
-class PairTerms:
-    """A pair function sum_t rates[t] * levels.fn(y_m, y_n)[t].
-
-    The pump enters only through rates, one scalar or (P, 1) column of
-    per-pump values per term; levels (a LevelTable) is pump free.  The rates
-    are multiplied in last, so a row of a column of rates gives bit for bit
-    what that rate alone gives.
-    """
-
-    rates: tuple
-    levels: LevelTable
-
-    def __call__(self, ym, yn) -> np.ndarray:
-        return _weigh(self.rates, self.levels.fn(ym, yn))
-
-    def band(self, k: int, length: int, top: tuple | None = None) -> np.ndarray:
-        """The pair function on the first `length` pairs (i, i + k) of band
-        k, read from the level table; top, a pair (y_m, y_n) of one-entry
-        arrays, replaces the eigenvalues of the last pair."""
-        levels = self.levels.band(k, length)
+            self.tables[k] = (size, table)
+        levels = [t[:length] for t in table]
         if top is not None:
-            last = self.levels.fn(*top)
-            levels = [np.concatenate((t[:-1], end)) for t, end in zip(levels, last)]
-        return _weigh(self.rates, levels)
+            levels = [np.concatenate((t[:-1], end)) for t, end in zip(levels, self.fn(*top))]
+        return functools.reduce(operator.add, map(operator.mul, self.rates, levels))
 
     def rows(self, idx) -> "PairTerms":
-        """The terms at the pump rows idx; a scalar rate stays as it is."""
-        rates = tuple(r if np.ndim(r) == 0 else r[idx] for r in self.rates)
-        return PairTerms(rates, self.levels)
+        """The terms at the pump rows idx, sharing these tables; a scalar
+        rate stays as it is."""
+        view = PairTerms(tuple(r if np.ndim(r) == 0 else r[idx] for r in self.rates), self.fn)
+        view.tables = self.tables
+        return view
 
 
 def _y(n) -> np.ndarray:
@@ -199,8 +182,10 @@ class GeneratorModel:
     def _require_one_pump(self) -> None:
         """ValueError for a model built on a (P, 1) column of pump values:
         its band functions have one row per pump, and the dense forms (apply,
-        assemble, oracle.lindblad_ops) act at one pump value."""
-        scalar_rate(self.gain_fn(0))
+        assemble, oracle.lindblad_ops) act at one pump value.  Only the
+        rates carry the pump, so only their shapes are read."""
+        for rate in self.feed_terms.rates + self.dephasing_terms.rates:
+            scalar_rate(rate)
 
     def at(self, rows, space: TruncatedSpace) -> "GeneratorModel":
         """The model at its pump rows `rows` (an index array) on `space`,
@@ -349,8 +334,8 @@ def _lindblad_model(
         name=name,
         space=space,
         params=params,
-        feed_terms=PairTerms((rate,), LevelTable(feed)),
-        dephasing_terms=PairTerms((-0.5 * rate,), LevelTable(dephasing)),
+        feed_terms=PairTerms((rate,), feed),
+        dephasing_terms=PairTerms((-0.5 * rate,), dephasing),
         truncated_top=truncated_top,
         lindblad=(gain_elements, diagonals),
         cutoff=cutoff,
@@ -387,8 +372,8 @@ def exact_model(
         name=EXACT,
         space=space,
         params=params,
-        feed_terms=PairTerms((params.r,), LevelTable(feed)),
-        dephasing_terms=PairTerms((params.r,), LevelTable(dephasing)),
+        feed_terms=PairTerms((params.r,), feed),
+        dephasing_terms=PairTerms((params.r,), dephasing),
     )
 
 
@@ -410,11 +395,18 @@ def fourth_order_model(params: PumpParameters, space: TruncatedSpace) -> Generat
         name=POST4,
         space=space,
         params=params,
-        feed_terms=PairTerms((gain, -2.0 * quartic), LevelTable(feed)),
-        dephasing_terms=PairTerms((-1.5 * quartic,), LevelTable(dephasing)),
+        feed_terms=PairTerms((gain, -2.0 * quartic), feed),
+        dephasing_terms=PairTerms((-1.5 * quartic,), dephasing),
         truncated_top=True,
         cutoff=expansion_cutoff(params.g_tau_bar),
     )
+
+
+def check_series_order(order) -> None:
+    """The rule for the weak-coupling series order: an integer in 1..MAX_DEGREE,
+    the degrees an OrthoBasis reaches."""
+    if not (is_integer(order) and 1 <= order <= MAX_DEGREE):
+        raise ValueError(f"series order must be an integer in 1..{MAX_DEGREE}, got {order!r}")
 
 
 def general_weak_model(
@@ -432,8 +424,7 @@ def general_weak_model(
     gain).  weak_coupling_model is this series at order 3 on the exponential
     measure; the CLI's weak_lindblad builds it at any order on that measure.
     """
-    if not (is_integer(order) and 1 <= order <= MAX_DEGREE):
-        raise ValueError(f"series order must be an integer in 1..{MAX_DEGREE}, got {order!r}")
+    check_series_order(order)
     k_top = min(order, basis.degree)
     coeff_table = [expansion_coeffs(basis, j) for j in range(order + 1)]
     gt = params.g_tau_bar

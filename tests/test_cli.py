@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from micromaser.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
+    MAX_PUMP_STEPS,
     ModelSpec,
     RunConfig,
     main,
@@ -21,7 +23,12 @@ from micromaser.cli import (
 )
 from micromaser.fock import TruncatedSpace
 from micromaser.measures import TimeMeasure, build_basis
-from micromaser.models import exact_model, general_weak_model, uniform_model
+from micromaser.models import (
+    exact_model,
+    general_weak_model,
+    heuristic_model,
+    uniform_model,
+)
 from micromaser.pump import PumpParameters
 from micromaser.steady import MAX_TRUNCATION, solve_pump_axis
 
@@ -320,6 +327,7 @@ def test_bad_model_option_rejected_at_config_time(tmp_path, capsys):
 
 
 BASE_CONFIG = {"models": ["exact"], "g_tau_bar": 0.15, "pump": 0.9}
+HUGE = 10**400  # a JSON integer past the float range
 
 
 @pytest.mark.parametrize(
@@ -355,6 +363,25 @@ BASE_CONFIG = {"models": ["exact"], "g_tau_bar": 0.15, "pump": 0.9}
         {"cutoff": True},
         {"workers": "abc"},
         {"workers": 2.5},
+        *(
+            pytest.param(override, id=f"huge {name}")
+            for name, override in [
+                ("pump entry", {"pump": [0.5, HUGE]}),
+                ("negative pump entry", {"pump": [0.5, -HUGE]}),
+                ("pump", {"pump": HUGE}),
+                ("pump.start", {"pump": {"start": HUGE, "stop": 1, "steps": 3}}),
+                ("pump.stop", {"pump": {"start": 0, "stop": HUGE, "steps": 3}}),
+                ("pump.steps", {"pump": {"start": 0, "stop": 1, "steps": HUGE}}),
+                ("g_tau_bar", {"g_tau_bar": HUGE}),
+                ("kappa", {"kappa": HUGE}),
+                ("truncation", {"truncation": HUGE}),
+                ("negative cutoff", {"cutoff": -HUGE}),
+                ("gain", {"models": [{"name": "heuristic", "gain": HUGE}]}),
+                ("beta", {"models": [{"name": "heuristic", "beta": HUGE}]}),
+                ("weak order", {"models": [{"name": "weak_lindblad", "order": HUGE}]}),
+                ("uniform order", {"models": [{"name": "uniform_lindblad", "order": HUGE}]}),
+            ]
+        ),
     ],
     ids=json.dumps,
 )
@@ -420,6 +447,7 @@ def _axis_error(kappa=1.0, truncation=None, cutoff="auto") -> str:
 
 PARAMS = PumpParameters.from_pump(0.9, 0.15)
 UNIFORM = "model 'uniform_lindblad': "
+WEAK_BASIS, SPACE = build_basis(TimeMeasure.exponential(), 3), TruncatedSpace(1)
 
 
 @pytest.mark.parametrize(
@@ -443,6 +471,17 @@ UNIFORM = "model 'uniform_lindblad': "
         ({"truncation": 2.5}, lambda: _axis_error(truncation=2.5)),
         ({"truncation": True}, lambda: _axis_error(truncation=True)),
         ({"truncation": 2**22 + 1}, lambda: _axis_error(truncation=2**22 + 1)),
+        ({"kappa": HUGE}, lambda: _axis_error(kappa=math.inf)),
+        ({"g_tau_bar": HUGE}, lambda: _raised(lambda: PumpParameters.from_pump(0.9, math.inf))),
+        (
+            {"pump": [0.5, HUGE]},
+            lambda: _raised(lambda: PumpParameters.from_pump(np.array([0.5, math.inf]), 0.15)),
+        ),
+        (
+            {"models": [{"name": "heuristic", "gain": HUGE}]},
+            lambda: "model 'heuristic': "
+            + _raised(lambda: heuristic_model(np.array([math.inf]), 0.1, TruncatedSpace(1))),
+        ),
         ({"cutoff": -1}, lambda: _axis_error(cutoff=-1)),
         ({"cutoff": 2.5}, lambda: _axis_error(cutoff=2.5)),
         ({"cutoff": True}, lambda: _axis_error(cutoff=True)),
@@ -467,8 +506,16 @@ UNIFORM = "model 'uniform_lindblad': "
                 )
             ),
         ),
+        *(
+            (
+                {"models": [{"name": "weak_lindblad", "order": order}]},
+                lambda order=order: "model 'weak_lindblad': "
+                + _raised(lambda: general_weak_model(PARAMS, WEAK_BASIS, order, SPACE)),
+            )
+            for order in (65, 2.5, True)
+        ),
     ],
-    ids=lambda value: json.dumps(value) if isinstance(value, dict) else "library",
+    ids=lambda value: json.dumps(value)[:60] if isinstance(value, dict) else "library",
 )
 def test_the_cli_prints_the_library_message(override, library, tmp_path, capsys):
     """Each range lives in one library check, which RunConfig calls: the
@@ -509,6 +556,10 @@ def test_truncation_at_the_ceiling_is_accepted():
         ("1:2:0", "pump range needs at least 1 step, got 0"),
         ("1:2", "pump spec must be VALUE or START:STOP:STEPS, got '1:2'"),
         ("1:2:x", "cannot parse pump spec '1:2:x': invalid literal for int() with base 10: 'x'"),
+        ("1:1e400:3", "pump range stop must be finite, got inf"),
+        ("inf:1:3", "pump range start must be finite, got inf"),
+        ("nan:1:3", "pump range start must be finite, got nan"),
+        ("0:1:" + "1" + "0" * 30, f"pump range takes at most 1000000 steps, got {10**30}"),
     ],
 )
 def test_bad_pump_flag_prints_the_spec_message(spec, message, tmp_path, capsys):
@@ -519,6 +570,63 @@ def test_bad_pump_flag_prints_the_spec_message(spec, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BASE_CONFIG, "pump": spec}))
     assert run_cli(["sweep", "--config", str(cfg)], capsys) == want
+
+
+@pytest.mark.parametrize(
+    "pump, message",
+    [
+        ({"start": 0, "stop": math.inf, "steps": 3}, "pump range stop must be finite, got inf"),
+        ({"start": -HUGE, "stop": 1, "steps": 3}, "pump range start must be finite, got -inf"),
+        (
+            {"start": -1e308, "stop": 1e308, "steps": 3},
+            "pump range stop - start must be finite, got inf",
+        ),
+    ],
+    ids=["stop inf", "start -huge", "width inf"],
+)
+def test_a_pump_range_object_names_its_non_finite_end(pump, message, tmp_path, capsys):
+    """Checked before linspace, which would warn and make NaN pumps."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "pump": pump}))
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("steps", [MAX_PUMP_STEPS + 1, 10**30])
+def test_a_pump_range_past_the_ceiling_fails_before_linspace(steps, tmp_path, capsys):
+    """The ceiling sits far above any grid run (2,000 pumps per model on
+    the largest benchmark grid, 32,000 planned) and is checked before the
+    pump axis is allocated."""
+    assert MAX_PUMP_STEPS > 32_000
+    message = f"pump range takes at most {MAX_PUMP_STEPS} steps, got {steps}"
+    cfg = tmp_path / "cfg.json"
+    pump = {"start": 0.5, "stop": 1.0, "steps": steps}
+    cfg.write_text(json.dumps({**BASE_CONFIG, "pump": pump}))
+    flag = ["sweep", "--model", "exact", "--gtau", "0.15", "--pump", f"0.5:1:{steps}"]
+    for argv in (flag, ["sweep", "--config", str(cfg)]):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(argv, capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+        assert peak < 1e6  # a pump axis at the ceiling alone is 8 MB
+
+
+def test_an_unreadable_config_is_a_config_error(tmp_path, capsys):
+    """Integers past Python's digit limit, and bytes that are not UTF-8,
+    fail while the document is read."""
+    cfg = tmp_path / "cfg.json"
+    for text in ('{"pump": [' + "9" * 5000 + "]}", b'{"models": ["\xff"]}'):
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"config error: cannot read config {str(cfg)!r}: ")
+        assert err.count("\n") == 1
 
 
 def test_each_weak_spec_builds_its_basis_once(monkeypatch, tmp_path, capsys):

@@ -12,7 +12,7 @@ from micromaser.models import (
     POST4,
     UNIFORM,
     WEAK,
-    LevelTable,
+    PairTerms,
     assemble,
     exact_model,
     expansion_cutoff,
@@ -395,14 +395,20 @@ def test_level_tables_are_prefixes(variant, k):
     grown to it: what lets one table serve every block of a pump axis."""
     params = PumpParameters.from_pump(np.array([[0.7], [2.0]]), 0.15, KAPPA)
     model = TABLE_VARIANTS[variant](params, TruncatedSpace(1))
+
+    def table(terms, *lengths):
+        fresh = PairTerms(terms.rates, terms.fn)
+        for length in lengths:
+            fresh.band(k, length)
+        return fresh.tables[k][1]
+
     for terms in (model.feed_terms, model.dephasing_terms):
         for length in (1, 7, 16, 33):
-            short = LevelTable(terms.levels.fn).band(k, length)
-            long = LevelTable(terms.levels.fn).band(k, 2 * length + k)
-            grown = LevelTable(terms.levels.fn)
-            grown.band(k, length)
-            for table in (long, grown.band(k, 2 * length + k)):
-                assert [t[:length].tobytes() for t in table] == [t.tobytes() for t in short]
+            short = table(terms, length)
+            assert len(short[0]) == length
+            for grown in (table(terms, 2 * length + k), table(terms, length, 2 * length + k)):
+                assert len(grown[0]) == 2 * length + k
+                assert [t[:length].tobytes() for t in grown] == [t.tobytes() for t in short]
 
 
 def band_from_pair_functions(model, band, k, kappa):

@@ -480,3 +480,31 @@ def test_dense_forms_refuse_a_pump_column(pumps):
     ):
         with pytest.raises(ValueError, match="one pump value"):
             dense()
+
+
+@pytest.mark.parametrize("pumps", [1, 3])
+def test_the_one_pump_rule_reads_only_the_rates(pumps):
+    """Whether a model holds one pump is read from the shapes of its rates:
+    no level function runs, whatever the answer."""
+    values = np.linspace(0.5, 2.0, pumps)[:, None] if pumps > 1 else 0.5
+    params = PumpParameters.from_pump(values, 0.15)
+    space = TruncatedSpace(2)
+    for model in (
+        exact_model(params, space),
+        fourth_order_model(params, space),
+        weak_coupling_model(params, space),
+        uniform_model(params, space),
+        heuristic_model(params.gain_rate, 0.1, space),
+    ):
+        calls = []
+        for terms in (model.feed_terms, model.dephasing_terms):
+            terms.fn = lambda *args, fn=terms.fn: calls.append(fn) or fn(*args)
+        if pumps > 1:
+            with pytest.raises(ValueError, match="one pump value"):
+                model._require_one_pump()
+        else:
+            model._require_one_pump()
+        assert calls == []
+        if pumps == 1:
+            assemble(model, 1.0)  # which does read the level functions
+            assert calls

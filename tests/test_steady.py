@@ -14,7 +14,6 @@ from micromaser.fock import Superoperator, TruncatedSpace, unvec
 from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
     GeneratorModel,
-    LevelTable,
     PairTerms,
     assemble,
     exact_model,
@@ -565,8 +564,8 @@ def test_choose_truncation_raises_at_hard_cap():
         name="exact",
         space=space,
         params=None,
-        feed_terms=PairTerms((1.01 * KAPPA,), LevelTable(lambda ym, yn: (np.sqrt(ym * yn),))),
-        dephasing_terms=PairTerms((0.0,), LevelTable(lambda ym, yn: (ym - yn,))),
+        feed_terms=PairTerms((1.01 * KAPPA,), lambda ym, yn: (np.sqrt(ym * yn),)),
+        dephasing_terms=PairTerms((0.0,), lambda ym, yn: (ym - yn,)),
     )
     with pytest.raises(SteadyStateError, match=f"no truncation below {HARD_CAP} "):
         choose_truncation(runaway, KAPPA)
