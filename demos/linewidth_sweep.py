@@ -31,15 +31,9 @@ builders = {
 }
 
 # each model over the whole pump axis in one pass, band linewidth included
+params = PumpParameters.from_pump(np.array(PUMPS), G_TAU_BAR, KAPPA)
 solved = {
-    name: solve_pump_axis(
-        lambda pumps, space, build=build: build(
-            PumpParameters.from_pump(pumps, G_TAU_BAR, KAPPA), space
-        ),
-        PUMPS,
-        KAPPA,
-        linewidth=True,
-    )
+    name: solve_pump_axis(build, params, KAPPA, linewidth=True)
     for name, build in builders.items()
 }
 

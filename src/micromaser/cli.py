@@ -10,7 +10,9 @@ into the fixed text between its list columns, and each row's lines are one
 join of that text with the texts of its list columns.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
 rest are still emitted), 1 on configuration errors and, without a
-traceback, on an output its reader closed early (`| head`).
+traceback, on an output its reader closed early (`| head`) or that could
+not be written, flushed or closed (one stderr line, `cannot write output
+'<path, or stdout>': <error>`).
 
 This module checks only what the library cannot know: the JSON types (a
 string or true/false where a number belongs), empty model and pump lists,
@@ -18,12 +20,12 @@ unknown keys, models and options, and `workers` (accepted, checked and
 echoed, but ignored).  Every range, and its message, is the library's:
 RunConfig maps the words (`truncation` "auto" and `cutoff` "off" to None;
 `cutoff` "auto" keeps each model's own), calls steady.check_axis_options
-(kappa, truncation, cutoff) and PumpParameters.from_pump on the whole pump
-axis (g tau_bar, each pump's rate r), and builds each model once, so that
-its constructor judges its options; a ValueError becomes a ConfigError.
-The same builder then solves the model's whole pump axis in one pass
-(steady.solve_pump_axis), model by model; rows and error lines come in
-grid order (model, then pump).
+(kappa, truncation, cutoff) and, once, PumpParameters.from_pump on the
+whole pump axis (g tau_bar, each pump's rate r), and builds each model on
+those parameters, so that its constructor judges its options; a ValueError
+becomes a ConfigError.  The same constructor then solves the model's whole
+pump axis on them in one pass (steady.solve_pump_axis), model by model;
+rows and error lines come in grid order (model, then pump).
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .steady import check_axis_options, solve_pump_axis
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CLOSED = 1  # the reader closed the output before the last row
+EXIT_WRITE = 1  # writing, flushing or closing the output failed
 EXIT_PARTIAL = 2
 
 STEADY_COLUMNS = ("model", "g_tau_bar", "pump_A_over_kappa", "n", "p_n", "negative_flag")
@@ -162,7 +165,8 @@ class RunConfig:
     truncation: int | str = "auto"
     cutoff: int | str = "auto"
     workers: int = 4
-    # made by __post_init__: solve_pump_axis's truncation and cutoff, one build per model spec
+    # made by __post_init__: solve_pump_axis's params, options and one constructor per model
+    params: PumpParameters = field(init=False, repr=False, compare=False)
     axis_options: dict = field(init=False, repr=False, compare=False)
     builders: tuple = field(init=False, repr=False, compare=False)
 
@@ -174,18 +178,19 @@ class RunConfig:
         options = {name: _library_value(name, getattr(self, name)) for name in _WORDS}
         try:  # the library's own checks, of every pump at once
             check_axis_options(self.kappa, **options)
-            PumpParameters.from_pump(np.asarray(self.pump), self.g_tau_bar, self.kappa)
+            params = PumpParameters.from_pump(np.asarray(self.pump), self.g_tau_bar, self.kappa)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not is_integer(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "axis_options", options)
-        # each model's constructor judges its options; the builder that passes solves the grid
+        # each model's constructor judges its options on the params it then solves
         builders = []
         for spec in self.models:
             try:
-                build = _model_builder(spec, self)
-                build(self.pump[0], TruncatedSpace(1))
+                build = _MODELS[spec.name](**{k: _as_int(v) for k, v in spec.options.items()})
+                build(params, TruncatedSpace(1))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model {spec.name!r}: {exc}") from None
             builders.append(build)
@@ -306,10 +311,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 # One entry per model.  Its keyword options, with their defaults, are the keys
-# ModelSpec accepts; it returns model(params, space), building the polynomial
-# basis of a weak series once.  The library judges each option's value (an
-# integral float, JSON 2.0, as an int); heuristic's gain and beta must be JSON
-# numbers first.
+# ModelSpec accepts; it returns the model constructor build(params, space) that
+# solve_pump_axis takes, building the polynomial basis of a weak series once.
+# The library judges each option's value (an integral float, JSON 2.0, as an
+# int); heuristic's gain and beta must be JSON numbers first.
 _FROM_PUMP = object()  # a heuristic default that the pump sets: a JSON null stays an error
 
 
@@ -343,28 +348,13 @@ _MODELS = {
 }
 
 
-def _model_builder(spec: ModelSpec, config: RunConfig):
-    """build(pumps, space): the spec's model for one pump value or a (P, 1)
-    column of them, on a space."""
-    model = _MODELS[spec.name](**{key: _as_int(value) for key, value in spec.options.items()})
-    return lambda pumps, space: model(
-        PumpParameters.from_pump(pumps, config.g_tau_bar, config.kappa), space
-    )
-
-
 def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tuple[list, int]:
     """Per model, its PumpAxis, solved in one pass (solve_pump_axis); each
     failed cell is reported on stderr under the command's name, in grid
     order."""
+    options = dict(linewidth=linewidth, **config.axis_options)
     grid = [
-        solve_pump_axis(
-            build,
-            config.pump,
-            config.kappa,
-            linewidth=linewidth,
-            **config.axis_options,
-        )
-        for build in config.builders
+        solve_pump_axis(build, config.params, config.kappa, **options) for build in config.builders
     ]
     failures = 0
     for spec, axis in zip(config.models, grid):
@@ -660,14 +650,22 @@ def main(argv=None) -> int:
             else:
                 write_csv(rows, columns, stream)
             stream.flush()
-        except BrokenPipeError:
-            import os
+            stack.close()  # an --out file's close can fail as a write does
+        except OSError as exc:
+            if stream is sys.stdout:
+                import os
 
-            # stdout now points at devnull, so the interpreter's last flush of
-            # what is still buffered cannot fail again (Python docs, "Note on
-            # SIGPIPE"); no signal handler, since callers run main in process
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_CLOSED
+                # stdout now points at devnull, so the interpreter's last flush
+                # of what is still buffered cannot fail again (Python docs,
+                # "Note on SIGPIPE"); no signal handler, since callers run
+                # main in process
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with contextlib.suppress(OSError):
+                stack.close()  # the --out file's last flush fails again; it is closed
+            if isinstance(exc, BrokenPipeError):
+                return EXIT_CLOSED
+            print(f"cannot write output {args.out or 'stdout'!r}: {exc}", file=sys.stderr)
+            return EXIT_WRITE
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

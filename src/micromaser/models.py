@@ -80,8 +80,8 @@ import numpy as np
 
 from .fock import Superoperator, TruncatedSpace, is_integer, vec_entries
 from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, build_basis, expansion_coeffs
-from .pump import PumpParameters, check_g_tau_bar, check_kappa, check_rates, scalar_rate
-from .pump import cos_cos_average, sin_sin_average
+from .pump import PumpParameters, check_g_tau_bar, check_kappa, check_one_pump, check_rates
+from .pump import cos_cos_average, scalar_rate, sin_sin_average
 
 EXACT = "exact"
 POST4 = "post4"
@@ -186,6 +186,13 @@ class GeneratorModel:
         rates carry the pump, so only their shapes are read."""
         for rate in self.feed_terms.rates + self.dephasing_terms.rates:
             scalar_rate(rate)
+
+    def _require_one_pump_row(self) -> None:
+        """ValueError for a model on more than one pump row: choose_truncation
+        and the band linewidth read it as one pump.  A (1, 1) column of rates
+        is one pump."""
+        for rate in self.feed_terms.rates + self.dephasing_terms.rates:
+            check_one_pump(np.size(rate) == 1, "rates", rate)
 
     def at(self, rows, space: TruncatedSpace) -> "GeneratorModel":
         """The model at its pump rows `rows` (an index array) on `space`,

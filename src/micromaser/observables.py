@@ -20,7 +20,7 @@ import numpy as np
 
 from .fock import Superoperator
 from .models import GeneratorModel
-from .pump import check_kappa
+from .pump import check_kappa, check_one_pump
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ def moments(p: np.ndarray) -> PhotonMoments:
     Q = variance / mean - 1 (0 for a Poissonian, negative sub-Poissonian);
     nan when the mean vanishes.  This is the one-row case of moment_columns.
     """
+    check_one_pump(len(np.atleast_2d(p)) == 1, "populations", p)
     mean, variance, mandel_q = (float(column[0]) for column in moment_columns(p))
     return PhotonMoments(mean_n=mean, variance=variance, mandel_q=mandel_q)
 
@@ -187,6 +188,7 @@ def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
         return _dense_linewidth(_assembled(generator).apply, rho_ss, kappa)
     if not isinstance(generator, GeneratorModel):
         raise TypeError("the populations of a diagonal state need a GeneratorModel")
+    generator._require_one_pump_row()
     mean_n = moment_columns(p)[0]
     return _one_row(band_linewidths(generator, p, mean_n, kappa), float(mean_n[0]))
 

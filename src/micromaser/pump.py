@@ -61,10 +61,11 @@ class PumpParameters:
 
     g and tau_bar enter the pump only as their product, and the interaction
     time only as x = tau / tau_bar (see measures), so nothing else is stored.
-    r may be a (P, 1) column, one rate per pump value: the band functions of
-    a model built from it then broadcast to (pumps, levels), which is how a
-    whole pump axis is solved at once.  The dense operators need a scalar r
-    (scalar_rate).
+    r may hold one rate per pump value (1-D, as from_pump makes it from an
+    array of pumps): solve_pump_axis builds a model on it as a (P, 1)
+    column, whose band functions then broadcast to (pumps, levels), which is
+    how a whole pump axis is solved at once.  The dense operators need a
+    scalar r (scalar_rate).
     """
 
     g_tau_bar: float
@@ -101,14 +102,20 @@ class PumpParameters:
         return cls(g_tau_bar, r)
 
 
+def check_one_pump(one: bool, name: str, values) -> None:
+    """The message of every entry that acts at one pump value (the dense
+    operators, choose_truncation, recurrence_steady, moments and the band
+    linewidth): ValueError unless `one`, the entry's rule read from the
+    values `name`, holds."""
+    if not one:
+        raise ValueError(f"one pump value needed, got {name} of shape {np.shape(values)}")
+
+
 def scalar_rate(rate):
     """rate itself, if it is a scalar.  The dense operators act at one pump
     value; a (P, 1) column of per-pump rates would broadcast into them row
     by row, so it is refused."""
-    if np.ndim(rate) != 0:
-        raise ValueError(
-            f"dense operators need one pump value, got rates of shape {np.shape(rate)}"
-        )
+    check_one_pump(np.ndim(rate) == 0, "rates", rate)
     return rate
 
 

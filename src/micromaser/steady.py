@@ -18,11 +18,12 @@ is the largest absolute row sum, which the same Gershgorin sums hold.  Only
 the block that holds the steady state gets eigenvectors.  It uses NumPy
 alone (np.linalg.eigvals, eig), so the nullspace route never loads scipy.
 
-A pump axis is solved in one pass (solve_pump_axis), and comes back as
-columns (PumpAxis): one entry per pump for the status, the populations,
-n_max, the moments and the linewidth.  The pump enters a model only through
-per-pump rates multiplied in last (models.PairTerms), so one model, built
-once per axis on a (P, 1) column of them, serves every pump:
+A pump axis, a PumpParameters with one rate per pump, is solved in one pass
+(solve_pump_axis) and comes back as columns (PumpAxis): one entry per pump
+for the status, the populations, n_max, the moments and the linewidth.  The
+pump enters a model only through per-pump rates multiplied in last
+(models.PairTerms), so one model, built once per axis on a (P, 1) column of
+them, serves every pump:
 
   once per axis    the model build, its cutoff;
   once per stage   the truncation search (truncation_levels) takes the
@@ -49,13 +50,13 @@ moments, linewidth) give; they are the one-row case of the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fock import Superoperator, TruncatedSpace, is_integer, unvec, vec_entries
 from .observables import band_linewidths, moment_columns
-from .pump import check_kappa
+from .pump import PumpParameters, check_kappa, check_one_pump
 
 
 START = 16  # n_max of the truncation search's first stage
@@ -173,7 +174,9 @@ def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -
     of recurrence_rows.
     """
     _check_cutoff(cutoff)
-    (p,), (weight,) = recurrence_rows(_ratio_rows(ratio, _top_level(space, cutoff)), space.dim)
+    ratios = _ratio_rows(ratio, _top_level(space, cutoff))
+    check_one_pump(len(ratios) == 1, "ratios", ratios)
+    (p,), (weight,) = recurrence_rows(ratios, space.dim)
     if not weight > 0:
         raise SteadyStateError(_not_normalizable(weight))
     if cutoff is not None and cutoff <= space.n_max:
@@ -230,6 +233,7 @@ def choose_truncation(model, kappa: float) -> TruncatedSpace:
     SteadyStateError past HARD_CAP.  This is the one-row case of
     truncation_levels.
     """
+    model._require_one_pump_row()
     n_max = int(truncation_levels(model, 1, kappa)[0])
     if n_max == 0:
         raise SteadyStateError(_UNRESOLVED)
@@ -276,7 +280,7 @@ class PumpAxis:
 
 def solve_pump_axis(
     build,
-    pumps,
+    params: PumpParameters,
     kappa: float,
     truncation: int | None = None,
     cutoff: int | str | None = None,
@@ -285,36 +289,37 @@ def solve_pump_axis(
     """Steady state, moments and (with linewidth=True) band linewidth of one
     model at every pump value, as one PumpAxis.
 
-    build(pumps, space) returns the model for a (P, 1) column of pump values
-    on a space; it is called once, for the whole axis.  truncation None
-    runs the truncation search of choose_truncation (truncation_levels), an
-    integer fixes n_max.  cutoff is recurrence_steady's: an integer zeroes
-    every level beyond it, None keeps them all, and "auto" takes the model's
-    own cutoff.  The pumps that share an n_max form one block, taken in
-    pieces (_pieces), the largest n_max first: one view of the model
-    (GeneratorModel.at), one recurrence (recurrence_rows), one
-    moment_columns and one band_linewidths per piece, the last two sharing
-    each row's mean.  Each cell is bit for bit what choose_truncation,
-    recurrence_steady, moments and linewidth give for its pump alone.  An
-    error that no pump escapes (check_axis_options, a model build, a model
-    cutoff below 1) fails every cell with its message.
+    params holds one rate per pump (r a scalar, or 1-D as from_pump makes it
+    from an array of pumps), and build(params, space) is a model constructor
+    (exact_model, ...), called once for the whole axis on params with r as a
+    (P, 1) column.  truncation None runs the truncation search of
+    choose_truncation (truncation_levels), an integer fixes n_max.  cutoff
+    is recurrence_steady's: an integer zeroes every level beyond it, None
+    keeps them all, and "auto" takes the model's own cutoff.  The pumps that
+    share an n_max form one block, taken in pieces (_pieces), the largest
+    n_max first: one view of the model (GeneratorModel.at), one recurrence
+    (recurrence_rows), one moment_columns and one band_linewidths per piece,
+    the last two sharing each row's mean.  Each cell is bit for bit what
+    choose_truncation, recurrence_steady, moments and linewidth give for its
+    pump alone.  An error that no pump escapes (check_axis_options, a model
+    build, a model cutoff below 1) fails every cell with its message.
     """
-    pumps = np.asarray(pumps, dtype=float).reshape(-1, 1)
+    rates = np.reshape(params.r, (-1, 1))  # one row per pump
     # a row the search left unresolved (level 0) keeps this error
-    status = [f"error: {_UNRESOLVED}"] * len(pumps)
-    populations = [None] * len(pumps)
-    n_maxes = np.zeros(len(pumps), dtype=int)
-    values = np.full((6, len(pumps)), np.nan)  # the float columns of PumpAxis, in order
+    status = [f"error: {_UNRESOLVED}"] * len(rates)
+    populations = [None] * len(rates)
+    n_maxes = np.zeros(len(rates), dtype=int)
+    values = np.full((6, len(rates)), np.nan)  # the float columns of PumpAxis, in order
     try:
         check_axis_options(kappa, truncation, cutoff)
-        model = build(pumps, TruncatedSpace(1))
+        model = build(replace(params, r=rates), TruncatedSpace(1))
         if truncation is None:
-            levels = truncation_levels(model, len(pumps), kappa)
+            levels = truncation_levels(model, len(rates), kappa)
         else:
-            levels = np.full(len(pumps), truncation)
+            levels = np.full(len(rates), truncation)
         top = _model_cutoff(model) if cutoff == "auto" else cutoff
     except (SteadyStateError, ValueError) as exc:
-        return PumpAxis([f"error: {exc}"] * len(pumps), populations, n_maxes, *values)
+        return PumpAxis([f"error: {exc}"] * len(rates), populations, n_maxes, *values)
     # the largest block first: it sizes the level tables in one evaluation
     for n_max in np.unique(levels[levels > 0]).tolist()[::-1]:
         space = TruncatedSpace(n_max)

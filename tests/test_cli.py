@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +17,7 @@ from micromaser.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
+    EXIT_WRITE,
     MAX_PUMP_STEPS,
     ModelSpec,
     RunConfig,
@@ -439,8 +442,10 @@ def _raised(call) -> str:
 
 def _axis_error(kappa=1.0, truncation=None, cutoff="auto") -> str:
     """The message solve_pump_axis fails every cell with."""
-    build = lambda pumps, space: exact_model(PumpParameters.from_pump(pumps, 0.15), space)
-    (status,) = solve_pump_axis(build, [0.9], kappa, truncation=truncation, cutoff=cutoff).status
+    params = PumpParameters.from_pump(np.array([0.9]), 0.15)
+    (status,) = solve_pump_axis(
+        exact_model, params, kappa, truncation=truncation, cutoff=cutoff
+    ).status
     assert status.startswith("error: ")
     return status[len("error: ") :]
 
@@ -646,6 +651,26 @@ def test_each_weak_spec_builds_its_basis_once(monkeypatch, tmp_path, capsys):
         code, _, err = run_cli([command, "--config", str(cfg)], capsys)
         assert (code, err) == (EXIT_OK, "")
         assert degrees == [3, 5]
+
+
+def test_a_sweep_computes_its_pump_parameters_once(monkeypatch, capsys):
+    """The parameters that RunConfig checks are the ones every model is
+    built and solved on: one from_pump for the whole grid."""
+    calls = []
+    from_pump = PumpParameters.from_pump.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return from_pump(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PumpParameters, "from_pump", classmethod(counting))
+    argv = ["sweep", "--gtau", "0.15", "--pump", "0.5:3:6"]
+    for name in ("exact", "weak_lindblad", "heuristic"):
+        argv += ["--model", name]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert len(parse_csv(out)) == 18
+    assert len(calls) == 1
 
 
 def test_pump_range_object_takes_integral_float_steps(tmp_path, capsys):
@@ -857,6 +882,82 @@ def test_a_closed_stdout_ends_the_run_quietly():
         stderr = proc.stderr.read()
     assert proc.returncode == EXIT_CLOSED == 1
     assert stderr == b""
+
+
+class FullFile(io.StringIO):
+    """An output whose `failing` method raises ENOSPC once, as on a full
+    disk; its close closes it first, as a file's close does."""
+
+    def __init__(self, failing: str, fd: int | None = None):
+        super().__init__()
+        self.failing, self.fd = failing, fd
+
+    def _fail(self, method: str) -> None:
+        if self.failing == method:
+            self.failing = None
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        self._fail("write")
+        return super().write(text)
+
+    def flush(self):
+        self._fail("flush")
+        super().flush()
+
+    def close(self):
+        super().close()
+        self._fail("close")
+
+    def fileno(self):
+        return self.fd
+
+
+FULL = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+STEADY = ["steady", "--model", "exact", "--gtau", "0.15", "--pump", "0.9"]
+
+
+@pytest.mark.parametrize("failing", ["write", "flush", "close"])
+def test_an_out_file_that_cannot_be_written_is_one_error_line(failing, capsys, monkeypatch):
+    full = FullFile(failing)
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: full, raising=False)
+    code, out, err = run_cli(STEADY + ["--out", "x.csv"], capsys)
+    assert (code, out, err) == (EXIT_WRITE, "", f"cannot write output 'x.csv': {FULL}\n")
+    assert EXIT_WRITE == 1
+    assert full.closed
+
+
+def test_a_full_stdout_is_one_error_line_and_then_devnull(tmp_path, capsys):
+    """stdout is pointed at devnull, so the interpreter's last flush of what
+    it still buffers cannot fail again."""
+    with open(tmp_path / "held", "w") as held, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdout", FullFile("write", held.fileno()))
+        code = main(STEADY)
+        redirected = os.fstat(held.fileno()).st_rdev
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        EXIT_WRITE,
+        "",
+        f"cannot write output 'stdout': {FULL}\n",
+    )
+    assert redirected == os.stat(os.devnull).st_rdev
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_a_full_device_ends_the_run_with_one_line(to_stdout):
+    argv = [sys.executable, "-m", "micromaser.cli", *STEADY]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            argv if to_stdout else argv + ["--out", "/dev/full"],
+            stdout=full if to_stdout else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=checkout_env(),
+        )
+    target = "stdout" if to_stdout else "/dev/full"
+    assert (proc.returncode, proc.stdout) == (EXIT_WRITE, None if to_stdout else "")
+    assert proc.stderr == f"cannot write output {target!r}: {FULL}\n"
 
 
 def test_console_entry_point():

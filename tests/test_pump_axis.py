@@ -241,13 +241,12 @@ def recurrence_1d(ratio, n_max):
 def test_pump_axis_equals_the_one_dimensional_ladder(g_tau_bar):
     kappa = 1.0
     pumps = np.concatenate(([0.0], np.linspace(0.1, 9.0, 41)))
-
-    def build(pump_values, space):
-        return exact_model(PumpParameters.from_pump(pump_values, g_tau_bar, kappa), space)
-
-    axis = solve_pump_axis(build, pumps, kappa, linewidth=True)
+    axis = solve_pump_axis(
+        exact_model, PumpParameters.from_pump(pumps, g_tau_bar, kappa), kappa, linewidth=True
+    )
     for k, pump in enumerate(pumps):
-        ratio = build(float(pump), TruncatedSpace(1)).gain_ratio(kappa)
+        params = PumpParameters.from_pump(float(pump), g_tau_bar, kappa)
+        ratio = exact_model(params, TruncatedSpace(1)).gain_ratio(kappa)
         n_max = truncation_1d(ratio)
         p = recurrence_1d(ratio, n_max)
         assert axis.p[k].tolist() == p.tolist()
@@ -260,7 +259,7 @@ def test_pump_axis_equals_the_one_dimensional_ladder(g_tau_bar):
             continue
         assert axis.mandel_Q[k] == mom.mandel_q
         root = np.sqrt(np.arange(1.0, p.size))
-        model = build(float(pump), TruncatedSpace(n_max))
+        model = exact_model(params, TruncatedSpace(n_max))
         deriv = root @ model.apply_band(root * p[1:], 1, kappa)
         mean = float(p @ np.arange(p.size))
         assert axis.D[k] == -2.0 * deriv / mean
@@ -284,19 +283,17 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
     piece (a view of the model at some of its rows) larger than that."""
     kappa = 1.0
     pumps = np.concatenate(([0.0], np.linspace(0.2, 6.0, 23), [3.0]))
+    params = PumpParameters.from_pump(pumps, 0.15, kappa)
 
-    def exact(pump_values, space):
-        return exact_model(PumpParameters.from_pump(pump_values, 0.15, kappa), space)
-
-    def saturating(pump_values, space):  # beta 0 gives up at the hard cap above threshold
-        return heuristic_model(2.0 * pump_values * kappa, 0.0, space)
+    def saturating(params, space):  # beta 0 gives up at the hard cap above threshold
+        return heuristic_model(2.0 * params.gain_rate, 0.0, space)
 
     builds, sizes = [], []
 
     def counted(build):
-        def wrapped(pump_values, space):
-            builds.append(len(pump_values))
-            return build(pump_values, space)
+        def wrapped(params, space):
+            builds.append(len(params.r))
+            return build(params, space)
 
         return wrapped
 
@@ -306,13 +303,13 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
         sizes.append((len(rows), space.dim))
         return view(model, rows, space)
 
-    for build, truncation in ((exact, None), (exact, 20), (saturating, None)):
-        whole = solve_pump_axis(build, pumps, kappa, truncation=truncation, linewidth=True)
+    for build, truncation in ((exact_model, None), (exact_model, 20), (saturating, None)):
+        whole = solve_pump_axis(build, params, kappa, truncation=truncation, linewidth=True)
         with monkeypatch.context() as patch:
             patch.setattr(steady, "BLOCK_ENTRIES", budget)
             patch.setattr(GeneratorModel, "at", counted_view)
             parts = solve_pump_axis(
-                counted(build), pumps, kappa, truncation=truncation, linewidth=True
+                counted(build), params, kappa, truncation=truncation, linewidth=True
             )
         assert axis_numbers(parts) == axis_numbers(whole)
     assert builds == [len(pumps)] * 3
@@ -334,13 +331,8 @@ def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
             return average(*args)
 
         monkeypatch.setattr(models, name, counted)
-    pumps = np.linspace(0.5, 8.0, 12)
-    axis = solve_pump_axis(
-        lambda values, space: exact_model(PumpParameters.from_pump(values, 0.03), space),
-        pumps,
-        1.0,
-        linewidth=True,
-    )
+    params = PumpParameters.from_pump(np.linspace(0.5, 8.0, 12), 0.03)
+    axis = solve_pump_axis(exact_model, params, 1.0, linewidth=True)
     assert axis.status == ["ok"] * 12
     assert len(set(axis.n_max.tolist())) == 12  # one block per pump
     # stages at START, 2 START, ... up to the first that holds the largest n_max
@@ -352,10 +344,11 @@ def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
 
 def test_an_invalid_gain_column_fails_every_cell_on_one_line():
     """The model is built once for the whole axis, so a build error names
-    one offending value, not the whole column of pumps."""
+    one offending value, not the whole column of pumps.  At g tau_bar 0.5
+    the gain A equals the pump exactly."""
     axis = solve_pump_axis(
-        lambda values, space: heuristic_model(1.0 - values, 0.1, space),
-        np.linspace(0.5, 3.0, 6),
+        lambda params, space: heuristic_model(1.0 - params.gain_rate, 0.1, space),
+        PumpParameters.from_pump(np.linspace(0.5, 3.0, 6), 0.5),
         1.0,
     )
     message = "error: gain must be nonnegative and finite, got -0.5"
@@ -379,10 +372,7 @@ def test_an_invalid_truncation_or_cutoff_fails_every_cell_on_one_line(option, me
     argument's own message in every cell, not a search's or NumPy's.  A
     bool or a float is not an integer, as TruncatedSpace holds."""
     axis = solve_pump_axis(
-        lambda values, space: exact_model(PumpParameters.from_pump(values, 0.1), space),
-        [1.0, 2.0],
-        1.0,
-        **option,
+        exact_model, PumpParameters.from_pump(np.array([1.0, 2.0]), 0.1), 1.0, **option
     )
     assert axis.status == [f"error: {message}"] * 2
     assert axis.p == [None, None]
@@ -392,14 +382,10 @@ def test_an_invalid_truncation_or_cutoff_fails_every_cell_on_one_line(option, me
 def test_a_truncation_past_the_ceiling_fails_every_cell_before_any_table(truncation):
     """At 10**15 the level tables would take 7 PiB; the limit is checked
     before the model is built."""
+    params = PumpParameters.from_pump(np.array([1.0, 2.0]), 0.1)
     tracemalloc.start()
     try:
-        axis = solve_pump_axis(
-            lambda values, space: exact_model(PumpParameters.from_pump(values, 0.1), space),
-            [1.0, 2.0],
-            1.0,
-            truncation=truncation,
-        )
+        axis = solve_pump_axis(exact_model, params, 1.0, truncation=truncation)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -427,14 +413,14 @@ def test_recurrence_rejects_a_cutoff_that_is_not_an_integer(cutoff):
 def test_a_kappa_that_is_not_positive_and_finite_fails_every_cell(kappa, truncation):
     """Checked before the model is built or the truncation searched: no
     NumPy warning, no row read off a zero or NaN ratio."""
-    build = lambda values, space: exact_model(PumpParameters.from_pump(values, 0.1), space)
+    params = PumpParameters.from_pump(np.array([3.0, 8.0]), 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        axis = solve_pump_axis(build, [3.0, 8.0], kappa, truncation=truncation, linewidth=True)
+        axis = solve_pump_axis(exact_model, params, kappa, truncation=truncation, linewidth=True)
     positive = f"kappa must be positive and finite, got {kappa}"
     assert axis.status == [f"error: {positive}"] * 2
     assert axis.p == [None, None]
-    model = build(3.0, TruncatedSpace(8))
+    model = exact_model(PumpParameters.from_pump(3.0, 0.1), TruncatedSpace(8))
     for call in (lambda: model.gain_ratio(kappa), lambda: model.ratio_rows(kappa, 8)):
         with pytest.raises(ValueError, match=f"^{re.escape(positive)}$"):
             call()
@@ -480,6 +466,55 @@ def test_dense_forms_refuse_a_pump_column(pumps):
     ):
         with pytest.raises(ValueError, match="one pump value"):
             dense()
+
+
+def test_one_pump_entries_refuse_a_pump_column():
+    """The one-pump entries read a single row: on a column of two pumps
+    they used to answer for pump 0.5 alone (n_max 18, where 3.0 needs 65),
+    or fail on NumPy's unpacking and broadcasting.  A (1, 1) column is one
+    pump and gives what its scalar gives."""
+    space = TruncatedSpace(18)
+    model = exact_model(PumpParameters.from_pump(np.array([[0.5], [3.0]]), 0.15), space)
+    p = np.full(19, 1 / 19)
+    for entry, shape in (
+        (lambda: choose_truncation(model, 1.0), "rates of shape (2, 1)"),
+        (lambda: moments(np.stack((p, p))), "populations of shape (2, 19)"),
+        (lambda: recurrence_steady(model.gain_ratio(1.0), space), "ratios of shape (2, 18)"),
+        (lambda: linewidth(model, p, 1.0), "rates of shape (2, 1)"),
+    ):
+        message = re.escape(f"one pump value needed, got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            entry()
+    one = exact_model(PumpParameters.from_pump(np.array([[3.0]]), 0.15), space)
+    alone = exact_model(PumpParameters.from_pump(3.0, 0.15), space)
+    assert choose_truncation(one, 1.0) == choose_truncation(alone, 1.0) == TruncatedSpace(65)
+    stats = recurrence_steady(one.gain_ratio(1.0), space)
+    assert stats.p.tolist() == recurrence_steady(alone.gain_ratio(1.0), space).p.tolist()
+    assert moments(stats.p[None]) == moments(stats.p)
+    assert linewidth(one, stats.p, 1.0) == linewidth(alone, stats.p, 1.0)
+
+
+def test_a_scalar_rate_is_an_axis_of_one_pump():
+    """solve_pump_axis on one pump value is the one-pump route, bit for bit."""
+    params = PumpParameters.from_pump(2.0, 0.15)
+    axis = solve_pump_axis(exact_model, params, 1.0, linewidth=True)
+    space = choose_truncation(exact_model(params, TruncatedSpace(1)), 1.0)
+    model = exact_model(params, space)
+    stats = recurrence_steady(model.gain_ratio(1.0), space)
+    mom, width = moments(stats.p), linewidth(model, stats.p, 1.0)
+    assert axis.status == ["ok"]
+    assert axis.n_max.tolist() == [space.n_max]
+    assert axis.p[0].tolist() == stats.p.tolist()
+    assert [axis.mean_n[0], axis.variance[0], axis.mandel_Q[0]] == [
+        mom.mean_n,
+        mom.variance,
+        mom.mandel_q,
+    ]
+    assert [axis.D[0], axis.normalized_D[0], axis.frequency_pull[0]] == [
+        width.D,
+        width.normalized_D,
+        width.frequency_pull,
+    ]
 
 
 @pytest.mark.parametrize("pumps", [1, 3])
