@@ -54,7 +54,6 @@ from .steady import (
     PhotonStatistics,
     PumpAxis,
     SteadyStateError,
-    choose_truncation,
     nullspace_steady,
     recurrence_steady,
     solve_pump_axis,
@@ -100,7 +99,6 @@ __all__ = [
     "PhotonStatistics",
     "PumpAxis",
     "SteadyStateError",
-    "choose_truncation",
     "nullspace_steady",
     "recurrence_steady",
     "solve_pump_axis",

@@ -107,10 +107,20 @@ class Superoperator:
         mat[self.rows, self.cols] = self.values
         return mat
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """The generator on rho: each row's sum over its entries in column
-        order (np.bincount), a complex sum as its real and imaginary parts."""
+    def _operand(self, rho) -> np.ndarray:
+        """rho as an array; ValueError unless it is a (dim, dim) matrix, the
+        one shape the generator acts on."""
         rho = np.asarray(rho)
+        shape = (self.space.dim,) * 2
+        if rho.shape != shape:
+            raise ValueError(f"the generator acts on matrices of shape {shape}, got {rho.shape}")
+        return rho
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The generator on rho, a (dim, dim) matrix: each row's sum over its
+        entries in column order (np.bincount), a complex sum as its real and
+        imaginary parts."""
+        rho = self._operand(rho)
         if np.iscomplexobj(rho) and not np.iscomplexobj(self.values):
             return self.apply(rho.real) + 1j * self.apply(rho.imag)
         terms = self.values * vec(rho)[self.cols]

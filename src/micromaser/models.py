@@ -38,9 +38,10 @@ only the functions s_k and c_k.
 
 The pump and the levels are split in every model.  F and H are each one
 PairTerms, the one type for a pair function: a sum of terms
-rate_t * level_t(y_m, y_n), where rate_t is a scalar or a (P, 1) column
-with one value per pump and level_t a pump-free function of the a a*
-eigenvalues y = n + 1 of the two levels, with its band tables.  exact has
+rate_t * level_t(y_m, y_n), where rate_t is a scalar (one pump) or one
+value per pump, held as a (P, 1) column, and level_t a pump-free function
+of the a a* eigenvalues y = n + 1 of the two levels, with its band tables.
+exact has
 F = r <sin sin> and H = r (...); the Lindblad models F = rate sum_k s s and
 H = (-rate/2) sum_k (c_m - c_n)^2 (rate = A for heuristic); post4 has two
 feed terms, A sqrt(y_m y_n) - 2B (...).  So one model serves a whole pump
@@ -70,6 +71,7 @@ preservation hold exactly on the whole space; diagonal operator functions
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
@@ -80,7 +82,7 @@ import numpy as np
 
 from .fock import Superoperator, TruncatedSpace, is_integer, vec_entries
 from .measures import MAX_DEGREE, OrthoBasis, TimeMeasure, build_basis, expansion_coeffs
-from .pump import PumpParameters, check_g_tau_bar, check_kappa, check_one_pump, check_rates
+from .pump import PumpParameters, check_g_tau_bar, check_kappa, check_rates
 from .pump import cos_cos_average, scalar_rate, sin_sin_average
 
 EXACT = "exact"
@@ -92,14 +94,28 @@ HEURISTIC = "heuristic"
 MODEL_NAMES = (EXACT, POST4, WEAK, UNIFORM, HEURISTIC)
 
 
+def _pump_column(rate):
+    """PairTerms' rule for a rate: a scalar is one pump and stays as it is;
+    an array holds one value per pump, 1-D or a (P, 1) column, and is held
+    as that column.  Any other shape is a ValueError."""
+    if np.ndim(rate) == 0:
+        return rate
+    if np.shape(rate)[1:] not in ((), (1,)):
+        raise ValueError(
+            f"a rate holds one value per pump, 1-D or a (P, 1) column, got shape {np.shape(rate)}"
+        )
+    return np.reshape(rate, (-1, 1))
+
+
 class PairTerms:
     """A pair function sum_t rates[t] * fn(y_m, y_n)[t], with its level tables.
 
-    The pump enters only through rates, one scalar or (P, 1) column of
-    per-pump values per term; fn is pump free and returns one array per
-    rate, reading the levels m and n only through their a a* eigenvalues y.
-    The rates are multiplied in last, so a row of a column of rates gives
-    bit for bit what that rate alone gives.
+    The pump enters only through rates, one per term: a scalar (one pump),
+    or one value per pump, held as a (P, 1) column (_pump_column, checked
+    once here, not again in the views); fn is pump free and returns one
+    array per rate, reading the levels m and n only through their a a*
+    eigenvalues y.  The rates are multiplied in last, so a row of a column
+    of rates gives bit for bit what that rate alone gives.
 
     The table of band k holds fn at the pairs (i, i + k) with the exact
     eigenvalues y = level + 1, i = 0, 1, ...: a request past it evaluates fn
@@ -110,7 +126,7 @@ class PairTerms:
     """
 
     def __init__(self, rates: tuple, fn: Callable):
-        self.rates = rates
+        self.rates = tuple(map(_pump_column, rates))
         self.fn = fn
         self.tables = {}  # k -> (length, one array per term)
 
@@ -137,8 +153,8 @@ class PairTerms:
     def rows(self, idx) -> "PairTerms":
         """The terms at the pump rows idx, sharing these tables; a scalar
         rate stays as it is."""
-        view = PairTerms(tuple(r if np.ndim(r) == 0 else r[idx] for r in self.rates), self.fn)
-        view.tables = self.tables
+        view = copy.copy(self)
+        view.rates = tuple(r if np.ndim(r) == 0 else r[idx] for r in self.rates)
         return view
 
 
@@ -164,7 +180,7 @@ class GeneratorModel:
     operators.  cutoff is the last level a series model is valid at, None
     for a model whose tail is physical.
 
-    A model built on a (P, 1) column of pump values has one row per pump.
+    A model built on one rate per pump has one row per pump.
     `at(rows, space)` is the model of some of them on another space: it
     shares the level tables, so the level functions are evaluated once per
     model and band however many blocks read them.
@@ -180,19 +196,19 @@ class GeneratorModel:
     cutoff: int | None = None
 
     def _require_one_pump(self) -> None:
-        """ValueError for a model built on a (P, 1) column of pump values:
-        its band functions have one row per pump, and the dense forms (apply,
-        assemble, oracle.lindblad_ops) act at one pump value.  Only the
-        rates carry the pump, so only their shapes are read."""
+        """ValueError for a model built on an array of pump values, even of
+        one: its band functions have one row per pump, and the dense forms
+        (apply, assemble, oracle.lindblad_ops) act at one scalar pump value.
+        Only the rates carry the pump, so only their shapes are read."""
         for rate in self.feed_terms.rates + self.dephasing_terms.rates:
             scalar_rate(rate)
 
-    def _require_one_pump_row(self) -> None:
-        """ValueError for a model on more than one pump row: choose_truncation
-        and the band linewidth read it as one pump.  A (1, 1) column of rates
-        is one pump."""
-        for rate in self.feed_terms.rates + self.dephasing_terms.rates:
-            check_one_pump(np.size(rate) == 1, "rates", rate)
+    def _pump_rows(self) -> set:
+        """The numbers of pump rows its rates hold: the length of each
+        array rate (a (P, 1) column by PairTerms' rule), or {1} where every
+        rate is a scalar."""
+        rates = self.feed_terms.rates + self.dephasing_terms.rates
+        return {len(rate) for rate in rates if np.ndim(rate)} or {1}
 
     def at(self, rows, space: TruncatedSpace) -> "GeneratorModel":
         """The model at its pump rows `rows` (an index array) on `space`,
@@ -532,7 +548,7 @@ def heuristic_model(
 
     X = a a* (default) places the saturation after the photon is added and
     reproduces the all-orders photon statistics when beta = 4 (g tau_bar)^2;
-    X = a* a evaluates it before.  gain may be a (P, 1) column, one per pump.
+    X = a* a evaluates it before.  gain may hold one value per pump.
     """
     check_rates("gain", gain, None)  # names one value, not the whole pump column
     if not 0.0 <= beta < math.inf:

@@ -4,10 +4,13 @@ The linewidth is read off the initial decay of the field correlation:
 with f(t) = tr[a* e^{St}(a rho_ss)] the generator fixes
 f'(0)/f(0) = i * pull - D/2, so D = -2 Re tr[a* S(a rho_ss)] / <n>.
 Loss alone gives D = kappa exactly, truncation notwithstanding, which the
-tests lean on.  For a diagonal state a rho_ss and its image fill only the
-offset-1 band, which is all `linewidth` touches when handed a model and the
-populations.  The independent check, `linewidth_fd`, takes the same quotient
-through the phi1 series of (e^{S delta} - 1)/delta on the assembled generator.
+tests lean on.  `linewidth` takes the assembled generator and a density
+matrix; its independent check, `linewidth_fd`, takes the same quotient
+through the phi1 series of (e^{S delta} - 1)/delta on that generator.  For
+a diagonal state a rho_ss and its image fill only the offset-1 band, which
+is all `band_linewidths` touches: given a model and one row of populations
+per pump, it is the pump axis's linewidth (steady.solve_pump_axis), O(n_max)
+in time and memory.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .fock import Superoperator
 from .models import GeneratorModel
-from .pump import check_kappa, check_one_pump
+from .pump import check_kappa, check_one_pump, check_rates
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,10 @@ def moments(p: np.ndarray) -> PhotonMoments:
 def semiclassical_intensity(gain: float, kappa: float, beta: float) -> float:
     """Rate-equation photon number: gain clamps the saturated pump against
     the loss, (gain/kappa - 1)/beta above threshold and 0 below."""
+    check_rates("gain", gain, None)
     check_kappa(kappa, zero=False)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if gain <= kappa:
         return 0.0
     return (gain / kappa - 1.0) / beta
@@ -107,10 +111,11 @@ def _lower(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assembled(generator) -> Superoperator:
+def _assembled(generator, rho_ss) -> np.ndarray:
+    """rho_ss as the (d, d) array that the assembled generator acts on."""
     if not isinstance(generator, Superoperator):
         raise TypeError("a density matrix needs the assembled generator, assemble(model, kappa)")
-    return generator
+    return generator._operand(rho_ss)
 
 
 def _below_floor(mean_n: float) -> str:
@@ -175,42 +180,33 @@ def band_linewidths(
     return _linewidth_columns(deriv, mean_n, kappa)
 
 
-def linewidth(generator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
-    """Phase-diffusion rate D of the steady field, from the full generator
-    (pump and loss together).  normalized_D = D <n> / kappa is 1 for pure
-    loss and tends to the interaction-free value far above threshold.
-
-    A density matrix rho_ss takes the Superoperator that `assemble` builds;
-    a GeneratorModel takes the populations p of diag(p) and builds only the
-    offset-1 band, O(n_max) in time and memory (band_linewidths' one row)."""
-    p = np.asarray(rho_ss)
-    if p.ndim == 2:
-        return _dense_linewidth(_assembled(generator).apply, rho_ss, kappa)
-    if not isinstance(generator, GeneratorModel):
-        raise TypeError("the populations of a diagonal state need a GeneratorModel")
-    generator._require_one_pump_row()
-    mean_n = moment_columns(p)[0]
-    return _one_row(band_linewidths(generator, p, mean_n, kappa), float(mean_n[0]))
+def linewidth(generator: Superoperator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
+    """Phase-diffusion rate D of the steady density matrix rho_ss, from the
+    assembled generator (pump and loss together, `assemble`).
+    normalized_D = D <n> / kappa is 1 for pure loss and tends to the
+    interaction-free value far above threshold."""
+    rho_ss = _assembled(generator, rho_ss)
+    return _dense_linewidth(generator.apply, rho_ss, kappa)
 
 
 def linewidth_fd(generator: Superoperator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
     """First-difference variant on the assembled generator: S becomes
     (e^{S delta} - 1)/delta, delta = 1e-6 / Superoperator.norm, through the
     series S + delta S^2/2 + delta^2 S^3/6 + delta^3 S^4/24 (no cancellation)."""
-    apply_fn = _assembled(generator).apply
+    rho_ss = _assembled(generator, rho_ss)
     if generator.norm == 0.0:
         raise ValueError("the generator is zero, so the step 1e-6 / ||S|| is undefined")
     delta = 1e-6 / generator.norm
 
     def quotient(w):
-        w = apply_fn(w)
+        w = generator.apply(w)
         total = np.zeros_like(w)
         factor = 1.0
         for order in range(1, 5):
             factor /= order  # delta^{k-1} / k!
             total = total + factor * w
             if order < 4:
-                w = delta * apply_fn(w)
+                w = delta * generator.apply(w)
         return total
 
     return _dense_linewidth(quotient, rho_ss, kappa)

@@ -61,11 +61,12 @@ class PumpParameters:
 
     g and tau_bar enter the pump only as their product, and the interaction
     time only as x = tau / tau_bar (see measures), so nothing else is stored.
-    r may hold one rate per pump value (1-D, as from_pump makes it from an
-    array of pumps): solve_pump_axis builds a model on it as a (P, 1)
-    column, whose band functions then broadcast to (pumps, levels), which is
-    how a whole pump axis is solved at once.  The dense operators need a
-    scalar r (scalar_rate).
+    r is a scalar (one pump) or holds one rate per pump value (1-D, as
+    from_pump makes it from an array of pumps).  A model built on such r
+    holds it as a (P, 1) column (models.PairTerms), whose band functions
+    then broadcast to (pumps, levels), which is how solve_pump_axis solves
+    a whole pump axis at once.  The dense operators need a scalar r
+    (scalar_rate).
     """
 
     g_tau_bar: float
@@ -104,9 +105,8 @@ class PumpParameters:
 
 def check_one_pump(one: bool, name: str, values) -> None:
     """The message of every entry that acts at one pump value (the dense
-    operators, choose_truncation, recurrence_steady, moments and the band
-    linewidth): ValueError unless `one`, the entry's rule read from the
-    values `name`, holds."""
+    operators, recurrence_steady and moments): ValueError unless `one`, the
+    entry's rule read from the values `name`, holds."""
     if not one:
         raise ValueError(f"one pump value needed, got {name} of shape {np.shape(values)}")
 

@@ -44,13 +44,14 @@ A stage or a block takes its rows in pieces of at most BLOCK_ENTRIES levels
 in all, so memory does not grow with the pump axis.  Each row takes only
 elementwise ufuncs, cumulative sums along the row, sums over exactly its
 own filled levels, and dot products of its own, so every number is bit for
-bit what the one-pump functions (choose_truncation, recurrence_steady,
-moments, linewidth) give; they are the one-row case of the same code.
+bit what its pump gives alone: an axis of one pump (a scalar r) is the
+one-pump route.  recurrence_steady and observables.moments, which take any
+ratio and any distribution, are the one-row case of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,7 +183,7 @@ def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -
     if cutoff is not None and cutoff <= space.n_max:
         converged = True
     else:
-        # occupancy of the top level, the choose_truncation criterion
+        # occupancy of the top level, the truncation search's criterion
         converged = bool(abs(p[-1]) <= TAIL_TOL)
     negative = tuple((int(n), float(p[n])) for n in np.flatnonzero(p < 0))
     return PhotonStatistics(p, negative=negative, converged=converged)
@@ -196,8 +197,15 @@ def _pieces(rows: np.ndarray, width: int) -> list:
 
 
 def truncation_levels(model, rows: int, kappa: float) -> np.ndarray:
-    """choose_truncation's n_max for each of the model's `rows` pump rows; 0
-    marks a row whose tail no ladder up to HARD_CAP resolves.
+    """The n_max of each of the model's `rows` pump rows; 0 marks a row
+    whose tail no ladder up to HARD_CAP resolves.
+
+    A model with a cutoff of its own is pinned to it: the tail of a
+    truncated series is an artifact.  A cutoff past MAX_TRUNCATION, the
+    ceiling of an explicit truncation, is a SteadyStateError, raised before
+    any table is built.  Every other row takes the smallest n_max whose
+    steady distribution has p_{n_max} < TAIL_TOL and a last ratio below 1,
+    found by doubling the ladder from START.
 
     The doubling runs in stages: every unresolved row at START levels,
     then the rest at twice that, and so on, each row's ladder shifted by its
@@ -208,6 +216,10 @@ def truncation_levels(model, rows: int, kappa: float) -> np.ndarray:
     """
     cutoff = _model_cutoff(model)
     if cutoff is not None:
+        if cutoff > MAX_TRUNCATION:
+            raise SteadyStateError(
+                f"the model's cutoff {cutoff:.4g} passes the truncation ceiling {MAX_TRUNCATION}"
+            )
         return np.full(rows, cutoff)
     levels, todo = np.zeros(rows, dtype=int), np.arange(rows)
     n_max = START
@@ -222,22 +234,6 @@ def truncation_levels(model, rows: int, kappa: float) -> np.ndarray:
         todo = todo[levels[todo] == 0]
         n_max *= 2
     return levels
-
-
-def choose_truncation(model, kappa: float) -> TruncatedSpace:
-    """Smallest n_max whose steady distribution has p_{n_max} < TAIL_TOL.
-
-    A model with a cutoff of its own is pinned to it instead: the tail of a
-    truncated series is an artifact.  Every other model grows the ladder by
-    doubling from START until the tail criterion is met, and raises
-    SteadyStateError past HARD_CAP.  This is the one-row case of
-    truncation_levels.
-    """
-    model._require_one_pump_row()
-    n_max = int(truncation_levels(model, 1, kappa)[0])
-    if n_max == 0:
-        raise SteadyStateError(_UNRESOLVED)
-    return TruncatedSpace(n_max)
 
 
 def _check_cutoff(cutoff) -> None:
@@ -289,37 +285,43 @@ def solve_pump_axis(
     """Steady state, moments and (with linewidth=True) band linewidth of one
     model at every pump value, as one PumpAxis.
 
-    params holds one rate per pump (r a scalar, or 1-D as from_pump makes it
-    from an array of pumps), and build(params, space) is a model constructor
-    (exact_model, ...), called once for the whole axis on params with r as a
-    (P, 1) column.  truncation None runs the truncation search of
-    choose_truncation (truncation_levels), an integer fixes n_max.  cutoff
-    is recurrence_steady's: an integer zeroes every level beyond it, None
+    params holds one rate per pump (r a scalar for one pump, or 1-D as
+    from_pump makes it from an array of pumps), and build(params, space) is
+    a model constructor (exact_model, ...), called once for the whole axis
+    on params as given; a model that does not hold one row of rates per pump
+    fails every cell.  truncation None runs the truncation search
+    (truncation_levels), an integer fixes n_max.  cutoff is
+    recurrence_steady's: an integer zeroes every level beyond it, None
     keeps them all, and "auto" takes the model's own cutoff.  The pumps that
     share an n_max form one block, taken in pieces (_pieces), the largest
     n_max first: one view of the model (GeneratorModel.at), one recurrence
     (recurrence_rows), one moment_columns and one band_linewidths per piece,
     the last two sharing each row's mean.  Each cell is bit for bit what
-    choose_truncation, recurrence_steady, moments and linewidth give for its
-    pump alone.  An error that no pump escapes (check_axis_options, a model
-    build, a model cutoff below 1) fails every cell with its message.
+    its pump gives alone, as an axis of one pump (a scalar r): there is no
+    other one-pump route.  An error that no pump escapes
+    (check_axis_options, a model build, a model cutoff below 1 or past
+    MAX_TRUNCATION) fails every cell with its message.
     """
-    rates = np.reshape(params.r, (-1, 1))  # one row per pump
+    pumps = np.size(params.r)
     # a row the search left unresolved (level 0) keeps this error
-    status = [f"error: {_UNRESOLVED}"] * len(rates)
-    populations = [None] * len(rates)
-    n_maxes = np.zeros(len(rates), dtype=int)
-    values = np.full((6, len(rates)), np.nan)  # the float columns of PumpAxis, in order
+    status = [f"error: {_UNRESOLVED}"] * pumps
+    populations = [None] * pumps
+    n_maxes = np.zeros(pumps, dtype=int)
+    values = np.full((6, pumps), np.nan)  # the float columns of PumpAxis, in order
     try:
         check_axis_options(kappa, truncation, cutoff)
-        model = build(replace(params, r=rates), TruncatedSpace(1))
+        model = build(params, TruncatedSpace(1))
+        held = model._pump_rows()
+        if held != {pumps}:
+            message = f"the model's rates hold {sorted(held)} pump rows, not one per pump ({pumps})"
+            raise ValueError(message)
         if truncation is None:
-            levels = truncation_levels(model, len(rates), kappa)
+            levels = truncation_levels(model, pumps, kappa)
         else:
-            levels = np.full(len(rates), truncation)
+            levels = np.full(pumps, truncation)
         top = _model_cutoff(model) if cutoff == "auto" else cutoff
     except (SteadyStateError, ValueError) as exc:
-        return PumpAxis([f"error: {exc}"] * len(rates), populations, n_maxes, *values)
+        return PumpAxis([f"error: {exc}"] * pumps, populations, n_maxes, *values)
     # the largest block first: it sizes the level tables in one evaluation
     for n_max in np.unique(levels[levels > 0]).tolist()[::-1]:
         space = TruncatedSpace(n_max)

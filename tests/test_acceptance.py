@@ -32,7 +32,7 @@ from micromaser.models import (
     uniform_model,
     weak_coupling_model,
 )
-from micromaser.observables import linewidth, linewidth_fd, moments
+from micromaser.observables import band_linewidths, linewidth, linewidth_fd, moments
 from micromaser.oracle import (
     dissipator_matrix,
     fourth_order_generator,
@@ -42,15 +42,18 @@ from micromaser.oracle import (
     validate_density,
 )
 from micromaser.pump import PumpParameters
-from micromaser.steady import (
-    choose_truncation,
-    nullspace_steady,
-    recurrence_steady,
-)
+from micromaser.steady import nullspace_steady, recurrence_steady, solve_pump_axis
 
 from conftest import random_density, reference_weak_operators
 
 KAPPA = 1.0
+
+
+def searched(build, params) -> TruncatedSpace:
+    """The truncation search's n_max for one pump (solve_pump_axis)."""
+    axis = solve_pump_axis(build, params, KAPPA)
+    assert axis.status == ["ok"], axis.status
+    return TruncatedSpace(int(axis.n_max[0]))
 
 
 def report(num, name, ok, detail=""):
@@ -118,7 +121,7 @@ def test_criterion_04_quartic_recurrence_goes_negative():
     gt = 0.15
     params = PumpParameters.from_pump(5.0, gt, KAPPA)
     exact = exact_model(params, TruncatedSpace(1))
-    space_big = choose_truncation(exact, KAPPA)
+    space_big = searched(exact_model, params)
     stats_exact = recurrence_steady(exact.gain_ratio(KAPPA), space_big)
     mean = float(np.arange(space_big.dim) @ stats_exact.p)
     populated = abs(mean - 44.0) < 4.0
@@ -324,8 +327,7 @@ def test_criterion_09_lindblad_models_preserve_positivity():
 
 def _exact_point(pump, gt):
     params = PumpParameters.from_pump(pump, gt, KAPPA)
-    model = exact_model(params, TruncatedSpace(1))
-    space = choose_truncation(model, KAPPA)
+    space = searched(exact_model, params)
     model = exact_model(params, space)
     stats = recurrence_steady(model.gain_ratio(KAPPA), space)
     return params, model, space, stats
@@ -347,9 +349,10 @@ def test_criterion_10_figure_trends():
     d_seen = []
     for pump in (2.0, 3.0, 4.0, 5.0):
         _, model, _, stats = _exact_point(pump, gt)
-        lw = linewidth(model, stats.p, KAPPA)
-        d_seen.append(lw.normalized_D)
-        d_ok = d_ok and 0.5 <= lw.normalized_D <= 2.0
+        mean_n = np.array([moments(stats.p).mean_n])
+        normalized_d = band_linewidths(model, stats.p, mean_n, KAPPA).normalized_D[0]
+        d_seen.append(normalized_d)
+        d_ok = d_ok and 0.5 <= normalized_d <= 2.0
 
     means = []
     for pump in (1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0):
@@ -373,7 +376,6 @@ def test_criterion_11_linewidth_formula_vs_finite_difference():
     checked = 0
     for pump in pumps:
         params = PumpParameters.from_pump(pump, gt, KAPPA)
-        probe = TruncatedSpace(1)
         builders = {
             EXACT: lambda sp: exact_model(params, sp),
             POST4: lambda sp: fourth_order_model(params, sp),
@@ -384,7 +386,7 @@ def test_criterion_11_linewidth_formula_vs_finite_difference():
             ),
         }
         for name, build in builders.items():
-            space = choose_truncation(build(probe), KAPPA)
+            space = searched(lambda params, sp: build(sp), params)
             model = build(space)
             stats = recurrence_steady(model.gain_ratio(KAPPA), space)
             rho = np.diag(stats.p)

@@ -787,6 +787,33 @@ def test_unusable_expansion_models_fail_on_both_truncation_routes(
     assert statuses == ([] if command == "steady" else [(n, f"error: {UNUSABLE}") for n in names])
 
 
+@pytest.mark.parametrize("command", ["steady", "sweep", "compare", "linewidth"])
+def test_a_series_cutoff_past_the_ceiling_fails_each_cell_on_one_line(command, tmp_path, capsys):
+    """At g tau_bar 1e-150 the series models' cutoff (2e299 levels) sets
+    n_max; it used to end in a "Maximum allowed size exceeded" traceback.
+    A fixed truncation with the models' own cutoff fills only its levels."""
+    names, pumps = ("post4", "weak_lindblad"), (1.0, 2.0)
+    argv = [command, "--gtau", "1e-150", "--pump", "1:2:2"]
+    for name in names:
+        argv += ["--model", name]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_PARTIAL
+    message = "the model's cutoff 2e+299 passes the truncation ceiling 4194304"
+    assert err.splitlines() == [
+        f"{command}: {name} at pump {p}: {message}" for name in names for p in pumps
+    ]
+    assert peak < 1e6
+    cfg = tmp_path / "cfg.json"
+    fixed = {"models": list(names), "g_tau_bar": 1e-150, "pump": list(pumps), "truncation": 50}
+    cfg.write_text(json.dumps(fixed))
+    assert run_cli([command, "--config", str(cfg)], capsys)[::2] == (EXIT_OK, "")
+
+
 def test_stderr_holds_only_the_cell_error_lines():
     # a fresh interpreter shows warnings as Python prints them, with no pytest filter
     proc = subprocess.run(

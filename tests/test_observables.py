@@ -114,6 +114,21 @@ def test_semiclassical_intensity_threshold_clamp():
     )
 
 
+@pytest.mark.parametrize(
+    "gain, beta, message",
+    [
+        (math.nan, 0.1, "gain must be nonnegative and finite, got nan"),
+        (-1.0, 0.1, "gain must be nonnegative and finite, got -1.0"),
+        (math.inf, 0.1, "gain must be nonnegative and finite, got inf"),
+        (2.0, math.inf, "beta must be positive and finite, got inf"),
+    ],
+)
+def test_semiclassical_intensity_takes_a_gain_and_beta_by_the_rules(gain, beta, message):
+    """They used to give nan, 0.0, inf and 0.0."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        semiclassical_intensity(gain, KAPPA, beta)
+
+
 def test_distribution_distance_properties():
     p = np.array([0.5, 0.5])
     q = np.array([0.0, 0.5, 0.5])
@@ -169,7 +184,6 @@ def test_every_linewidth_route_rejects_a_kappa_that_is_not_positive_and_finite(k
     p = recurrence_steady(model.gain_ratio(KAPPA), space).p
     generator, rho = assemble(model, KAPPA), np.diag(p)
     routes = [
-        lambda: linewidth(model, p, kappa),
         lambda: band_linewidths(model, p[None, :], moment_columns(p)[0], kappa),
         lambda: linewidth(generator, rho, kappa),
         lambda: linewidth_fd(generator, rho, kappa),
@@ -183,11 +197,24 @@ def test_every_linewidth_route_rejects_a_kappa_that_is_not_positive_and_finite(k
                 route()
 
 
-def test_linewidth_of_populations_needs_a_model():
-    space = TruncatedSpace(6)
-    p = np.full(space.dim, 1.0 / space.dim)
-    with pytest.raises(TypeError):
-        linewidth(loss_dissipator(KAPPA, space), p, KAPPA)
+@pytest.mark.parametrize("shape", [(8, 8), (40,), (3, 3), (6,)])
+def test_the_dense_entries_refuse_an_array_of_another_shape(shape):
+    """On a 6-level generator an 8 x 8 matrix or a 40-entry vector used to
+    give a 6 x 6 result without a word, and a 3 x 3 matrix an IndexError.
+    A populations vector is no density matrix either: diag(p) is."""
+    space = TruncatedSpace(5)
+    model = exact_model(PumpParameters.from_pump(0.9, 0.15, KAPPA), space)
+    generator = assemble(model, KAPPA)
+    message = re.escape(f"the generator acts on matrices of shape (6, 6), got {shape}")
+    for entry in (
+        generator.apply,
+        lambda rho: model.apply(rho, KAPPA),
+        lambda rho: linewidth(generator, rho, KAPPA),
+        lambda rho: linewidth_fd(generator, rho, KAPPA),
+    ):
+        for rho in (np.full(shape, 0.1), np.full(shape, 0.1 + 0.1j)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                entry(rho)
 
 
 @pytest.mark.parametrize(
@@ -231,11 +258,11 @@ def test_band_linewidth_memory_is_linear_in_n_max(build):
         model = build(params, space)
         assert model.lindblad is not None
         stats = recurrence_steady(model.gain_ratio(KAPPA), space)
-        res = linewidth(model, stats.p, KAPPA)
+        res = band_linewidths(model, stats.p, moment_columns(stats.p)[0], KAPPA)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.D > 0
+    assert res.D[0] > 0
     assert peak < 8e6
 
 
@@ -269,8 +296,8 @@ def test_dense_route_at_a_truncation_no_square_array_could_hold():
     rho = nullspace_steady(gen)
     p = recurrence_steady(model.gain_ratio(KAPPA), space).p
     assert np.abs(np.diagonal(rho).real - p).max() < 1e-10
-    band = linewidth(model, p, KAPPA)
-    assert linewidth(gen, rho, KAPPA).D == pytest.approx(band.D, rel=1e-9)
+    band = band_linewidths(model, p, moment_columns(p)[0], KAPPA)
+    assert linewidth(gen, rho, KAPPA).D == pytest.approx(band.D[0], rel=1e-9)
 
 
 def test_linewidth_rejects_empty_cavity():

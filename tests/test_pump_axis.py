@@ -3,8 +3,10 @@
 The CLI solves each model over its whole pump axis at once: a staged
 truncation search, one recurrence and one band linewidth per group of
 pumps that share n_max.  Here every cell is solved again on its own,
-from the public constructors and choose_truncation + recurrence_steady +
-moments + linewidth(model, p), and every number must be equal, not close.
+from the public constructors and the one-row functions: the truncation
+search on one row (truncation_levels), recurrence_steady, moments and the
+band linewidth on one row (band_linewidths), and every number must be
+equal, not close.
 """
 
 import json
@@ -25,13 +27,11 @@ from micromaser import (
     TruncatedSpace,
     assemble,
     build_basis,
-    choose_truncation,
     exact_model,
     expansion_cutoff,
     fourth_order_model,
     general_weak_model,
     heuristic_model,
-    linewidth,
     moments,
     recurrence_steady,
     solve_pump_axis,
@@ -40,6 +40,7 @@ from micromaser import (
 )
 from micromaser import models, steady
 from micromaser.models import GeneratorModel
+from micromaser.observables import band_linewidths
 from micromaser.oracle import (
     averaged_pump_superoperator,
     fourth_order_generator,
@@ -73,6 +74,15 @@ def build(model: dict, params: PumpParameters, space: TruncatedSpace):
     )
 
 
+def searched_space(model, kappa: float) -> TruncatedSpace:
+    """The truncation search's n_max for a model of one pump."""
+    n_max = int(steady.truncation_levels(model, 1, kappa)[0])
+    if n_max == 0:
+        message = f"no truncation below {steady.HARD_CAP} resolves the distribution tail"
+        raise SteadyStateError(message)
+    return TruncatedSpace(n_max)
+
+
 def one_cell(model: dict, raw: dict, pump: float) -> dict:
     """One (model, pump) cell through the public one-row functions."""
     g_tau_bar, kappa = raw["g_tau_bar"], raw.get("kappa", 1.0)
@@ -84,7 +94,7 @@ def one_cell(model: dict, raw: dict, pump: float) -> dict:
         elif cutoff == "off":
             cutoff = None
         if truncation == "auto":
-            space = choose_truncation(build(model, params, TruncatedSpace(1)), kappa)
+            space = searched_space(build(model, params, TruncatedSpace(1)), kappa)
         else:
             space = TruncatedSpace(truncation)
         solved = build(model, params, space)
@@ -99,10 +109,11 @@ def one_cell(model: dict, raw: dict, pump: float) -> dict:
         "mandel_Q": None if math.isnan(mom.mandel_q) else mom.mandel_q,
         "linewidth_D": None,
     }
-    try:
-        cell["linewidth_D"] = linewidth(solved, stats.p, kappa).D
-    except ValueError as exc:
-        cell["undefined"] = str(exc)
+    width = band_linewidths(solved, stats.p, np.array([mom.mean_n]), kappa)
+    if width.undefined:
+        cell["undefined"] = width.undefined[0]
+    else:
+        cell["linewidth_D"] = float(width.D[0])
     return cell
 
 
@@ -263,7 +274,7 @@ def test_pump_axis_equals_the_one_dimensional_ladder(g_tau_bar):
         deriv = root @ model.apply_band(root * p[1:], 1, kappa)
         mean = float(p @ np.arange(p.size))
         assert axis.D[k] == -2.0 * deriv / mean
-        assert axis.normalized_D[k] == linewidth(model, p, kappa).normalized_D
+        assert axis.normalized_D[k] == axis.D[k] * mean / kappa
         assert axis.status[k] == "ok"
 
 
@@ -395,6 +406,29 @@ def test_a_truncation_past_the_ceiling_fails_every_cell_before_any_table(truncat
     assert peak < 1e5
 
 
+@pytest.mark.parametrize("build", [fourth_order_model, weak_coupling_model])
+def test_a_model_cutoff_past_the_ceiling_fails_every_cell_before_any_table(build):
+    """At g tau_bar 1e-150 a series model's cutoff 0.2 / (g tau_bar)^2 is
+    2e299 levels.  The search takes it as n_max, so it meets the ceiling of
+    an explicit truncation too; it used to end in NumPy's "Maximum allowed
+    size exceeded".  A fixed truncation with the model's cutoff fills only
+    the truncation's levels."""
+    params = PumpParameters.from_pump(np.array([1.0, 2.0]), 1e-150)
+    tracemalloc.start()
+    try:
+        axis = solve_pump_axis(build, params, 1.0, linewidth=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    message = "error: the model's cutoff 2e+299 passes the truncation ceiling 4194304"
+    assert axis.status == [message] * 2
+    assert axis.p == [None, None]
+    assert peak < 1e5
+    fixed = solve_pump_axis(build, params, 1.0, truncation=50, cutoff="auto", linewidth=True)
+    assert fixed.status == ["ok"] * 2
+    assert fixed.n_max.tolist() == [50, 50]
+
+
 def test_recurrence_rejects_a_negative_cutoff():
     with pytest.raises(ValueError, match=r"^cutoff must be a nonnegative integer, got -1$"):
         recurrence_steady(lambda n: np.full(n.shape, 0.5), TruncatedSpace(8), cutoff=-1)
@@ -470,38 +504,91 @@ def test_dense_forms_refuse_a_pump_column(pumps):
 
 def test_one_pump_entries_refuse_a_pump_column():
     """The one-pump entries read a single row: on a column of two pumps
-    they used to answer for pump 0.5 alone (n_max 18, where 3.0 needs 65),
-    or fail on NumPy's unpacking and broadcasting.  A (1, 1) column is one
-    pump and gives what its scalar gives."""
+    they used to fail on NumPy's unpacking and broadcasting.  A (1, 1)
+    column is one pump, and its axis is what its scalar gives."""
     space = TruncatedSpace(18)
     model = exact_model(PumpParameters.from_pump(np.array([[0.5], [3.0]]), 0.15), space)
     p = np.full(19, 1 / 19)
     for entry, shape in (
-        (lambda: choose_truncation(model, 1.0), "rates of shape (2, 1)"),
         (lambda: moments(np.stack((p, p))), "populations of shape (2, 19)"),
         (lambda: recurrence_steady(model.gain_ratio(1.0), space), "ratios of shape (2, 18)"),
-        (lambda: linewidth(model, p, 1.0), "rates of shape (2, 1)"),
     ):
         message = re.escape(f"one pump value needed, got {shape}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             entry()
     one = exact_model(PumpParameters.from_pump(np.array([[3.0]]), 0.15), space)
     alone = exact_model(PumpParameters.from_pump(3.0, 0.15), space)
-    assert choose_truncation(one, 1.0) == choose_truncation(alone, 1.0) == TruncatedSpace(65)
     stats = recurrence_steady(one.gain_ratio(1.0), space)
     assert stats.p.tolist() == recurrence_steady(alone.gain_ratio(1.0), space).p.tolist()
     assert moments(stats.p[None]) == moments(stats.p)
-    assert linewidth(one, stats.p, 1.0) == linewidth(alone, stats.p, 1.0)
+    column, scalar = (
+        solve_pump_axis(exact_model, PumpParameters.from_pump(pump, 0.15), 1.0, linewidth=True)
+        for pump in (np.array([[3.0]]), 3.0)
+    )
+    assert column.n_max.tolist() == [65]
+    assert axis_numbers(column) == axis_numbers(scalar)
+
+
+def test_a_model_on_a_one_dimensional_rate_holds_one_row_per_pump():
+    """A 1-D rate is one value per pump, held as a (P, 1) column, so a
+    model built on it outside solve_pump_axis is a model of P pumps.  It
+    used to broadcast the rates along the levels: recurrence_steady gave
+    [0.5, 0.25, 0.25], pump 1.0's ratio at level 0 and pump 3.0's at
+    level 1, where the two alone give [0.6, 0.3, 0.1] and
+    [0.25, 0.375, 0.375]."""
+    space = TruncatedSpace(2)
+    pumps = PumpParameters.from_pump(np.array([1.0, 3.0]), 0.5)
+    model = exact_model(pumps, space)
+    assert [rate.shape for rate in model.feed_terms.rates] == [(2, 1)]
+    message = re.escape("one pump value needed, got ratios of shape (2, 2)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        recurrence_steady(model.gain_ratio(1.0), space)
+    rows = model.ratio_rows(1.0, 2)
+    for row, pump in zip(rows, (1.0, 3.0)):
+        alone = exact_model(PumpParameters.from_pump(pump, 0.5), space)
+        assert row.tolist() == alone.ratio_rows(1.0, 2)[0].tolist()
+        want = recurrence_steady(alone.gain_ratio(1.0), space).p
+        assert steady.recurrence_rows(row[None], space.dim)[0][0].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 1, 1)])
+def test_rates_of_any_other_shape_fail_every_cell(shape):
+    """Rates that are not one per pump, 1-D or a (P, 1) column, are refused
+    by the model: a (2, 3) array of pump rates used to be read as 6 pumps
+    that each said "ok"."""
+    params = PumpParameters(0.15, np.full(shape, 10.0))
+    axis = solve_pump_axis(exact_model, params, 1.0)
+    message = f"error: a rate holds one value per pump, 1-D or a (P, 1) column, got shape {shape}"
+    cells = math.prod(shape)
+    assert axis.status == [message] * cells
+    assert axis.p == [None] * cells
+    with pytest.raises(ValueError, match=re.escape(message[len("error: ") :])):
+        exact_model(params, TruncatedSpace(2))
+
+
+def test_a_constructor_that_ignores_the_pump_fails_every_cell():
+    """A model with scalar rates is one pump; on an axis of three it used to
+    end in NumPy's IndexError (boolean index did not match)."""
+    params = PumpParameters.from_pump(np.array([0.5, 1.0, 2.0]), 0.15)
+    axis = solve_pump_axis(lambda p, s: heuristic_model(2.0, 0.1, s), params, 1.0, linewidth=True)
+    message = "error: the model's rates hold [1] pump rows, not one per pump (3)"
+    assert axis.status == [message] * 3
+    assert axis.p == [None] * 3
+    one = PumpParameters.from_pump(0.5, 0.15)
+    alone = solve_pump_axis(lambda p, s: heuristic_model(2.0, 0.1, s), one, 1.0)
+    assert alone.status == ["ok"]
 
 
 def test_a_scalar_rate_is_an_axis_of_one_pump():
-    """solve_pump_axis on one pump value is the one-pump route, bit for bit."""
+    """solve_pump_axis on one pump value is the one-row functions on that
+    pump, bit for bit."""
     params = PumpParameters.from_pump(2.0, 0.15)
     axis = solve_pump_axis(exact_model, params, 1.0, linewidth=True)
-    space = choose_truncation(exact_model(params, TruncatedSpace(1)), 1.0)
+    space = searched_space(exact_model(params, TruncatedSpace(1)), 1.0)
     model = exact_model(params, space)
     stats = recurrence_steady(model.gain_ratio(1.0), space)
-    mom, width = moments(stats.p), linewidth(model, stats.p, 1.0)
+    mom = moments(stats.p)
+    width = band_linewidths(model, stats.p, np.array([mom.mean_n]), 1.0)
     assert axis.status == ["ok"]
     assert axis.n_max.tolist() == [space.n_max]
     assert axis.p[0].tolist() == stats.p.tolist()
@@ -511,9 +598,9 @@ def test_a_scalar_rate_is_an_axis_of_one_pump():
         mom.mandel_q,
     ]
     assert [axis.D[0], axis.normalized_D[0], axis.frequency_pull[0]] == [
-        width.D,
-        width.normalized_D,
-        width.frequency_pull,
+        width.D[0],
+        width.normalized_D[0],
+        width.frequency_pull[0],
     ]
 
 

@@ -24,7 +24,7 @@ from micromaser.models import (
     uniform_model,
     weak_coupling_model,
 )
-from micromaser.observables import distribution_distance, linewidth
+from micromaser.observables import band_linewidths, distribution_distance, linewidth, moments
 from micromaser.oracle import annihilation, left_mult, loss_dissipator, right_mult
 from micromaser.pump import PumpParameters
 from micromaser.steady import (
@@ -34,15 +34,22 @@ from micromaser.steady import (
     DegenerateSteadyStateError,
     SteadyStateError,
     _block_labels,
-    choose_truncation,
     nullspace_steady,
     recurrence_steady,
+    solve_pump_axis,
 )
 
 from conftest import checkout_env
 from test_models import ORACLE_VARIANTS
 
 KAPPA = 1.0
+
+
+def searched(build, params) -> TruncatedSpace:
+    """The truncation search's n_max for one pump (solve_pump_axis)."""
+    axis = solve_pump_axis(build, params, KAPPA)
+    assert axis.status == ["ok"], axis.status
+    return TruncatedSpace(int(axis.n_max[0]))
 
 
 def test_recurrence_matches_direct_product():
@@ -119,9 +126,8 @@ def test_expansion_cutoff_fails_below_one_without_warning():
     assert expansion_cutoff(0.15) == math.floor(0.2 / 0.15**2)
     assert expansion_cutoff(0.03) == math.floor(0.2 / 0.03**2)
     assert expansion_cutoff(0.5) == 0
-    weak = weak_coupling_model(PumpParameters.from_pump(0.9, 0.5, KAPPA), TruncatedSpace(1))
-    with pytest.raises(SteadyStateError, match=r"cutoff 0 < 1"):
-        choose_truncation(weak, KAPPA)
+    axis = solve_pump_axis(weak_coupling_model, PumpParameters.from_pump(0.9, 0.5, KAPPA), KAPPA)
+    assert axis.status == ["error: expansion models unusable at g tau_bar = 0.5 (cutoff 0 < 1)"]
 
 
 @pytest.mark.parametrize("g_tau_bar", [np.nan, np.inf, 0.0, -1.0, 1e200, 1e-160])
@@ -507,12 +513,9 @@ def test_dense_route_loads_no_scipy():
 
 def test_choose_truncation_pins_polynomial_models():
     params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
-    space_probe = TruncatedSpace(1)
-    weak = weak_coupling_model(params, space_probe)
-    post4 = fourth_order_model(params, space_probe)
     want = expansion_cutoff(0.15)
-    assert choose_truncation(weak, KAPPA).n_max == want
-    assert choose_truncation(post4, KAPPA).n_max == want
+    assert searched(weak_coupling_model, params).n_max == want
+    assert searched(fourth_order_model, params).n_max == want
 
 
 def test_truncation_rule_follows_the_cutoff_field_not_the_name():
@@ -532,15 +535,17 @@ def test_truncation_rule_follows_the_cutoff_field_not_the_name():
         heuristic_model(params.gain_rate, 4 * params.u, space),
     ]
     assert [model.cutoff for model in physical] == [None] * 4
-    pinned = dataclasses.replace(physical[0], cutoff=12)
-    assert choose_truncation(pinned, KAPPA).n_max == 12
-    assert choose_truncation(physical[0], KAPPA).n_max != 12
+    def pinned(params, space):
+        return dataclasses.replace(exact_model(params, space), cutoff=12)
+
+    assert searched(pinned, params).n_max == 12
+    assert searched(exact_model, params).n_max != 12
 
 
 def test_choose_truncation_covers_far_above_threshold():
     params = PumpParameters.from_pump(5.0, 0.03, KAPPA)
     model = exact_model(params, TruncatedSpace(1))
-    space = choose_truncation(model, KAPPA)
+    space = searched(exact_model, params)
     stats = recurrence_steady(model.gain_ratio(KAPPA), space)
     mean = float(np.arange(space.dim) @ stats.p)
     # semiclassical intensity (A/kappa - 1) / (4u)
@@ -554,7 +559,7 @@ def test_choose_truncation_is_silent_when_low_levels_underflow():
     params = PumpParameters.from_pump(8.0, 0.03, KAPPA)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        space = choose_truncation(exact_model(params, TruncatedSpace(1)), KAPPA)
+        space = searched(exact_model, params)
     assert space.n_max == 2235
 
 
@@ -567,8 +572,8 @@ def test_choose_truncation_raises_at_hard_cap():
         feed_terms=PairTerms((1.01 * KAPPA,), lambda ym, yn: (np.sqrt(ym * yn),)),
         dephasing_terms=PairTerms((0.0,), lambda ym, yn: (ym - yn,)),
     )
-    with pytest.raises(SteadyStateError, match=f"no truncation below {HARD_CAP} "):
-        choose_truncation(runaway, KAPPA)
+    axis = solve_pump_axis(lambda params, space: runaway, PumpParameters(0.15, 1.0), KAPPA)
+    assert axis.status == [f"error: no truncation below {HARD_CAP} resolves the distribution tail"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
@@ -578,7 +583,7 @@ def test_choose_truncation_passes_a_trapping_dip():
     # stops there (n_max 106, mean 89.7) although the state reaches mean 357.6
     measure = TimeMeasure.discrete([1.0], [1.0])
     params = PumpParameters.from_pump(200.0, 0.3, KAPPA)
-    space = choose_truncation(exact_model(params, TruncatedSpace(1), measure), KAPPA)
+    space = searched(lambda params, space: exact_model(params, space, measure), params)
     found = recurrence_steady(exact_model(params, space, measure).gain_ratio(KAPPA), space)
     wide = TruncatedSpace(4000)
     reference = recurrence_steady(exact_model(params, wide, measure).gain_ratio(KAPPA), wide)
@@ -587,9 +592,10 @@ def test_choose_truncation_passes_a_trapping_dip():
 
 def test_heuristic_truncation_matches_exact():
     params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
-    heur = heuristic_model(params.gain_rate, 4 * params.u, TruncatedSpace(1))
-    exact = exact_model(params, TruncatedSpace(1))
-    assert choose_truncation(heur, KAPPA) == choose_truncation(exact, KAPPA)
+    def heur(params, space):
+        return heuristic_model(params.gain_rate, 4 * params.u, space)
+
+    assert searched(heur, params) == searched(exact_model, params)
 
 
 @pytest.mark.parametrize(
@@ -607,12 +613,13 @@ def test_nullspace_steady_at_the_truncation_the_search_chooses(build, n_max):
     # (2.5e5) does, so the offset-1 relaxation rate (1.357e-3 for exact)
     # stays clear of GAP_TOL * ||S|| and the steady state is unique
     params = PumpParameters.from_pump(2.0, 0.03, KAPPA)
-    space = choose_truncation(build(params, TruncatedSpace(1)), KAPPA)
+    space = searched(build, params)
     assert space.n_max == n_max
     model = build(params, space)
     generator = assemble(model, KAPPA)
     rho = nullspace_steady(generator)
     p = recurrence_steady(model.gain_ratio(KAPPA), space).p
     assert np.abs(np.diagonal(rho).real - p).max() <= 1e-10
-    dense, band = linewidth(generator, rho, KAPPA).D, linewidth(model, p, KAPPA).D
+    dense = linewidth(generator, rho, KAPPA).D
+    band = band_linewidths(model, p, np.array([moments(p).mean_n]), KAPPA).D[0]
     assert abs(dense - band) <= 1e-9 * abs(band)
