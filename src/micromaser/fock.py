@@ -3,11 +3,12 @@
 A density matrix rho on the space is vectorized by stacking its columns
 (Fortran order): vec index n * dim + m holds rho[m, n] (`vec_entries`).
 `vec`, `unvec` and `Superoperator` use that layout.  A Superoperator holds
-a generator on the (n_max+1)^2 vec indices as its nonzero entries only:
-`models.assemble` writes at most three per column for
-`steady.nullspace_steady` and `observables.linewidth`, so none of them
+a generator on the (n_max+1)^2 vec indices as its nonzero entries only,
+and is built from them: `models.assemble` writes at most three per column
+for `steady.nullspace_steady` and `observables.linewidth`, so none of them
 forms the (n_max+1)^2 x (n_max+1)^2 array; the dense operators and
-dissipator matrices are built in `oracle`.
+dissipator matrices are built in `oracle`, whose `from_matrix` reads a
+generator off such a matrix.
 """
 
 from __future__ import annotations
@@ -59,25 +60,14 @@ class Superoperator:
     entries (rows[i], cols[i]) = values[i] in row-major order, the order
     np.flatnonzero reads a dense array in.
 
-    Superoperator(space, matrix) takes a dense (n_max+1)^2 square array
-    once; from_entries takes the entries themselves.  `matrix` scatters the
-    entries into a fresh dense array; `norm` is the Frobenius norm of the
-    values.
+    Superoperator(space, rows, cols, values) is the generator whose entry
+    (rows[i], cols[i]) is values[i] and every other entry zero: zero values
+    are dropped, and a position given twice or outside the (n_max+1)^2
+    square is a ValueError.  `matrix` scatters the entries into a fresh
+    dense array; `oracle.from_matrix` takes one the other way.
     """
 
-    def __init__(self, space: TruncatedSpace, matrix):
-        matrix = np.asarray(matrix)
-        d2 = space.dim**2
-        if matrix.shape != (d2, d2):
-            raise ValueError(f"superoperator for n_max={space.n_max} must be {d2}x{d2}")
-        rows, cols = np.divmod(np.flatnonzero(matrix), d2)
-        self._hold(space, rows, cols, matrix[rows, cols])
-
-    @classmethod
-    def from_entries(cls, space: TruncatedSpace, rows, cols, values) -> "Superoperator":
-        """The generator whose entry (rows[i], cols[i]) is values[i] and
-        every other entry zero.  Zero values are dropped; a position given
-        twice or outside the (n_max+1)^2 square is a ValueError."""
+    def __init__(self, space: TruncatedSpace, rows, cols, values):
         rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values)
         if not rows.shape == cols.shape == values.shape == (len(values),):
             raise ValueError("rows, cols and values must be 1-D arrays of one length")
@@ -92,13 +82,8 @@ class Superoperator:
         if np.any(flat[1:] == flat[:-1]):
             raise ValueError("an entry position is given twice")
         keep = values != 0
-        op = cls.__new__(cls)
-        op._hold(space, *np.divmod(flat[keep], d2), values[keep])
-        return op
-
-    def _hold(self, space, rows, cols, values) -> None:
-        self.space, self.rows, self.cols, self.values = space, rows, cols, values
-        self.norm = float(np.linalg.norm(values))
+        self.space, self.values = space, values[keep]
+        self.rows, self.cols = np.divmod(flat[keep], d2)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -120,10 +105,7 @@ class Superoperator:
         """The generator on rho, a (dim, dim) matrix: each row's sum over its
         entries in column order (np.bincount), a complex sum as its real and
         imaginary parts."""
-        rho = self._operand(rho)
-        if np.iscomplexobj(rho) and not np.iscomplexobj(self.values):
-            return self.apply(rho.real) + 1j * self.apply(rho.imag)
-        terms = self.values * vec(rho)[self.cols]
+        terms = self.values * vec(self._operand(rho))[self.cols]
         d2 = self.space.dim**2
         if np.iscomplexobj(terms):  # np.bincount sums real weights only
             real, imag = (np.bincount(self.rows, part, d2) for part in (terms.real, terms.imag))

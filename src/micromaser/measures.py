@@ -77,6 +77,9 @@ class TimeMeasure:
         divided by their mean, which is tau_bar."""
         taus = np.asarray(taus, dtype=float)
         weights = np.asarray(weights, dtype=float)
+        for name, values in (("times", taus), ("weights", weights)):
+            if not np.isfinite(values).all():  # before inf / inf makes a NaN
+                raise ValueError(f"{name} must be finite, got {values.tolist()}")
         mean = float(weights @ taus)
         if not mean > 0:
             raise ValueError(f"times must have a positive mean, got {mean}")

@@ -310,7 +310,7 @@ def assemble(model: GeneratorModel, kappa: float) -> Superoperator:
     decay = model.dephasing(m, n) - 0.5 * (gain_out[m] + gain_out[n] + kappa * (m + n))
     up = (m < top) & (n < top)
     down = (m > 0) & (n > 0)
-    return Superoperator.from_entries(
+    return Superoperator(
         model.space,
         np.concatenate((pos, pos[up] + d + 1, pos[down] - d - 1)),
         np.concatenate((pos, pos[up], pos[down])),

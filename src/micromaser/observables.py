@@ -82,9 +82,12 @@ def semiclassical_intensity(gain: float, kappa: float, beta: float) -> float:
 
 
 def distribution_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total-variation distance; the shorter array is zero padded."""
+    """Total-variation distance of two distributions, each 1-D or one row
+    (as moments takes them); the shorter array is zero padded."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    for name, values in (("p", p), ("q", q)):
+        check_one_pump(len(np.atleast_2d(values)) == 1, name, values)
     size = max(p.size, q.size)
     pp = np.zeros(size)
     qq = np.zeros(size)
@@ -156,12 +159,18 @@ def _one_row(width: LinewidthColumns, mean_n: float) -> LinewidthResult:
 
 
 def _dense_linewidth(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
-    """f'(0) = tr[a* X], where X = image_fn(a rho_ss)."""
+    """f'(0) = tr[a* X], where X = image_fn(a rho_ss), and <n>, of the state
+    rho_ss / tr rho_ss: both sums are divided by the real trace, which
+    leaves a unit-trace state's bits alone.  ValueError for a trace that is
+    zero (to rounding, as nullspace_steady judges it) or not finite."""
     check_kappa(kappa, zero=False)
+    trace = float(np.trace(rho_ss).real)
+    if not (math.isfinite(trace) and abs(trace) >= 1e-12 * np.linalg.norm(rho_ss) * len(rho_ss)):
+        raise ValueError(f"rho_ss has trace {trace}; a state needs a finite trace that is not zero")
     root = np.sqrt(np.arange(1.0, rho_ss.shape[0]))
-    deriv = root @ np.diagonal(image_fn(_lower(rho_ss)), offset=1)
+    deriv = root @ np.diagonal(image_fn(_lower(rho_ss)), offset=1) / trace
     populations = np.real(np.diagonal(rho_ss))
-    mean_n = float(populations @ np.arange(populations.size))
+    mean_n = float(populations @ np.arange(populations.size)) / trace
     return _one_row(_linewidth_columns(np.array([deriv]), np.array([mean_n]), kappa), mean_n)
 
 
@@ -191,12 +200,14 @@ def linewidth(generator: Superoperator, rho_ss: np.ndarray, kappa: float) -> Lin
 
 def linewidth_fd(generator: Superoperator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:
     """First-difference variant on the assembled generator: S becomes
-    (e^{S delta} - 1)/delta, delta = 1e-6 / Superoperator.norm, through the
-    series S + delta S^2/2 + delta^2 S^3/6 + delta^3 S^4/24 (no cancellation)."""
+    (e^{S delta} - 1)/delta, delta = 1e-6 / ||S|| with ||S|| the Frobenius
+    norm of its entries, through the series
+    S + delta S^2/2 + delta^2 S^3/6 + delta^3 S^4/24 (no cancellation)."""
     rho_ss = _assembled(generator, rho_ss)
-    if generator.norm == 0.0:
+    norm = float(np.linalg.norm(generator.values))
+    if norm == 0.0:
         raise ValueError("the generator is zero, so the step 1e-6 / ||S|| is undefined")
-    delta = 1e-6 / generator.norm
+    delta = 1e-6 / norm
 
     def quotient(w):
         w = generator.apply(w)

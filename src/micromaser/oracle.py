@@ -3,7 +3,8 @@ and `assemble`; no module of the package imports this one, the package
 namespace included, so its readers import it as `micromaser.oracle`.
 Operators, density checks, the single-atom map and its Kraus sets, the
 averaged pump, Lindblad operator lists and the series generators, as
-explicit matrices.
+explicit matrices; `from_matrix` takes a generator's matrix, dense or
+sparse, into the entries that a `fock.Superoperator` holds.
 
 vec(rho) stacks columns (Fortran order, `fock.vec`), so A rho B maps to
 (B^T kron A) vec(rho) and L rho L* to (conj(L) kron L); kron products are
@@ -139,10 +140,16 @@ def _anticommutator(op: np.ndarray):
     return _kron(eye, op) + _kron(op.T, eye)
 
 
-def _stored_entries(space: TruncatedSpace, mat) -> Superoperator:
-    """The Superoperator of a sparse matrix, from its stored entries."""
-    coo = mat.tocoo()
-    return Superoperator.from_entries(space, coo.row, coo.col, coo.data)
+def from_matrix(space: TruncatedSpace, matrix) -> Superoperator:
+    """The Superoperator of an (n_max+1)^2 square matrix, dense or scipy
+    sparse, from its nonzero entries; ValueError for another shape."""
+    from scipy.sparse import coo_array
+
+    d2 = space.dim**2
+    if np.shape(matrix) != (d2, d2):
+        raise ValueError(f"superoperator for n_max={space.n_max} must be {d2}x{d2}")
+    coo = coo_array(matrix)
+    return Superoperator(space, coo.row, coo.col, coo.data)
 
 
 def left_mult(op: np.ndarray) -> np.ndarray:
@@ -177,7 +184,7 @@ def apply_dissipator(op: np.ndarray, opd_op: np.ndarray, rho: np.ndarray) -> np.
 def loss_dissipator(kappa: float, space: TruncatedSpace) -> Superoperator:
     """Cavity damping at rate kappa: kappa (a rho a* - {a* a, rho}/2)."""
     check_kappa(kappa, zero=True)
-    return Superoperator(space, kappa * dissipator_matrix(annihilation(space)))
+    return from_matrix(space, kappa * dissipator_matrix(annihilation(space)))
 
 
 class TruncationLeakWarning(UserWarning):
@@ -328,7 +335,7 @@ def averaged_pump_superoperator(
     # |n+1><n| weighted by ss at its source, which has no image of the top level
     shift = np.eye(space.dim, k=-1)
     mat = np.diag(vec(cc)) + sandwich(shift) * vec(ss)[None, :] - np.eye(space.dim**2)
-    return Superoperator(space, r * mat)
+    return from_matrix(space, r * mat)
 
 
 def merge_proportional(ops: list) -> list:
@@ -382,7 +389,7 @@ def fourth_order_generator(params: PumpParameters, space: TruncatedSpace) -> Sup
         - 2.0 * (_kron(a.T, ad @ p) + _kron((p @ a).T, ad))
     )
     mat = params.gain_rate * lin + params.saturation_rate * quart
-    return _stored_entries(space, mat)
+    return from_matrix(space, mat)
 
 
 def sixth_order_superoperator(params: PumpParameters, space: TruncatedSpace) -> Superoperator:
@@ -393,4 +400,4 @@ def sixth_order_superoperator(params: PumpParameters, space: TruncatedSpace) -> 
     p = a @ ad
     coeff = 20.0 * scalar_rate(params.r) * params.u**3
     mat = coeff * (_kron((p @ a).T, ad @ p) - 0.5 * _anticommutator(p @ p @ p))
-    return _stored_entries(space, mat)
+    return from_matrix(space, mat)

@@ -55,18 +55,19 @@ def check_rates(name: str, rates, pumps) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {rates.flat[i]}{at}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PumpParameters:
     """Coupling-time product g tau_bar and pump rate r.
 
     g and tau_bar enter the pump only as their product, and the interaction
     time only as x = tau / tau_bar (see measures), so nothing else is stored.
     r is a scalar (one pump) or holds one rate per pump value (1-D, as
-    from_pump makes it from an array of pumps).  A model built on such r
-    holds it as a (P, 1) column (models.PairTerms), whose band functions
-    then broadcast to (pumps, levels), which is how solve_pump_axis solves
-    a whole pump axis at once.  The dense operators need a scalar r
-    (scalar_rate).
+    from_pump makes it from an array, list or tuple of pumps).  A model
+    built on such r holds it as a (P, 1) column (models.PairTerms), whose
+    band functions then broadcast to (pumps, levels), which is how
+    solve_pump_axis solves a whole pump axis at once.  The dense operators
+    need a scalar r (scalar_rate).  Two parameters are equal when
+    g tau_bar, the shape of r and its values are.
     """
 
     g_tau_bar: float
@@ -75,6 +76,18 @@ class PumpParameters:
     def __post_init__(self):
         check_g_tau_bar(self.g_tau_bar)
         check_rates("pump rate r", self.r, None)
+
+    def _values(self) -> tuple:
+        r = np.asarray(self.r)
+        return self.g_tau_bar, r.shape, tuple(r.ravel().tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def u(self) -> float:
@@ -97,6 +110,8 @@ class PumpParameters:
         pump whose r is negative or not finite (overflow too) is named."""
         check_kappa(kappa, zero=False)
         check_g_tau_bar(g_tau_bar)
+        if isinstance(pump, (list, tuple)):  # one rate per pump, as for an array
+            pump = np.asarray(pump, dtype=float)
         with np.errstate(over="ignore"):
             r = pump * kappa / (2.0 * g_tau_bar**2)
         check_rates("pump rate r", r, pump)

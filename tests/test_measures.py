@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ def test_measure_validation_rejects_bad_weights():
         TimeMeasure(np.array([np.nan]), np.array([1.0]))
     with pytest.raises(ValueError):
         TimeMeasure.discrete([0.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "taus, weights, name",
+    [([1.0, np.inf], [0.5, 0.5], "times"), ([1.0, 2.0], [0.5, np.nan], "weights")],
+)
+def test_discrete_measure_refuses_nonfinite_values_before_it_divides(taus, weights, name):
+    """An infinite time used to divide inf by inf (a RuntimeWarning) before
+    the node check refused it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TimeMeasure.discrete(taus, weights)
 
 
 class TestExponentialBasis:

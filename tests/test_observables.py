@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from micromaser.fock import Superoperator, TruncatedSpace
+from micromaser.fock import TruncatedSpace
 from micromaser.models import assemble, exact_model, heuristic_model, uniform_model
 from micromaser.observables import (
     LinewidthResult,
@@ -19,7 +19,7 @@ from micromaser.observables import (
     moments,
     semiclassical_intensity,
 )
-from micromaser.oracle import loss_dissipator
+from micromaser.oracle import from_matrix, loss_dissipator
 from micromaser.pump import PumpParameters
 from micromaser.steady import nullspace_steady, recurrence_steady
 
@@ -140,6 +140,19 @@ def test_distribution_distance_properties():
     assert distribution_distance(p, q) == distribution_distance(q, p)
 
 
+def test_distribution_distance_takes_one_distribution_per_argument():
+    """A (2, 3) array, two pumps' rows, used to end in NumPy's broadcast
+    error; a (1, 3) row is one distribution, as moments takes it."""
+    p = np.array([0.5, 0.5, 0.0])
+    assert distribution_distance(p[None, :], [0.0, 1.0]) == distribution_distance(p, [0.0, 1.0])
+    two_pumps = np.stack([p, p[::-1]])
+    message = re.escape("one pump value needed, got q of shape (2, 3)")
+    with pytest.raises(ValueError, match=message):
+        distribution_distance(p, two_pumps)
+    with pytest.raises(ValueError, match=message.replace("q", "p")):
+        distribution_distance(two_pumps, p)
+
+
 def test_linewidth_pure_loss_is_kappa():
     """With no pump the field correlation decays at exactly kappa/2, so the
     full width D equals kappa independent of the state."""
@@ -173,6 +186,30 @@ def test_linewidth_diagonal_state_has_no_pull():
     res = linewidth(assemble(model, KAPPA), rho, KAPPA)
     assert abs(res.frequency_pull) < 1e-10
     assert res.D > 0
+
+
+@pytest.mark.parametrize("route", [linewidth, linewidth_fd])
+def test_a_dense_linewidth_reads_the_state_of_any_trace(route):
+    """mean_n and normalized_D used to scale with the trace of rho_ss
+    (mean_n 22.31 for 2 rho here, against 11.15), while D did not."""
+    space = TruncatedSpace(30)
+    gen = assemble(exact_model(PumpParameters.from_pump(2.0, 0.15, KAPPA), space), KAPPA)
+    rho = nullspace_steady(gen)
+    want = route(gen, rho, KAPPA)
+    for scale in (2.0, 0.5, 3.0):
+        got = route(gen, scale * rho, KAPPA)
+        for name in ("D", "normalized_D", "frequency_pull", "mean_n"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("route", [linewidth, linewidth_fd])
+@pytest.mark.parametrize("trace", [0.0, math.nan, math.inf])
+def test_a_dense_linewidth_refuses_a_trace_that_is_zero_or_not_finite(route, trace):
+    space = TruncatedSpace(6)
+    gen = assemble(exact_model(PumpParameters.from_pump(2.0, 0.15, KAPPA), space), KAPPA)
+    rho = np.diag([trace, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="a state needs a finite trace that is not zero"):
+        route(gen, rho, KAPPA)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, math.inf, math.nan])
@@ -234,7 +271,7 @@ def test_a_density_matrix_needs_an_assembled_nonzero_generator(route, given, err
     generator = {
         "callable": lambda r: model.apply(r, KAPPA),
         "model": model,
-        "zero": Superoperator(space, np.zeros((space.dim**2, space.dim**2))),
+        "zero": from_matrix(space, np.zeros((space.dim**2, space.dim**2))),
     }[given]
     with pytest.raises(error, match=match):
         route(generator, coherent_density(space, 1.0), KAPPA)

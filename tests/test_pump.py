@@ -46,6 +46,31 @@ def test_parameters_validation():
     assert PumpParameters(g_tau_bar=0.1, r=0.0).gain_rate == 0.0
 
 
+def test_parameters_compare_and_hash_by_value():
+    """An array of rates used to raise in == (ambiguous truth value) and in
+    hash (unhashable ndarray)."""
+    axis = PumpParameters(0.1, np.array([1.0, 2.0]))
+    same = PumpParameters(0.1, np.array([1.0, 2.0]))
+    assert axis == same and hash(axis) == hash(same)
+    assert hash(PumpParameters(0.1, np.array([1.0]))) == hash(PumpParameters(0.1, np.array([1.0])))
+    # other rates, another shape, another coupling, a scalar of the same value
+    assert axis != PumpParameters(0.1, np.array([1.0, 3.0]))
+    assert axis != PumpParameters(0.1, np.array([[1.0, 2.0]]))
+    assert axis != PumpParameters(0.2, np.array([1.0, 2.0]))
+    assert PumpParameters(0.1, np.array([1.0])) != PumpParameters(0.1, 1.0)
+    assert PumpParameters(0.1, 2.0) == PumpParameters(0.1, 2) != PumpParameters(0.1, 2.5)
+    assert len({axis, same, PumpParameters(0.1, 2.0), PumpParameters(0.1, 2.0)}) == 2
+    assert axis != (0.1, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("pumps", [[1.0, 2.0], (1.0, 2.0)], ids=["list", "tuple"])
+def test_from_pump_takes_a_list_of_pumps_as_an_array(pumps):
+    """A list used to end in TypeError: can't multiply sequence by non-int."""
+    got = PumpParameters.from_pump(pumps, 0.15, kappa=2.0)
+    want = PumpParameters.from_pump(np.array(pumps), 0.15, kappa=2.0)
+    assert got == want and got.r.tolist() == want.r.tolist()
+
+
 @pytest.mark.parametrize("g_tau_bar", [np.nan, np.inf, 0.0, -1.0, 1e200, 1e-160])
 def test_parameters_reject_a_coupling_that_is_not_positive_and_finite(g_tau_bar):
     with pytest.raises(ValueError, match="g_tau_bar and its square must be positive and finite"):

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
-from micromaser.fock import Superoperator, TruncatedSpace, unvec
+from micromaser.fock import TruncatedSpace, unvec
 from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
     GeneratorModel,
@@ -25,7 +25,7 @@ from micromaser.models import (
     weak_coupling_model,
 )
 from micromaser.observables import band_linewidths, distribution_distance, linewidth, moments
-from micromaser.oracle import annihilation, left_mult, loss_dissipator, right_mult
+from micromaser.oracle import annihilation, from_matrix, left_mult, loss_dissipator, right_mult
 from micromaser.pump import PumpParameters
 from micromaser.steady import (
     GAP_TOL,
@@ -166,14 +166,14 @@ def test_nullspace_reports_spectral_info():
 
 def test_nullspace_rejects_degenerate_kernel():
     space = TruncatedSpace(3)
-    zero = Superoperator(space, np.zeros((16, 16)))
+    zero = from_matrix(space, np.zeros((16, 16)))
     with pytest.raises(DegenerateSteadyStateError):
         nullspace_steady(zero)
 
 
 def test_nullspace_rejects_missing_kernel():
     space = TruncatedSpace(3)
-    ident = Superoperator(space, np.eye(16))
+    ident = from_matrix(space, np.eye(16))
     with pytest.raises(SteadyStateError):
         nullspace_steady(ident)
 
@@ -215,7 +215,7 @@ def test_offset_blocks_equal_csgraph_on_the_model_generators(variant):
                 params = PumpParameters.from_pump(pump, g_tau_bar, KAPPA)
                 space = TruncatedSpace(n_max)
                 mat = assemble(ORACLE_VARIANTS[variant](params, space), KAPPA).matrix
-                n_blocks, labels, _, _ = _block_labels(Superoperator(space, mat))
+                n_blocks, labels, _, _ = _block_labels(from_matrix(space, mat))
                 want_n, want = connected_components(mat != 0, connection="weak")
                 assert n_blocks == want_n == 2 * space.dim - 1
                 assert labels.tolist() == want.tolist()
@@ -226,7 +226,7 @@ def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
     space = TruncatedSpace(12)
     d = space.dim
     mat = assemble(exact_model(params, space), KAPPA).matrix
-    assert _n_blocks(Superoperator(space, mat)) == 2 * d - 1
+    assert _n_blocks(from_matrix(space, mat)) == 2 * d - 1
     calls = []
     eig = np.linalg.eig
 
@@ -235,7 +235,7 @@ def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
         return eig(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eig", spy)
-    rho, info = nullspace_steady(Superoperator(space, mat), return_info=True)
+    rho, info = nullspace_steady(from_matrix(space, mat), return_info=True)
     monkeypatch.undo()
     # the steady state lives on the diagonal rho_nn: the offset-0 block
     idx = np.arange(d) * (d + 1)
@@ -381,7 +381,7 @@ def test_pruned_blocks_match_the_all_blocks_reference(dtype, rng, monkeypatch):
         mat = np.zeros((space.dim**2,) * 2, dtype=dtype)
         for idx, kind in zip(blocks, rng.permutation(kinds)):
             mat[np.ix_(idx, idx)] = _random_block(rng, len(idx), kind, dtype)
-        n_blocks, labels, margins, _ = _block_labels(Superoperator(space, mat))
+        n_blocks, labels, margins, _ = _block_labels(from_matrix(space, mat))
         assert n_blocks == len(blocks)
         for b, idx in enumerate(blocks):
             assert np.flatnonzero(labels == b).tolist() == idx.tolist()
@@ -390,7 +390,7 @@ def test_pruned_blocks_match_the_all_blocks_reference(dtype, rng, monkeypatch):
         if trial % 10 == 9:  # a non-finite entry in one block, on or off its diagonal
             i, j = blocks[rng.integers(len(blocks))][[0, -1]]
             mat[i, rng.choice([i, j])] = rng.choice([np.nan, np.inf])
-        generator = Superoperator(space, mat)
+        generator = from_matrix(space, mat)
         reference = functools.partial(_all_blocks_reference, blocks=blocks)
         for return_info in (False, True):
             spy.calls.clear()
@@ -418,7 +418,7 @@ def test_unsplit_generator_gets_one_full_eig():
     a = annihilation(space)
     eps = 0.2
     drive = eps * (a + a.conj().T)
-    generator = Superoperator(
+    generator = from_matrix(
         space,
         loss_dissipator(KAPPA, space).matrix - 1j * (left_mult(drive) - right_mult(drive)),
     )
@@ -437,10 +437,10 @@ def test_one_way_coupling_joins_its_ends_in_one_block():
     space = TruncatedSpace(1)
     mat = np.diag([0.0, -1.0, -1.0, -2.0])
     mat[1, 0] = 1.0
-    n_blocks, labels, _, _ = _block_labels(Superoperator(space, mat))
+    n_blocks, labels, _, _ = _block_labels(from_matrix(space, mat))
     assert n_blocks == 1
     assert not labels.any()
-    rho = _nullspace_matching_full_eig(Superoperator(space, mat))
+    rho = _nullspace_matching_full_eig(from_matrix(space, mat))
     assert rho[1, 0] == pytest.approx(0.5)
 
 
@@ -452,7 +452,7 @@ def test_nullspace_rejects_one_zero_eigenvalue_per_block(rng):
     blocks = [q - np.diag(q.sum(axis=0)) for q in rates]
     perm = rng.permutation(16)
     mat = scipy.linalg.block_diag(*blocks)[np.ix_(perm, perm)]
-    generator = Superoperator(space, mat)
+    generator = from_matrix(space, mat)
     assert _n_blocks(generator) == 2
     with pytest.raises(DegenerateSteadyStateError):
         nullspace_steady(generator)
