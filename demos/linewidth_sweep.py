@@ -10,25 +10,22 @@ derivative on the full density matrix at every point.
 import numpy as np
 
 from micromaser import (
+    EXACT,
+    MODELS,
+    UNIFORM,
+    WEAK,
     PumpParameters,
     TruncatedSpace,
     assemble,
-    exact_model,
     linewidth_fd,
     solve_pump_axis,
-    uniform_model,
-    weak_coupling_model,
 )
 
 KAPPA = 1.0
 G_TAU_BAR = 0.03
 PUMPS = (0.5, 0.9, 1.2, 1.6)
 
-builders = {
-    "exact": exact_model,
-    "weak_lindblad": weak_coupling_model,
-    "uniform_lindblad": uniform_model,
-}
+builders = {name: MODELS[name].build for name in (EXACT, WEAK, UNIFORM)}
 
 # each model over the whole pump axis in one pass, band linewidth included
 params = PumpParameters.from_pump(np.array(PUMPS), G_TAU_BAR, KAPPA)

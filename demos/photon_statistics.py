@@ -6,19 +6,14 @@ machine precision; the polynomial expansions drift once (g tau_bar)^2 (n+1)
 is no longer small.
 """
 
-import numpy as np
-
 from micromaser import (
+    EXACT,
+    MODELS,
     PumpParameters,
     TruncatedSpace,
     distribution_distance,
-    exact_model,
-    fourth_order_model,
-    heuristic_model,
     moments,
     recurrence_steady,
-    uniform_model,
-    weak_coupling_model,
 )
 
 KAPPA = 1.0
@@ -28,13 +23,8 @@ PUMP = 0.9  # A / kappa, just below threshold
 params = PumpParameters.from_pump(PUMP, G_TAU_BAR, KAPPA)
 space = TruncatedSpace(30)
 
-models = {
-    "exact": exact_model(params, space),
-    "post4": fourth_order_model(params, space),
-    "weak_lindblad": weak_coupling_model(params, space),
-    "uniform_lindblad": uniform_model(params, space),
-    "heuristic": heuristic_model(params.gain_rate, 4 * params.u, space),
-}
+# every model of the table at its default options (heuristic: beta = 4 (g tau_bar)^2)
+models = {name: record.build(params, space) for name, record in MODELS.items()}
 
 print(f"operating point: g tau_bar = {G_TAU_BAR}, pump A/kappa = {PUMP}")
 print(f"derived rates: A = {params.gain_rate:.4f}, B = {params.saturation_rate:.6f}, "
@@ -46,7 +36,7 @@ for name, model in models.items():
     results[name] = recurrence_steady(model.gain_ratio(KAPPA), space, cutoff=model.cutoff)
 
 print(f"{'model':18s} {'mean_n':>9s} {'variance':>10s} {'Mandel Q':>9s} {'TV to exact':>12s}")
-p_exact = results["exact"].p
+p_exact = results[EXACT].p
 for name, stats in results.items():
     mom = moments(stats.p)
     tv = distribution_distance(stats.p, p_exact)

@@ -13,14 +13,15 @@ import scipy.linalg
 import scipy.special
 
 from micromaser import (
+    MODELS,
+    POST4,
+    WEAK,
     PumpParameters,
     TruncatedSpace,
     assemble,
-    fourth_order_model,
     recurrence_steady,
     unvec,
     vec,
-    weak_coupling_model,
 )
 from micromaser.oracle import validate_density
 
@@ -33,8 +34,8 @@ params = PumpParameters.from_pump(PUMP, G_TAU_BAR, KAPPA)
 space = TruncatedSpace(16)
 boundary = 0.25 / G_TAU_BAR**2
 
-post4 = fourth_order_model(params, space)
-weak = weak_coupling_model(params, space)
+post4 = MODELS[POST4].build(params, space)
+weak = MODELS[WEAK].build(params, space)
 s_post4 = recurrence_steady(post4.gain_ratio(KAPPA), space)
 s_weak = recurrence_steady(weak.gain_ratio(KAPPA), space)
 
@@ -59,11 +60,8 @@ rho0 = np.outer(amp, amp.conj())
 rho0 /= np.trace(rho0).real
 
 T_EVOLVE = 0.2  # long enough for the defect to grow, short of the blow-up
-for name, model in (
-    ("post4", fourth_order_model(params2, space2)),
-    ("weak_lindblad", weak_coupling_model(params2, space2)),
-):
-    gen = assemble(model, KAPPA)
+for name in (POST4, WEAK):
+    gen = assemble(MODELS[name].build(params2, space2), KAPPA)
     prop = scipy.linalg.expm(T_EVOLVE * gen.matrix)
     evolved = unvec(prop @ vec(rho0), space2)
     evolved /= np.trace(evolved).real

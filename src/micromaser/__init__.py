@@ -26,6 +26,7 @@ from .models import (
     EXACT,
     HEURISTIC,
     MODEL_NAMES,
+    MODELS,
     POST4,
     UNIFORM,
     WEAK,
@@ -75,6 +76,7 @@ __all__ = [
     "EXACT",
     "HEURISTIC",
     "MODEL_NAMES",
+    "MODELS",
     "POST4",
     "UNIFORM",
     "WEAK",

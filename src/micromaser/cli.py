@@ -17,7 +17,9 @@ not be written, flushed or closed (one stderr line, `cannot write output
 This module checks only what the library cannot know: the JSON types (a
 string or true/false where a number belongs), empty model and pump lists,
 unknown keys, models and options, and `workers` (accepted, checked and
-echoed, but ignored).  Every range, and its message, is the library's:
+echoed, but ignored).  The models, their constructors and the options each
+takes, with their defaults, are the table models.MODELS.  Every range, and
+its message, is the library's:
 RunConfig maps the words (`truncation` "auto" and `cutoff` "off" to None;
 `cutoff` "auto" keeps each model's own), calls steady.check_axis_options
 (kappa, truncation, cutoff) and, once, PumpParameters.from_pump on the
@@ -46,21 +48,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fock import TruncatedSpace, is_integer
-from .measures import TimeMeasure, build_basis
-from .models import (
-    EXACT,
-    HEURISTIC,
-    MODEL_NAMES,
-    POST4,
-    UNIFORM,
-    WEAK,
-    check_series_order,
-    exact_model,
-    fourth_order_model,
-    general_weak_model,
-    heuristic_model,
-    uniform_model,
-)
+from .models import MODEL_NAMES, MODELS
 from .observables import distribution_distance
 from .pump import PumpParameters
 from .steady import check_axis_options, solve_pump_axis
@@ -127,6 +115,14 @@ def _as_int(value):
     return value
 
 
+def _option(given: dict, name: str, default):
+    """A model option: its default unless given, else a JSON number where the
+    pump sets the default (None) or an integral float as an int."""
+    if name not in given:
+        return default
+    return _number(name, given[name]) if default is None else _as_int(given[name])
+
+
 # The config's words for truncation and cutoff, as solve_pump_axis takes them.
 _WORDS = {"truncation": {"auto": None}, "cutoff": {"auto": "auto", "off": None}}
 
@@ -151,7 +147,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
             raise ConfigError(f"unknown model {self.name!r}; choose from {', '.join(MODEL_NAMES)}")
-        bad = set(self.options) - set(_MODELS[self.name].__kwdefaults__ or ())
+        bad = set(self.options) - set(MODELS[self.name].options)
         if bad:
             raise ConfigError(f"model {self.name!r} does not take option(s) {sorted(bad)}")
 
@@ -188,8 +184,10 @@ class RunConfig:
         # each model's constructor judges its options on the params it then solves
         builders = []
         for spec in self.models:
+            record = MODELS[spec.name]
             try:
-                build = _MODELS[spec.name](**{k: _as_int(v) for k, v in spec.options.items()})
+                options = {key: _option(spec.options, key, v) for key, v in record.options.items()}
+                build = functools.partial(record.build, **options)
                 build(params, TruncatedSpace(1))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model {spec.name!r}: {exc}") from None
@@ -308,44 +306,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "compare" and len(config.models) < 2:
         raise ConfigError("compare needs at least 2 models")
     return config
-
-
-# One entry per model.  Its keyword options, with their defaults, are the keys
-# ModelSpec accepts; it returns the model constructor build(params, space) that
-# solve_pump_axis takes, building the polynomial basis of a weak series once.
-# The library judges each option's value (an integral float, JSON 2.0, as an
-# int); heuristic's gain and beta must be JSON numbers first.
-_FROM_PUMP = object()  # a heuristic default that the pump sets: a JSON null stays an error
-
-
-def _weak(*, order=3):
-    check_series_order(order)  # before the basis can name it a degree
-    basis = build_basis(TimeMeasure.exponential(), order)
-    return lambda params, space: general_weak_model(params, basis, order, space)
-
-
-def _uniform(*, order=1):
-    return lambda params, space: uniform_model(params, space, order=order)
-
-
-def _heuristic(*, gain=_FROM_PUMP, beta=_FROM_PUMP, ordering="aa_dag"):
-    gain = gain if gain is _FROM_PUMP else _number("gain", gain)
-    beta = beta if beta is _FROM_PUMP else _number("beta", beta)
-    return lambda params, space: heuristic_model(
-        params.gain_rate if gain is _FROM_PUMP else np.full(np.shape(params.r), gain),
-        4.0 * params.u if beta is _FROM_PUMP else beta,
-        space,
-        ordering=ordering,
-    )
-
-
-_MODELS = {
-    EXACT: lambda: exact_model,
-    POST4: lambda: fourth_order_model,
-    WEAK: _weak,
-    UNIFORM: _uniform,
-    HEURISTIC: _heuristic,
-}
 
 
 def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tuple[list, int]:

@@ -80,9 +80,10 @@ class TimeMeasure:
         for name, values in (("times", taus), ("weights", weights)):
             if not np.isfinite(values).all():  # before inf / inf makes a NaN
                 raise ValueError(f"{name} must be finite, got {values.tolist()}")
-        mean = float(weights @ taus)
-        if not mean > 0:
-            raise ValueError(f"times must have a positive mean, got {mean}")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused below
+            mean = float(weights @ taus)
+        if not 0 < mean < math.inf:
+            raise ValueError(f"times must have a finite positive mean, got {mean}")
         return cls(taus / mean, weights)
 
     @classmethod

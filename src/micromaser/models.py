@@ -57,6 +57,11 @@ band entry, as the truncated gain out of the top level is.
 Each model states its truncation rule in `cutoff`: the series models (post4,
 weak_lindblad) hold up to expansion_cutoff, the others have a physical tail.
 
+MODELS is the one table of models (MODEL_NAMES its names): each name maps
+to its constructor and the options the CLI takes, with their defaults.  The
+CLI, the demos and the conformance tests read it, so a new model is one
+entry plus its level functions.
+
 The independent dense references live in `oracle`, which no product module
 imports: the explicit operator lists (`oracle.lindblad_ops(model)`, built
 from those functions and summed through `oracle.dissipator_matrix`), the
@@ -90,8 +95,6 @@ POST4 = "post4"
 WEAK = "weak_lindblad"
 UNIFORM = "uniform_lindblad"
 HEURISTIC = "heuristic"
-
-MODEL_NAMES = (EXACT, POST4, WEAK, UNIFORM, HEURISTIC)
 
 
 def _pump_column(rate):
@@ -433,10 +436,7 @@ def check_series_order(order) -> None:
 
 
 def general_weak_model(
-    params: PumpParameters,
-    basis: OrthoBasis,
-    order: int,
-    space: TruncatedSpace,
+    params: PumpParameters, basis: OrthoBasis, order: int, space: TruncatedSpace
 ) -> GeneratorModel:
     """Series-truncated Lindblad set for an arbitrary interaction-time measure.
 
@@ -444,8 +444,8 @@ def general_weak_model(
     g tau and projected onto the orthonormal polynomials of the measure:
     x^j = sum_k a_jk f_k turns each series coefficient into Lindblad
     operators C_k (diagonal, identity parts dropped) and S_k (one-quantum
-    gain).  weak_coupling_model is this series at order 3 on the exponential
-    measure; the CLI's weak_lindblad builds it at any order on that measure.
+    gain).  weak_coupling_model, the table's weak_lindblad, is this series
+    on the exponential measure.
     """
     check_series_order(order)
     k_top = min(order, basis.degree)
@@ -481,17 +481,24 @@ def general_weak_model(
     )
 
 
-def weak_coupling_model(params: PumpParameters, space: TruncatedSpace) -> GeneratorModel:
-    """The weak-coupling series at order 3 on the exponential measure
-    (general_weak_model, its basis built per call).
+def weak_coupling_model(params: PumpParameters, space: TruncatedSpace, order=3) -> GeneratorModel:
+    """The weak-coupling series to `order` on the exponential measure:
+    general_weak_model on that measure's basis, built once per order.
 
-    This is the fourth-order-accurate Lindblad set: gain operators a* times
-    polynomials of degree 1 in P = a a*, whose generator carries the quartic
-    expansion plus a sixth-order remainder, and one diagonal operator
-    proportional to u P (u = (g tau_bar)^2, identity part dropped), which
-    leaves photon statistics alone and only widens the line.
+    At order 3 this is the fourth-order-accurate Lindblad set: gain
+    operators a* times polynomials of degree 1 in P = a a*, whose generator
+    carries the quartic expansion plus a sixth-order remainder, and one
+    diagonal operator proportional to u P (u = (g tau_bar)^2, identity part
+    dropped), which leaves photon statistics alone and only widens the line.
     """
-    return general_weak_model(params, build_basis(TimeMeasure.exponential(), 3), 3, space)
+    check_series_order(order)  # before the basis can name it a degree
+    return general_weak_model(params, _exponential_basis(order), order, space)
+
+
+_exponential_basis = functools.cache(lambda order: build_basis(TimeMeasure.exponential(), order))
+# MODELS' weak builder: weak_coupling_model under a private name that wrappers of the
+# public names (a tracer counting builds) leave alone, so a build counts once, as general_weak_model
+_weak_series = weak_coupling_model
 
 
 def exponential_projections(alpha, k_max: int) -> list:
@@ -512,11 +519,7 @@ def exponential_projections(alpha, k_max: int) -> list:
     return out
 
 
-def uniform_model(
-    params: PumpParameters,
-    space: TruncatedSpace,
-    order: int = 1,
-) -> GeneratorModel:
+def uniform_model(params: PumpParameters, space: TruncatedSpace, order=1) -> GeneratorModel:
     """All-orders Lindblad set from polynomial projections of the pump split.
 
     Exponential measure only.  The gain family keeps the sin projections of
@@ -561,3 +564,36 @@ def heuristic_model(
         return [np.sqrt(y / (1.0 + beta * (y - shift)))]
 
     return _lindblad_model(HEURISTIC, space, None, gain, gain_elements, lambda y: [])
+
+
+def heuristic_from_pump(params, space, gain=None, beta=None, ordering="aa_dag") -> GeneratorModel:
+    """heuristic_model at gain A and beta 4 (g tau_bar)^2, exact's photon
+    statistics, unless given; a given gain holds at every pump."""
+    gain = params.gain_rate if gain is None else np.full(np.shape(params.r), gain)
+    beta = 4.0 * params.u if beta is None else beta
+    return heuristic_model(gain, beta, space, ordering=ordering)
+
+
+@dataclass(frozen=True)
+class ModelRecord:
+    """One model of MODELS: the function of this module named `builder`
+    makes it, build(params, space, **options), on one pump or a pump axis;
+    options maps each option the CLI takes to its default, None for a real
+    number that the pump sets."""
+
+    builder: str
+    options: dict
+
+    def build(self, params, space, **options) -> GeneratorModel:
+        # looked up per call, so that a patched module attribute is the one called
+        return globals()[self.builder](params, space, **options)
+
+
+MODELS = {
+    EXACT: ModelRecord("exact_model", {}),
+    POST4: ModelRecord("fourth_order_model", {}),
+    WEAK: ModelRecord("_weak_series", {"order": 3}),
+    UNIFORM: ModelRecord("uniform_model", {"order": 1}),
+    HEURISTIC: ModelRecord("heuristic_from_pump", dict(gain=None, beta=None, ordering="aa_dag")),
+}
+MODEL_NAMES = tuple(MODELS)

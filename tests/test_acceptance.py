@@ -20,10 +20,8 @@ from micromaser.measures import (
 )
 from micromaser.models import (
     EXACT,
-    HEURISTIC,
+    MODELS,
     POST4,
-    UNIFORM,
-    WEAK,
     assemble,
     exact_model,
     fourth_order_model,
@@ -300,14 +298,10 @@ def test_offset_block_propagator_matches_the_dense_expm():
 def test_criterion_09_lindblad_models_preserve_positivity():
     params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
     space = TruncatedSpace(25)
-    models = [
-        weak_coupling_model(params, space),
-        uniform_model(params, space),
-        heuristic_model(params.gain_rate, 4.0 * params.u, space),
-    ]
-    assert [m.lindblad is not None for m in models] == [True, True, True]
-    assert exact_model(params, space).lindblad is None
-    assert fourth_order_model(params, space).lindblad is None
+    built = [record.build(params, space) for record in MODELS.values()]
+    models = [m for m in built if m.lindblad is not None]
+    # every model of the table but the two outside Lindblad form
+    assert sorted(m.name for m in built if m.lindblad is None) == [EXACT, POST4]
 
     rng = np.random.default_rng(907)
     states = np.stack([vec(random_density(space, rng, envelope=0.7)) for _ in range(10)], axis=1)
@@ -376,18 +370,9 @@ def test_criterion_11_linewidth_formula_vs_finite_difference():
     checked = 0
     for pump in pumps:
         params = PumpParameters.from_pump(pump, gt, KAPPA)
-        builders = {
-            EXACT: lambda sp: exact_model(params, sp),
-            POST4: lambda sp: fourth_order_model(params, sp),
-            WEAK: lambda sp: weak_coupling_model(params, sp),
-            UNIFORM: lambda sp: uniform_model(params, sp),
-            HEURISTIC: lambda sp: heuristic_model(
-                params.gain_rate, 4.0 * params.u, sp
-            ),
-        }
-        for name, build in builders.items():
-            space = searched(lambda params, sp: build(sp), params)
-            model = build(space)
+        for record in MODELS.values():
+            space = searched(record.build, params)
+            model = record.build(params, space)
             stats = recurrence_steady(model.gain_ratio(KAPPA), space)
             rho = np.diag(stats.p)
             generator = assemble(model, KAPPA)
@@ -398,6 +383,6 @@ def test_criterion_11_linewidth_formula_vs_finite_difference():
     report(
         11,
         "regression linewidth matches finite-difference oracle",
-        worst < 1e-6 and checked == 25,
+        worst < 1e-6 and checked == len(MODELS) * len(pumps),
         f"max rel diff {worst:.2e} over {checked} model/pump points",
     )

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from micromaser import cli
+from micromaser import cli, models
 from micromaser.cli import (
     EXIT_CLOSED,
     EXIT_CONFIG,
@@ -81,7 +81,7 @@ def test_steady_csv_shape_and_normalization(capsys):
 
 
 def test_steady_empty_pump_gives_vacuum(capsys):
-    for model in ("exact", "post4", "weak_lindblad", "uniform_lindblad", "heuristic"):
+    for model in models.MODEL_NAMES:
         code, out, _ = run_cli(
             ["steady", "--model", model, "--gtau", "0.15", "--pump", "0"], capsys
         )
@@ -636,18 +636,19 @@ def test_an_unreadable_config_is_a_config_error(tmp_path, capsys):
 
 def test_each_weak_spec_builds_its_basis_once(monkeypatch, tmp_path, capsys):
     degrees = []
-    build_basis = cli.build_basis
+    build_basis = models.build_basis
 
     def counting(measure, degree):
         degrees.append(degree)
         return build_basis(measure, degree)
 
-    monkeypatch.setattr(cli, "build_basis", counting)
-    models = ["weak_lindblad", {"name": "weak_lindblad", "order": 5}, "exact"]
+    monkeypatch.setattr(models, "build_basis", counting)
+    specs = ["weak_lindblad", {"name": "weak_lindblad", "order": 5}, "exact"]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**BASE_CONFIG, "models": models, "pump": [0.5, 3.0]}))
+    cfg.write_text(json.dumps({**BASE_CONFIG, "models": specs, "pump": [0.5, 3.0]}))
     for command in ("sweep", "compare"):
         degrees.clear()
+        models._exponential_basis.cache_clear()
         code, _, err = run_cli([command, "--config", str(cfg)], capsys)
         assert (code, err) == (EXIT_OK, "")
         assert degrees == [3, 5]

@@ -78,6 +78,27 @@ def test_discrete_measure_refuses_nonfinite_values_before_it_divides(taus, weigh
             TimeMeasure.discrete(taus, weights)
 
 
+@pytest.mark.parametrize(
+    "taus, weights, mean",
+    [
+        ([1e308, 1e308], [1.0, 1.0], "inf"),
+        ([1.0, -1.0], [0.5, 0.5], "0.0"),
+        # inf and -inf partial sums: nan here, inf where the sum runs in order
+        ([1e308, 1e308, -1e308, -1e308] * 4, [1.0] * 16, "(nan|inf)"),
+    ],
+)
+def test_discrete_measure_refuses_a_mean_that_is_not_finite_and_positive(taus, weights, mean):
+    """Finite times whose weighted mean overflows, to inf or to inf - inf,
+    used to warn (overflow or invalid value in matmul) before the weights
+    were refused."""
+    with pytest.raises(ValueError, match=f"^times must have a finite positive mean, got {mean}$"):
+        TimeMeasure.discrete(taus, weights)
+    # the largest mean that is finite still divides without a warning
+    assert TimeMeasure.discrete([1e308, 1.7e308], [0.5, 0.5]).nodes.tolist() == pytest.approx(
+        [1e308 / 1.35e308, 1.7e308 / 1.35e308]
+    )
+
+
 class TestExponentialBasis:
     """The orthonormal family of e^{-x} dx with leading signs (-1)^k."""
 

@@ -7,12 +7,7 @@ import scipy.linalg
 from micromaser.fock import TruncatedSpace, unvec, vec
 from micromaser.measures import TimeMeasure, build_basis
 from micromaser.models import (
-    EXACT,
-    HEURISTIC,
-    POST4,
     UNIFORM,
-    WEAK,
-    PairTerms,
     assemble,
     exact_model,
     expansion_cutoff,
@@ -23,12 +18,7 @@ from micromaser.models import (
     uniform_model,
     weak_coupling_model,
 )
-from micromaser.observables import (
-    band_linewidths,
-    distribution_distance,
-    linewidth,
-    moment_columns,
-)
+from micromaser.observables import distribution_distance
 from micromaser.oracle import (
     annihilation,
     averaged_pump_superoperator,
@@ -49,34 +39,9 @@ from conftest import coherent_density, random_density, reference_weak_operators
 KAPPA = 1.0
 
 
-def build_all(params, space):
-    return [
-        exact_model(params, space),
-        fourth_order_model(params, space),
-        weak_coupling_model(params, space),
-        uniform_model(params, space),
-        heuristic_model(params.gain_rate, 4 * params.u, space),
-    ]
-
-
 @pytest.fixture(scope="module")
 def params15():
     return PumpParameters.from_pump(0.9, 0.15, KAPPA)
-
-
-def test_model_names_and_lindblad_flags(params15):
-    space = TruncatedSpace(8)
-    models = build_all(params15, space)
-    names = [m.name for m in models]
-    assert names == [EXACT, POST4, WEAK, UNIFORM, HEURISTIC]
-    flags = {m.name: m.lindblad is not None for m in models}
-    assert flags == {
-        EXACT: False,
-        POST4: False,
-        WEAK: True,
-        UNIFORM: True,
-        HEURISTIC: True,
-    }
 
 
 @pytest.mark.parametrize("g_tau_bar", [0.03, 0.15])
@@ -280,208 +245,6 @@ def test_heuristic_beta_4u_matches_exact_gain(params15):
     assert np.allclose(
         heur.gain_ratio(KAPPA)(n), ex.gain_ratio(KAPPA)(n), rtol=1e-13
     )
-
-
-# exact_model(measure=) on node measures: two point atoms and a quadrature
-ORACLE_MEASURES = {
-    "exact_two_point": TimeMeasure.discrete([0.6, 1.4], [0.5, 0.5]),
-    "exact_gauss_laguerre": TimeMeasure.gauss_laguerre(3),
-}
-
-ORACLE_VARIANTS = {
-    "exact": lambda params, space: exact_model(params, space),
-    **{
-        name: lambda params, space, m=measure: exact_model(params, space, measure=m)
-        for name, measure in ORACLE_MEASURES.items()
-    },
-    "post4": lambda params, space: fourth_order_model(params, space),
-    "weak": lambda params, space: weak_coupling_model(params, space),
-    "weak_series_3": lambda params, space: general_weak_model(
-        params, build_basis(TimeMeasure.exponential(), 3), 3, space
-    ),
-    "weak_series_two_point": lambda params, space: general_weak_model(
-        params, build_basis(ORACLE_MEASURES["exact_two_point"], 1), 3, space
-    ),
-    "uniform": lambda params, space: uniform_model(params, space),
-    "uniform_order_2": lambda params, space: uniform_model(params, space, order=2),
-    "heuristic_aa_dag": lambda params, space: heuristic_model(
-        params.gain_rate, 4 * params.u, space, ordering="aa_dag"
-    ),
-    "heuristic_a_dag_a": lambda params, space: heuristic_model(
-        params.gain_rate, 4 * params.u, space, ordering="a_dag_a"
-    ),
-}
-
-
-@pytest.mark.parametrize("g_tau_bar", [0.05, 0.15])
-@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
-def test_assemble_matches_dense_oracle(variant, g_tau_bar):
-    """The band form against an independently built dense generator: the
-    explicit Lindblad operators, the kron formula of the quartic generator,
-    or (exact) the raw measure average off the top-level column."""
-    params = PumpParameters.from_pump(0.9, g_tau_bar, KAPPA)
-    space = TruncatedSpace(12)
-    d = space.dim
-    model = ORACLE_VARIANTS[variant](params, space)
-    got = assemble(model, KAPPA).matrix
-    loss = loss_dissipator(KAPPA, space).matrix
-    if model.name == POST4:
-        want = loss + fourth_order_generator(params, space).matrix
-    elif model.name == EXACT:
-        pump = averaged_pump_superoperator(params, space, ORACLE_MEASURES.get(variant)).matrix
-        want = (loss + pump).reshape(d, d, d, d)
-        got = got.reshape(d, d, d, d)
-        # compare every column not sourced from the top level
-        want, got = want[:, :, : d - 1, : d - 1], got[:, :, : d - 1, : d - 1]
-    else:
-        assert model.lindblad is not None
-        want = loss + dissipator_matrix(*lindblad_ops(model))
-    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("g_tau_bar", [0.05, 0.15])
-@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
-def test_band_linewidth_matches_dense_generator(variant, g_tau_bar):
-    """The CLI route, band_linewidths on the offset-1 band, against the
-    assembled generator acting on the full matrix diag(p), above threshold."""
-    params = PumpParameters.from_pump(2.0, g_tau_bar, KAPPA)
-    space = TruncatedSpace(12)
-    model = ORACLE_VARIANTS[variant](params, space)
-    p = recurrence_steady(model.gain_ratio(KAPPA), space).p
-    band = band_linewidths(model, p, moment_columns(p)[0], KAPPA)
-    dense = linewidth(assemble(model, KAPPA), np.diag(p), KAPPA)
-    assert band.D[0] == pytest.approx(dense.D, rel=1e-12)
-    assert band.frequency_pull[0] == pytest.approx(
-        dense.frequency_pull, rel=1e-12, abs=1e-12 * abs(dense.D)
-    )
-
-
-@pytest.mark.parametrize("k", [-3, -1, 0, 1, 4])
-@pytest.mark.parametrize("idx", range(5))
-def test_apply_band_matches_apply(params15, idx, k, rng):
-    space = TruncatedSpace(9)
-    model = build_all(params15, space)[idx]
-    rho = random_density(space, rng)
-    got = model.apply_band(np.diagonal(rho, k), k, KAPPA)
-    want = np.diagonal(model.apply(rho, KAPPA), k)
-    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
-@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
-def test_apply_band_rows_equal_the_one_pump_models(variant, k, rng):
-    """A model on a (P, 1) pump column, applied to one band per pump row:
-    each row bit for bit what the model of that pump alone gives it."""
-    space = TruncatedSpace(9)
-    pumps = np.array([[0.0], [0.7], [2.0], [5.5]])
-    column = ORACLE_VARIANTS[variant](PumpParameters.from_pump(pumps, 0.15, KAPPA), space)
-    bands = rng.standard_normal((len(pumps), space.dim - abs(k)))
-    got = column.apply_band(bands, k, KAPPA)
-    for pump, band, row in zip(pumps[:, 0], bands, got):
-        alone = ORACLE_VARIANTS[variant](PumpParameters.from_pump(pump, 0.15, KAPPA), space)
-        assert row.tolist() == alone.apply_band(band, k, KAPPA).tolist()
-
-
-# every model of ORACLE_VARIANTS, plus a quadrature wide enough that its node
-# sums run over many SIMD lanes
-TABLE_VARIANTS = {
-    **ORACLE_VARIANTS,
-    "exact_gauss_laguerre_40": lambda params, space: exact_model(
-        params, space, measure=TimeMeasure.gauss_laguerre(40)
-    ),
-}
-
-
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("variant", sorted(TABLE_VARIANTS))
-def test_level_tables_are_prefixes(variant, k):
-    """A level table of band k at length L is bit for bit the first L
-    entries of the table at 2L + k, whether evaluated there at once or
-    grown to it: what lets one table serve every block of a pump axis."""
-    params = PumpParameters.from_pump(np.array([[0.7], [2.0]]), 0.15, KAPPA)
-    model = TABLE_VARIANTS[variant](params, TruncatedSpace(1))
-
-    def table(terms, *lengths):
-        fresh = PairTerms(terms.rates, terms.fn)
-        for length in lengths:
-            fresh.band(k, length)
-        return fresh.tables[k][1]
-
-    for terms in (model.feed_terms, model.dephasing_terms):
-        for length in (1, 7, 16, 33):
-            short = table(terms, length)
-            assert len(short[0]) == length
-            for grown in (table(terms, 2 * length + k), table(terms, length, 2 * length + k)):
-                assert len(grown[0]) == 2 * length + k
-                assert [t[:length].tobytes() for t in grown] == [t.tobytes() for t in short]
-
-
-def band_from_pair_functions(model, band, k, kappa):
-    """apply_band evaluated directly from model.feed, model.dephasing and
-    model.gain_fn on the band's own levels, as it was before level tables."""
-    m = np.arange(max(0, -k), model.space.dim - max(0, k))
-    n = m + k
-    gain_out = model.gain_fn(np.arange(model.space.dim))
-    gain_out[..., -1] = 0.0
-    decay = model.dephasing(m, n) - 0.5 * (gain_out[..., m] + gain_out[..., n] + kappa * (m + n))
-    out = np.zeros(band.shape)
-    out += decay * band
-    out[..., 1:] += model.feed(m[:-1], n[:-1]) * band[..., :-1]
-    out[..., :-1] += kappa * np.sqrt(m[1:] * n[1:]) * band[..., 1:]
-    return out
-
-
-@pytest.mark.parametrize("variant", sorted(TABLE_VARIANTS))
-def test_blocks_read_the_pair_functions_of_their_space(variant, rng):
-    """Views of one pump-axis model on spaces of several sizes, in any order,
-    share its tables; each block's apply_band (the truncated top included)
-    is bit for bit the direct pair functions on that block's space, in
-    every band."""
-    pumps = np.array([[0.0], [0.7], [2.0], [5.5]])
-    axis = TABLE_VARIANTS[variant](PumpParameters.from_pump(pumps, 0.15, KAPPA), TruncatedSpace(1))
-    rows = np.array([3, 1])
-    for n_max in (9, 30, 4, 17):
-        block = axis.at(rows, TruncatedSpace(n_max))
-        for k in (-2, -1, 0, 1, 2):
-            bands = rng.standard_normal((len(rows), n_max + 1 - abs(k)))
-            got = block.apply_band(bands, k, KAPPA)
-            assert got.tobytes() == band_from_pair_functions(block, bands, k, KAPPA).tobytes()
-        ratios = block.ratio_rows(KAPPA, n_max)
-        assert ratios.tobytes() == block.gain_ratio(KAPPA)(np.arange(n_max)).tobytes()
-
-
-@pytest.mark.parametrize("idx", range(5))
-def test_gain_fn_matches_transition_elements(params15, idx):
-    space = TruncatedSpace(9)
-    model = build_all(params15, space)[idx]
-    got = []
-    for n in range(5):
-        rho = np.zeros((space.dim, space.dim))
-        rho[n, n] = 1.0
-        # remove loss so only the pump feeds the level above
-        drho = model.apply(rho, KAPPA) - (-KAPPA * n * rho + _loss_feed(rho, KAPPA))
-        got.append(drho[n + 1, n + 1].real)
-    assert np.allclose(got, model.gain_fn(np.arange(5)), rtol=1e-12, atol=1e-14)
-
-
-def _loss_feed(rho, kappa):
-    d = rho.shape[0]
-    out = np.zeros_like(rho)
-    n = np.arange(d - 1)
-    out[:-1, :-1] = kappa * np.sqrt((n[:, None] + 1) * (n[None, :] + 1)) * rho[1:, 1:]
-    return out
-
-
-def test_birth_death_structure(params15):
-    # every model keeps diagonal dynamics nearest-neighbour: feeding level n
-    # only ever changes p_{n-1}, p_n, p_{n+1}
-    space = TruncatedSpace(9)
-    for model in build_all(params15, space):
-        rho = np.zeros((space.dim, space.dim))
-        rho[4, 4] = 1.0
-        diag = np.diagonal(model.apply(rho, KAPPA)).real.copy()
-        diag[3:6] = 0.0
-        assert np.abs(diag).max() < 1e-14, model.name
 
 
 def test_merge_proportional_quadrature_sum(rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from micromaser.fock import TruncatedSpace
-from micromaser.models import assemble, exact_model, heuristic_model, uniform_model
+from micromaser.models import assemble, exact_model, heuristic_model
 from micromaser.observables import (
     LinewidthResult,
     _row_dots,
@@ -275,32 +275,6 @@ def test_a_density_matrix_needs_an_assembled_nonzero_generator(route, given, err
     }[given]
     with pytest.raises(error, match=match):
         route(generator, coherent_density(space, 1.0), KAPPA)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda params, space: uniform_model(params, space),
-        lambda params, space: heuristic_model(params.gain_rate, 4 * params.u, space),
-    ],
-    ids=["uniform", "heuristic"],
-)
-def test_band_linewidth_memory_is_linear_in_n_max(build):
-    """Model build, the Lindblad flag, the recurrence and the band linewidth
-    at n_max 3000 allocate no d x d array (one would take 72 MB)."""
-    params = PumpParameters.from_pump(8.0, 0.03, KAPPA)
-    space = TruncatedSpace(3000)
-    tracemalloc.start()
-    try:
-        model = build(params, space)
-        assert model.lindblad is not None
-        stats = recurrence_steady(model.gain_ratio(KAPPA), space)
-        res = band_linewidths(model, stats.p, moment_columns(stats.p)[0], KAPPA)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert res.D[0] > 0
-    assert peak < 8e6
 
 
 def test_dense_route_holds_no_square_array():

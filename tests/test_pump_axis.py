@@ -46,7 +46,6 @@ from micromaser.oracle import (
     fourth_order_generator,
     kraus_operators,
     lindblad_C_S,
-    lindblad_ops,
     sixth_order_superoperator,
 )
 from micromaser.cli import EXIT_OK, EXIT_PARTIAL, main
@@ -472,25 +471,11 @@ def test_a_kappa_that_is_not_positive_and_finite_fails_every_cell(kappa, truncat
 @pytest.mark.parametrize("pumps", [3, 9])
 def test_dense_forms_refuse_a_pump_column(pumps):
     """With as many pumps as rows of an operator (3) or of a superoperator
-    (9), a column of rates would broadcast into a wrong dense operator."""
+    (9), a column of rates would broadcast into a wrong dense operator.  The
+    oracle's builders refuse it here, the models' dense forms in
+    test_conformance."""
     space = TruncatedSpace(2)
     params = PumpParameters.from_pump(np.linspace(0.5, 2.0, pumps)[:, None], 0.15)
-    models = [
-        exact_model(params, space),
-        fourth_order_model(params, space),
-        weak_coupling_model(params, space),
-        uniform_model(params, space),
-        heuristic_model(params.gain_rate, 0.1, space),
-    ]
-    rho = np.diag([0.5, 0.3, 0.2])
-    for model in models:
-        with pytest.raises(ValueError, match="one pump value"):
-            assemble(model, 1.0)
-        with pytest.raises(ValueError, match="one pump value"):
-            model.apply(rho, 1.0)
-    for model in models[2:]:
-        with pytest.raises(ValueError, match="one pump value"):
-            lindblad_ops(model)
     for dense in (
         lambda: averaged_pump_superoperator(params, space),
         lambda: lindblad_C_S(params, 0.15, space),
@@ -602,31 +587,3 @@ def test_a_scalar_rate_is_an_axis_of_one_pump():
         width.normalized_D[0],
         width.frequency_pull[0],
     ]
-
-
-@pytest.mark.parametrize("pumps", [1, 3])
-def test_the_one_pump_rule_reads_only_the_rates(pumps):
-    """Whether a model holds one pump is read from the shapes of its rates:
-    no level function runs, whatever the answer."""
-    values = np.linspace(0.5, 2.0, pumps)[:, None] if pumps > 1 else 0.5
-    params = PumpParameters.from_pump(values, 0.15)
-    space = TruncatedSpace(2)
-    for model in (
-        exact_model(params, space),
-        fourth_order_model(params, space),
-        weak_coupling_model(params, space),
-        uniform_model(params, space),
-        heuristic_model(params.gain_rate, 0.1, space),
-    ):
-        calls = []
-        for terms in (model.feed_terms, model.dephasing_terms):
-            terms.fn = lambda *args, fn=terms.fn: calls.append(fn) or fn(*args)
-        if pumps > 1:
-            with pytest.raises(ValueError, match="one pump value"):
-                model._require_one_pump()
-        else:
-            model._require_one_pump()
-        assert calls == []
-        if pumps == 1:
-            assemble(model, 1.0)  # which does read the level functions
-            assert calls

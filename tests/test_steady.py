@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import subprocess
@@ -11,17 +10,18 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from micromaser.fock import TruncatedSpace, unvec
-from micromaser.measures import TimeMeasure, build_basis
+from micromaser.measures import TimeMeasure
 from micromaser.models import (
+    EXACT,
+    HEURISTIC,
+    MODELS,
+    UNIFORM,
     GeneratorModel,
     PairTerms,
     assemble,
     exact_model,
     expansion_cutoff,
-    fourth_order_model,
-    general_weak_model,
     heuristic_model,
-    uniform_model,
     weak_coupling_model,
 )
 from micromaser.observables import band_linewidths, distribution_distance, linewidth, moments
@@ -40,7 +40,6 @@ from micromaser.steady import (
 )
 
 from conftest import checkout_env
-from test_models import ORACLE_VARIANTS
 
 KAPPA = 1.0
 
@@ -144,18 +143,6 @@ def test_nullspace_recovers_vacuum_for_pure_loss():
     assert np.allclose(rho, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
-def test_nullspace_matches_recurrence(variant):
-    params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
-    space = TruncatedSpace(25)
-    model = ORACLE_VARIANTS[variant](params, space)
-    rho = nullspace_steady(assemble(model, KAPPA))
-    stats = recurrence_steady(model.gain_ratio(KAPPA), space)
-    assert np.abs(np.diag(rho).real - stats.p).max() < 1e-10
-    off = rho - np.diag(np.diag(rho))
-    assert np.abs(off).max() < 1e-10
-
-
 def test_nullspace_reports_spectral_info():
     space = TruncatedSpace(4)
     rho, info = nullspace_steady(loss_dissipator(KAPPA, space), return_info=True)
@@ -194,31 +181,6 @@ def _nullspace_matching_full_eig(generator):
 
 def _n_blocks(generator):
     return connected_components(generator.matrix != 0, connection="weak")[0]
-
-
-@pytest.mark.parametrize("g_tau_bar", [0.05, 0.15])
-@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
-def test_block_nullspace_matches_full_eig(variant, g_tau_bar):
-    params = PumpParameters.from_pump(0.9, g_tau_bar, KAPPA)
-    space = TruncatedSpace(12)
-    generator = assemble(ORACLE_VARIANTS[variant](params, space), KAPPA)
-    # phase covariance: one block per offset n - m
-    assert _n_blocks(generator) == 2 * space.dim - 1
-    _nullspace_matching_full_eig(generator)
-
-
-@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
-def test_offset_blocks_equal_csgraph_on_the_model_generators(variant):
-    for g_tau_bar in (0.05, 0.15):
-        for pump in (0.9, 2.0):
-            for n_max in (12, 30):
-                params = PumpParameters.from_pump(pump, g_tau_bar, KAPPA)
-                space = TruncatedSpace(n_max)
-                mat = assemble(ORACLE_VARIANTS[variant](params, space), KAPPA).matrix
-                n_blocks, labels, _, _ = _block_labels(from_matrix(space, mat))
-                want_n, want = connected_components(mat != 0, connection="weak")
-                assert n_blocks == want_n == 2 * space.dim - 1
-                assert labels.tolist() == want.tolist()
 
 
 def test_nullspace_solves_eigenvectors_of_the_steady_block_only(monkeypatch):
@@ -403,15 +365,6 @@ def test_pruned_blocks_match_the_all_blocks_reference(dtype, rng, monkeypatch):
     assert unsolved > 0
 
 
-@pytest.mark.parametrize("return_info", [False, True])
-@pytest.mark.parametrize("variant", ["exact", "post4", "weak", "uniform", "heuristic_aa_dag"])
-def test_dense_route_models_match_the_all_blocks_reference(variant, return_info):
-    params = PumpParameters.from_pump(2.0, 0.05, KAPPA)
-    generator = assemble(ORACLE_VARIANTS[variant](params, TruncatedSpace(30)), KAPPA)
-    got = _outcome(nullspace_steady, generator, return_info)
-    assert got == _outcome(_all_blocks_reference, generator, return_info)
-
-
 def test_unsplit_generator_gets_one_full_eig():
     # a coherent drive -i[eps (a + a*), rho] couples neighbouring offsets
     space = TruncatedSpace(12)
@@ -472,23 +425,14 @@ _DENSE_ROUTE = """
 import sys
 import numpy as np
 from micromaser.fock import TruncatedSpace
-from micromaser.models import (
-    assemble, exact_model, fourth_order_model, heuristic_model, uniform_model,
-    weak_coupling_model,
-)
+from micromaser.models import MODELS, assemble
 from micromaser.observables import linewidth, linewidth_fd
 from micromaser.pump import PumpParameters
 from micromaser.steady import nullspace_steady, recurrence_steady
 
 params = PumpParameters.from_pump(2.0, 0.05, 1.0)
 space = TruncatedSpace(6)
-models = [
-    exact_model(params, space),
-    fourth_order_model(params, space),
-    weak_coupling_model(params, space),
-    uniform_model(params, space),
-    heuristic_model(params.gain_rate, 4.0 * params.u, space),
-]
+models = [record.build(params, space) for record in MODELS.values()]
 for model in models:
     generator = assemble(model, 1.0)
     rho = nullspace_steady(generator)
@@ -503,43 +447,12 @@ print(len(models), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_dense_route_loads_no_scipy():
-    # the benchmark's dense route for all five models, in a fresh interpreter
+    # the benchmark's dense route for every model of the table, in a fresh interpreter
     proc = subprocess.run(
         [sys.executable, "-c", _DENSE_ROUTE],
         capture_output=True, text=True, env=checkout_env(), check=True,
     )
-    assert proc.stdout.strip() == "5 []"
-
-
-def test_choose_truncation_pins_polynomial_models():
-    params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
-    want = expansion_cutoff(0.15)
-    assert searched(weak_coupling_model, params).n_max == want
-    assert searched(fourth_order_model, params).n_max == want
-
-
-def test_truncation_rule_follows_the_cutoff_field_not_the_name():
-    params = PumpParameters.from_pump(0.9, 0.15, KAPPA)
-    space = TruncatedSpace(1)
-    basis = build_basis(TimeMeasure.exponential(), 5)
-    series = [
-        fourth_order_model(params, space),
-        weak_coupling_model(params, space),
-        general_weak_model(params, basis, 5, space),
-    ]
-    assert [model.cutoff for model in series] == [expansion_cutoff(0.15)] * 3
-    physical = [
-        exact_model(params, space),
-        uniform_model(params, space),
-        uniform_model(params, space, order=2),
-        heuristic_model(params.gain_rate, 4 * params.u, space),
-    ]
-    assert [model.cutoff for model in physical] == [None] * 4
-    def pinned(params, space):
-        return dataclasses.replace(exact_model(params, space), cutoff=12)
-
-    assert searched(pinned, params).n_max == 12
-    assert searched(exact_model, params).n_max != 12
+    assert proc.stdout.strip() == f"{len(MODELS)} []"
 
 
 def test_choose_truncation_covers_far_above_threshold():
@@ -598,24 +511,19 @@ def test_heuristic_truncation_matches_exact():
     assert searched(heur, params) == searched(exact_model, params)
 
 
-@pytest.mark.parametrize(
-    "build, n_max",
-    [
-        (exact_model, 429),
-        (uniform_model, 347),
-        (lambda params, space: heuristic_model(params.gain_rate, 4 * params.u, space), 429),
-    ],
-    ids=["exact", "uniform_lindblad", "heuristic"],
-)
-def test_nullspace_steady_at_the_truncation_the_search_chooses(build, n_max):
+SEARCHED_N_MAX = {EXACT: 429, UNIFORM: 347, HEURISTIC: 429}  # at g tau_bar 0.03, pump 2
+
+
+@pytest.mark.parametrize("name", SEARCHED_N_MAX)
+def test_nullspace_steady_at_the_truncation_the_search_chooses(name):
     # the gap test scales with the largest absolute row sum (1.5e3 here),
     # which does not grow with the number of entries as the Frobenius norm
     # (2.5e5) does, so the offset-1 relaxation rate (1.357e-3 for exact)
     # stays clear of GAP_TOL * ||S|| and the steady state is unique
     params = PumpParameters.from_pump(2.0, 0.03, KAPPA)
-    space = searched(build, params)
-    assert space.n_max == n_max
-    model = build(params, space)
+    space = searched(MODELS[name].build, params)
+    assert space.n_max == SEARCHED_N_MAX[name]
+    model = MODELS[name].build(params, space)
     generator = assemble(model, KAPPA)
     rho = nullspace_steady(generator)
     p = recurrence_steady(model.gain_ratio(KAPPA), space).p
