@@ -30,7 +30,7 @@ builders = {name: MODELS[name].build for name in (EXACT, WEAK, UNIFORM)}
 # each model over the whole pump axis in one pass, band linewidth included
 params = PumpParameters.from_pump(np.array(PUMPS), G_TAU_BAR, KAPPA)
 solved = {
-    name: solve_pump_axis(build, params, KAPPA, linewidth=True)
+    name: solve_pump_axis(build(params, TruncatedSpace(1)), KAPPA, linewidth=True)
     for name, build in builders.items()
 }
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from micromaser import (
     PumpParameters,
+    TruncatedSpace,
     exact_model,
     semiclassical_intensity,
     solve_pump_axis,
@@ -26,7 +27,7 @@ print(f"{'A/kappa':>8s} {'n_max':>6s} {'mean_n':>10s} {'semiclassical':>13s} "
 # the whole pump axis in one pass: one truncation search, then one
 # recurrence and one set of moments per group of pumps that share n_max
 params = PumpParameters.from_pump(np.array(PUMPS), G_TAU_BAR, KAPPA)
-axis = solve_pump_axis(exact_model, params, KAPPA)
+axis = solve_pump_axis(exact_model(params, TruncatedSpace(1)), KAPPA)
 for k, pump in enumerate(PUMPS):
     sc = semiclassical_intensity(params.gain_rate[k], KAPPA, 4 * params.u)
     q_far = KAPPA / (pump - KAPPA) if pump > 1.2 else float("nan")

@@ -23,11 +23,11 @@ its message, is the library's:
 RunConfig maps the words (`truncation` "auto" and `cutoff` "off" to None;
 `cutoff` "auto" keeps each model's own), calls steady.check_axis_options
 (kappa, truncation, cutoff) and, once, PumpParameters.from_pump on the
-whole pump axis (g tau_bar, each pump's rate r), and builds each model on
-those parameters, so that its constructor judges its options; a ValueError
-becomes a ConfigError.  The same constructor then solves the model's whole
-pump axis on them in one pass (steady.solve_pump_axis), model by model;
-rows and error lines come in grid order (model, then pump).
+whole pump axis (g tau_bar, each pump's rate r), and builds each model
+once on them, so that its constructor judges its options (a ValueError
+becomes a ConfigError); that model is solved over the whole pump axis in
+one pass (steady.solve_pump_axis).  Rows and error lines come in grid
+order (model, then pump).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -90,6 +90,16 @@ LINEWIDTH_COLUMNS = (
     "frequency_pull",
     "status",
 )
+# each per-pump column of sweep and linewidth -> the PumpAxis field it holds
+POINT_FIELDS = {
+    "mean_n": "mean_n",
+    "variance": "variance",
+    "mandel_Q": "mandel_Q",
+    "linewidth_D": "D",
+    "normalized_D": "normalized_D",
+    "frequency_pull": "frequency_pull",
+    "status": "status",
+}
 
 
 class ConfigError(ValueError):
@@ -161,10 +171,9 @@ class RunConfig:
     truncation: int | str = "auto"
     cutoff: int | str = "auto"
     workers: int = 4
-    # made by __post_init__: solve_pump_axis's params, options and one constructor per model
-    params: PumpParameters = field(init=False, repr=False, compare=False)
+    # made by __post_init__: solve_pump_axis's options, and each spec's model
     axis_options: dict = field(init=False, repr=False, compare=False)
-    builders: tuple = field(init=False, repr=False, compare=False)
+    built: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.models:
@@ -179,20 +188,20 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         if not is_integer(self.workers) or self.workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {self.workers!r}")
-        object.__setattr__(self, "params", params)
         object.__setattr__(self, "axis_options", options)
-        # each model's constructor judges its options on the params it then solves
-        builders = []
+        built, pumps = [], len(self.pump)  # one build per spec, the model solved
         for spec in self.models:
             record = MODELS[spec.name]
             try:
                 options = {key: _option(spec.options, key, v) for key, v in record.options.items()}
-                build = functools.partial(record.build, **options)
-                build(params, TruncatedSpace(1))
+                model = record.build(params, TruncatedSpace(1), **options)
+                if model.pump_rows() != {pumps}:
+                    held = f"the model's rates hold {sorted(model.pump_rows())} pump rows"
+                    raise ValueError(f"{held}, not one per pump ({pumps})")
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model {spec.name!r}: {exc}") from None
-            builders.append(build)
-        object.__setattr__(self, "builders", tuple(builders))
+            built.append(model)
+        object.__setattr__(self, "built", tuple(built))
 
     def echo(self) -> dict:
         """The config keys (the init fields) with their values, in order."""
@@ -313,9 +322,7 @@ def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tup
     failed cell is reported on stderr under the command's name, in grid
     order."""
     options = dict(linewidth=linewidth, **config.axis_options)
-    grid = [
-        solve_pump_axis(build, config.params, config.kappa, **options) for build in config.builders
-    ]
+    grid = [solve_pump_axis(model, config.kappa, **options) for model in config.built]
     failures = 0
     for spec, axis in zip(config.models, grid):
         for pump_value, status in zip(config.pump, axis.status):
@@ -349,23 +356,16 @@ def run_steady(config: RunConfig, command: str) -> tuple[list[dict], int]:
 def run_points(config: RunConfig, command: str) -> tuple[list[dict], int]:
     """Moments and linewidth of every cell, for sweep and linewidth: one row
     per model, each per-pump column a list along the pump axis (one output
-    line per pump); each command's output picks its own columns."""
+    line per pump), read from its field (POINT_FIELDS); each command's
+    output picks its own columns."""
     grid, failures = _solve_grid(config, command, linewidth=True)
-    rows = [
-        {
-            "model": spec.name,
-            "g_tau_bar": config.g_tau_bar,
-            "pump_A_over_kappa": list(config.pump),
-            "mean_n": axis.mean_n.tolist(),
-            "variance": axis.variance.tolist(),
-            "mandel_Q": axis.mandel_Q.tolist(),
-            "linewidth_D": axis.D.tolist(),
-            "normalized_D": axis.normalized_D.tolist(),
-            "frequency_pull": axis.frequency_pull.tolist(),
-            "status": axis.status,
-        }
-        for spec, axis in zip(config.models, grid)
-    ]
+    rows, pumps = [], list(config.pump)
+    for spec, axis in zip(config.models, grid):
+        row = {"model": spec.name, "g_tau_bar": config.g_tau_bar, "pump_A_over_kappa": pumps}
+        for column, name in POINT_FIELDS.items():
+            values = getattr(axis, name)
+            row[column] = values.tolist() if isinstance(values, np.ndarray) else values
+        rows.append(row)
     return rows, failures
 
 
@@ -378,30 +378,27 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
     mandel_qs = [axis.mandel_Q.tolist() for axis in grid]
     rows: list[dict] = []
     for k, p in enumerate(config.pump):
-        for i, spec_a in enumerate(config.models):
-            for j, spec_b in enumerate(config.models[i + 1 :], start=i + 1):
-                status_a, status_b = grid[i].status[k], grid[j].status[k]
-                row = {
-                    "model_pair": f"{spec_a.name}|{spec_b.name}",
-                    "g_tau_bar": config.g_tau_bar,
-                    "pump_A_over_kappa": p,
-                    "total_variation": None,
-                    "delta_mean_n": None,
-                    "delta_mandel_Q": None,
-                    "status": "ok",
-                }
-                if status_a != "ok" or status_b != "ok":
-                    row["status"] = status_a if status_a != "ok" else status_b
-                    rows.append(row)
-                    continue
-                row["total_variation"] = distribution_distance(grid[i].p[k], grid[j].p[k])
-                row["delta_mean_n"] = means[i][k] - means[j][k]
-                q_a, q_b = mandel_qs[i][k], mandel_qs[j][k]
-                if math.isnan(q_a) or math.isnan(q_b):
-                    row["status"] = "undefined: Mandel Q needs a nonzero mean"
-                else:
-                    row["delta_mandel_Q"] = q_a - q_b
-                rows.append(row)
+        for i, j in combinations(range(len(grid)), 2):
+            failed = [axis.status[k] for axis in (grid[i], grid[j]) if axis.status[k] != "ok"]
+            row = {
+                "model_pair": f"{config.models[i].name}|{config.models[j].name}",
+                "g_tau_bar": config.g_tau_bar,
+                "pump_A_over_kappa": p,
+                "total_variation": None,
+                "delta_mean_n": None,
+                "delta_mandel_Q": None,
+                "status": failed[0] if failed else "ok",
+            }
+            rows.append(row)
+            if failed:
+                continue
+            row["total_variation"] = distribution_distance(grid[i].p[k], grid[j].p[k])
+            row["delta_mean_n"] = means[i][k] - means[j][k]
+            q_a, q_b = mandel_qs[i][k], mandel_qs[j][k]
+            if math.isnan(q_a) or math.isnan(q_b):
+                row["status"] = "undefined: Mandel Q needs a nonzero mean"
+            else:
+                row["delta_mandel_Q"] = q_a - q_b
     return rows, failures
 
 

@@ -206,7 +206,7 @@ class GeneratorModel:
         for rate in self.feed_terms.rates + self.dephasing_terms.rates:
             scalar_rate(rate)
 
-    def _pump_rows(self) -> set:
+    def pump_rows(self) -> set:
         """The numbers of pump rows its rates hold: the length of each
         array rate (a (P, 1) column by PairTerms' rule), or {1} where every
         rate is a scalar."""
@@ -483,7 +483,7 @@ def general_weak_model(
 
 def weak_coupling_model(params: PumpParameters, space: TruncatedSpace, order=3) -> GeneratorModel:
     """The weak-coupling series to `order` on the exponential measure:
-    general_weak_model on that measure's basis, built once per order.
+    general_weak_model on that measure's basis, built per call.
 
     At order 3 this is the fourth-order-accurate Lindblad set: gain
     operators a* times polynomials of degree 1 in P = a a*, whose generator
@@ -492,10 +492,9 @@ def weak_coupling_model(params: PumpParameters, space: TruncatedSpace, order=3) 
     dropped), which leaves photon statistics alone and only widens the line.
     """
     check_series_order(order)  # before the basis can name it a degree
-    return general_weak_model(params, _exponential_basis(order), order, space)
+    return general_weak_model(params, build_basis(TimeMeasure.exponential(), order), order, space)
 
 
-_exponential_basis = functools.cache(lambda order: build_basis(TimeMeasure.exponential(), order))
 # MODELS' weak builder: weak_coupling_model under a private name that wrappers of the
 # public names (a tracer counting builds) leave alone, so a build counts once, as general_weak_model
 _weak_series = weak_coupling_model

@@ -18,14 +18,14 @@ is the largest absolute row sum, which the same Gershgorin sums hold.  Only
 the block that holds the steady state gets eigenvectors.  It uses NumPy
 alone (np.linalg.eigvals, eig), so the nullspace route never loads scipy.
 
-A pump axis, a PumpParameters with one rate per pump, is solved in one pass
-(solve_pump_axis) and comes back as columns (PumpAxis): one entry per pump
-for the status, the populations, n_max, the moments and the linewidth.  The
-pump enters a model only through per-pump rates multiplied in last
-(models.PairTerms), so one model, built once per axis on a (P, 1) column of
-them, serves every pump:
+A model built on a pump axis, a PumpParameters with one rate per pump, is
+solved in one pass (solve_pump_axis) and comes back as columns (PumpAxis):
+one entry per pump for the status, the populations, n_max, the moments and
+the linewidth.  The pump enters a model only through per-pump rates
+multiplied in last (models.PairTerms), so one model, built by the caller
+on a (P, 1) column of them, serves every pump:
 
-  once per axis    the model build, its cutoff;
+  once per axis    the model's pump count and cutoff;
   once per stage   the truncation search (truncation_levels) takes the
                    model's own cutoff where it has one, else doubles in
                    stages over the rows not yet resolved; a stage that
@@ -57,7 +57,7 @@ import numpy as np
 
 from .fock import Superoperator, TruncatedSpace, is_integer, unvec, vec_entries
 from .observables import band_linewidths, moment_columns
-from .pump import PumpParameters, check_kappa, check_one_pump
+from .pump import check_kappa, check_one_pump
 
 
 START = 16  # n_max of the truncation search's first stage
@@ -196,9 +196,17 @@ def _pieces(rows: np.ndarray, width: int) -> list:
     return [rows[i : i + size] for i in range(0, len(rows), size)]
 
 
-def truncation_levels(model, rows: int, kappa: float) -> np.ndarray:
-    """The n_max of each of the model's `rows` pump rows; 0 marks a row
-    whose tail no ladder up to HARD_CAP resolves.
+def _pump_count(model) -> int:
+    """The number of pumps the model's rates hold (GeneratorModel.pump_rows)."""
+    pumps, *more = held = sorted(model.pump_rows())
+    if more:
+        raise ValueError(f"the model's rates hold {held} pump rows, not one pump axis")
+    return pumps
+
+
+def truncation_levels(model, kappa: float) -> np.ndarray:
+    """The n_max of each of the model's pump rows (_pump_count); 0 marks a
+    row whose tail no ladder up to HARD_CAP resolves.
 
     A model with a cutoff of its own is pinned to it: the tail of a
     truncated series is an artifact.  A cutoff past MAX_TRUNCATION, the
@@ -214,6 +222,7 @@ def truncation_levels(model, rows: int, kappa: float) -> np.ndarray:
     its unresolved rows (_pieces), and needs only the magnitudes of the
     ladder.
     """
+    rows = _pump_count(model)
     cutoff = _model_cutoff(model)
     if cutoff is not None:
         if cutoff > MAX_TRUNCATION:
@@ -275,8 +284,7 @@ class PumpAxis:
 
 
 def solve_pump_axis(
-    build,
-    params: PumpParameters,
+    model,
     kappa: float,
     truncation: int | None = None,
     cutoff: int | str | None = None,
@@ -285,11 +293,10 @@ def solve_pump_axis(
     """Steady state, moments and (with linewidth=True) band linewidth of one
     model at every pump value, as one PumpAxis.
 
-    params holds one rate per pump (r a scalar for one pump, or 1-D as
-    from_pump makes it from an array of pumps), and build(params, space) is
-    a model constructor (exact_model, ...), called once for the whole axis
-    on params as given; a model that does not hold one row of rates per pump
-    fails every cell.  truncation None runs the truncation search
+    model is built on one rate per pump, on any space (exact_model(params,
+    space), ..., params.r a scalar for one pump, or 1-D as from_pump makes
+    it from an array of pumps), and its rates give the number of pumps
+    (_pump_count).  truncation None runs the truncation search
     (truncation_levels), an integer fixes n_max.  cutoff is
     recurrence_steady's: an integer zeroes every level beyond it, None
     keeps them all, and "auto" takes the model's own cutoff.  The pumps that
@@ -299,10 +306,10 @@ def solve_pump_axis(
     the last two sharing each row's mean.  Each cell is bit for bit what
     its pump gives alone, as an axis of one pump (a scalar r): there is no
     other one-pump route.  An error that no pump escapes
-    (check_axis_options, a model build, a model cutoff below 1 or past
-    MAX_TRUNCATION) fails every cell with its message.
+    (check_axis_options, a model cutoff below 1 or past MAX_TRUNCATION)
+    fails every cell with its message.
     """
-    pumps = np.size(params.r)
+    pumps = _pump_count(model)
     # a row the search left unresolved (level 0) keeps this error
     status = [f"error: {_UNRESOLVED}"] * pumps
     populations = [None] * pumps
@@ -310,13 +317,8 @@ def solve_pump_axis(
     values = np.full((6, pumps), np.nan)  # the float columns of PumpAxis, in order
     try:
         check_axis_options(kappa, truncation, cutoff)
-        model = build(params, TruncatedSpace(1))
-        held = model._pump_rows()
-        if held != {pumps}:
-            message = f"the model's rates hold {sorted(held)} pump rows, not one per pump ({pumps})"
-            raise ValueError(message)
         if truncation is None:
-            levels = truncation_levels(model, pumps, kappa)
+            levels = truncation_levels(model, kappa)
         else:
             levels = np.full(pumps, truncation)
         top = _model_cutoff(model) if cutoff == "auto" else cutoff

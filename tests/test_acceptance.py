@@ -49,7 +49,7 @@ KAPPA = 1.0
 
 def searched(build, params) -> TruncatedSpace:
     """The truncation search's n_max for one pump (solve_pump_axis)."""
-    axis = solve_pump_axis(build, params, KAPPA)
+    axis = solve_pump_axis(build(params, TruncatedSpace(1)), KAPPA)
     assert axis.status == ["ok"], axis.status
     return TruncatedSpace(int(axis.n_max[0]))
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -33,7 +34,7 @@ from micromaser.models import (
     uniform_model,
 )
 from micromaser.pump import PumpParameters
-from micromaser.steady import MAX_TRUNCATION, solve_pump_axis
+from micromaser.steady import MAX_TRUNCATION, PumpAxis, solve_pump_axis
 
 from conftest import checkout_env
 
@@ -443,9 +444,8 @@ def _raised(call) -> str:
 def _axis_error(kappa=1.0, truncation=None, cutoff="auto") -> str:
     """The message solve_pump_axis fails every cell with."""
     params = PumpParameters.from_pump(np.array([0.9]), 0.15)
-    (status,) = solve_pump_axis(
-        exact_model, params, kappa, truncation=truncation, cutoff=cutoff
-    ).status
+    model = exact_model(params, TruncatedSpace(1))
+    (status,) = solve_pump_axis(model, kappa, truncation=truncation, cutoff=cutoff).status
     assert status.startswith("error: ")
     return status[len("error: ") :]
 
@@ -648,10 +648,56 @@ def test_each_weak_spec_builds_its_basis_once(monkeypatch, tmp_path, capsys):
     cfg.write_text(json.dumps({**BASE_CONFIG, "models": specs, "pump": [0.5, 3.0]}))
     for command in ("sweep", "compare"):
         degrees.clear()
-        models._exponential_basis.cache_clear()
         code, _, err = run_cli([command, "--config", str(cfg)], capsys)
         assert (code, err) == (EXIT_OK, "")
         assert degrees == [3, 5]
+
+
+@pytest.mark.parametrize("command", ["steady", "sweep", "compare", "linewidth"])
+def test_each_spec_is_built_once_per_command(command, monkeypatch, tmp_path, capsys):
+    """The model RunConfig builds to judge its options is the one solved:
+    every builder of MODELS is called once per spec, not again for the
+    solve."""
+    calls = []
+    for name, record in models.MODELS.items():
+
+        def counting(*args, name=name, build=getattr(models, record.builder), **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(models, record.builder, counting)
+    specs = [*models.MODEL_NAMES, {"name": "weak_lindblad", "order": 5}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "models": specs, "pump": [0.5, 3.0]}))
+    code, _, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert calls == [*models.MODEL_NAMES, "weak_lindblad"]
+
+
+def test_a_constructor_that_ignores_the_pump_is_a_config_error(monkeypatch, capsys):
+    """A model with scalar rates is one pump; on an axis of three it used to
+    end in NumPy's IndexError (boolean index did not match).  RunConfig,
+    where the pump axis and the model meet, refuses it; on one pump it is
+    that pump's model."""
+
+    def scalar(params, space, **options):
+        return heuristic_model(2.0, 0.1, space)
+
+    monkeypatch.setattr(models, models.MODELS["heuristic"].builder, scalar)
+    argv = ["sweep", "--model", "heuristic", "--gtau", "0.15", "--pump"]
+    message = "the model's rates hold [1] pump rows, not one per pump (3)"
+    code, out, err = run_cli(argv + ["0.5:2:3"], capsys)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: model 'heuristic': {message}\n")
+    code, out, err = run_cli(argv + ["0.5"], capsys)
+    assert (code, err, len(parse_csv(out))) == (EXIT_OK, "", 1)
+
+
+def test_every_point_column_reads_a_pump_axis_field():
+    fields = {f.name for f in dataclasses.fields(PumpAxis)}
+    for columns in (cli.SWEEP_COLUMNS, cli.LINEWIDTH_COLUMNS):
+        assert columns[:3] == ("model", "g_tau_bar", "pump_A_over_kappa")
+        assert set(columns[3:]) <= cli.POINT_FIELDS.keys()
+    assert set(cli.POINT_FIELDS.values()) <= fields
 
 
 def test_a_sweep_computes_its_pump_parameters_once(monkeypatch, capsys):

@@ -273,14 +273,10 @@ def test_the_nullspace_matches_the_all_blocks_reference(variant, return_info):
 def test_the_truncation_search_follows_the_cutoff_field(variant):
     """A series model holds to expansion_cutoff, and the search takes the
     field, not the name: pinned at 12, every model is searched to 12."""
-    build = VARIANTS[variant]
-    model = build(PARAMS, TruncatedSpace(1))
+    model = VARIANTS[variant](PARAMS, TruncatedSpace(1))
     assert model.cutoff in (None, expansion_cutoff(0.15))
-
-    def pinned(params, space):
-        return replace(build(params, space), cutoff=12)
-
-    searched, fixed = (solve_pump_axis(b, PARAMS, KAPPA) for b in (build, pinned))
+    pinned = replace(model, cutoff=12)
+    searched, fixed = (solve_pump_axis(m, KAPPA) for m in (model, pinned))
     assert searched.status == fixed.status == ["ok"]
     assert fixed.n_max.tolist() == [12]
     if model.cutoff is None:

@@ -14,6 +14,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ from micromaser.oracle import (
 )
 from micromaser.cli import EXIT_OK, EXIT_PARTIAL, main
 
+from test_golden import CASES
+
 
 def build(model: dict, params: PumpParameters, space: TruncatedSpace):
     name = model["name"]
@@ -75,7 +78,7 @@ def build(model: dict, params: PumpParameters, space: TruncatedSpace):
 
 def searched_space(model, kappa: float) -> TruncatedSpace:
     """The truncation search's n_max for a model of one pump."""
-    n_max = int(steady.truncation_levels(model, 1, kappa)[0])
+    n_max = int(steady.truncation_levels(model, kappa)[0])
     if n_max == 0:
         message = f"no truncation below {steady.HARD_CAP} resolves the distribution tail"
         raise SteadyStateError(message)
@@ -120,54 +123,15 @@ def models_of(raw):
     return [m if isinstance(m, dict) else {"name": m} for m in raw["models"]]
 
 
+# the golden CLI cases, and a fixed truncation above the expansion cutoff
+# (8 here), which the expansion models still apply by default
 CONFIGS = {
-    # every model, with options; pump 0 leaves the linewidth undefined
-    "options": {
-        "models": [
-            "exact",
-            "post4",
-            {"name": "weak_lindblad", "order": 5},
-            "weak_lindblad",
-            {"name": "uniform_lindblad", "order": 2},
-            "uniform_lindblad",
-            {"name": "heuristic", "gain": 2.5, "beta": 0.05, "ordering": "a_dag_a"},
-            {"name": "heuristic", "ordering": "a_dag_a"},
-            "heuristic",
-        ],
-        "g_tau_bar": 0.15,
-        "pump": [0.0, 0.3, 1.1, 2.5, 4.0, 0.3],
-    },
-    # a fixed truncation: post4 without cutoff has negative weights, and
-    # its signed weight fails to normalize at some pumps
-    "fixed": {
-        "models": ["post4", "exact", {"name": "weak_lindblad", "order": 5}, "heuristic"],
-        "g_tau_bar": 0.15,
-        "pump": [0.5, 5.0, 9.0, 0.0, 40.0],
-        "truncation": 30,
-        "cutoff": "off",
-        "kappa": 2.0,
-    },
-    # a fixed truncation above the expansion cutoff (8 here), which the
-    # expansion models still apply by default
+    **CASES,
     "expansion_fixed": {
         "models": ["post4", "weak_lindblad", "exact"],
         "g_tau_bar": 0.15,
         "pump": [0.5, 3.0],
         "truncation": 30,
-    },
-    # an explicit cutoff below the searched truncation
-    "cutoff": {
-        "models": ["exact", "post4", "uniform_lindblad", "heuristic"],
-        "g_tau_bar": 0.15,
-        "pump": [0.5, 1.5, 5.0],
-        "cutoff": 4,
-    },
-    # the expansion models fail every cell, and the search gives up at its
-    # hard cap for some pumps only
-    "failures": {
-        "models": ["exact", "weak_lindblad", "post4", {"name": "heuristic", "beta": 0.0}],
-        "g_tau_bar": 0.5,
-        "pump": [0.0, 0.9, 3.0, 1.2],
     },
 }
 
@@ -251,9 +215,8 @@ def recurrence_1d(ratio, n_max):
 def test_pump_axis_equals_the_one_dimensional_ladder(g_tau_bar):
     kappa = 1.0
     pumps = np.concatenate(([0.0], np.linspace(0.1, 9.0, 41)))
-    axis = solve_pump_axis(
-        exact_model, PumpParameters.from_pump(pumps, g_tau_bar, kappa), kappa, linewidth=True
-    )
+    model = exact_model(PumpParameters.from_pump(pumps, g_tau_bar, kappa), TruncatedSpace(1))
+    axis = solve_pump_axis(model, kappa, linewidth=True)
     for k, pump in enumerate(pumps):
         params = PumpParameters.from_pump(float(pump), g_tau_bar, kappa)
         ratio = exact_model(params, TruncatedSpace(1)).gain_ratio(kappa)
@@ -289,8 +252,8 @@ def axis_numbers(axis):
 @pytest.mark.parametrize("budget", [1, 40, 300])
 def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
     """Search stages and blocks taken in pieces of at most BLOCK_ENTRIES
-    levels: every cell as from one piece, one model build per axis, and no
-    piece (a view of the model at some of its rows) larger than that."""
+    levels: every cell as from one piece, and no piece (a view of the model
+    at some of its rows) larger than that."""
     kappa = 1.0
     pumps = np.concatenate(([0.0], np.linspace(0.2, 6.0, 23), [3.0]))
     params = PumpParameters.from_pump(pumps, 0.15, kappa)
@@ -298,15 +261,7 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
     def saturating(params, space):  # beta 0 gives up at the hard cap above threshold
         return heuristic_model(2.0 * params.gain_rate, 0.0, space)
 
-    builds, sizes = [], []
-
-    def counted(build):
-        def wrapped(params, space):
-            builds.append(len(params.r))
-            return build(params, space)
-
-        return wrapped
-
+    sizes = []
     view = GeneratorModel.at
 
     def counted_view(model, rows, space):
@@ -314,15 +269,13 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
         return view(model, rows, space)
 
     for build, truncation in ((exact_model, None), (exact_model, 20), (saturating, None)):
-        whole = solve_pump_axis(build, params, kappa, truncation=truncation, linewidth=True)
+        options = dict(truncation=truncation, linewidth=True)
+        whole = solve_pump_axis(build(params, TruncatedSpace(1)), kappa, **options)
         with monkeypatch.context() as patch:
             patch.setattr(steady, "BLOCK_ENTRIES", budget)
             patch.setattr(GeneratorModel, "at", counted_view)
-            parts = solve_pump_axis(
-                counted(build), params, kappa, truncation=truncation, linewidth=True
-            )
+            parts = solve_pump_axis(build(params, TruncatedSpace(1)), kappa, **options)
         assert axis_numbers(parts) == axis_numbers(whole)
-    assert builds == [len(pumps)] * 3
     assert any(rows > 1 for rows, _ in sizes) == (budget > 32)
     # a block holds rows x dim levels; a search piece (on the build's space,
     # dim 2) serves a search stage of at least 16 levels
@@ -342,7 +295,7 @@ def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
 
         monkeypatch.setattr(models, name, counted)
     params = PumpParameters.from_pump(np.linspace(0.5, 8.0, 12), 0.03)
-    axis = solve_pump_axis(exact_model, params, 1.0, linewidth=True)
+    axis = solve_pump_axis(exact_model(params, TruncatedSpace(1)), 1.0, linewidth=True)
     assert axis.status == ["ok"] * 12
     assert len(set(axis.n_max.tolist())) == 12  # one block per pump
     # stages at START, 2 START, ... up to the first that holds the largest n_max
@@ -352,17 +305,14 @@ def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
     assert calls["cos_cos_average"] <= 3  # one dephasing table: three averages
 
 
-def test_an_invalid_gain_column_fails_every_cell_on_one_line():
+def test_an_invalid_gain_column_is_one_build_error_on_one_line():
     """The model is built once for the whole axis, so a build error names
     one offending value, not the whole column of pumps.  At g tau_bar 0.5
     the gain A equals the pump exactly."""
-    axis = solve_pump_axis(
-        lambda params, space: heuristic_model(1.0 - params.gain_rate, 0.1, space),
-        PumpParameters.from_pump(np.linspace(0.5, 3.0, 6), 0.5),
-        1.0,
-    )
-    message = "error: gain must be nonnegative and finite, got -0.5"
-    assert axis.status == [message] * 6
+    params = PumpParameters.from_pump(np.linspace(0.5, 3.0, 6), 0.5)
+    message = "^gain must be nonnegative and finite, got -0.5$"
+    with pytest.raises(ValueError, match=message):
+        heuristic_model(1.0 - params.gain_rate, 0.1, TruncatedSpace(1))
 
 
 @pytest.mark.parametrize(
@@ -381,9 +331,8 @@ def test_an_invalid_truncation_or_cutoff_fails_every_cell_on_one_line(option, me
     """The CLI rejects these at config time; a library caller gets the
     argument's own message in every cell, not a search's or NumPy's.  A
     bool or a float is not an integer, as TruncatedSpace holds."""
-    axis = solve_pump_axis(
-        exact_model, PumpParameters.from_pump(np.array([1.0, 2.0]), 0.1), 1.0, **option
-    )
+    model = exact_model(PumpParameters.from_pump(np.array([1.0, 2.0]), 0.1), TruncatedSpace(1))
+    axis = solve_pump_axis(model, 1.0, **option)
     assert axis.status == [f"error: {message}"] * 2
     assert axis.p == [None, None]
 
@@ -391,11 +340,11 @@ def test_an_invalid_truncation_or_cutoff_fails_every_cell_on_one_line(option, me
 @pytest.mark.parametrize("truncation", [steady.MAX_TRUNCATION + 1, 10**15])
 def test_a_truncation_past_the_ceiling_fails_every_cell_before_any_table(truncation):
     """At 10**15 the level tables would take 7 PiB; the limit is checked
-    before the model is built."""
-    params = PumpParameters.from_pump(np.array([1.0, 2.0]), 0.1)
+    before any level is evaluated."""
+    model = exact_model(PumpParameters.from_pump(np.array([1.0, 2.0]), 0.1), TruncatedSpace(1))
     tracemalloc.start()
     try:
-        axis = solve_pump_axis(exact_model, params, 1.0, truncation=truncation)
+        axis = solve_pump_axis(model, 1.0, truncation=truncation)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -412,10 +361,10 @@ def test_a_model_cutoff_past_the_ceiling_fails_every_cell_before_any_table(build
     an explicit truncation too; it used to end in NumPy's "Maximum allowed
     size exceeded".  A fixed truncation with the model's cutoff fills only
     the truncation's levels."""
-    params = PumpParameters.from_pump(np.array([1.0, 2.0]), 1e-150)
+    model = build(PumpParameters.from_pump(np.array([1.0, 2.0]), 1e-150), TruncatedSpace(1))
     tracemalloc.start()
     try:
-        axis = solve_pump_axis(build, params, 1.0, linewidth=True)
+        axis = solve_pump_axis(model, 1.0, linewidth=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,7 +372,7 @@ def test_a_model_cutoff_past_the_ceiling_fails_every_cell_before_any_table(build
     assert axis.status == [message] * 2
     assert axis.p == [None, None]
     assert peak < 1e5
-    fixed = solve_pump_axis(build, params, 1.0, truncation=50, cutoff="auto", linewidth=True)
+    fixed = solve_pump_axis(model, 1.0, truncation=50, cutoff="auto", linewidth=True)
     assert fixed.status == ["ok"] * 2
     assert fixed.n_max.tolist() == [50, 50]
 
@@ -444,12 +393,12 @@ def test_recurrence_rejects_a_cutoff_that_is_not_an_integer(cutoff):
 @pytest.mark.parametrize("truncation", [None, 8])
 @pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.0, -1.0])
 def test_a_kappa_that_is_not_positive_and_finite_fails_every_cell(kappa, truncation):
-    """Checked before the model is built or the truncation searched: no
-    NumPy warning, no row read off a zero or NaN ratio."""
-    params = PumpParameters.from_pump(np.array([3.0, 8.0]), 0.1)
+    """Checked before the truncation is searched: no NumPy warning, no row
+    read off a zero or NaN ratio."""
+    axis_model = exact_model(PumpParameters.from_pump(np.array([3.0, 8.0]), 0.1), TruncatedSpace(1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        axis = solve_pump_axis(exact_model, params, kappa, truncation=truncation, linewidth=True)
+        axis = solve_pump_axis(axis_model, kappa, truncation=truncation, linewidth=True)
     positive = f"kappa must be positive and finite, got {kappa}"
     assert axis.status == [f"error: {positive}"] * 2
     assert axis.p == [None, None]
@@ -507,7 +456,7 @@ def test_one_pump_entries_refuse_a_pump_column():
     assert stats.p.tolist() == recurrence_steady(alone.gain_ratio(1.0), space).p.tolist()
     assert moments(stats.p[None]) == moments(stats.p)
     column, scalar = (
-        solve_pump_axis(exact_model, PumpParameters.from_pump(pump, 0.15), 1.0, linewidth=True)
+        solve_pump_axis(exact_model(PumpParameters.from_pump(pump, 0.15), space), 1.0)
         for pump in (np.array([[3.0]]), 3.0)
     )
     assert column.n_max.tolist() == [65]
@@ -537,38 +486,39 @@ def test_a_model_on_a_one_dimensional_rate_holds_one_row_per_pump():
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 1, 1)])
-def test_rates_of_any_other_shape_fail_every_cell(shape):
+def test_rates_of_any_other_shape_are_refused_by_the_model(shape):
     """Rates that are not one per pump, 1-D or a (P, 1) column, are refused
     by the model: a (2, 3) array of pump rates used to be read as 6 pumps
     that each said "ok"."""
     params = PumpParameters(0.15, np.full(shape, 10.0))
-    axis = solve_pump_axis(exact_model, params, 1.0)
-    message = f"error: a rate holds one value per pump, 1-D or a (P, 1) column, got shape {shape}"
-    cells = math.prod(shape)
-    assert axis.status == [message] * cells
-    assert axis.p == [None] * cells
-    with pytest.raises(ValueError, match=re.escape(message[len("error: ") :])):
+    message = f"a rate holds one value per pump, 1-D or a (P, 1) column, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         exact_model(params, TruncatedSpace(2))
 
 
-def test_a_constructor_that_ignores_the_pump_fails_every_cell():
-    """A model with scalar rates is one pump; on an axis of three it used to
-    end in NumPy's IndexError (boolean index did not match)."""
-    params = PumpParameters.from_pump(np.array([0.5, 1.0, 2.0]), 0.15)
-    axis = solve_pump_axis(lambda p, s: heuristic_model(2.0, 0.1, s), params, 1.0, linewidth=True)
-    message = "error: the model's rates hold [1] pump rows, not one per pump (3)"
-    assert axis.status == [message] * 3
-    assert axis.p == [None] * 3
-    one = PumpParameters.from_pump(0.5, 0.15)
-    alone = solve_pump_axis(lambda p, s: heuristic_model(2.0, 0.1, s), one, 1.0)
+def test_the_rates_give_the_number_of_pumps():
+    """A model with scalar rates is one pump.  Rates of two lengths are no
+    pump axis: the solve and the search raise, before any level is
+    evaluated."""
+    alone = solve_pump_axis(heuristic_model(2.0, 0.1, TruncatedSpace(1)), 1.0, linewidth=True)
     assert alone.status == ["ok"]
+    two, three = (
+        exact_model(PumpParameters.from_pump(np.linspace(0.5, 2.0, n), 0.15), TruncatedSpace(1))
+        for n in (2, 3)
+    )
+    mixed = replace(two, dephasing_terms=three.dephasing_terms)
+    message = re.escape("the model's rates hold [2, 3] pump rows, not one pump axis")
+    for solve in (solve_pump_axis, steady.truncation_levels):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(mixed, 1.0)
+    assert not two.feed_terms.tables
 
 
 def test_a_scalar_rate_is_an_axis_of_one_pump():
     """solve_pump_axis on one pump value is the one-row functions on that
     pump, bit for bit."""
     params = PumpParameters.from_pump(2.0, 0.15)
-    axis = solve_pump_axis(exact_model, params, 1.0, linewidth=True)
+    axis = solve_pump_axis(exact_model(params, TruncatedSpace(1)), 1.0, linewidth=True)
     space = searched_space(exact_model(params, TruncatedSpace(1)), 1.0)
     model = exact_model(params, space)
     stats = recurrence_steady(model.gain_ratio(1.0), space)

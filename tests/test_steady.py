@@ -46,7 +46,7 @@ KAPPA = 1.0
 
 def searched(build, params) -> TruncatedSpace:
     """The truncation search's n_max for one pump (solve_pump_axis)."""
-    axis = solve_pump_axis(build, params, KAPPA)
+    axis = solve_pump_axis(build(params, TruncatedSpace(1)), KAPPA)
     assert axis.status == ["ok"], axis.status
     return TruncatedSpace(int(axis.n_max[0]))
 
@@ -125,7 +125,8 @@ def test_expansion_cutoff_fails_below_one_without_warning():
     assert expansion_cutoff(0.15) == math.floor(0.2 / 0.15**2)
     assert expansion_cutoff(0.03) == math.floor(0.2 / 0.03**2)
     assert expansion_cutoff(0.5) == 0
-    axis = solve_pump_axis(weak_coupling_model, PumpParameters.from_pump(0.9, 0.5, KAPPA), KAPPA)
+    model = weak_coupling_model(PumpParameters.from_pump(0.9, 0.5, KAPPA), TruncatedSpace(1))
+    axis = solve_pump_axis(model, KAPPA)
     assert axis.status == ["error: expansion models unusable at g tau_bar = 0.5 (cutoff 0 < 1)"]
 
 
@@ -485,7 +486,7 @@ def test_choose_truncation_raises_at_hard_cap():
         feed_terms=PairTerms((1.01 * KAPPA,), lambda ym, yn: (np.sqrt(ym * yn),)),
         dephasing_terms=PairTerms((0.0,), lambda ym, yn: (ym - yn,)),
     )
-    axis = solve_pump_axis(lambda params, space: runaway, PumpParameters(0.15, 1.0), KAPPA)
+    axis = solve_pump_axis(runaway, KAPPA)
     assert axis.status == [f"error: no truncation below {HARD_CAP} resolves the distribution tail"]
 
 
