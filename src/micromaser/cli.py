@@ -41,7 +41,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -195,8 +195,8 @@ class RunConfig:
             try:
                 options = {key: _option(spec.options, key, v) for key, v in record.options.items()}
                 model = record.build(params, TruncatedSpace(1), **options)
-                if model.pump_rows() != {pumps}:
-                    held = f"the model's rates hold {sorted(model.pump_rows())} pump rows"
+                if (held := model.pump_count()) != pumps:
+                    held = f"the model's rates hold [{held}] pump rows"
                     raise ValueError(f"{held}, not one per pump ({pumps})")
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model {spec.name!r}: {exc}") from None
@@ -378,27 +378,30 @@ def run_compare(config: RunConfig, command: str) -> tuple[list[dict], int]:
     mandel_qs = [axis.mandel_Q.tolist() for axis in grid]
     rows: list[dict] = []
     for k, p in enumerate(config.pump):
-        for i, j in combinations(range(len(grid)), 2):
-            failed = [axis.status[k] for axis in (grid[i], grid[j]) if axis.status[k] != "ok"]
-            row = {
-                "model_pair": f"{config.models[i].name}|{config.models[j].name}",
-                "g_tau_bar": config.g_tau_bar,
-                "pump_A_over_kappa": p,
-                "total_variation": None,
-                "delta_mean_n": None,
-                "delta_mandel_Q": None,
-                "status": failed[0] if failed else "ok",
-            }
-            rows.append(row)
-            if failed:
-                continue
-            row["total_variation"] = distribution_distance(grid[i].p[k], grid[j].p[k])
-            row["delta_mean_n"] = means[i][k] - means[j][k]
-            q_a, q_b = mandel_qs[i][k], mandel_qs[j][k]
-            if math.isnan(q_a) or math.isnan(q_b):
-                row["status"] = "undefined: Mandel Q needs a nonzero mean"
-            else:
-                row["delta_mandel_Q"] = q_a - q_b
+        for i, spec_a in enumerate(config.models):
+            for j, spec_b in enumerate(config.models[i + 1 :], start=i + 1):
+                status_a, status_b = grid[i].status[k], grid[j].status[k]
+                row = {
+                    "model_pair": f"{spec_a.name}|{spec_b.name}",
+                    "g_tau_bar": config.g_tau_bar,
+                    "pump_A_over_kappa": p,
+                    "total_variation": None,
+                    "delta_mean_n": None,
+                    "delta_mandel_Q": None,
+                    "status": "ok",
+                }
+                if status_a != "ok" or status_b != "ok":
+                    row["status"] = status_a if status_a != "ok" else status_b
+                    rows.append(row)
+                    continue
+                row["total_variation"] = distribution_distance(grid[i].p[k], grid[j].p[k])
+                row["delta_mean_n"] = means[i][k] - means[j][k]
+                q_a, q_b = mandel_qs[i][k], mandel_qs[j][k]
+                if math.isnan(q_a) or math.isnan(q_b):
+                    row["status"] = "undefined: Mandel Q needs a nonzero mean"
+                else:
+                    row["delta_mandel_Q"] = q_a - q_b
+                rows.append(row)
     return rows, failures
 
 

@@ -206,12 +206,15 @@ class GeneratorModel:
         for rate in self.feed_terms.rates + self.dephasing_terms.rates:
             scalar_rate(rate)
 
-    def pump_rows(self) -> set:
-        """The numbers of pump rows its rates hold: the length of each
-        array rate (a (P, 1) column by PairTerms' rule), or {1} where every
-        rate is a scalar."""
+    def pump_count(self) -> int:
+        """The number of pumps its rates hold: the length of each array rate
+        (a (P, 1) column by PairTerms' rule), or 1 where every rate is a
+        scalar.  Rates of two lengths are a ValueError: no pump axis."""
         rates = self.feed_terms.rates + self.dephasing_terms.rates
-        return {len(rate) for rate in rates if np.ndim(rate)} or {1}
+        pumps, *more = held = sorted({len(rate) for rate in rates if np.ndim(rate)} or {1})
+        if more:
+            raise ValueError(f"the model's rates hold {held} pump rows, not one pump axis")
+        return pumps
 
     def at(self, rows, space: TruncatedSpace) -> "GeneratorModel":
         """The model at its pump rows `rows` (an index array) on `space`,

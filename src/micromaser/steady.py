@@ -196,16 +196,8 @@ def _pieces(rows: np.ndarray, width: int) -> list:
     return [rows[i : i + size] for i in range(0, len(rows), size)]
 
 
-def _pump_count(model) -> int:
-    """The number of pumps the model's rates hold (GeneratorModel.pump_rows)."""
-    pumps, *more = held = sorted(model.pump_rows())
-    if more:
-        raise ValueError(f"the model's rates hold {held} pump rows, not one pump axis")
-    return pumps
-
-
 def truncation_levels(model, kappa: float) -> np.ndarray:
-    """The n_max of each of the model's pump rows (_pump_count); 0 marks a
+    """The n_max of each of the model's pump rows (GeneratorModel.pump_count); 0 marks a
     row whose tail no ladder up to HARD_CAP resolves.
 
     A model with a cutoff of its own is pinned to it: the tail of a
@@ -222,7 +214,7 @@ def truncation_levels(model, kappa: float) -> np.ndarray:
     its unresolved rows (_pieces), and needs only the magnitudes of the
     ladder.
     """
-    rows = _pump_count(model)
+    rows = model.pump_count()
     cutoff = _model_cutoff(model)
     if cutoff is not None:
         if cutoff > MAX_TRUNCATION:
@@ -296,7 +288,7 @@ def solve_pump_axis(
     model is built on one rate per pump, on any space (exact_model(params,
     space), ..., params.r a scalar for one pump, or 1-D as from_pump makes
     it from an array of pumps), and its rates give the number of pumps
-    (_pump_count).  truncation None runs the truncation search
+    (GeneratorModel.pump_count).  truncation None runs the truncation search
     (truncation_levels), an integer fixes n_max.  cutoff is
     recurrence_steady's: an integer zeroes every level beyond it, None
     keeps them all, and "auto" takes the model's own cutoff.  The pumps that
@@ -309,7 +301,7 @@ def solve_pump_axis(
     (check_axis_options, a model cutoff below 1 or past MAX_TRUNCATION)
     fails every cell with its message.
     """
-    pumps = _pump_count(model)
+    pumps = model.pump_count()
     # a row the search left unresolved (level 0) keeps this error
     status = [f"error: {_UNRESOLVED}"] * pumps
     populations = [None] * pumps

@@ -456,7 +456,7 @@ def test_one_pump_entries_refuse_a_pump_column():
     assert stats.p.tolist() == recurrence_steady(alone.gain_ratio(1.0), space).p.tolist()
     assert moments(stats.p[None]) == moments(stats.p)
     column, scalar = (
-        solve_pump_axis(exact_model(PumpParameters.from_pump(pump, 0.15), space), 1.0)
+        solve_pump_axis(exact_model(PumpParameters.from_pump(pump, 0.15), space), 1.0, linewidth=True)
         for pump in (np.array([[3.0]]), 3.0)
     )
     assert column.n_max.tolist() == [65]
