@@ -87,7 +87,6 @@ LINEWIDTH_COLUMNS = (
     "mean_n",
     "linewidth_D",
     "normalized_D",
-    "frequency_pull",
     "status",
 )
 # each per-pump column of sweep and linewidth -> the PumpAxis field it holds
@@ -97,7 +96,6 @@ POINT_FIELDS = {
     "mandel_Q": "mandel_Q",
     "linewidth_D": "D",
     "normalized_D": "normalized_D",
-    "frequency_pull": "frequency_pull",
     "status": "status",
 }
 

@@ -1,8 +1,9 @@
 """Moments, phase-diffusion linewidth, and distribution distances.
 
 The linewidth is read off the initial decay of the field correlation:
-with f(t) = tr[a* e^{St}(a rho_ss)] the generator fixes
-f'(0)/f(0) = i * pull - D/2, so D = -2 Re tr[a* S(a rho_ss)] / <n>.
+with f(t) = tr[a* e^{St}(a rho_ss)] the generator fixes f'(0)/f(0) = -D/2,
+so D = -2 Re tr[a* S(a rho_ss)] / <n>.  Every model's band is real (no
+model is detuned), so for a real state f'(0) is real.
 Loss alone gives D = kappa exactly, truncation notwithstanding, which the
 tests lean on.  `linewidth` takes the assembled generator and a density
 matrix; its independent check, `linewidth_fd`, takes the same quotient
@@ -100,7 +101,6 @@ def distribution_distance(p: np.ndarray, q: np.ndarray) -> float:
 class LinewidthResult:
     D: float
     normalized_D: float
-    frequency_pull: float
     mean_n: float
 
 
@@ -126,24 +126,23 @@ def _below_floor(mean_n: float) -> str:
 
 
 class LinewidthColumns(NamedTuple):
-    """D, normalized_D and frequency_pull per row, NaN where the linewidth
-    is undefined; `undefined` maps each such row to the reason."""
+    """D and normalized_D per row, NaN where the linewidth is undefined;
+    `undefined` maps each such row to the reason."""
 
     D: np.ndarray
     normalized_D: np.ndarray
-    frequency_pull: np.ndarray
     undefined: dict
 
 
 def _linewidth_columns(deriv: np.ndarray, mean_n: np.ndarray, kappa: float) -> LinewidthColumns:
-    """D = -2 Re f'(0) / <n>, normalized_D and the pull Im f'(0) / <n> of
-    each row from its f'(0) and mean; undefined below MEAN_N_FLOOR."""
+    """D = -2 Re f'(0) / <n> and normalized_D of each row from its f'(0)
+    and mean; undefined below MEAN_N_FLOOR."""
     low = mean_n < MEAN_N_FLOOR
     mean = np.where(low, math.nan, mean_n)
     d_rate = -2.0 * deriv.real / mean
     below = zip(np.flatnonzero(low).tolist(), mean_n[low].tolist())
     undefined = {i: _below_floor(m) for i, m in below}
-    return LinewidthColumns(d_rate, d_rate * mean / kappa, deriv.imag / mean, undefined)
+    return LinewidthColumns(d_rate, d_rate * mean / kappa, undefined)
 
 
 def _one_row(width: LinewidthColumns, mean_n: float) -> LinewidthResult:
@@ -153,7 +152,6 @@ def _one_row(width: LinewidthColumns, mean_n: float) -> LinewidthResult:
     return LinewidthResult(
         D=float(width.D[0]),
         normalized_D=float(width.normalized_D[0]),
-        frequency_pull=float(width.frequency_pull[0]),
         mean_n=mean_n,
     )
 

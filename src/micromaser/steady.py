@@ -272,7 +272,6 @@ class PumpAxis:
     mandel_Q: np.ndarray
     D: np.ndarray
     normalized_D: np.ndarray
-    frequency_pull: np.ndarray
 
 
 def solve_pump_axis(
@@ -306,7 +305,7 @@ def solve_pump_axis(
     status = [f"error: {_UNRESOLVED}"] * pumps
     populations = [None] * pumps
     n_maxes = np.zeros(pumps, dtype=int)
-    values = np.full((6, pumps), np.nan)  # the float columns of PumpAxis, in order
+    values = np.full((5, pumps), np.nan)  # the float columns of PumpAxis, in order
     try:
         check_axis_options(kappa, truncation, cutoff)
         if truncation is None:
@@ -328,7 +327,7 @@ def solve_pump_axis(
             undefined = {}
             if linewidth:
                 width = band_linewidths(block, p, columns[0], kappa)
-                columns += width[:3]
+                columns += width[:2]
                 undefined = width.undefined
             n_maxes[rows[solved]] = n_max
             values[: len(columns), rows[solved]] = np.array(columns)[:, solved]

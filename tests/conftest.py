@@ -12,6 +12,7 @@ import pytest
 
 from micromaser.fock import TruncatedSpace
 from micromaser.oracle import annihilation
+from micromaser.steady import solve_pump_axis
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -22,6 +23,13 @@ def checkout_env() -> dict:
     so that a subprocess runs the code under test, not an installed copy."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def searched(build, params) -> TruncatedSpace:
+    """The truncation search's n_max for one pump at kappa 1 (solve_pump_axis)."""
+    axis = solve_pump_axis(build(params, TruncatedSpace(1)), 1.0)
+    assert axis.status == ["ok"], axis.status
+    return TruncatedSpace(int(axis.n_max[0]))
 
 
 @pytest.fixture

@@ -40,18 +40,11 @@ from micromaser.oracle import (
     validate_density,
 )
 from micromaser.pump import PumpParameters
-from micromaser.steady import nullspace_steady, recurrence_steady, solve_pump_axis
+from micromaser.steady import nullspace_steady, recurrence_steady
 
-from conftest import random_density, reference_weak_operators
+from conftest import random_density, reference_weak_operators, searched
 
 KAPPA = 1.0
-
-
-def searched(build, params) -> TruncatedSpace:
-    """The truncation search's n_max for one pump (solve_pump_axis)."""
-    axis = solve_pump_axis(build(params, TruncatedSpace(1)), KAPPA)
-    assert axis.status == ["ok"], axis.status
-    return TruncatedSpace(int(axis.n_max[0]))
 
 
 def report(num, name, ok, detail=""):

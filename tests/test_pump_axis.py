@@ -240,7 +240,7 @@ def test_pump_axis_equals_the_one_dimensional_ladder(g_tau_bar):
         assert axis.status[k] == "ok"
 
 
-COLUMNS = ("n_max", "mean_n", "variance", "mandel_Q", "D", "normalized_D", "frequency_pull")
+COLUMNS = ("n_max", "mean_n", "variance", "mandel_Q", "D", "normalized_D")
 
 
 def axis_numbers(axis):
@@ -532,8 +532,4 @@ def test_a_scalar_rate_is_an_axis_of_one_pump():
         mom.variance,
         mom.mandel_q,
     ]
-    assert [axis.D[0], axis.normalized_D[0], axis.frequency_pull[0]] == [
-        width.D[0],
-        width.normalized_D[0],
-        width.frequency_pull[0],
-    ]
+    assert [axis.D[0], axis.normalized_D[0]] == [width.D[0], width.normalized_D[0]]

@@ -39,16 +39,9 @@ from micromaser.steady import (
     solve_pump_axis,
 )
 
-from conftest import checkout_env
+from conftest import checkout_env, searched
 
 KAPPA = 1.0
-
-
-def searched(build, params) -> TruncatedSpace:
-    """The truncation search's n_max for one pump (solve_pump_axis)."""
-    axis = solve_pump_axis(build(params, TruncatedSpace(1)), KAPPA)
-    assert axis.status == ["ok"], axis.status
-    return TruncatedSpace(int(axis.n_max[0]))
 
 
 def test_recurrence_matches_direct_product():
