@@ -10,6 +10,7 @@ and explained:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -69,6 +70,13 @@ CASES = {
 }
 
 
+# The sweep_large benchmark grid: cells up to n_max 2,235, where NumPy's
+# pairwise sums recurse and BLAS takes its long-vector path.  Its sweep and
+# linewidth CSVs are kept whole; its steady CSV (about 35,000 lines) by its
+# line count and sha256 (steady.csv.json).
+LARGE = {"models": ["exact", "uniform_lindblad", "heuristic"], "g_tau_bar": 0.03, "pump": "0.5:8:12"}
+
+
 def run(case: str, command: str, fmt: str, config_path: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -89,9 +97,25 @@ def test_cli_bytes_equal_the_golden_files(case, command, fmt):
     assert out == (folder / f"{command}.{fmt}").read_text(encoding="utf-8")
 
 
+def digest(text: str) -> dict:
+    return {"lines": text.count("\n"), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_the_large_grid_bytes_equal_the_golden_files():
+    folder = GOLDEN / "large"
+    assert json.loads((folder / "config.json").read_text()) == LARGE
+    for command in ("sweep", "linewidth"):
+        expected = (folder / f"{command}.csv").read_text(encoding="utf-8")
+        assert run("large", command, "csv", folder / "config.json") == (0, expected, "")
+    code, out, err = run("large", "steady", "csv", folder / "config.json")
+    assert (code, err) == (0, "")
+    assert digest(out) == json.loads((folder / "steady.csv.json").read_text())
+
+
 def capture() -> None:
     """Write config.json, <command>.<format> (stdout) and expected.json
-    (exit code and stderr per command) for every case."""
+    (exit code and stderr per command) for every case, and the large
+    grid's files."""
     for case, raw in CASES.items():
         folder = GOLDEN / case
         folder.mkdir(parents=True, exist_ok=True)
@@ -105,6 +129,17 @@ def capture() -> None:
                 with open(folder / f"{command}.{fmt}", "w", encoding="utf-8", newline="") as fh:
                     fh.write(out)
         (folder / "expected.json").write_text(json.dumps(expected, indent=2) + "\n")
+    folder = GOLDEN / "large"
+    folder.mkdir(exist_ok=True)
+    (folder / "config.json").write_text(json.dumps(LARGE, indent=2) + "\n")
+    for command in ("sweep", "linewidth", "steady"):
+        code, out, err = run("large", command, "csv", folder / "config.json")
+        assert (code, err) == (0, "")
+        if command == "steady":
+            (folder / "steady.csv.json").write_text(json.dumps(digest(out), indent=2) + "\n")
+        else:
+            with open(folder / f"{command}.csv", "w", encoding="utf-8", newline="") as fh:
+                fh.write(out)
 
 
 if __name__ == "__main__":
