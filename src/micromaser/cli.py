@@ -27,7 +27,8 @@ whole pump axis (g tau_bar, each pump's rate r), and builds each model
 once on them, so that its constructor judges its options (a ValueError
 becomes a ConfigError); that model is solved over the whole pump axis in
 one pass (steady.solve_pump_axis).  Rows and error lines come in grid
-order (model, then pump).
+order (model, then pump).  The argument parser is built once per process
+(build_parser); parse_args keeps no state in it between calls of main.
 """
 
 from __future__ import annotations
@@ -542,7 +543,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"config error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process (see the module docstring)."""
     parser = _Parser(
         prog="micromaser",
         description="Steady states and observables of five pumped-cavity models.",

@@ -52,7 +52,9 @@ or block of pumps slices the table and multiplies its own rate rows in last
 (`GeneratorModel.at`, `ratio_rows`, `apply_band`).  Tables hold the exact
 eigenvalues at every level; where H reads the truncated product a a*
 (truncated_top), the term at the top level is applied to the block's last
-band entry, as the truncated gain out of the top level is.
+band entry, as the truncated gain out of the top level is.  The vectors of
+the levels alone (`Levels`, and apply_band's `band_levels`) are held alike,
+built once on at least LEVEL_VECTORS levels.
 
 Each model states its truncation rule in `cutoff`: the series models (post4,
 weak_lindblad) hold up to expansion_cutoff, the others have a physical tail.
@@ -76,12 +78,11 @@ preservation hold exactly on the whole space; diagonal operator functions
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,6 +96,52 @@ POST4 = "post4"
 WEAK = "weak_lindblad"
 UNIFORM = "uniform_lindblad"
 HEURISTIC = "heuristic"
+
+
+def _grown(cache: dict, key, length: int, build: Callable, least: int = 0) -> tuple:
+    """The arrays build(np.arange(size)) held in cache[key], size >= length;
+    a request past them builds on max(length, 2 * size, least) levels.
+    build acts elementwise in the level, so callers read slices of them."""
+    size, held = cache.get(key, (0, None))
+    if held is None or size < length:
+        size = max(length, 2 * size, least)
+        held = build(np.arange(size))
+        for array in held:
+            array.flags.writeable = False  # callers hold slices of it
+        cache[key] = (size, held)
+    return held
+
+
+# levels a model's level vectors are first built on: the truncation search's
+# ceiling (steady.HARD_CAP), so one build serves every level it tries
+LEVEL_VECTORS = 4096
+
+
+class Levels(NamedTuple):
+    """Vectors of the levels n alone, as floats."""
+
+    n: np.ndarray
+    n2: np.ndarray  # n * n
+    up: np.ndarray  # n + 1
+    root: np.ndarray  # sqrt(n + 1), the matrix element <n|a|n + 1>
+
+
+def level_vectors(n: np.ndarray) -> Levels:
+    n = n.astype(float)
+    return Levels(n, n * n, n + 1.0, np.sqrt(n + 1.0))
+
+
+def band_levels(m: np.ndarray, k: int) -> tuple:
+    """m + n and sqrt(m n) at the pairs (m, n = m + k) of band k: times kappa,
+    loss out of rho_{m,n} and from it into rho_{m-1,n-1}."""
+    return m + (m + k), np.sqrt(m * (m + k))
+
+
+def _view(obj, **changes):
+    """A shallow copy of obj with the attributes `changes` (cheaper than copy.copy)."""
+    view = object.__new__(type(obj))
+    view.__dict__.update(vars(obj), **changes)
+    return view
 
 
 def _pump_column(rate):
@@ -140,14 +187,7 @@ class PairTerms:
         """The pair function on the first `length` pairs (i, i + k) of band
         k, read from its table; top, a pair (y_m, y_n) of one-entry arrays,
         replaces the eigenvalues of the last pair."""
-        size, table = self.tables.get(k, (0, None))
-        if table is None or size < length:
-            size = max(length, 2 * size)
-            y = np.arange(1.0, size + 1.0)
-            table = tuple(self.fn(y, y + k))
-            for t in table:
-                t.flags.writeable = False  # callers hold slices of it
-            self.tables[k] = (size, table)
+        table = _grown(self.tables, k, length, lambda i: tuple(self.fn(i + 1.0, i + 1.0 + k)))
         levels = [t[:length] for t in table]
         if top is not None:
             levels = [np.concatenate((t[:-1], end)) for t, end in zip(levels, self.fn(*top))]
@@ -156,9 +196,7 @@ class PairTerms:
     def rows(self, idx) -> "PairTerms":
         """The terms at the pump rows idx, sharing these tables; a scalar
         rate stays as it is."""
-        view = copy.copy(self)
-        view.rates = tuple(r if np.ndim(r) == 0 else r[idx] for r in self.rates)
-        return view
+        return _view(self, rates=tuple(r if np.ndim(r) == 0 else r[idx] for r in self.rates))
 
 
 def _y(n) -> np.ndarray:
@@ -197,6 +235,8 @@ class GeneratorModel:
     truncated_top: bool = False
     lindblad: tuple | None = None
     cutoff: int | None = None
+    # the vectors of levels and apply_band's band_levels, shared with the views
+    level_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _require_one_pump(self) -> None:
         """ValueError for a model built on an array of pump values, even of
@@ -219,7 +259,7 @@ class GeneratorModel:
     def at(self, rows, space: TruncatedSpace) -> "GeneratorModel":
         """The model at its pump rows `rows` (an index array) on `space`,
         sharing this model's level tables."""
-        return replace(
+        return _view(
             self,
             space=space,
             feed_terms=self.feed_terms.rows(rows),
@@ -254,12 +294,16 @@ class GeneratorModel:
 
         return ratio
 
+    def levels(self, length: int) -> Levels:
+        """level_vectors of at least `length` levels, held by the model."""
+        return _grown(self.level_tables, "levels", length, level_vectors, LEVEL_VECTORS)
+
     def ratio_rows(self, kappa: float, length: int) -> np.ndarray:
         """gain_ratio(kappa) at the levels 0..length-1, one row per pump row,
         read from the level table of band 0."""
         check_kappa(kappa, zero=False)
-        n = np.arange(length, dtype=float)
-        return np.atleast_2d(self.feed_terms.band(0, length) / (kappa * (n + 1.0)))
+        loss = kappa * self.levels(length).up[:length]
+        return np.atleast_2d(self.feed_terms.band(0, length) / loss)
 
     def apply_band(self, band: np.ndarray, k: int, kappa: float) -> np.ndarray:
         """Generator action on the band rho_{m,m+k}, given and returned as a
@@ -272,27 +316,29 @@ class GeneratorModel:
         last entry, not the moves `assemble` scatters: in band k only the
         first entry has m = 0 or n = 0 and only the last has m or n = n_max,
         so loss leaves every entry but the first and feed every entry but
-        the last, and each move is one slice."""
+        the last, and each move is one slice.  The level factors of loss,
+        band_levels of band |k|, are held with the level vectors."""
         check_kappa(kappa, zero=True)
         band = np.asarray(band)
         dim, width = self.space.dim, abs(k)
         size = max(0, dim - width)
         if band.shape[-1:] != (size,):
             raise ValueError(f"band {k} holds {size} entries, got shape {band.shape}")
-        m = np.arange(size)  # band -k holds the values of band k, entry by entry
-        n = m + width
+        # band -k holds the values of band k, entry by entry
+        build = functools.partial(band_levels, k=width)
+        pair_sum, pair_root = _grown(self.level_tables, width, size, build, LEVEL_VECTORS)
         gain_out = self.feed_terms.band(0, dim)
         gain_out[..., -1] = 0.0  # gain out of the top level is truncated
         top = None
         if self.truncated_top and size:
             top = (self.diagonal_y([size - 1]), self.diagonal_y([dim - 1]))
         decay = self.dephasing_terms.band(width, size, top) - 0.5 * (
-            gain_out[..., m] + gain_out[..., n] + kappa * (m + n)
+            gain_out[..., :size] + gain_out[..., width:] + kappa * pair_sum[:size]
         )
         out = np.zeros(band.shape, dtype=np.result_type(band.dtype, float))
         out += decay * band
         out[..., 1:] += self.feed_terms.band(width, max(0, size - 1)) * band[..., :-1]
-        out[..., :-1] += kappa * np.sqrt(m[1:] * n[1:]) * band[..., 1:]
+        out[..., :-1] += kappa * pair_root[1:size] * band[..., 1:]
         return out
 
     def apply(self, rho: np.ndarray, kappa: float) -> np.ndarray:

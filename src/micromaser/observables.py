@@ -11,7 +11,8 @@ through the phi1 series of (e^{S delta} - 1)/delta on that generator.  For
 a diagonal state a rho_ss and its image fill only the offset-1 band, which
 is all `band_linewidths` touches: given a model and one row of populations
 per pump, it is the pump axis's linewidth (steady.solve_pump_axis), O(n_max)
-in time and memory.
+in time and memory: its dot products per block (band_derivatives,
+moment_sums), its column arithmetic once (linewidth_columns, photon_columns).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import Superoperator
-from .models import GeneratorModel
+from .models import GeneratorModel, Levels, level_vectors
 from .pump import check_kappa, check_one_pump, check_rates
 
 
@@ -42,21 +43,30 @@ def _row_dots(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], vector[:, None])[:, 0, 0]
 
 
-def moment_columns(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, variance and Mandel Q of each row of populations, as columns.
+def moment_sums(p: np.ndarray, levels: Levels) -> tuple[np.ndarray, np.ndarray]:
+    """<n> and <n^2> of each row of the 2-D populations p: one dot product
+    per row with the level vectors n and n * n (models.Levels, at least as
+    long as the rows), so each row's sums are bit for bit its own."""
+    size = p.shape[1]
+    return _row_dots(levels.n[:size], p), _row_dots(levels.n2[:size], p)
 
-    The level vectors are built once; each row takes its own dot products,
-    and its variance squares the mean with Python's float ** (NumPy's
-    square differs from it in the last bit for some means), so every row is
-    bit for bit what moments gives it alone.
-    """
-    p = np.atleast_2d(np.asarray(populations, dtype=float))
-    n = np.arange(p.shape[1], dtype=float)
-    mean = _row_dots(n, p)
-    variance = _row_dots(n * n, p) - [m**2 for m in mean.tolist()]
+
+def photon_columns(mean: np.ndarray, second: np.ndarray) -> tuple:
+    """Mean, variance and Mandel Q, as columns, from the columns <n> and
+    <n^2>.  The variance squares each mean with Python's float ** (NumPy's
+    square differs from it in the last bit for some means)."""
+    variance = second - [m**2 for m in mean.tolist()]
     with np.errstate(divide="ignore", invalid="ignore"):
         mandel_q = np.where(mean > 0, variance / mean - 1.0, math.nan)
     return mean, variance, mandel_q
+
+
+def moment_columns(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, variance and Mandel Q of each row of populations, as columns:
+    moment_sums, then photon_columns, so every row is bit for bit what
+    moments gives it alone."""
+    p = np.atleast_2d(np.asarray(populations, dtype=float))
+    return photon_columns(*moment_sums(p, level_vectors(np.arange(p.shape[1]))))
 
 
 def moments(p: np.ndarray) -> PhotonMoments:
@@ -134,7 +144,7 @@ class LinewidthColumns(NamedTuple):
     undefined: dict
 
 
-def _linewidth_columns(deriv: np.ndarray, mean_n: np.ndarray, kappa: float) -> LinewidthColumns:
+def linewidth_columns(deriv: np.ndarray, mean_n: np.ndarray, kappa: float) -> LinewidthColumns:
     """D = -2 Re f'(0) / <n> and normalized_D of each row from its f'(0)
     and mean; undefined below MEAN_N_FLOOR."""
     low = mean_n < MEAN_N_FLOOR
@@ -169,22 +179,28 @@ def _dense_linewidth(image_fn, rho_ss: np.ndarray, kappa: float) -> LinewidthRes
     deriv = root @ np.diagonal(image_fn(_lower(rho_ss)), offset=1) / trace
     populations = np.real(np.diagonal(rho_ss))
     mean_n = float(populations @ np.arange(populations.size)) / trace
-    return _one_row(_linewidth_columns(np.array([deriv]), np.array([mean_n]), kappa), mean_n)
+    return _one_row(linewidth_columns(np.array([deriv]), np.array([mean_n]), kappa), mean_n)
+
+
+def band_derivatives(model: GeneratorModel, p: np.ndarray, kappa: float) -> np.ndarray:
+    """f'(0) = tr[a* S(a diag(p))] for each row of the 2-D populations p,
+    one per pump row of the model.  One apply_band serves every row; the
+    dot products stay per row, so each row comes out bit for bit as it
+    does alone."""
+    # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
+    root = model.levels(p.shape[1]).root[: p.shape[1] - 1]
+    return _row_dots(root, model.apply_band(root * p[:, 1:], 1, kappa))
 
 
 def band_linewidths(
     model: GeneratorModel, populations: np.ndarray, mean_n: np.ndarray, kappa: float
 ) -> LinewidthColumns:
     """linewidth of diag(p) for each row p of populations, one per pump row
-    of the model, whose mean photon numbers are mean_n (moment_columns).
-    One apply_band serves every row; the dot products stay per row, so each
-    row comes out bit for bit as it does alone."""
+    of the model, whose mean photon numbers are mean_n (moment_columns):
+    band_derivatives, then linewidth_columns."""
     check_kappa(kappa, zero=False)
     p = np.atleast_2d(populations)
-    # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
-    root = np.sqrt(np.arange(1.0, p.shape[1]))
-    deriv = _row_dots(root, model.apply_band(root * p[:, 1:], 1, kappa))
-    return _linewidth_columns(deriv, mean_n, kappa)
+    return linewidth_columns(band_derivatives(model, p, kappa), mean_n, kappa)
 
 
 def linewidth(generator: Superoperator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:

@@ -25,7 +25,10 @@ the linewidth.  The pump enters a model only through per-pump rates
 multiplied in last (models.PairTerms), so one model, built by the caller
 on a (P, 1) column of them, serves every pump:
 
-  once per axis    the model's pump count and cutoff;
+  once per axis    the model's pump count, cutoff and level vectors
+                   (GeneratorModel.levels), which every block slices; the
+                   column arithmetic (photon_columns: variance and Mandel Q;
+                   linewidth_columns: D and normalized_D) and the statuses;
   once per stage   the truncation search (truncation_levels) takes the
                    model's own cutoff where it has one, else doubles in
                    stages over the rows not yet resolved; a stage that
@@ -33,12 +36,12 @@ on a (P, 1) column of them, serves every pump:
                    and reads only the magnitudes of the ladder;
   once per block   the pumps that share an n_max form one block, taken
                    largest first (so the first sizes the linewidth band's
-                   table): a view of the model on its space
+                   table), and only the work whose bits depend on its
+                   row length: a view of the model on its space
                    (GeneratorModel.at), whose ratios and band are slices of
                    the shared tables times the block's own rate rows, the
-                   recurrence (recurrence_rows), the moments
-                   (moment_columns) and the band linewidth (band_linewidths),
-                   the last two on one mean per row.
+                   recurrence (recurrence_rows) and each row's dot products
+                   (moment_sums: <n>, <n^2>; band_derivatives: f'(0)).
 
 A stage or a block takes its rows in pieces of at most BLOCK_ENTRIES levels
 in all, so memory does not grow with the pump axis.  Each row takes only
@@ -56,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import Superoperator, TruncatedSpace, is_integer, unvec, vec_entries
-from .observables import band_linewidths, moment_columns
+from .observables import band_derivatives, linewidth_columns, moment_sums, photon_columns
 from .pump import check_kappa, check_one_pump
 
 
@@ -117,9 +120,10 @@ def _log_magnitudes(ratios: np.ndarray) -> np.ndarray:
     each row's logs shifted so that its largest finite one is 0."""
     with np.errstate(divide="ignore"):
         steps = np.log(np.abs(ratios))
-    logs = np.concatenate((np.zeros((len(ratios), 1)), np.cumsum(steps, axis=1)), axis=1)
-    top = np.max(logs, axis=1, keepdims=True, where=np.isfinite(logs), initial=-np.inf)
-    return logs - top
+    logs = np.zeros((len(ratios), ratios.shape[1] + 1))
+    np.cumsum(steps, axis=1, out=logs[:, 1:])
+    logs -= np.max(logs, axis=1, keepdims=True, where=np.isfinite(logs), initial=-np.inf)
+    return logs
 
 
 def _signs(ratios: np.ndarray) -> np.ndarray:
@@ -151,17 +155,19 @@ def recurrence_rows(ratios: np.ndarray, dim: int) -> tuple:
     """The populations of recurrence_steady for every row of ratios, the
     ratios at the levels 0..n_top-1 (n_top < dim), at once, as a (rows, dim)
     array, and each row's signed weight: a row whose weight is not positive
-    has no state and is left zero.
+    has no state and is left zero.  Signs are tracked only where some
+    ratio is negative: elsewhere each is 1 (or 0 or NaN, as its magnitude).
 
     Every step is an elementwise ufunc, a cumulative sum or product along
     the row, or a sum over exactly the row's filled levels, so each row
     comes out bit for bit as it does alone.
     """
-    filled = _signs(ratios) * np.exp(_log_magnitudes(ratios))
+    filled = np.exp(_log_magnitudes(ratios))
+    if (ratios < 0).any():
+        filled *= _signs(ratios)
     weight = filled.sum(axis=1)
-    good = weight > 0
     p = np.zeros((len(filled), dim))
-    p[good, : filled.shape[1]] = filled[good] / weight[good, None]
+    np.divide(filled, weight[:, None], out=p[:, : filled.shape[1]], where=weight[:, None] > 0)
     return p, weight
 
 
@@ -293,19 +299,17 @@ def solve_pump_axis(
     keeps them all, and "auto" takes the model's own cutoff.  The pumps that
     share an n_max form one block, taken in pieces (_pieces), the largest
     n_max first: one view of the model (GeneratorModel.at), one recurrence
-    (recurrence_rows), one moment_columns and one band_linewidths per piece,
-    the last two sharing each row's mean.  Each cell is bit for bit what
-    its pump gives alone, as an axis of one pump (a scalar r): there is no
-    other one-pump route.  An error that no pump escapes
+    (recurrence_rows) and the dot products of its rows (moment_sums,
+    band_derivatives) per piece; the column arithmetic (photon_columns,
+    linewidth_columns) and the statuses run once per axis.  Each cell is
+    bit for bit what its pump gives alone, as an axis of one pump (a scalar
+    r): there is no other one-pump route.  An error that no pump escapes
     (check_axis_options, a model cutoff below 1 or past MAX_TRUNCATION)
     fails every cell with its message.
     """
     pumps = model.pump_count()
-    # a row the search left unresolved (level 0) keeps this error
-    status = [f"error: {_UNRESOLVED}"] * pumps
     populations = [None] * pumps
     n_maxes = np.zeros(pumps, dtype=int)
-    values = np.full((5, pumps), np.nan)  # the float columns of PumpAxis, in order
     try:
         check_axis_options(kappa, truncation, cutoff)
         if truncation is None:
@@ -314,33 +318,34 @@ def solve_pump_axis(
             levels = np.full(pumps, truncation)
         top = _model_cutoff(model) if cutoff == "auto" else cutoff
     except (SteadyStateError, ValueError) as exc:
-        return PumpAxis([f"error: {exc}"] * pumps, populations, n_maxes, *values)
-    # the largest block first: it sizes the level tables in one evaluation
+        columns = np.full((5, pumps), np.nan)
+        return PumpAxis([f"error: {exc}"] * pumps, populations, n_maxes, *columns)
+    # each row's signed weight, <n>, <n^2> and f'(0); NaN where it has no block
+    weight, mean, second, slope = np.full((4, pumps), np.nan)
     for n_max in np.unique(levels[levels > 0]).tolist()[::-1]:
         space = TruncatedSpace(n_max)
-        for rows in _pieces(np.flatnonzero(levels == n_max), n_max + 1):
+        for rows in _pieces(np.flatnonzero(levels == n_max), space.dim):
             block = model.at(rows, space)
             ratios = block.ratio_rows(kappa, _top_level(space, top))
-            p, weight = recurrence_rows(ratios, space.dim)
-            solved = weight > 0
-            columns = moment_columns(p)
-            undefined = {}
+            p, weight[rows] = recurrence_rows(ratios, space.dim)
+            mean[rows], second[rows] = moment_sums(p, block.levels(space.dim))
             if linewidth:
-                width = band_linewidths(block, p, columns[0], kappa)
-                columns += width[:2]
-                undefined = width.undefined
-            n_maxes[rows[solved]] = n_max
-            values[: len(columns), rows[solved]] = np.array(columns)[:, solved]
-            for i, row, ok, total in zip(rows.tolist(), p, solved.tolist(), weight.tolist()):
-                if ok:
-                    populations[i] = row
-                    status[i] = "ok"
-                else:
-                    status[i] = f"error: {_not_normalizable(total)}"
-            for j, reason in undefined.items():
-                if solved[j]:
-                    status[rows[j]] = f"undefined: {reason}"
-    return PumpAxis(status, populations, n_maxes, *values)
+                slope[rows] = band_derivatives(block, p, kappa)
+            for i, row in zip(rows.tolist(), p):
+                populations[i] = row
+    solved = weight > 0  # a row the search left unresolved has weight NaN
+    n_maxes[solved] = levels[solved]
+    mean, variance, mandel_q = photon_columns(*np.where(solved, [mean, second], np.nan))
+    width = linewidth_columns(slope, mean, kappa)  # all NaN without the linewidth
+    undefined = width.undefined if linewidth else {}
+    status = []
+    for i, (ok, total) in enumerate(zip(solved.tolist(), weight.tolist())):
+        if ok:
+            status.append(f"undefined: {undefined[i]}" if i in undefined else "ok")
+        else:
+            populations[i] = None
+            status.append(f"error: {_not_normalizable(total) if levels[i] else _UNRESOLVED}")
+    return PumpAxis(status, populations, n_maxes, mean, variance, mandel_q, *width[:2])
 
 
 def _block_labels(generator: Superoperator) -> tuple:

@@ -1044,3 +1044,34 @@ def test_console_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.startswith("model,")
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    """main reuses one parser per process: a JSON run to a file, a config
+    error, then the same command with no flags (CSV on stdout) each give
+    what a call on a freshly built parser gives."""
+    assert cli.build_parser() is cli.build_parser()
+    cfg, bad = tmp_path / "cfg.json", tmp_path / "bad.json"
+    config = {"models": ["exact", "heuristic"], "g_tau_bar": 0.15, "pump": [0.5, 2.0]}
+    cfg.write_text(json.dumps(config))
+    bad.write_text(json.dumps({"models": ["exact"], "g_tau_bar": 0.15, "pump": [], "workers": 2}))
+    calls = [
+        ["sweep", "--config", str(cfg), "--format", "json", "--out", str(tmp_path / "out.json")],
+        ["sweep", "--config", str(bad), "--model", "post4"],
+        ["sweep", "--config", str(cfg)],
+    ]
+
+    def outputs(fresh: bool) -> list:
+        results = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            results.append((*run_cli(argv, capsys), (tmp_path / "out.json").read_text()))
+        return results
+
+    reused = outputs(fresh=False)
+    assert [code for code, *_ in reused] == [EXIT_OK, EXIT_CONFIG, EXIT_OK]
+    assert reused[0][1] == "" and reused[2][1].startswith("model,g_tau_bar,")
+    assert reused[0][3].startswith('{\n  "config_echo"')
+    assert reused[1][2] == "config error: at least one pump value is required\n"
+    assert outputs(fresh=True) == reused

@@ -74,7 +74,11 @@ CASES = {
 # pairwise sums recurse and BLAS takes its long-vector path.  Its sweep and
 # linewidth CSVs are kept whole; its steady CSV (about 35,000 lines) by its
 # line count and sha256 (steady.csv.json).
-LARGE = {"models": ["exact", "uniform_lindblad", "heuristic"], "g_tau_bar": 0.03, "pump": "0.5:8:12"}
+LARGE = {
+    "models": ["exact", "uniform_lindblad", "heuristic"],
+    "g_tau_bar": 0.03,
+    "pump": "0.5:8:12",
+}
 
 
 def run(case: str, command: str, fmt: str, config_path: Path) -> tuple[int, str, str]:

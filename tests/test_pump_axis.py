@@ -285,13 +285,15 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
 def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
     """One exact model serves the pump axis: its feed table is evaluated
     once per truncation-search stage and once for the linewidth band, its
-    dephasing once, however many blocks (here 12, one per pump) read them."""
-    calls = {"sin_sin_average": 0, "cos_cos_average": 0}
+    dephasing once, and its level vectors (the levels' own, and the loss
+    factors of the linewidth band) once, however many blocks (here 12, one
+    per pump) read them."""
+    calls = dict.fromkeys(("sin_sin_average", "cos_cos_average", "level_vectors", "band_levels"), 0)
     for name in calls:
 
-        def counted(*args, name=name, average=getattr(models, name)):
+        def counted(*args, name=name, fn=getattr(models, name), **kwargs):
             calls[name] += 1
-            return average(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(models, name, counted)
     params = PumpParameters.from_pump(np.linspace(0.5, 8.0, 12), 0.03)
@@ -303,6 +305,7 @@ def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
     assert stages == 9
     assert calls["sin_sin_average"] <= stages + 1
     assert calls["cos_cos_average"] <= 3  # one dephasing table: three averages
+    assert calls["level_vectors"] == calls["band_levels"] == 1
 
 
 def test_an_invalid_gain_column_is_one_build_error_on_one_line():
