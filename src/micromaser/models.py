@@ -53,8 +53,8 @@ or block of pumps slices the table and multiplies its own rate rows in last
 eigenvalues at every level; where H reads the truncated product a a*
 (truncated_top), the term at the top level is applied to the block's last
 band entry, as the truncated gain out of the top level is.  The vectors of
-the levels alone (`Levels`, and apply_band's `band_levels`) are held alike,
-built once on at least LEVEL_VECTORS levels.
+the levels alone (`levels`, and apply_band's `band_levels`) depend on no
+model: one module table holds them, built once on at least HARD_CAP levels.
 
 Each model states its truncation rule in `cutoff`: the series models (post4,
 weak_lindblad) hold up to expansion_cutoff, the others have a physical tail.
@@ -81,7 +81,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -112,13 +112,12 @@ def _grown(cache: dict, key, length: int, build: Callable, least: int = 0) -> tu
     return held
 
 
-# levels a model's level vectors are first built on: the truncation search's
-# ceiling (steady.HARD_CAP), so one build serves every level it tries
-LEVEL_VECTORS = 4096
+HARD_CAP = 4096  # largest n_max the truncation search (steady) tries
+_LEVELS = {}  # "levels" -> Levels, band width k -> band_levels, all on >= HARD_CAP levels
 
 
 class Levels(NamedTuple):
-    """Vectors of the levels n alone, as floats."""
+    """Vectors of the levels n alone, as floats (levels)."""
 
     n: np.ndarray
     n2: np.ndarray  # n * n
@@ -135,6 +134,11 @@ def band_levels(m: np.ndarray, k: int) -> tuple:
     """m + n and sqrt(m n) at the pairs (m, n = m + k) of band k: times kappa,
     loss out of rho_{m,n} and from it into rho_{m-1,n-1}."""
     return m + (m + k), np.sqrt(m * (m + k))
+
+
+def levels(length: int) -> Levels:
+    """level_vectors of at least `length` levels, held in _LEVELS."""
+    return _grown(_LEVELS, "levels", length, level_vectors, HARD_CAP)
 
 
 def _view(obj, **changes):
@@ -235,8 +239,6 @@ class GeneratorModel:
     truncated_top: bool = False
     lindblad: tuple | None = None
     cutoff: int | None = None
-    # the vectors of levels and apply_band's band_levels, shared with the views
-    level_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _require_one_pump(self) -> None:
         """ValueError for a model built on an array of pump values, even of
@@ -294,15 +296,11 @@ class GeneratorModel:
 
         return ratio
 
-    def levels(self, length: int) -> Levels:
-        """level_vectors of at least `length` levels, held by the model."""
-        return _grown(self.level_tables, "levels", length, level_vectors, LEVEL_VECTORS)
-
     def ratio_rows(self, kappa: float, length: int) -> np.ndarray:
         """gain_ratio(kappa) at the levels 0..length-1, one row per pump row,
         read from the level table of band 0."""
         check_kappa(kappa, zero=False)
-        loss = kappa * self.levels(length).up[:length]
+        loss = kappa * levels(length).up[:length]
         return np.atleast_2d(self.feed_terms.band(0, length) / loss)
 
     def apply_band(self, band: np.ndarray, k: int, kappa: float) -> np.ndarray:
@@ -317,7 +315,7 @@ class GeneratorModel:
         first entry has m = 0 or n = 0 and only the last has m or n = n_max,
         so loss leaves every entry but the first and feed every entry but
         the last, and each move is one slice.  The level factors of loss,
-        band_levels of band |k|, are held with the level vectors."""
+        band_levels of band |k|, are held in _LEVELS."""
         check_kappa(kappa, zero=True)
         band = np.asarray(band)
         dim, width = self.space.dim, abs(k)
@@ -326,7 +324,7 @@ class GeneratorModel:
             raise ValueError(f"band {k} holds {size} entries, got shape {band.shape}")
         # band -k holds the values of band k, entry by entry
         build = functools.partial(band_levels, k=width)
-        pair_sum, pair_root = _grown(self.level_tables, width, size, build, LEVEL_VECTORS)
+        pair_sum, pair_root = _grown(_LEVELS, width, size, build, HARD_CAP)
         gain_out = self.feed_terms.band(0, dim)
         gain_out[..., -1] = 0.0  # gain out of the top level is truncated
         top = None

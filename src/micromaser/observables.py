@@ -9,10 +9,10 @@ tests lean on.  `linewidth` takes the assembled generator and a density
 matrix; its independent check, `linewidth_fd`, takes the same quotient
 through the phi1 series of (e^{S delta} - 1)/delta on that generator.  For
 a diagonal state a rho_ss and its image fill only the offset-1 band, which
-is all `band_linewidths` touches: given a model and one row of populations
-per pump, it is the pump axis's linewidth (steady.solve_pump_axis), O(n_max)
-in time and memory: its dot products per block (band_derivatives,
-moment_sums), its column arithmetic once (linewidth_columns, photon_columns).
+is all `band_derivatives` touches: given a model and one row of populations
+per pump, it gives each row's f'(0) in O(n_max) time and memory, and
+`linewidth_columns` turns those and the means into D; the pump axis
+(steady.solve_pump_axis) runs the first per block, the second once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import Superoperator
-from .models import GeneratorModel, Levels, level_vectors
+from .models import GeneratorModel, levels
 from .pump import check_kappa, check_one_pump, check_rates
 
 
@@ -43,12 +43,13 @@ def _row_dots(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], vector[:, None])[:, 0, 0]
 
 
-def moment_sums(p: np.ndarray, levels: Levels) -> tuple[np.ndarray, np.ndarray]:
+def moment_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """<n> and <n^2> of each row of the 2-D populations p: one dot product
-    per row with the level vectors n and n * n (models.Levels, at least as
-    long as the rows), so each row's sums are bit for bit its own."""
+    per row with the level vectors n and n * n (models.levels), so each
+    row's sums are bit for bit its own."""
     size = p.shape[1]
-    return _row_dots(levels.n[:size], p), _row_dots(levels.n2[:size], p)
+    held = levels(size)
+    return _row_dots(held.n[:size], p), _row_dots(held.n2[:size], p)
 
 
 def photon_columns(mean: np.ndarray, second: np.ndarray) -> tuple:
@@ -65,8 +66,7 @@ def moment_columns(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """Mean, variance and Mandel Q of each row of populations, as columns:
     moment_sums, then photon_columns, so every row is bit for bit what
     moments gives it alone."""
-    p = np.atleast_2d(np.asarray(populations, dtype=float))
-    return photon_columns(*moment_sums(p, level_vectors(np.arange(p.shape[1]))))
+    return photon_columns(*moment_sums(np.atleast_2d(np.asarray(populations, dtype=float))))
 
 
 def moments(p: np.ndarray) -> PhotonMoments:
@@ -146,7 +146,8 @@ class LinewidthColumns(NamedTuple):
 
 def linewidth_columns(deriv: np.ndarray, mean_n: np.ndarray, kappa: float) -> LinewidthColumns:
     """D = -2 Re f'(0) / <n> and normalized_D of each row from its f'(0)
-    and mean; undefined below MEAN_N_FLOOR."""
+    (band_derivatives) and mean (moment_columns); undefined below
+    MEAN_N_FLOOR."""
     low = mean_n < MEAN_N_FLOOR
     mean = np.where(low, math.nan, mean_n)
     d_rate = -2.0 * deriv.real / mean
@@ -187,20 +188,10 @@ def band_derivatives(model: GeneratorModel, p: np.ndarray, kappa: float) -> np.n
     one per pump row of the model.  One apply_band serves every row; the
     dot products stay per row, so each row comes out bit for bit as it
     does alone."""
-    # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
-    root = model.levels(p.shape[1]).root[: p.shape[1] - 1]
-    return _row_dots(root, model.apply_band(root * p[:, 1:], 1, kappa))
-
-
-def band_linewidths(
-    model: GeneratorModel, populations: np.ndarray, mean_n: np.ndarray, kappa: float
-) -> LinewidthColumns:
-    """linewidth of diag(p) for each row p of populations, one per pump row
-    of the model, whose mean photon numbers are mean_n (moment_columns):
-    band_derivatives, then linewidth_columns."""
     check_kappa(kappa, zero=False)
-    p = np.atleast_2d(populations)
-    return linewidth_columns(band_derivatives(model, p, kappa), mean_n, kappa)
+    # (a diag(p))_{m,m+1} = sqrt(m+1) p_{m+1}; tr[a* X] sums sqrt(m+1) X_{m,m+1}
+    root = levels(p.shape[1]).root[: p.shape[1] - 1]
+    return _row_dots(root, model.apply_band(root * p[:, 1:], 1, kappa))
 
 
 def linewidth(generator: Superoperator, rho_ss: np.ndarray, kappa: float) -> LinewidthResult:

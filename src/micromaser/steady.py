@@ -25,9 +25,9 @@ the linewidth.  The pump enters a model only through per-pump rates
 multiplied in last (models.PairTerms), so one model, built by the caller
 on a (P, 1) column of them, serves every pump:
 
-  once per axis    the model's pump count, cutoff and level vectors
-                   (GeneratorModel.levels), which every block slices; the
-                   column arithmetic (photon_columns: variance and Mandel Q;
+  once per process the level vectors (models.levels), which blocks slice;
+  once per axis    the model's pump count and cutoff; the column
+                   arithmetic (photon_columns: variance and Mandel Q;
                    linewidth_columns: D and normalized_D) and the statuses;
   once per stage   the truncation search (truncation_levels) takes the
                    model's own cutoff where it has one, else doubles in
@@ -59,12 +59,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import Superoperator, TruncatedSpace, is_integer, unvec, vec_entries
+from .models import HARD_CAP
 from .observables import band_derivatives, linewidth_columns, moment_sums, photon_columns
 from .pump import check_kappa, check_one_pump
 
 
 START = 16  # n_max of the truncation search's first stage
-HARD_CAP = 4096  # largest n_max the truncation search tries
 # Largest explicit truncation solve_pump_axis (and the CLI) takes.  A sweep
 # of exact and heuristic at two pumps there peaks at about 0.7 GB; far above
 # it the level tables cannot be allocated (7 PiB at 10**15).
@@ -328,7 +328,7 @@ def solve_pump_axis(
             block = model.at(rows, space)
             ratios = block.ratio_rows(kappa, _top_level(space, top))
             p, weight[rows] = recurrence_rows(ratios, space.dim)
-            mean[rows], second[rows] = moment_sums(p, block.levels(space.dim))
+            mean[rows], second[rows] = moment_sums(p)
             if linewidth:
                 slope[rows] = band_derivatives(block, p, kappa)
             for i, row in zip(rows.tolist(), p):

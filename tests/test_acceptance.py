@@ -30,7 +30,13 @@ from micromaser.models import (
     uniform_model,
     weak_coupling_model,
 )
-from micromaser.observables import band_linewidths, linewidth, linewidth_fd, moments
+from micromaser.observables import (
+    band_derivatives,
+    linewidth,
+    linewidth_columns,
+    linewidth_fd,
+    moments,
+)
 from micromaser.oracle import (
     dissipator_matrix,
     fourth_order_generator,
@@ -337,7 +343,8 @@ def test_criterion_10_figure_trends():
     for pump in (2.0, 3.0, 4.0, 5.0):
         _, model, _, stats = _exact_point(pump, gt)
         mean_n = np.array([moments(stats.p).mean_n])
-        normalized_d = band_linewidths(model, stats.p, mean_n, KAPPA).normalized_D[0]
+        slope = band_derivatives(model, stats.p[None], KAPPA)
+        normalized_d = linewidth_columns(slope, mean_n, KAPPA).normalized_D[0]
         d_seen.append(normalized_d)
         d_ok = d_ok and 0.5 <= normalized_d <= 2.0
 

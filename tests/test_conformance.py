@@ -40,7 +40,7 @@ from micromaser.models import (
     expansion_cutoff,
     general_weak_model,
 )
-from micromaser.observables import band_linewidths, linewidth, moment_columns
+from micromaser.observables import band_derivatives, linewidth, linewidth_columns, moment_columns
 from micromaser.oracle import (
     averaged_pump_superoperator,
     column_trace_defects,
@@ -110,13 +110,13 @@ def test_assemble_matches_the_dense_oracle_and_preserves_trace(variant, g_tau_ba
 @pytest.mark.parametrize("g_tau_bar", [0.05, 0.15])
 @each_variant
 def test_band_linewidth_matches_the_dense_generator(variant, g_tau_bar):
-    """The CLI route, band_linewidths on the offset-1 band, against the
+    """The CLI route, band_derivatives on the offset-1 band, against the
     assembled generator acting on the full matrix diag(p), above threshold."""
     params = PumpParameters.from_pump(2.0, g_tau_bar, KAPPA)
     space = TruncatedSpace(12)
     model = VARIANTS[variant](params, space)
     p = recurrence_steady(model.gain_ratio(KAPPA), space).p
-    band = band_linewidths(model, p, moment_columns(p)[0], KAPPA)
+    band = linewidth_columns(band_derivatives(model, p[None], KAPPA), moment_columns(p)[0], KAPPA)
     dense = linewidth(assemble(model, KAPPA), np.diag(p), KAPPA)
     assert band.D[0] == pytest.approx(dense.D, rel=1e-12)
 
@@ -338,7 +338,8 @@ def test_band_linewidth_memory_is_linear_in_n_max(variant):
     try:
         model = VARIANTS[variant](params, space)
         stats = recurrence_steady(model.gain_ratio(KAPPA), space, cutoff=model.cutoff)
-        res = band_linewidths(model, stats.p, moment_columns(stats.p)[0], KAPPA)
+        slope = band_derivatives(model, stats.p[None], KAPPA)
+        res = linewidth_columns(slope, moment_columns(stats.p)[0], KAPPA)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

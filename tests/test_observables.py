@@ -11,9 +11,10 @@ from micromaser.models import assemble, exact_model, heuristic_model
 from micromaser.observables import (
     LinewidthResult,
     _row_dots,
-    band_linewidths,
+    band_derivatives,
     distribution_distance,
     linewidth,
+    linewidth_columns,
     linewidth_fd,
     moment_columns,
     moments,
@@ -217,9 +218,9 @@ def test_every_linewidth_route_rejects_a_kappa_that_is_not_positive_and_finite(k
     space = TruncatedSpace(30)
     model = exact_model(PumpParameters.from_pump(2.0, 0.15, KAPPA), space)
     p = recurrence_steady(model.gain_ratio(KAPPA), space).p
-    generator, rho = assemble(model, KAPPA), np.diag(p)
+    generator, rho, mean_n = assemble(model, KAPPA), np.diag(p), moment_columns(p)[0]
     routes = [
-        lambda: band_linewidths(model, p[None, :], moment_columns(p)[0], kappa),
+        lambda: linewidth_columns(band_derivatives(model, p[None], kappa), mean_n, kappa),
         lambda: linewidth(generator, rho, kappa),
         lambda: linewidth_fd(generator, rho, kappa),
         lambda: semiclassical_intensity(2.0, kappa, 0.1),
@@ -305,7 +306,7 @@ def test_dense_route_at_a_truncation_no_square_array_could_hold():
     rho = nullspace_steady(gen)
     p = recurrence_steady(model.gain_ratio(KAPPA), space).p
     assert np.abs(np.diagonal(rho).real - p).max() < 1e-10
-    band = band_linewidths(model, p, moment_columns(p)[0], KAPPA)
+    band = linewidth_columns(band_derivatives(model, p[None], KAPPA), moment_columns(p)[0], KAPPA)
     assert linewidth(gen, rho, KAPPA).D == pytest.approx(band.D[0], rel=1e-9)
 
 

@@ -5,7 +5,7 @@ truncation search, one recurrence and one band linewidth per group of
 pumps that share n_max.  Here every cell is solved again on its own,
 from the public constructors and the one-row functions: the truncation
 search on one row (truncation_levels), recurrence_steady, moments and the
-band linewidth on one row (band_linewidths), and every number must be
+band linewidth on one row (band_derivatives, linewidth_columns), and every number must be
 equal, not close.
 """
 
@@ -41,7 +41,7 @@ from micromaser import (
 )
 from micromaser import models, steady
 from micromaser.models import GeneratorModel
-from micromaser.observables import band_linewidths
+from micromaser.observables import band_derivatives, linewidth_columns
 from micromaser.oracle import (
     averaged_pump_superoperator,
     fourth_order_generator,
@@ -111,7 +111,8 @@ def one_cell(model: dict, raw: dict, pump: float) -> dict:
         "mandel_Q": None if math.isnan(mom.mandel_q) else mom.mandel_q,
         "linewidth_D": None,
     }
-    width = band_linewidths(solved, stats.p, np.array([mom.mean_n]), kappa)
+    slope = band_derivatives(solved, stats.p[None], kappa)
+    width = linewidth_columns(slope, np.array([mom.mean_n]), kappa)
     if width.undefined:
         cell["undefined"] = width.undefined[0]
     else:
@@ -285,9 +286,10 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
 def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
     """One exact model serves the pump axis: its feed table is evaluated
     once per truncation-search stage and once for the linewidth band, its
-    dephasing once, and its level vectors (the levels' own, and the loss
-    factors of the linewidth band) once, however many blocks (here 12, one
-    per pump) read them."""
+    dephasing once.  The level vectors, which no model owns (the levels'
+    own, and the loss factors of the linewidth band), are built once per
+    process, however many blocks (here 12, one per pump) read them."""
+    monkeypatch.setattr(models, "_LEVELS", {})  # as a fresh process holds them
     calls = dict.fromkeys(("sin_sin_average", "cos_cos_average", "level_vectors", "band_levels"), 0)
     for name in calls:
 
@@ -526,7 +528,8 @@ def test_a_scalar_rate_is_an_axis_of_one_pump():
     model = exact_model(params, space)
     stats = recurrence_steady(model.gain_ratio(1.0), space)
     mom = moments(stats.p)
-    width = band_linewidths(model, stats.p, np.array([mom.mean_n]), 1.0)
+    slope = band_derivatives(model, stats.p[None], 1.0)
+    width = linewidth_columns(slope, np.array([mom.mean_n]), 1.0)
     assert axis.status == ["ok"]
     assert axis.n_max.tolist() == [space.n_max]
     assert axis.p[0].tolist() == stats.p.tolist()

@@ -24,7 +24,13 @@ from micromaser.models import (
     heuristic_model,
     weak_coupling_model,
 )
-from micromaser.observables import band_linewidths, distribution_distance, linewidth, moments
+from micromaser.observables import (
+    band_derivatives,
+    distribution_distance,
+    linewidth,
+    linewidth_columns,
+    moments,
+)
 from micromaser.oracle import annihilation, from_matrix, left_mult, loss_dissipator, right_mult
 from micromaser.pump import PumpParameters
 from micromaser.steady import (
@@ -523,5 +529,6 @@ def test_nullspace_steady_at_the_truncation_the_search_chooses(name):
     p = recurrence_steady(model.gain_ratio(KAPPA), space).p
     assert np.abs(np.diagonal(rho).real - p).max() <= 1e-10
     dense = linewidth(generator, rho, KAPPA).D
-    band = band_linewidths(model, p, np.array([moments(p).mean_n]), KAPPA).D[0]
+    slope = band_derivatives(model, p[None], KAPPA)
+    band = linewidth_columns(slope, np.array([moments(p).mean_n]), KAPPA).D[0]
     assert abs(dense - band) <= 1e-9 * abs(band)
