@@ -7,7 +7,9 @@ in cavity-loss units.  Output is CSV (17 significant digits) or JSON
 and byte-stable for a fixed config; the constant columns of each output row
 (a steady cell, or a model's sweep along the pump axis) are encoded once
 into the fixed text between its list columns, and each row's lines are one
-join of that text with the texts of its list columns.
+join of that text with the texts of its list columns.  A list column of
+finite floats or of ints is formatted in one %-formatting call, and a list
+that several rows share (a sweep's pump column) once per output.
 Exit codes: 0 full success, 2 when some sweep points failed (rows for the
 rest are still emitted), 1 on configuration errors and, without a
 traceback, on an output its reader closed early (`| head`) or that could
@@ -41,7 +43,7 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -275,6 +277,8 @@ def _normalize_pump(raw) -> tuple:
             raise ConfigError(f"pump.steps must be an integer, got {raw['steps']!r}")
         return _pump_range(start, stop, steps)
     if isinstance(raw, (list, tuple)):
+        if set(map(type, raw)) <= {float}:  # as JSON gives most lists: nothing to check
+            return tuple(raw)
         return tuple(_number(f"pump[{i}]", v) for i, v in enumerate(raw))
     if isinstance(raw, (bool, int, float)):
         return (_number("pump", raw),)
@@ -319,17 +323,17 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 def _solve_grid(config: RunConfig, command: str, linewidth: bool = False) -> tuple[list, int]:
     """Per model, its PumpAxis, solved in one pass (solve_pump_axis); each
-    failed cell is reported on stderr under the command's name, in grid
-    order."""
+    failed cell (n_max 0) is reported on stderr under the command's name,
+    in grid order."""
     options = dict(linewidth=linewidth, **config.axis_options)
     grid = [solve_pump_axis(model, config.kappa, **options) for model in config.built]
     failures = 0
     for spec, axis in zip(config.models, grid):
-        for pump_value, status in zip(config.pump, axis.status):
-            if status.startswith("error: "):
-                failures += 1
-                error = status[len("error: ") :]
-                print(f"{command}: {spec.name} at pump {pump_value}: {error}", file=sys.stderr)
+        failed = np.flatnonzero(axis.n_max == 0).tolist()
+        failures += len(failed)
+        for i in failed:
+            error = axis.status[i][len("error: ") :]
+            print(f"{command}: {spec.name} at pump {config.pump[i]}: {error}", file=sys.stderr)
     return grid, failures
 
 
@@ -436,31 +440,48 @@ def _json_cell(value) -> str:
 class _Format:
     """How one output lays out its lines.  `cell` gives the text of a cell
     (a scalar, or one entry of a list) as it stands in a line, and `exact`,
-    per type, a function that gives the same text for every value of that
-    type (every finite one, for float) in one C call.  A line is `head`,
-    then each cell's text followed by its entry of `seps`: a separator, or
-    the end of the line after the last cell.  `counts` caches the texts of
-    0, 1, 2, ... for a counting column."""
+    per type, a function that gives the texts of a list of values of that
+    type (every one finite, for float) as `cell` does, in one or a few C
+    calls.  A line is `head`, then each cell's text followed by its entry of
+    `seps`: a separator, or the end of the line after the last cell.
+    `counts` caches the texts of 0, 1, 2, ... for a counting column, and
+    `last` holds each column's last list with its texts, so a list that
+    several rows share is formatted once."""
 
     cell: Callable
     exact: dict
     head: str
     seps: list
     counts: list = field(default_factory=list)
+    last: dict = field(default_factory=dict)
 
 
-def _texts(values, fmt: _Format) -> Iterable[str]:
+def _one_call(directive: str) -> Callable:
+    """The texts of a list of values from one %-formatting call: directive,
+    which writes no comma, once per value, joined by commas and split on
+    them."""
+    return lambda values: (",".join([directive] * len(values)) % tuple(values)).split(",")
+
+
+def _each(text: Callable) -> Callable:
+    """The texts of a list of values, text(value) for each."""
+    return lambda values: list(map(text, values))
+
+
+def _texts(values, fmt: _Format) -> list:
     """The text of each list entry: the cached counts for range(n), else
-    the exact builtin where one applies."""
+    the exact function where one applies."""
     if isinstance(values, range) and values == range(len(values)):
         fmt.counts.extend(map(int.__repr__, range(len(fmt.counts), len(values))))
-        return islice(fmt.counts, len(values))
+        # copied by iteration: with a slice, a steady JSON run of 35,000
+        # levels peaked 0.9 MB higher in resident memory (glibc malloc)
+        return list(islice(fmt.counts, len(values)))
     kinds = set(map(type, values))
     if len(kinds) == 1 and kinds <= fmt.exact.keys():
         (kind,) = kinds
         if kind is not float or all(map(math.isfinite, values)):
-            return map(fmt.exact[kind], values)
-    return map(fmt.cell, values)
+            return fmt.exact[kind](values)
+    return list(map(fmt.cell, values))
 
 
 def _row_text(row: dict, columns: tuple, fmt: _Format) -> str:
@@ -469,10 +490,15 @@ def _row_text(row: dict, columns: tuple, fmt: _Format) -> str:
     are one join of that fixed text, repeated, with the entry texts of
     each list column, interleaved by C iterators."""
     fixed, texts, lines = [fmt.head], [], 1
+    # the texts of the last row's lists that this row does not share are freed first
+    fmt.last = {col: held for col, held in fmt.last.items() if held[0] is row[col]}
     for col, sep in zip(columns, fmt.seps, strict=True):
         value = row[col]
         if isinstance(value, (list, range)):
-            texts.append(_texts(value, fmt))
+            last = fmt.last.get(col)
+            if last is None or last[0] is not value:
+                last = fmt.last[col] = (value, _texts(value, fmt))
+            texts.append(last[1])
             fixed.append(sep)
             lines = len(value)
         else:
@@ -494,7 +520,7 @@ def write_csv(rows: list[dict], columns: tuple, stream) -> None:
 
     fmt = _Format(
         cell=lambda value: quoted(_csv_cell(value)),
-        exact={float: "{:.16e}".format, int: int.__repr__, str: quoted},
+        exact={float: _one_call("%.16e"), int: _one_call("%d"), str: _each(quoted)},
         head="",
         seps=[","] * (len(columns) - 1) + ["\n"],
     )
@@ -513,7 +539,11 @@ def write_json(rows: list[dict], columns: tuple, config: RunConfig, command: str
     keys = [f"      {encode_basestring_ascii(col)}: " for col in columns]
     fmt = _Format(
         cell=_json_cell,
-        exact={float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii},
+        exact={  # one "%r" call is slower than float.__repr__ on each value
+            float: _each(float.__repr__),
+            int: _one_call("%d"),
+            str: _each(encode_basestring_ascii),
+        },
         head=",\n    {\n" + keys[0],
         seps=[",\n" + key for key in keys[1:]] + ["\n    }"],
     )

@@ -187,12 +187,12 @@ class PairTerms:
     def __call__(self, ym, yn) -> np.ndarray:
         return functools.reduce(operator.add, map(operator.mul, self.rates, self.fn(ym, yn)))
 
-    def band(self, k: int, length: int, top: tuple | None = None) -> np.ndarray:
-        """The pair function on the first `length` pairs (i, i + k) of band
-        k, read from its table; top, a pair (y_m, y_n) of one-entry arrays,
-        replaces the eigenvalues of the last pair."""
+    def band(self, k: int, length: int, top: tuple | None = None, start: int = 0) -> np.ndarray:
+        """The pair function on the pairs (i, i + k) of band k, i from start
+        up to length, read from its table; top, a pair (y_m, y_n) of
+        one-entry arrays, replaces the eigenvalues of the last pair."""
         table = _grown(self.tables, k, length, lambda i: tuple(self.fn(i + 1.0, i + 1.0 + k)))
-        levels = [t[:length] for t in table]
+        levels = [t[start:length] for t in table]
         if top is not None:
             levels = [np.concatenate((t[:-1], end)) for t, end in zip(levels, self.fn(*top))]
         return functools.reduce(operator.add, map(operator.mul, self.rates, levels))
@@ -296,12 +296,12 @@ class GeneratorModel:
 
         return ratio
 
-    def ratio_rows(self, kappa: float, length: int) -> np.ndarray:
-        """gain_ratio(kappa) at the levels 0..length-1, one row per pump row,
-        read from the level table of band 0."""
+    def ratio_rows(self, kappa: float, length: int, start: int = 0) -> np.ndarray:
+        """gain_ratio(kappa) at the levels start..length-1, one row per pump
+        row, read from the level table of band 0."""
         check_kappa(kappa, zero=False)
-        loss = kappa * levels(length).up[:length]
-        return np.atleast_2d(self.feed_terms.band(0, length) / loss)
+        loss = kappa * levels(length).up[start:length]
+        return np.atleast_2d(self.feed_terms.band(0, length, start=start) / loss)
 
     def apply_band(self, band: np.ndarray, k: int, kappa: float) -> np.ndarray:
         """Generator action on the band rho_{m,m+k}, given and returned as a

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +56,9 @@ def moment_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def photon_columns(mean: np.ndarray, second: np.ndarray) -> tuple:
     """Mean, variance and Mandel Q, as columns, from the columns <n> and
     <n^2>.  The variance squares each mean with Python's float ** (NumPy's
-    square differs from it in the last bit for some means)."""
-    variance = second - [m**2 for m in mean.tolist()]
+    square differs from it in the last bit for some means), as pow mapped
+    over the column."""
+    variance = second - list(map(pow, mean.tolist(), repeat(2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         mandel_q = np.where(mean > 0, variance / mean - 1.0, math.nan)
     return mean, variance, mandel_q

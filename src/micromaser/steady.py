@@ -28,23 +28,38 @@ on a (P, 1) column of them, serves every pump:
   once per process the level vectors (models.levels), which blocks slice;
   once per axis    the model's pump count and cutoff; the column
                    arithmetic (photon_columns: variance and Mandel Q;
-                   linewidth_columns: D and normalized_D) and the statuses;
+                   linewidth_columns: D and normalized_D); the statuses
+                   and the list of populations, from masks and index
+                   arrays (a Python loop visits only failed and undefined
+                   cells);
   once per stage   the truncation search (truncation_levels) takes the
                    model's own cutoff where it has one, else doubles in
-                   stages over the rows not yet resolved; a stage that
-                   reaches past the model's ratio table evaluates it once,
-                   and reads only the magnitudes of the ladder;
-  once per block   the pumps that share an n_max form one block, taken
-                   largest first (so the first sizes the linewidth band's
-                   table), and only the work whose bits depend on its
-                   row length: a view of the model on its space
-                   (GeneratorModel.at), whose ratios and band are slices of
-                   the shared tables times the block's own rate rows, the
-                   recurrence (recurrence_rows) and each row's dot products
-                   (moment_sums: <n>, <n^2>; band_derivatives: f'(0)).
+                   stages over the rows not yet resolved.  A stage reads
+                   every such row's ratio at its last level (evaluating
+                   the model's ratio table once, if it reaches past it) and
+                   ladders only the rows where that is below 1: no other
+                   row can resolve there.  It reads only the magnitudes of
+                   the ladder, and hands each row it resolves its ladder;
+  once per block   the pumps that one stage piece resolved at one n_max
+                   form a block (at a fixed truncation or a model cutoff, a
+                   piece of all the pumps does), which does only the work
+                   whose bits depend on its row length: its populations,
+                   the stage's magnitudes on its levels over their sum
+                   where the stage's ladder peaks within those levels (the
+                   stage's shift is then the block's own), else
+                   recurrence_rows on the stage's ratios cut to them (at a
+                   fixed truncation, on the block's own ratio_rows); a view
+                   of the model on its space (GeneratorModel.at), whose band
+                   is a slice of the shared tables times the block's own
+                   rate rows; and each row's dot products (moment_sums:
+                   <n>, <n^2>; band_derivatives: f'(0), run largest n_max
+                   first, so that the first sizes the linewidth band's
+                   table).
 
 A stage or a block takes its rows in pieces of at most BLOCK_ENTRIES levels
-in all, so memory does not grow with the pump axis.  Each row takes only
+in all (a searched block is part of one stage piece), so memory does not
+grow with the pump axis, and a stage frees its own arrays but the ladder
+before its blocks are solved.  Each row takes only
 elementwise ufuncs, cumulative sums along the row, sums over exactly its
 own filled levels, and dot products of its own, so every number is bit for
 bit what its pump gives alone: an axis of one pump (a scalar r) is the
@@ -55,6 +70,8 @@ ratio and any distribution, are the one-row case of the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,13 +132,19 @@ def _model_cutoff(model) -> int | None:
     return model.cutoff
 
 
-def _log_magnitudes(ratios: np.ndarray) -> np.ndarray:
-    """log|p_n| of p_0 = 1, p_{n+1} = ratios[:, n] p_n, one ladder per row,
-    each row's logs shifted so that its largest finite one is 0."""
+def _logs(ratios: np.ndarray) -> np.ndarray:
+    """log|p_n| of p_0 = 1, p_{n+1} = ratios[:, n] p_n, one ladder per row."""
     with np.errstate(divide="ignore"):
         steps = np.log(np.abs(ratios))
     logs = np.zeros((len(ratios), ratios.shape[1] + 1))
     np.cumsum(steps, axis=1, out=logs[:, 1:])
+    return logs
+
+
+def _log_magnitudes(ratios: np.ndarray) -> np.ndarray:
+    """The ladders' logs (_logs), each row's shifted so that its largest
+    finite one is 0."""
+    logs = _logs(ratios)
     logs -= np.max(logs, axis=1, keepdims=True, where=np.isfinite(logs), initial=-np.inf)
     return logs
 
@@ -129,6 +152,18 @@ def _log_magnitudes(ratios: np.ndarray) -> np.ndarray:
 def _signs(ratios: np.ndarray) -> np.ndarray:
     """sign(p_n) of the same ladders."""
     return np.concatenate((np.ones((len(ratios), 1)), np.cumprod(np.sign(ratios), axis=1)), axis=1)
+
+
+def _stage_ladder(ratios: np.ndarray) -> tuple:
+    """The magnitudes |p_n| = exp(log) of the ladders of _log_magnitudes,
+    and the first level at which each row's log peaks: its shift.  argmax
+    gives the largest finite log on every row a stage can resolve; a row
+    with a NaN or +inf log, which none can, comes out NaN."""
+    logs = _logs(ratios)
+    peak = logs.argmax(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        logs -= logs[np.arange(len(logs)), peak][:, None]
+    return np.exp(logs, out=logs), peak
 
 
 def _ratio_rows(ratio, n: int) -> np.ndarray:
@@ -151,6 +186,15 @@ def _not_normalizable(total: float) -> str:
     )
 
 
+def _normalized(filled: np.ndarray, dim: int) -> tuple:
+    """The rows of filled over their sums, zero padded to dim levels, and
+    the sums; a row whose sum is not positive is left zero."""
+    weight = filled.sum(axis=1)
+    p = np.zeros((len(filled), dim))
+    np.divide(filled, weight[:, None], out=p[:, : filled.shape[1]], where=weight[:, None] > 0)
+    return p, weight
+
+
 def recurrence_rows(ratios: np.ndarray, dim: int) -> tuple:
     """The populations of recurrence_steady for every row of ratios, the
     ratios at the levels 0..n_top-1 (n_top < dim), at once, as a (rows, dim)
@@ -165,10 +209,7 @@ def recurrence_rows(ratios: np.ndarray, dim: int) -> tuple:
     filled = np.exp(_log_magnitudes(ratios))
     if (ratios < 0).any():
         filled *= _signs(ratios)
-    weight = filled.sum(axis=1)
-    p = np.zeros((len(filled), dim))
-    np.divide(filled, weight[:, None], out=p[:, : filled.shape[1]], where=weight[:, None] > 0)
-    return p, weight
+    return _normalized(filled, dim)
 
 
 def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -> PhotonStatistics:
@@ -202,44 +243,87 @@ def _pieces(rows: np.ndarray, width: int) -> list:
     return [rows[i : i + size] for i in range(0, len(rows), size)]
 
 
+def _pinned(model) -> int | None:
+    """The model's own cutoff, which pins its truncation (the tail of a
+    truncated series is an artifact), or None; one past MAX_TRUNCATION, the
+    ceiling of an explicit truncation, is a SteadyStateError."""
+    cutoff = _model_cutoff(model)
+    if cutoff is not None and cutoff > MAX_TRUNCATION:
+        raise SteadyStateError(
+            f"the model's cutoff {cutoff:.4g} passes the truncation ceiling {MAX_TRUNCATION}"
+        )
+    return cutoff
+
+
+class _Stage(NamedTuple):
+    """One piece of a search stage: its pump rows, the positions `done` of
+    those it resolved and their n_max, and its ladders (the ratios, their
+    magnitudes u and each row's peak, from _stage_ladder)."""
+
+    rows: np.ndarray
+    done: np.ndarray
+    n_max: np.ndarray
+    ratios: np.ndarray
+    u: np.ndarray
+    peak: np.ndarray
+
+
+def _stage_piece(model, kappa: float, part: np.ndarray, length: int, levels) -> _Stage:
+    """The rows `part` laddered on `length` levels, with the n_max of each
+    row it resolves written into levels; its other arrays (the cumulative
+    sums) are freed as it returns."""
+    ratios = model.at(part, model.space).ratio_rows(kappa, length)
+    u, peak = _stage_ladder(ratios)
+    # lower levels may underflow to 0, so compare without dividing
+    tail = np.cumsum(u, axis=1)
+    tail *= TAIL_TOL
+    ok = u < tail
+    done = np.flatnonzero(ok[:, -1])
+    found = np.argmax(ok[done], axis=1)  # >= 1: ok[:, 0] is False
+    levels[part[done]] = found
+    return _Stage(part, done, found, ratios, u, peak)
+
+
+def _search(model, kappa: float, levels: np.ndarray):
+    """The doubling search of truncation_levels over the rows of levels,
+    which it fills, yielding each stage piece (_stage_piece); it holds no
+    piece while the caller does."""
+    todo, length = np.arange(len(levels)), START
+    while todo.size and length <= HARD_CAP:
+        # a row resolves only with its last ratio below 1: the rest skip the stage
+        last = model.ratio_rows(kappa, length, length - 1)[:, 0]
+        for part in _pieces(todo[last[todo] < 1.0], length):
+            yield _stage_piece(model, kappa, part, length, levels)
+        todo = todo[levels[todo] == 0]
+        length *= 2
+
+
 def truncation_levels(model, kappa: float) -> np.ndarray:
     """The n_max of each of the model's pump rows (GeneratorModel.pump_count); 0 marks a
     row whose tail no ladder up to HARD_CAP resolves.
 
-    A model with a cutoff of its own is pinned to it: the tail of a
-    truncated series is an artifact.  A cutoff past MAX_TRUNCATION, the
-    ceiling of an explicit truncation, is a SteadyStateError, raised before
-    any table is built.  Every other row takes the smallest n_max whose
-    steady distribution has p_{n_max} < TAIL_TOL and a last ratio below 1,
-    found by doubling the ladder from START.
+    A model with a cutoff of its own is pinned to it (_pinned), and a
+    cutoff past MAX_TRUNCATION is raised before any table is built.  Every
+    other row takes the smallest n_max whose steady distribution has
+    p_{n_max} < TAIL_TOL and a last ratio below 1, found by doubling the
+    ladder from START.
 
-    The doubling runs in stages: every unresolved row at START levels,
-    then the rest at twice that, and so on, each row's ladder shifted by its
-    own maximum as it would be alone.  A stage reads the model's ratio
-    table (evaluated once per stage that reaches further) for each piece of
-    its unresolved rows (_pieces), and needs only the magnitudes of the
-    ladder.
+    The doubling runs in stages (_search): every unresolved row at START
+    levels, then the rest at twice that, and so on, each row's ladder
+    shifted by its own maximum as it would be alone.  A stage first reads
+    the ratio at its last level for every row, and ladders only the rows
+    where that is below 1, since no other row can resolve there.  It reads
+    the model's ratio table (evaluated once per stage that reaches further)
+    for each piece of those rows (_pieces), and needs only the magnitudes
+    of the ladder.
     """
     rows = model.pump_count()
-    cutoff = _model_cutoff(model)
+    cutoff = _pinned(model)
     if cutoff is not None:
-        if cutoff > MAX_TRUNCATION:
-            raise SteadyStateError(
-                f"the model's cutoff {cutoff:.4g} passes the truncation ceiling {MAX_TRUNCATION}"
-            )
         return np.full(rows, cutoff)
-    levels, todo = np.zeros(rows, dtype=int), np.arange(rows)
-    n_max = START
-    while todo.size and n_max <= HARD_CAP:
-        for part in _pieces(todo, n_max):
-            ratios = model.at(part, model.space).ratio_rows(kappa, n_max)
-            u = np.exp(_log_magnitudes(ratios))
-            # lower levels may underflow to 0, so compare without dividing
-            ok = u < TAIL_TOL * np.cumsum(u, axis=1)
-            done = ok[:, -1] & (ratios[:, -1] < 1.0)
-            levels[part[done]] = np.argmax(ok[done], axis=1)  # >= 1: ok[:, 0] is False
-        todo = todo[levels[todo] == 0]
-        n_max *= 2
+    levels = np.zeros(rows, dtype=int)
+    for _ in _search(model, kappa, levels):
+        pass
     return levels
 
 
@@ -267,8 +351,8 @@ class PumpAxis:
     """One model solved along its pump axis, as columns with one entry per
     pump in order.  `status` is "ok", "error: <why there is no state>" or
     "undefined: <why there is no linewidth>"; `p` holds each pump's
-    populations (None where the cell failed); a numeric column is NaN where
-    its cell has no value, and n_max is 0 there."""
+    populations, None where the cell failed, as n_max is 0 there and only
+    there; a numeric column is NaN where its cell has no value."""
 
     status: list
     p: list
@@ -296,56 +380,101 @@ def solve_pump_axis(
     (GeneratorModel.pump_count).  truncation None runs the truncation search
     (truncation_levels), an integer fixes n_max.  cutoff is
     recurrence_steady's: an integer zeroes every level beyond it, None
-    keeps them all, and "auto" takes the model's own cutoff.  The pumps that
-    share an n_max form one block, taken in pieces (_pieces), the largest
-    n_max first: one view of the model (GeneratorModel.at), one recurrence
-    (recurrence_rows) and the dot products of its rows (moment_sums,
-    band_derivatives) per piece; the column arithmetic (photon_columns,
-    linewidth_columns) and the statuses run once per axis.  Each cell is
+    keeps them all, and "auto" takes the model's own cutoff.  A searched
+    block is the pumps of one n_max that one stage piece resolved, and
+    takes its populations from that stage's ladder (_ladder_blocks); at a
+    fixed n_max the pumps are taken in pieces (_pieces), each with its own
+    recurrence (recurrence_rows).  Each block has one view of the model
+    (GeneratorModel.at) and the dot products of its rows (moment_sums, and
+    band_derivatives largest n_max first); the column arithmetic
+    (photon_columns, linewidth_columns), the statuses and the populations
+    list run once per axis.  Each cell is
     bit for bit what its pump gives alone, as an axis of one pump (a scalar
     r): there is no other one-pump route.  An error that no pump escapes
     (check_axis_options, a model cutoff below 1 or past MAX_TRUNCATION)
     fails every cell with its message.
     """
     pumps = model.pump_count()
-    populations = [None] * pumps
-    n_maxes = np.zeros(pumps, dtype=int)
     try:
         check_axis_options(kappa, truncation, cutoff)
-        if truncation is None:
-            levels = truncation_levels(model, kappa)
-        else:
-            levels = np.full(pumps, truncation)
+        fixed = _pinned(model) if truncation is None else truncation
         top = _model_cutoff(model) if cutoff == "auto" else cutoff
     except (SteadyStateError, ValueError) as exc:
         columns = np.full((5, pumps), np.nan)
-        return PumpAxis([f"error: {exc}"] * pumps, populations, n_maxes, *columns)
+        return PumpAxis([f"error: {exc}"] * pumps, [None] * pumps, np.zeros(pumps, int), *columns)
+    if fixed is None:
+        levels, blocks = np.zeros(pumps, dtype=int), []
+        for stage in _search(model, kappa, levels):
+            blocks += _ladder_blocks(model, stage, top)
+            del stage  # freed before the next stage piece is laddered
+    else:
+        levels, space, blocks = np.full(pumps, fixed), TruncatedSpace(fixed), []
+        for rows in _pieces(np.arange(pumps), space.dim):
+            view = model.at(rows, space)
+            ratios = view.ratio_rows(kappa, _top_level(space, top))
+            blocks.append(_Block(view, rows, *recurrence_rows(ratios, space.dim)))
     # each row's signed weight, <n>, <n^2> and f'(0); NaN where it has no block
     weight, mean, second, slope = np.full((4, pumps), np.nan)
-    for n_max in np.unique(levels[levels > 0]).tolist()[::-1]:
-        space = TruncatedSpace(n_max)
-        for rows in _pieces(np.flatnonzero(levels == n_max), space.dim):
-            block = model.at(rows, space)
-            ratios = block.ratio_rows(kappa, _top_level(space, top))
-            p, weight[rows] = recurrence_rows(ratios, space.dim)
-            mean[rows], second[rows] = moment_sums(p)
-            if linewidth:
-                slope[rows] = band_derivatives(block, p, kappa)
-            for i, row in zip(rows.tolist(), p):
-                populations[i] = row
+    for block in blocks:
+        weight[block.rows] = block.weight
+        mean[block.rows], second[block.rows] = moment_sums(block.p)
+    if linewidth:  # largest n_max first, so the first sizes the band's table
+        for block in sorted(blocks, key=lambda block: -block.view.space.n_max):
+            slope[block.rows] = band_derivatives(block.view, block.p, kappa)
     solved = weight > 0  # a row the search left unresolved has weight NaN
-    n_maxes[solved] = levels[solved]
+    n_maxes = np.where(solved, levels, 0)
+    populations = np.full(pumps, None, dtype=object)
+    if blocks:
+        rows = np.concatenate([block.rows for block in blocks])
+        views = chain.from_iterable(block.p for block in blocks)  # each row of each block
+        populations[rows] = np.fromiter(views, dtype=object, count=len(rows))
+    populations[~solved] = None  # a fixed block's row whose weight is not positive
     mean, variance, mandel_q = photon_columns(*np.where(solved, [mean, second], np.nan))
     width = linewidth_columns(slope, mean, kappa)  # all NaN without the linewidth
-    undefined = width.undefined if linewidth else {}
-    status = []
-    for i, (ok, total) in enumerate(zip(solved.tolist(), weight.tolist())):
-        if ok:
-            status.append(f"undefined: {undefined[i]}" if i in undefined else "ok")
-        else:
-            populations[i] = None
-            status.append(f"error: {_not_normalizable(total) if levels[i] else _UNRESOLVED}")
-    return PumpAxis(status, populations, n_maxes, mean, variance, mandel_q, *width[:2])
+    status = ["ok"] * pumps  # then each failed or undefined cell's own
+    for i, why in (width.undefined if linewidth else {}).items():
+        status[i] = f"undefined: {why}"
+    failed = np.flatnonzero(~solved)
+    for i, n_max, total in zip(failed.tolist(), levels[failed].tolist(), weight[failed].tolist()):
+        status[i] = f"error: {_not_normalizable(total) if n_max else _UNRESOLVED}"
+    columns = mean, variance, mandel_q, *width[:2]
+    return PumpAxis(status, populations.tolist(), n_maxes, *columns)
+
+
+class _Block(NamedTuple):
+    """Some pumps of one n_max: the model's view on them (GeneratorModel.at),
+    their rows, populations and signed weights."""
+
+    view: object
+    rows: np.ndarray
+    p: np.ndarray
+    weight: np.ndarray
+
+
+def _ladder_blocks(model, stage: _Stage, top) -> list:
+    """The blocks of the rows a search stage piece resolved, from its
+    ladders.  A row's block fills its levels 0..t (t its n_max, or the
+    cutoff top below it).  Where the stage's ladder peaks within them, the
+    stage's shift is the block's own, so the populations are the stage's
+    magnitudes u there over their sum.  Any other row, or one with a
+    negative ratio (u holds no sign), runs recurrence_rows on the stage's
+    ratios cut to t."""
+    blocks = []
+    signed = (stage.ratios < 0).any(axis=1)
+    for n_max in np.unique(stage.n_max).tolist():
+        space = TruncatedSpace(n_max)
+        t = _top_level(space, top)
+        local = stage.done[stage.n_max == n_max]
+        shared = (stage.peak[local] <= t) & ~signed[local]
+        for picked, reuse in ((local[shared], True), (local[~shared], False)):
+            if picked.size:
+                if reuse:
+                    p, weight = _normalized(stage.u[picked, : t + 1], space.dim)
+                else:
+                    p, weight = recurrence_rows(stage.ratios[picked, :t], space.dim)
+                rows = stage.rows[picked]
+                blocks.append(_Block(model.at(rows, space), rows, p, weight))
+    return blocks
 
 
 def _block_labels(generator: Superoperator) -> tuple:

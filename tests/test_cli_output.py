@@ -161,6 +161,7 @@ def test_output_matches_reference_writer(case, command, fmt, tmp_path, capsys):
 
 
 NAN, INF = math.nan, math.inf
+SHARED = [0.1, 2.5e-300, -3.0, 1e22]  # one list object in several rows and columns
 
 SYNTHETIC = [
     {
@@ -195,6 +196,25 @@ SYNTHETIC = [
         "n": range(6),
         "p_n": [0.25, 0.5, None, 0.125, 0.125, 0.0],
         "negative_flag": 1,
+    },
+    {
+        # a float list with one NaN next to an all-finite one; an int list
+        "model": "shared",
+        "g_tau_bar": 0.15,
+        "pump_A_over_kappa": SHARED,
+        "n": [3, -2, 10**20, 0],
+        "p_n": [0.5, 1.5, NAN, 0.25],
+        "negative_flag": [0.5, 1.5, 2.0, -0.0],
+    },
+    {
+        # the same list object as the row before, and as another column;
+        # a NumPy float among floats
+        "model": "shared",
+        "g_tau_bar": 0.15,
+        "pump_A_over_kappa": SHARED,
+        "n": range(4),
+        "p_n": SHARED,
+        "negative_flag": [0.125, np.float64(0.375), 1.0, 5e-324],
     },
 ]
 
@@ -241,8 +261,9 @@ def write(rows, fmt, columns=cli.STEADY_COLUMNS) -> str:
 )
 def test_writers_match_reference_on_edge_cells(rows, fmt):
     """Non-finite floats (scalar and in lists), None, numpy floats, bools,
-    and strings (scalar and in lists) that need CSV quoting, hold '%'
-    directives or NUL."""
+    ints, and strings (scalar and in lists) that need CSV quoting, hold '%'
+    directives or NUL; a list object that several rows share, and float
+    lists with and without a NaN."""
     config = cli.RunConfig(models=(cli.ModelSpec("exact"),), g_tau_bar=0.15, pump=(0.9,))
     want = reference(per_level(rows), cli.STEADY_COLUMNS, config, "steady", fmt)
     assert write(rows, fmt) == want

@@ -241,6 +241,130 @@ def test_pump_axis_equals_the_one_dimensional_ladder(g_tau_bar):
         assert axis.status[k] == "ok"
 
 
+# The search as it stood before a stage skipped rows or handed its ladders
+# to the blocks, kept as an independent reference: every stage ladders every
+# unresolved row from level 0, and each block ladders its rows again.
+
+
+def staged_search(model, kappa, tail_tol=1e-10, start=16, hard_cap=4096):
+    """Each row's n_max (0: unresolved) and the length of the stage that
+    resolved it."""
+    levels, stages = np.zeros((2, model.pump_count()), dtype=int)
+    todo, length = np.arange(model.pump_count()), start
+    while todo.size and length <= hard_cap:
+        ratios = model.at(todo, model.space).ratio_rows(kappa, length)
+        with np.errstate(divide="ignore"):
+            steps = np.cumsum(np.log(np.abs(ratios)), axis=1)
+        logs = np.concatenate((np.zeros((len(todo), 1)), steps), axis=1)
+        logs -= np.max(logs, axis=1, keepdims=True, where=np.isfinite(logs), initial=-np.inf)
+        u = np.exp(logs)
+        ok = u < tail_tol * np.cumsum(u, axis=1)
+        done = ok[:, -1] & (ratios[:, -1] < 1.0)
+        levels[todo[done]], stages[todo[done]] = np.argmax(ok[done], axis=1), length
+        todo, length = todo[~done], 2 * length
+    return levels, stages
+
+
+def ladder_cell(model, row, kappa, n_max, top):
+    """The populations of one row on levels 0..n_max, filled up to the
+    cutoff top, from its own 1-D ladder."""
+    filled = min(n_max, n_max if top is None else top)
+    ratios = model.at(np.array([row]), model.space).ratio_rows(kappa, filled)[0]
+    logs, signs = ladder_1d(ratios)
+    p = np.zeros(n_max + 1)
+    p[: filled + 1] = signs * np.exp(logs)
+    p[: filled + 1] /= p[: filled + 1].sum()
+    return p
+
+
+def paths(model, kappa, top, levels, stages):
+    """The ways the rows of a searched axis take through the stages: a
+    stage that skips a row (its last ratio is not below 1), one that
+    ladders it without resolving it, a row resolved by the first stage
+    that ladders it, one whose block shifts its ladder by its own peak
+    (the stage's ladder peaks past its filled levels, or a ratio there is
+    negative) or by its stage's, and a row no stage resolves."""
+    found = set()
+    for row, (n_max, stage) in enumerate(zip(levels.tolist(), stages.tolist())):
+        if not n_max:
+            found.add("unresolved")
+            stage = 8192
+        lasts = [
+            model.at(np.array([row]), model.space).ratio_rows(kappa, length)[0, -1]
+            for length in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+            if length < stage
+        ]
+        found |= {"skipped" if last >= 1.0 else "laddered" for last in lasts}
+        if n_max:
+            found.add("first live stage" if all(last >= 1.0 for last in lasts) else "later stage")
+            ratios = model.at(np.array([row]), model.space).ratio_rows(kappa, stage)[0]
+            filled = min(n_max, n_max if top is None else top)
+            own = np.argmax(ladder_1d(ratios)[0]) > filled or (ratios[:filled] < 0).any()
+            found.add("own shift" if own else "stage's shift")
+    return found
+
+
+DISCRETE = TimeMeasure.discrete([1.0], [1.0])
+
+# (build, g tau_bar, pumps, cutoff, the paths its rows must take)
+SEARCHES = {
+    "first_live_stage": (
+        exact_model, 0.15, np.linspace(0.0, 3.0, 16), None, {"first live stage", "stage's shift"}
+    ),
+    # the ratio stays at 1 or above up to level 1,943: stages 16 to 1,024
+    # skip the row, 2,048 ladders it, 4,096 resolves it (n_max 2,235)
+    "skipped_stages": (exact_model, 0.03, [8.0], None, {"skipped", "laddered", "later stage"}),
+    # the strict xfail's trapping dip: resolved at n_max 106
+    "trapping_dip": (
+        lambda params, space: exact_model(params, space, DISCRETE), 0.3, [200.0], None, set()
+    ),
+    # a dip at n_max 145, while the stage's ladder peaks at level 479
+    "peak_past_n_max": (
+        lambda params, space: exact_model(params, space, DISCRETE),
+        0.25, [115.0], None, {"own shift"},
+    ),
+    # an explicit cutoff below the peak of the ladders at pumps 3 and 6
+    "cutoff_below_peak": (exact_model, 0.15, [1.0, 3.0, 6.0], 5, {"own shift", "stage's shift"}),
+    # post4 without its own cutoff is searched, and its ratios turn negative
+    "negative_ratios": (
+        lambda params, space: replace(fourth_order_model(params, space), cutoff=None),
+        0.1, np.linspace(0.5, 20.0, 6), None, {"own shift"},
+    ),
+    # ratio gain / kappa at every level: 2 skips every stage, 0.999 is
+    # laddered by every stage and never resolved, 0.95 and 0.5 resolve
+    "unresolved": (
+        lambda params, space: heuristic_model(np.array([2.0, 0.999, 0.95, 0.5]), 0.0, space),
+        0.15, [1.0] * 4, None, {"unresolved", "skipped", "laddered"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCHES))
+def test_each_block_takes_the_populations_of_the_old_search(name):
+    """Skipping the stages a row cannot finish, and filling a block from
+    the ladder of the stage that resolved its rows, give the levels and
+    the cells of the search that ladders every row at every stage and
+    every block again, bit for bit, on rows that take every path."""
+    build, g_tau_bar, pumps, top, want = SEARCHES[name]
+    kappa = 1.0
+    model = build(PumpParameters.from_pump(np.asarray(pumps), g_tau_bar, kappa), TruncatedSpace(1))
+    levels, stages = staged_search(model, kappa)
+    assert paths(model, kappa, top, levels, stages) >= want
+    axis = solve_pump_axis(model, kappa, cutoff=top, linewidth=True)
+    assert steady.truncation_levels(model, kappa).tolist() == levels.tolist()
+    assert axis.n_max.tolist() == levels.tolist()
+    if name == "trapping_dip":
+        assert levels.tolist() == [106]
+    for row, n_max in enumerate(levels.tolist()):
+        if not n_max:
+            assert axis.p[row] is None and axis.status[row].startswith("error: no truncation")
+            continue
+        p = ladder_cell(model, row, kappa, n_max, top)
+        assert axis.p[row].tolist() == p.tolist()
+        mom = moments(p)
+        assert (axis.mean_n[row], axis.variance[row]) == (mom.mean_n, mom.variance)
+
+
 COLUMNS = ("n_max", "mean_n", "variance", "mandel_Q", "D", "normalized_D")
 
 
