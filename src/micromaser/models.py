@@ -46,9 +46,10 @@ F = r <sin sin> and H = r (...); the Lindblad models F = rate sum_k s s and
 H = (-rate/2) sum_k (c_m - c_n)^2 (rate = A for heuristic); post4 has two
 feed terms, A sqrt(y_m y_n) - 2B (...).  So one model serves a whole pump
 axis: its level functions are evaluated once per band offset into a table
-that grows by doubling (once per truncation-search stage that reaches
-further, once for the largest block of the linewidth band), and each stage
-or block of pumps slices the table and multiplies its own rate rows in last
+(band 0 on at least HARD_CAP levels at its first read, so every stage of
+the truncation search slices it; another band on the length of its largest
+block, which the linewidth band solves first), and each stage or block of
+pumps slices the table and multiplies its own rate rows in last
 (`GeneratorModel.at`, `ratio_rows`, `apply_band`).  Tables hold the exact
 eigenvalues at every level; where H reads the truncated product a a*
 (truncated_top), the term at the top level is applied to the block's last
@@ -172,7 +173,8 @@ class PairTerms:
     of rates gives bit for bit what that rate alone gives.
 
     The table of band k holds fn at the pairs (i, i + k) with the exact
-    eigenvalues y = level + 1, i = 0, 1, ...: a request past it evaluates fn
+    eigenvalues y = level + 1, i = 0, 1, ...: built on the length first
+    asked for (band 0 on at least HARD_CAP), a request past it evaluates fn
     once on twice the length it held (or the length asked for, if more), and
     every shorter one is a slice.  An entry's value does not depend on its
     position in the table, so a slice is what fn gives on that band alone.
@@ -191,7 +193,9 @@ class PairTerms:
         """The pair function on the pairs (i, i + k) of band k, i from start
         up to length, read from its table; top, a pair (y_m, y_n) of
         one-entry arrays, replaces the eigenvalues of the last pair."""
-        table = _grown(self.tables, k, length, lambda i: tuple(self.fn(i + 1.0, i + 1.0 + k)))
+        build = lambda i: tuple(self.fn(i + 1.0, i + 1.0 + k))
+        # band 0 is built once on the search's levels: every stage slices it
+        table = _grown(self.tables, k, length, build, 0 if k else HARD_CAP)
         levels = [t[start:length] for t in table]
         if top is not None:
             levels = [np.concatenate((t[:-1], end)) for t, end in zip(levels, self.fn(*top))]
@@ -296,12 +300,14 @@ class GeneratorModel:
 
         return ratio
 
-    def ratio_rows(self, kappa: float, length: int, start: int = 0) -> np.ndarray:
+    def ratio_rows(self, kappa: float, length: int, start: int = 0, rows=None) -> np.ndarray:
         """gain_ratio(kappa) at the levels start..length-1, one row per pump
-        row, read from the level table of band 0."""
+        row (or per row of the index array rows), read from the level table
+        of band 0."""
         check_kappa(kappa, zero=False)
         loss = kappa * levels(length).up[start:length]
-        return np.atleast_2d(self.feed_terms.band(0, length, start=start) / loss)
+        terms = self.feed_terms if rows is None else self.feed_terms.rows(rows)
+        return np.atleast_2d(terms.band(0, length, start=start) / loss)
 
     def apply_band(self, band: np.ndarray, k: int, kappa: float) -> np.ndarray:
         """Generator action on the band rho_{m,m+k}, given and returned as a

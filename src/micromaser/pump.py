@@ -140,9 +140,10 @@ def cos_cos_average(measure: TimeMeasure, alpha, beta):
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if measure.nodes is None:
-        return 0.5 * (
-            1.0 / (1.0 + (alpha - beta) ** 2) + 1.0 / (1.0 + (alpha + beta) ** 2)
-        )
+        with np.errstate(over="ignore"):  # a square past the float range: 1 / inf = 0, its limit
+            return 0.5 * (
+                1.0 / (1.0 + (alpha - beta) ** 2) + 1.0 / (1.0 + (alpha + beta) ** 2)
+            )
     x, w = measure.nodes, measure.weights
     return np.einsum(
         "j,...j->...",
@@ -156,9 +157,10 @@ def sin_sin_average(measure: TimeMeasure, alpha, beta):
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if measure.nodes is None:
-        return 0.5 * (
-            1.0 / (1.0 + (alpha - beta) ** 2) - 1.0 / (1.0 + (alpha + beta) ** 2)
-        )
+        with np.errstate(over="ignore"):  # a square past the float range: 1 / inf = 0, its limit
+            return 0.5 * (
+                1.0 / (1.0 + (alpha - beta) ** 2) - 1.0 / (1.0 + (alpha + beta) ** 2)
+            )
     x, w = measure.nodes, measure.weights
     return np.einsum(
         "j,...j->...",

@@ -35,11 +35,12 @@ on a (P, 1) column of them, serves every pump:
   once per stage   the truncation search (truncation_levels) takes the
                    model's own cutoff where it has one, else doubles in
                    stages over the rows not yet resolved.  A stage reads
-                   every such row's ratio at its last level (evaluating
-                   the model's ratio table once, if it reaches past it) and
-                   ladders only the rows where that is below 1: no other
-                   row can resolve there.  It reads only the magnitudes of
-                   the ladder, and hands each row it resolves its ladder;
+                   every such row's ratio at its last level from the
+                   model's ratio table (built once, on HARD_CAP levels, by
+                   the first stage) and ladders only the rows where that is
+                   below 1: no other row can resolve there.  It reads only
+                   the magnitudes of the ladder, and hands each row it
+                   resolves its ladder;
   once per block   the pumps that one stage piece resolved at one n_max
                    form a block (at a fixed truncation or a model cutoff, a
                    piece of all the pumps does), which does only the work
@@ -133,11 +134,13 @@ def _model_cutoff(model) -> int | None:
 
 
 def _logs(ratios: np.ndarray) -> np.ndarray:
-    """log|p_n| of p_0 = 1, p_{n+1} = ratios[:, n] p_n, one ladder per row."""
-    with np.errstate(divide="ignore"):
-        steps = np.log(np.abs(ratios))
+    """log|p_n| of p_0 = 1, p_{n+1} = ratios[:, n] p_n, one ladder per row:
+    each step log|ratio| is written into the ladder and summed there."""
     logs = np.zeros((len(ratios), ratios.shape[1] + 1))
-    np.cumsum(steps, axis=1, out=logs[:, 1:])
+    steps = np.abs(ratios, out=logs[:, 1:])
+    with np.errstate(divide="ignore"):
+        np.log(steps, out=steps)
+    steps.cumsum(axis=1, out=steps)
     return logs
 
 
@@ -156,13 +159,14 @@ def _signs(ratios: np.ndarray) -> np.ndarray:
 
 def _stage_ladder(ratios: np.ndarray) -> tuple:
     """The magnitudes |p_n| = exp(log) of the ladders of _log_magnitudes,
-    and the first level at which each row's log peaks: its shift.  argmax
-    gives the largest finite log on every row a stage can resolve; a row
-    with a NaN or +inf log, which none can, comes out NaN."""
+    and the first level at which each row's log peaks: its shift.  The row
+    max is the log that argmax points at, the largest finite one on every
+    row a stage can resolve; a row with a NaN or +inf log, which none can,
+    comes out NaN."""
     logs = _logs(ratios)
     peak = logs.argmax(axis=1)
     with np.errstate(invalid="ignore"):  # inf - inf
-        logs -= logs[np.arange(len(logs)), peak][:, None]
+        logs -= logs.max(axis=1, keepdims=True)
     return np.exp(logs, out=logs), peak
 
 
@@ -272,14 +276,14 @@ def _stage_piece(model, kappa: float, part: np.ndarray, length: int, levels) -> 
     """The rows `part` laddered on `length` levels, with the n_max of each
     row it resolves written into levels; its other arrays (the cumulative
     sums) are freed as it returns."""
-    ratios = model.at(part, model.space).ratio_rows(kappa, length)
+    ratios = model.ratio_rows(kappa, length, rows=part)
     u, peak = _stage_ladder(ratios)
     # lower levels may underflow to 0, so compare without dividing
-    tail = np.cumsum(u, axis=1)
+    tail = u.cumsum(axis=1)
     tail *= TAIL_TOL
     ok = u < tail
-    done = np.flatnonzero(ok[:, -1])
-    found = np.argmax(ok[done], axis=1)  # >= 1: ok[:, 0] is False
+    done = ok[:, -1].nonzero()[0]
+    found = ok[done].argmax(axis=1)  # >= 1: ok[:, 0] is False
     levels[part[done]] = found
     return _Stage(part, done, found, ratios, u, peak)
 
@@ -313,7 +317,7 @@ def truncation_levels(model, kappa: float) -> np.ndarray:
     shifted by its own maximum as it would be alone.  A stage first reads
     the ratio at its last level for every row, and ladders only the rows
     where that is below 1, since no other row can resolve there.  It reads
-    the model's ratio table (evaluated once per stage that reaches further)
+    the model's ratio table (evaluated once per model, on HARD_CAP levels)
     for each piece of those rows (_pieces), and needs only the magnitudes
     of the ladder.
     """

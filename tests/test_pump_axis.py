@@ -377,8 +377,9 @@ def axis_numbers(axis):
 @pytest.mark.parametrize("budget", [1, 40, 300])
 def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
     """Search stages and blocks taken in pieces of at most BLOCK_ENTRIES
-    levels: every cell as from one piece, and no piece (a view of the model
-    at some of its rows) larger than that."""
+    levels: every cell as from one piece, and no piece larger than that (a
+    block, a view of the model at some of its rows; a search stage piece,
+    the ratios of some rows on the stage's levels)."""
     kappa = 1.0
     pumps = np.concatenate(([0.0], np.linspace(0.2, 6.0, 23), [3.0]))
     params = PumpParameters.from_pump(pumps, 0.15, kappa)
@@ -386,12 +387,17 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
     def saturating(params, space):  # beta 0 gives up at the hard cap above threshold
         return heuristic_model(2.0 * params.gain_rate, 0.0, space)
 
-    sizes = []
-    view = GeneratorModel.at
+    blocks, pieces = [], []  # (rows, levels) of each block and each search stage piece
+    view, ratio_rows = GeneratorModel.at, GeneratorModel.ratio_rows
 
     def counted_view(model, rows, space):
-        sizes.append((len(rows), space.dim))
+        blocks.append((len(rows), space.dim))
         return view(model, rows, space)
+
+    def counted_ratios(model, kappa, length, start=0, rows=None):
+        if rows is not None:
+            pieces.append((len(rows), length))
+        return ratio_rows(model, kappa, length, start, rows)
 
     for build, truncation in ((exact_model, None), (exact_model, 20), (saturating, None)):
         options = dict(truncation=truncation, linewidth=True)
@@ -399,20 +405,24 @@ def test_pieces_of_the_pump_axis_give_the_same_cells(budget, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(steady, "BLOCK_ENTRIES", budget)
             patch.setattr(GeneratorModel, "at", counted_view)
+            patch.setattr(GeneratorModel, "ratio_rows", counted_ratios)
             parts = solve_pump_axis(build(params, TruncatedSpace(1)), kappa, **options)
         assert axis_numbers(parts) == axis_numbers(whole)
+    assert blocks and pieces
+    sizes = blocks + pieces
     assert any(rows > 1 for rows, _ in sizes) == (budget > 32)
-    # a block holds rows x dim levels; a search piece (on the build's space,
-    # dim 2) serves a search stage of at least 16 levels
-    assert all(rows <= max(1, budget // (16 if dim == 2 else dim)) for rows, dim in sizes)
+    assert all(rows <= max(1, budget // width) for rows, width in sizes)
 
 
 def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
-    """One exact model serves the pump axis: its feed table is evaluated
-    once per truncation-search stage and once for the linewidth band, its
-    dephasing once.  The level vectors, which no model owns (the levels'
-    own, and the loss factors of the linewidth band), are built once per
-    process, however many blocks (here 12, one per pump) read them."""
+    """One exact model serves the pump axis: each of its tables is
+    evaluated once per model, whatever the number of search stages and
+    blocks.  Band 0 is built on HARD_CAP levels at the first stage's read,
+    and every later stage slices it; the feed table of the linewidth band
+    once more; the dephasing once (three averages).  The level vectors,
+    which no model owns (the levels' own, and the loss factors of the
+    linewidth band), are built once per process, however many blocks (here
+    12, one per pump) read them."""
     monkeypatch.setattr(models, "_LEVELS", {})  # as a fresh process holds them
     calls = dict.fromkeys(("sin_sin_average", "cos_cos_average", "level_vectors", "band_levels"), 0)
     for name in calls:
@@ -429,9 +439,22 @@ def test_level_functions_run_per_search_stage_not_per_block(monkeypatch):
     # stages at START, 2 START, ... up to the first that holds the largest n_max
     stages = int(np.ceil(np.log2((axis.n_max.max() + 1) / steady.START))) + 1
     assert stages == 9
-    assert calls["sin_sin_average"] <= stages + 1
-    assert calls["cos_cos_average"] <= 3  # one dephasing table: three averages
+    assert calls["sin_sin_average"] == 2  # the feed tables of bands 0 and 1
+    assert calls["cos_cos_average"] == 3  # one dephasing table: three averages
     assert calls["level_vectors"] == calls["band_levels"] == 1
+
+
+def test_tables_grown_past_the_hard_cap_give_the_same_axis():
+    """A model whose tables a fixed truncation past HARD_CAP grew first
+    (band 0 past the table its first read builds) solves a searched axis
+    bit for bit as a fresh model does."""
+    params = PumpParameters.from_pump(np.linspace(0.5, 8.0, 12), 0.03)
+    grown = exact_model(params, TruncatedSpace(1))
+    solve_pump_axis(grown, 1.0, truncation=5000, linewidth=True)
+    assert grown.feed_terms.tables[0][0] > steady.HARD_CAP
+    fresh = exact_model(params, TruncatedSpace(1))
+    want = axis_numbers(solve_pump_axis(fresh, 1.0, linewidth=True))
+    assert axis_numbers(solve_pump_axis(grown, 1.0, linewidth=True)) == want
 
 
 def test_an_invalid_gain_column_is_one_build_error_on_one_line():
@@ -504,6 +527,19 @@ def test_a_model_cutoff_past_the_ceiling_fails_every_cell_before_any_table(build
     fixed = solve_pump_axis(model, 1.0, truncation=50, cutoff="auto", linewidth=True)
     assert fixed.status == ["ok"] * 2
     assert fixed.n_max.tolist() == [50, 50]
+
+
+@pytest.mark.parametrize("g_tau_bar", [1e153, 1.3e154])
+def test_exact_solves_without_a_warning_at_the_largest_coupling(g_tau_bar):
+    """Near the largest g tau_bar that check_g_tau_bar admits, the
+    exponential measure's averages square arguments past the float range on
+    the ratio table's 4,096 levels; 1 / (1 + inf) = 0 is their limit, so
+    every cell is solved with no warning (an error in this suite)."""
+    params = PumpParameters.from_pump(np.array([1.0, 5.0]), g_tau_bar)
+    for truncation in (5, None):
+        model = exact_model(params, TruncatedSpace(1))
+        axis = solve_pump_axis(model, 1.0, truncation=truncation, linewidth=True)
+        assert [s.startswith("undefined: mean photon number") for s in axis.status] == [True] * 2
 
 
 def test_recurrence_rejects_a_negative_cutoff():
