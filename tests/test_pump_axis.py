@@ -277,23 +277,28 @@ def ladder_cell(model, row, kappa, n_max, top):
     return p
 
 
-def paths(model, kappa, top, levels, stages):
+def paths(model, kappa, top, levels, stages, tail_tol=1e-10):
     """The ways the rows of a searched axis take through the stages: a
     stage that skips a row (its last ratio is not below 1), one that
-    ladders it without resolving it, a row resolved by the first stage
-    that ladders it, one whose block shifts its ladder by its own peak
-    (the stage's ladder peaks past its filled levels, or a ratio there is
-    negative) or by its stage's, and a row no stage resolves."""
+    ladders it without resolving it, one whose top population is below
+    tail_tol while its last ratio is not below 1 (only that ratio keeps
+    the row open), a row resolved by the first stage that ladders it, one
+    whose block shifts its ladder by its own peak (the stage's ladder peaks
+    past its filled levels, or a ratio there is negative) or by its
+    stage's, and a row no stage resolves."""
     found = set()
     for row, (n_max, stage) in enumerate(zip(levels.tolist(), stages.tolist())):
         if not n_max:
             found.add("unresolved")
             stage = 8192
-        lasts = [
-            model.at(np.array([row]), model.space).ratio_rows(kappa, length)[0, -1]
-            for length in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-            if length < stage
-        ]
+        lasts = []
+        for length in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
+            if length < stage:
+                ratios = model.at(np.array([row]), model.space).ratio_rows(kappa, length)[0]
+                u = np.exp(ladder_1d(ratios)[0])
+                if ratios[-1] >= 1.0 and u[-1] < tail_tol * np.cumsum(u)[-1]:
+                    found.add("small top, rising ratio")
+                lasts.append(ratios[-1])
         found |= {"skipped" if last >= 1.0 else "laddered" for last in lasts}
         if n_max:
             found.add("first live stage" if all(last >= 1.0 for last in lasts) else "later stage")
@@ -322,6 +327,13 @@ SEARCHES = {
     "peak_past_n_max": (
         lambda params, space: exact_model(params, space, DISCRETE),
         0.25, [115.0], None, {"own shift"},
+    ),
+    # the stage of 128 levels finds a top population below TAIL_TOL at the
+    # trapping dip near level 110, where the ratio has risen past 1 again:
+    # only the last-ratio rule keeps the row open, and it resolves near 420
+    "rising_ratio": (
+        lambda params, space: exact_model(params, space, DISCRETE),
+        0.3, [700.0], None, {"small top, rising ratio", "skipped"},
     ),
     # an explicit cutoff below the peak of the ladders at pumps 3 and 6
     "cutoff_below_peak": (exact_model, 0.15, [1.0, 3.0, 6.0], 5, {"own shift", "stage's shift"}),
