@@ -303,11 +303,13 @@ class GeneratorModel:
     def ratio_rows(self, kappa: float, length: int, start: int = 0, rows=None) -> np.ndarray:
         """gain_ratio(kappa) at the levels start..length-1, one row per pump
         row (or per row of the index array rows), read from the level table
-        of band 0."""
+        of band 0.  A ratio past the float range is inf (or NaN), with no
+        warning: the steady solve fails its cell, naming that ratio."""
         check_kappa(kappa, zero=False)
         loss = kappa * levels(length).up[start:length]
         terms = self.feed_terms if rows is None else self.feed_terms.rows(rows)
-        return np.atleast_2d(terms.band(0, length, start=start) / loss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.atleast_2d(terms.band(0, length, start=start) / loss)
 
     def apply_band(self, band: np.ndarray, k: int, kappa: float) -> np.ndarray:
         """Generator action on the band rho_{m,m+k}, given and returned as a

@@ -32,40 +32,34 @@ on a (P, 1) column of them, serves every pump:
                    and the list of populations, from masks and index
                    arrays (a Python loop visits only failed and undefined
                    cells);
-  once per stage   the truncation search (truncation_levels) takes the
-                   model's own cutoff where it has one, else doubles in
-                   stages over the rows not yet resolved.  A stage reads
-                   every such row's ratio at its last level from the
-                   model's ratio table (built once, on HARD_CAP levels, by
-                   the first stage) and ladders only the rows where that is
-                   below 1: no other row can resolve there.  It reads only
-                   the magnitudes of the ladder, and hands each row it
-                   resolves its ladder;
-  once per block   the pumps that one stage piece resolved at one n_max
-                   form a block (at a fixed truncation or a model cutoff, a
-                   piece of all the pumps does), which does only the work
-                   whose bits depend on its row length: its populations,
-                   the stage's magnitudes on its levels over their sum
-                   where the stage's ladder peaks within those levels (the
-                   stage's shift is then the block's own), else
-                   recurrence_rows on the stage's ratios cut to them (at a
-                   fixed truncation, on the block's own ratio_rows); a view
-                   of the model on its space (GeneratorModel.at), whose band
-                   is a slice of the shared tables times the block's own
-                   rate rows; and each row's dot products (moment_sums:
-                   <n>, <n^2>; band_derivatives: f'(0), run largest n_max
-                   first, so that the first sizes the linewidth band's
-                   table).
+  once per stage   the pumps are laddered in pieces (_ladder, read from
+                   the model's ratio table, built once on HARD_CAP levels)
+                   and each row is given its n_max.  A fixed truncation or
+                   a model cutoff is one stage, every row at that n_max;
+                   else the truncation search doubles in stages over the
+                   rows not yet resolved, ladders only those whose ratio at
+                   the stage's last level is below 1 (no other can resolve
+                   there), and its tail test gives each row it resolves
+                   its n_max;
+  once per block   the rows of one stage piece at one n_max form a block
+                   (_ladder_blocks), which does only the work whose bits
+                   depend on its row length: its populations, the piece's
+                   magnitudes on its filled levels over their sum where its
+                   ladder peaks within them, else recurrence_rows on its
+                   ratios cut to them; and each row's dot products
+                   (moment_sums: <n>, <n^2>; band_derivatives: f'(0) on a
+                   view of the model at its solved rows, GeneratorModel.at,
+                   largest n_max first, so that the first sizes the
+                   linewidth band's table).
 
-A stage or a block takes its rows in pieces of at most BLOCK_ENTRIES levels
-in all (a searched block is part of one stage piece), so memory does not
-grow with the pump axis, and a stage frees its own arrays but the ladder
-before its blocks are solved.  Each row takes only
-elementwise ufuncs, cumulative sums along the row, sums over exactly its
-own filled levels, and dot products of its own, so every number is bit for
-bit what its pump gives alone: an axis of one pump (a scalar r) is the
-one-pump route.  recurrence_steady and observables.moments, which take any
-ratio and any distribution, are the one-row case of the same code.
+A stage piece holds at most BLOCK_ENTRIES levels in all, so memory does not
+grow with the pump axis, and its arrays are freed before the next piece is
+laddered.  Each row takes only elementwise ufuncs, cumulative sums along
+the row, sums over exactly its own filled levels, and dot products of its
+own, so every number is bit for bit what its pump gives alone: an axis of
+one pump (a scalar r) is the one-pump route.  recurrence_steady and
+observables.moments, which take any ratio and any distribution, are the
+one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -133,23 +127,21 @@ def _model_cutoff(model) -> int | None:
     return model.cutoff
 
 
-def _logs(ratios: np.ndarray) -> np.ndarray:
-    """log|p_n| of p_0 = 1, p_{n+1} = ratios[:, n] p_n, one ladder per row:
-    each step log|ratio| is written into the ladder and summed there."""
+def _ladder(ratios: np.ndarray) -> tuple:
+    """The ladders p_0 = 1, p_{n+1} = ratios[:, n] p_n, one per row, as
+    their magnitudes |p_n| over each row's largest, and the first level at
+    which each row peaks.  They are summed in log space, each step
+    log|ratio| written into the ladder and accumulated there, so a long
+    ladder cannot overflow; a row with a NaN or +inf log, which no ratio
+    that is finite gives, comes out NaN from there on."""
     logs = np.zeros((len(ratios), ratios.shape[1] + 1))
     steps = np.abs(ratios, out=logs[:, 1:])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0; inf - inf
         np.log(steps, out=steps)
-    steps.cumsum(axis=1, out=steps)
-    return logs
-
-
-def _log_magnitudes(ratios: np.ndarray) -> np.ndarray:
-    """The ladders' logs (_logs), each row's shifted so that its largest
-    finite one is 0."""
-    logs = _logs(ratios)
-    logs -= np.max(logs, axis=1, keepdims=True, where=np.isfinite(logs), initial=-np.inf)
-    return logs
+        steps.cumsum(axis=1, out=steps)
+        peak = logs.argmax(axis=1)
+        logs -= logs.max(axis=1, keepdims=True)
+    return np.exp(logs, out=logs), peak
 
 
 def _signs(ratios: np.ndarray) -> np.ndarray:
@@ -157,33 +149,20 @@ def _signs(ratios: np.ndarray) -> np.ndarray:
     return np.concatenate((np.ones((len(ratios), 1)), np.cumprod(np.sign(ratios), axis=1)), axis=1)
 
 
-def _stage_ladder(ratios: np.ndarray) -> tuple:
-    """The magnitudes |p_n| = exp(log) of the ladders of _log_magnitudes,
-    and the first level at which each row's log peaks: its shift.  The row
-    max is the log that argmax points at, the largest finite one on every
-    row a stage can resolve; a row with a NaN or +inf log, which none can,
-    comes out NaN."""
-    logs = _logs(ratios)
-    peak = logs.argmax(axis=1)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        logs -= logs.max(axis=1, keepdims=True)
-    return np.exp(logs, out=logs), peak
-
-
-def _ratio_rows(ratio, n: int) -> np.ndarray:
-    """ratio(0..n-1) as one row per pump row (a model with scalar rates has one)."""
-    return np.atleast_2d(np.asarray(ratio(np.arange(n)), dtype=float))
-
-
-def _top_level(space: TruncatedSpace, cutoff: int | None) -> int:
+def _top_level(n_max: int, cutoff: int | None) -> int:
     """The last level a recurrence fills: n_max, or the cutoff below it."""
-    return space.n_max if cutoff is None else min(cutoff, space.n_max)
+    return n_max if cutoff is None else min(cutoff, n_max)
 
 
-_UNRESOLVED = f"no truncation below {HARD_CAP} resolves the distribution tail"
-
-
-def _not_normalizable(total: float) -> str:
+def _no_state(ratios: np.ndarray, total: float | None) -> str:
+    """Why a row of ratios has no state: the first of them that is not
+    finite, else its signed weight total (None: no truncation resolved it)."""
+    bad = np.flatnonzero(~np.isfinite(ratios))
+    if bad.size:
+        n = int(bad[0])
+        return f"ratio p_{n + 1}/p_{n} = {ratios[n]:g} is not finite; the recurrence defines no state here"
+    if total is None:
+        return f"no truncation below {HARD_CAP} resolves the distribution tail"
     return (
         f"signed distribution weight {total:g} is not positive; "
         "the recurrence does not define a normalizable state here"
@@ -203,14 +182,15 @@ def recurrence_rows(ratios: np.ndarray, dim: int) -> tuple:
     """The populations of recurrence_steady for every row of ratios, the
     ratios at the levels 0..n_top-1 (n_top < dim), at once, as a (rows, dim)
     array, and each row's signed weight: a row whose weight is not positive
-    has no state and is left zero.  Signs are tracked only where some
-    ratio is negative: elsewhere each is 1 (or 0 or NaN, as its magnitude).
+    (or NaN, as a ratio that is not finite leaves it) has no state and is
+    left zero.  Signs are tracked only where some ratio is negative:
+    elsewhere each is 1 (or 0 or NaN, as its magnitude).
 
     Every step is an elementwise ufunc, a cumulative sum or product along
     the row, or a sum over exactly the row's filled levels, so each row
     comes out bit for bit as it does alone.
     """
-    filled = np.exp(_log_magnitudes(ratios))
+    filled = _ladder(ratios)[0]
     if (ratios < 0).any():
         filled *= _signs(ratios)
     return _normalized(filled, dim)
@@ -223,14 +203,16 @@ def recurrence_steady(ratio, space: TruncatedSpace, cutoff: int | None = None) -
     log space with separate sign tracking so long ladders cannot overflow.
     cutoff zeroes every p_n beyond it.  Without one, `converged` says
     whether the top level holds at most TAIL_TOL.  This is the one-row case
-    of recurrence_rows.
+    of recurrence_rows; a weight that is not positive, or a ratio that is
+    not finite, is a SteadyStateError.
     """
     _check_cutoff(cutoff)
-    ratios = _ratio_rows(ratio, _top_level(space, cutoff))
+    n = np.arange(_top_level(space.n_max, cutoff))
+    ratios = np.atleast_2d(np.asarray(ratio(n), dtype=float))
     check_one_pump(len(ratios) == 1, "ratios", ratios)
     (p,), (weight,) = recurrence_rows(ratios, space.dim)
     if not weight > 0:
-        raise SteadyStateError(_not_normalizable(weight))
+        raise SteadyStateError(_no_state(ratios[0], weight))
     if cutoff is not None and cutoff <= space.n_max:
         converged = True
     else:
@@ -259,75 +241,91 @@ def _pinned(model) -> int | None:
     return cutoff
 
 
-class _Stage(NamedTuple):
-    """One piece of a search stage: its pump rows, the positions `done` of
-    those it resolved and their n_max, and its ladders (the ratios, their
-    magnitudes u and each row's peak, from _stage_ladder)."""
+class _Block(NamedTuple):
+    """Some pumps of one n_max: their rows, n_max, populations and signed
+    weights."""
 
     rows: np.ndarray
-    done: np.ndarray
-    n_max: np.ndarray
-    ratios: np.ndarray
-    u: np.ndarray
-    peak: np.ndarray
+    n_max: int
+    p: np.ndarray
+    weight: np.ndarray
 
 
-def _stage_piece(model, kappa: float, part: np.ndarray, length: int, levels) -> _Stage:
-    """The rows `part` laddered on `length` levels, with the n_max of each
-    row it resolves written into levels; its other arrays (the cumulative
-    sums) are freed as it returns."""
-    ratios = model.ratio_rows(kappa, length, rows=part)
-    u, peak = _stage_ladder(ratios)
+def _tail_levels(u: np.ndarray) -> np.ndarray:
+    """The search's tail test on the magnitudes u of a stage's ladders:
+    each row's n_max, its first level whose population is below TAIL_TOL
+    of those up to it, where the stage's last level passes too; else 0."""
     # lower levels may underflow to 0, so compare without dividing
     tail = u.cumsum(axis=1)
     tail *= TAIL_TOL
     ok = u < tail
-    done = ok[:, -1].nonzero()[0]
-    found = ok[done].argmax(axis=1)  # >= 1: ok[:, 0] is False
-    levels[part[done]] = found
-    return _Stage(part, done, found, ratios, u, peak)
+    return np.where(ok[:, -1], ok.argmax(axis=1), 0)  # >= 1: ok[:, 0] is False
 
 
-def _search(model, kappa: float, levels: np.ndarray):
-    """The doubling search of truncation_levels over the rows of levels,
-    which it fills, yielding each stage piece (_stage_piece); it holds no
-    piece while the caller does."""
-    todo, length = np.arange(len(levels)), START
+def _ladder_blocks(model, kappa: float, rows: np.ndarray, length: int, n_max, top) -> list:
+    """The blocks of the pump rows `rows`, one stage piece laddered on
+    `length` levels; n_max(u) gives each row's n_max from its ladder's
+    magnitudes u, 0 for a row that gets no block.  A row's block fills its
+    levels 0..t (t its n_max, or the cutoff top below it).  Where its
+    ladder peaks within them, the ladder's shift is the block's own, so its
+    populations are u there over their sum; any other row, or one with a
+    negative ratio (u holds no sign), runs recurrence_rows on its ratios
+    cut to t.  The piece's arrays die as it returns."""
+    ratios = model.ratio_rows(kappa, length, rows=rows)
+    u, peak = _ladder(ratios)
+    levels = n_max(u)
+    signed = (ratios < 0).any(axis=1)
+    blocks = []
+    for level in np.unique(levels[levels > 0]).tolist():
+        t = _top_level(level, top)
+        local = (levels == level).nonzero()[0]
+        shared = (peak[local] <= t) & ~signed[local]
+        for picked, reuse in ((local[shared], True), (local[~shared], False)):
+            if picked.size:
+                if reuse:
+                    p, weight = _normalized(u[picked, : t + 1], level + 1)
+                else:
+                    p, weight = recurrence_rows(ratios[picked, :t], level + 1)
+                blocks.append(_Block(rows[picked], level, p, weight))
+    return blocks
+
+
+def _blocks(model, kappa: float, fixed: int | None, top):
+    """Every block of the model's pump rows (_ladder_blocks).  At a fixed
+    n_max each piece is laddered on its filled levels and every row takes
+    that n_max: one stage.  Else the search's stages double from START to
+    HARD_CAP; each ladders the rows not yet resolved whose ratio at its last
+    level is below 1, and its tail test (_tail_levels) gives each row it
+    resolves its n_max.  A row that no stage resolves gets no block."""
+    pumps = model.pump_count()
+    if fixed is not None:
+        same = lambda u: np.full(len(u), fixed)
+        for rows in _pieces(np.arange(pumps), fixed + 1):
+            yield from _ladder_blocks(model, kappa, rows, _top_level(fixed, top), same, top)
+        return
+    todo, length, live = np.arange(pumps), START, np.ones(pumps, dtype=bool)
     while todo.size and length <= HARD_CAP:
-        # a row resolves only with its last ratio below 1: the rest skip the stage
         last = model.ratio_rows(kappa, length, length - 1)[:, 0]
-        for part in _pieces(todo[last[todo] < 1.0], length):
-            yield _stage_piece(model, kappa, part, length, levels)
-        todo = todo[levels[todo] == 0]
+        for rows in _pieces(todo[last[todo] < 1.0], length):
+            for block in _ladder_blocks(model, kappa, rows, length, _tail_levels, top):
+                live[block.rows] = False
+                yield block
+        todo = todo[live[todo]]
         length *= 2
 
 
 def truncation_levels(model, kappa: float) -> np.ndarray:
-    """The n_max of each of the model's pump rows (GeneratorModel.pump_count); 0 marks a
-    row whose tail no ladder up to HARD_CAP resolves.
-
-    A model with a cutoff of its own is pinned to it (_pinned), and a
-    cutoff past MAX_TRUNCATION is raised before any table is built.  Every
-    other row takes the smallest n_max whose steady distribution has
+    """The n_max of each of the model's pump rows (GeneratorModel.pump_count),
+    read from its block (_blocks); 0 marks a row whose tail no ladder up to
+    HARD_CAP resolves.  A model with a cutoff of its own is pinned to it
+    (_pinned; one past MAX_TRUNCATION is raised before any table is built).
+    Every other row takes the smallest n_max whose steady distribution has
     p_{n_max} < TAIL_TOL and a last ratio below 1, found by doubling the
-    ladder from START.
-
-    The doubling runs in stages (_search): every unresolved row at START
-    levels, then the rest at twice that, and so on, each row's ladder
-    shifted by its own maximum as it would be alone.  A stage first reads
-    the ratio at its last level for every row, and ladders only the rows
-    where that is below 1, since no other row can resolve there.  It reads
-    the model's ratio table (evaluated once per model, on HARD_CAP levels)
-    for each piece of those rows (_pieces), and needs only the magnitudes
-    of the ladder.
-    """
-    rows = model.pump_count()
-    cutoff = _pinned(model)
-    if cutoff is not None:
-        return np.full(rows, cutoff)
-    levels = np.zeros(rows, dtype=int)
-    for _ in _search(model, kappa, levels):
-        pass
+    ladder from START, each row's ladder shifted by its own maximum as it
+    would be alone."""
+    levels = np.zeros(model.pump_count(), dtype=int)
+    for block in _blocks(model, kappa, _pinned(model), None):
+        levels[block.rows] = block.n_max
     return levels
 
 
@@ -384,19 +382,15 @@ def solve_pump_axis(
     (GeneratorModel.pump_count).  truncation None runs the truncation search
     (truncation_levels), an integer fixes n_max.  cutoff is
     recurrence_steady's: an integer zeroes every level beyond it, None
-    keeps them all, and "auto" takes the model's own cutoff.  A searched
-    block is the pumps of one n_max that one stage piece resolved, and
-    takes its populations from that stage's ladder (_ladder_blocks); at a
-    fixed n_max the pumps are taken in pieces (_pieces), each with its own
-    recurrence (recurrence_rows).  Each block has one view of the model
-    (GeneratorModel.at) and the dot products of its rows (moment_sums, and
-    band_derivatives largest n_max first); the column arithmetic
-    (photon_columns, linewidth_columns), the statuses and the populations
-    list run once per axis.  Each cell is
-    bit for bit what its pump gives alone, as an axis of one pump (a scalar
-    r): there is no other one-pump route.  An error that no pump escapes
+    keeps them all, and "auto" takes the model's own cutoff.  Either way
+    the axis reads each pump's n_max and populations from its block
+    (_blocks), and runs the moments, and the band linewidth of its solved
+    rows, per block (see the module docstring).  Each cell is bit for bit
+    what its pump gives alone, as an axis of one pump (a scalar r): there
+    is no other one-pump route.  An error that no pump escapes
     (check_axis_options, a model cutoff below 1 or past MAX_TRUNCATION)
-    fails every cell with its message.
+    fails every cell with its message; a cell without a state names why
+    (_no_state).
     """
     pumps = model.pump_count()
     try:
@@ -406,33 +400,25 @@ def solve_pump_axis(
     except (SteadyStateError, ValueError) as exc:
         columns = np.full((5, pumps), np.nan)
         return PumpAxis([f"error: {exc}"] * pumps, [None] * pumps, np.zeros(pumps, int), *columns)
-    if fixed is None:
-        levels, blocks = np.zeros(pumps, dtype=int), []
-        for stage in _search(model, kappa, levels):
-            blocks += _ladder_blocks(model, stage, top)
-            del stage  # freed before the next stage piece is laddered
-    else:
-        levels, space, blocks = np.full(pumps, fixed), TruncatedSpace(fixed), []
-        for rows in _pieces(np.arange(pumps), space.dim):
-            view = model.at(rows, space)
-            ratios = view.ratio_rows(kappa, _top_level(space, top))
-            blocks.append(_Block(view, rows, *recurrence_rows(ratios, space.dim)))
-    # each row's signed weight, <n>, <n^2> and f'(0); NaN where it has no block
+    blocks = list(_blocks(model, kappa, fixed, top))
+    # each row's n_max, signed weight, <n>, <n^2> and f'(0); 0 or NaN where it has no block
+    levels = np.zeros(pumps, dtype=int)
     weight, mean, second, slope = np.full((4, pumps), np.nan)
     for block in blocks:
+        levels[block.rows] = block.n_max
         weight[block.rows] = block.weight
         mean[block.rows], second[block.rows] = moment_sums(block.p)
     if linewidth:  # largest n_max first, so the first sizes the band's table
-        for block in sorted(blocks, key=lambda block: -block.view.space.n_max):
-            slope[block.rows] = band_derivatives(block.view, block.p, kappa)
+        for block in sorted(blocks, key=lambda block: -block.n_max):
+            rows, p = block.rows[block.weight > 0], block.p[block.weight > 0]
+            slope[rows] = band_derivatives(model.at(rows, TruncatedSpace(block.n_max)), p, kappa)
     solved = weight > 0  # a row the search left unresolved has weight NaN
-    n_maxes = np.where(solved, levels, 0)
     populations = np.full(pumps, None, dtype=object)
     if blocks:
         rows = np.concatenate([block.rows for block in blocks])
         views = chain.from_iterable(block.p for block in blocks)  # each row of each block
         populations[rows] = np.fromiter(views, dtype=object, count=len(rows))
-    populations[~solved] = None  # a fixed block's row whose weight is not positive
+    populations[~solved] = None  # a block's row whose weight is not positive
     mean, variance, mandel_q = photon_columns(*np.where(solved, [mean, second], np.nan))
     width = linewidth_columns(slope, mean, kappa)  # all NaN without the linewidth
     status = ["ok"] * pumps  # then each failed or undefined cell's own
@@ -440,45 +426,11 @@ def solve_pump_axis(
         status[i] = f"undefined: {why}"
     failed = np.flatnonzero(~solved)
     for i, n_max, total in zip(failed.tolist(), levels[failed].tolist(), weight[failed].tolist()):
-        status[i] = f"error: {_not_normalizable(total) if n_max else _UNRESOLVED}"
+        # the ratios its state would read: its filled levels, or the search's
+        ratios = model.ratio_rows(kappa, _top_level(n_max, top) if n_max else HARD_CAP, rows=[i])
+        status[i] = f"error: {_no_state(ratios[0], total if n_max else None)}"
     columns = mean, variance, mandel_q, *width[:2]
-    return PumpAxis(status, populations.tolist(), n_maxes, *columns)
-
-
-class _Block(NamedTuple):
-    """Some pumps of one n_max: the model's view on them (GeneratorModel.at),
-    their rows, populations and signed weights."""
-
-    view: object
-    rows: np.ndarray
-    p: np.ndarray
-    weight: np.ndarray
-
-
-def _ladder_blocks(model, stage: _Stage, top) -> list:
-    """The blocks of the rows a search stage piece resolved, from its
-    ladders.  A row's block fills its levels 0..t (t its n_max, or the
-    cutoff top below it).  Where the stage's ladder peaks within them, the
-    stage's shift is the block's own, so the populations are the stage's
-    magnitudes u there over their sum.  Any other row, or one with a
-    negative ratio (u holds no sign), runs recurrence_rows on the stage's
-    ratios cut to t."""
-    blocks = []
-    signed = (stage.ratios < 0).any(axis=1)
-    for n_max in np.unique(stage.n_max).tolist():
-        space = TruncatedSpace(n_max)
-        t = _top_level(space, top)
-        local = stage.done[stage.n_max == n_max]
-        shared = (stage.peak[local] <= t) & ~signed[local]
-        for picked, reuse in ((local[shared], True), (local[~shared], False)):
-            if picked.size:
-                if reuse:
-                    p, weight = _normalized(stage.u[picked, : t + 1], space.dim)
-                else:
-                    p, weight = recurrence_rows(stage.ratios[picked, :t], space.dim)
-                rows = stage.rows[picked]
-                blocks.append(_Block(model.at(rows, space), rows, p, weight))
-    return blocks
+    return PumpAxis(status, populations.tolist(), np.where(solved, levels, 0), *columns)
 
 
 def _block_labels(generator: Superoperator) -> tuple:

@@ -861,6 +861,48 @@ def test_a_series_cutoff_past_the_ceiling_fails_each_cell_on_one_line(command, t
     assert run_cli([command, "--config", str(cfg)], capsys)[::2] == (EXIT_OK, "")
 
 
+NOT_FINITE = "is not finite; the recurrence defines no state here"
+
+
+@pytest.mark.parametrize(
+    "config, failed",
+    [
+        # gain / kappa = 2e308 at every level, at a fixed truncation and searched
+        (
+            {"models": [{"name": "heuristic", "gain": 1e308, "beta": 0.0}], "g_tau_bar": 0.15,
+             "pump": [2.0], "kappa": 0.5, "truncation": 20},
+            [("heuristic", 2.0, f"ratio p_1/p_0 = inf {NOT_FINITE}")],
+        ),
+        (
+            {"models": [{"name": "heuristic", "gain": 1e308, "beta": 0.0}], "g_tau_bar": 0.15,
+             "pump": [2.0], "kappa": 0.5},
+            [("heuristic", 2.0, f"ratio p_1/p_0 = inf {NOT_FINITE}")],
+        ),
+        # post4's quartic feed passes the float range at level 4
+        (
+            {"models": ["post4"], "g_tau_bar": 0.5, "pump": [1e307, 2.0], "truncation": 100,
+             "cutoff": "off"},
+            [("post4", 1e307, f"ratio p_5/p_4 = -inf {NOT_FINITE}")],
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["sweep", "linewidth"])
+def test_a_ratio_past_the_float_range_fails_its_cell_by_name(
+    command, config, failed, tmp_path, capsys
+):
+    """Such a cell used to read "ok" with every number empty, or "signed
+    distribution weight nan", after NumPy warnings (errors under this
+    suite's filter); its other cells are solved as before."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == EXIT_PARTIAL
+    assert err.splitlines() == [f"{command}: {name} at pump {p}: {why}" for name, p, why in failed]
+    statuses = [row["status"] for row in parse_csv(out)]
+    assert [s for s in statuses if s.startswith("error: ")] == [f"error: {w}" for *_, w in failed]
+    assert len(statuses) == len(config["pump"])
+
+
 def test_stderr_holds_only_the_cell_error_lines():
     # a fresh interpreter shows warnings as Python prints them, with no pytest filter
     proc = subprocess.run(
