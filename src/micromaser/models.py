@@ -558,18 +558,26 @@ _weak_series = weak_coupling_model
 def exponential_projections(alpha, k_max: int) -> list:
     """(<f_k cos(alpha x)>, <f_k sin(alpha x)>) over e^{-x} dx, k = 0..k_max:
     Re and Im of z0 w^k = (1 + i alpha)(-i alpha (1 + i alpha))^k / D^(k+1),
-    D = 1 + alpha^2, in real arithmetic (D^(k+1) must stay finite)."""
+    D = 1 + alpha^2, in real arithmetic.  Neither exceeds
+    |z0 w^k| / D^(k+1) = alpha^k / D^((k+1)/2) < 1/alpha, and where D^(k+1)
+    passes the float range (alpha past 2e51 at k = 2) both are taken as
+    their limit, 0."""
     alpha = np.asarray(alpha, dtype=float)
-    den = 1.0 + alpha**2
-    re, im, scale = np.ones_like(alpha), alpha, den
-    out = [(re / scale, im / scale)]
-    for _ in range(k_max):
-        # times (1 + i alpha), then -i alpha: this grouping keeps k <= 1
-        # bitwise equal to 1/D, alpha/D, 2 alpha^2/D^2, -alpha (1 - alpha^2)/D^2
-        re, im = re - alpha * im, im + alpha * re
-        re, im = alpha * im, -alpha * re
-        scale = scale * den
-        out.append((re / scale, im / scale))
+
+    def projection(re, im, scale):
+        return tuple(np.where(np.isinf(scale), 0.0, part / scale) for part in (re, im))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: the limit
+        den = 1.0 + alpha**2
+        re, im, scale = np.ones_like(alpha), alpha, den
+        out = [projection(re, im, scale)]
+        for _ in range(k_max):
+            # times (1 + i alpha), then -i alpha: this grouping keeps k <= 1
+            # bitwise equal to 1/D, alpha/D, 2 alpha^2/D^2, -alpha (1 - alpha^2)/D^2
+            re, im = re - alpha * im, im + alpha * re
+            re, im = alpha * im, -alpha * re
+            scale = scale * den
+            out.append(projection(re, im, scale))
     return out
 
 

@@ -541,15 +541,22 @@ def test_a_model_cutoff_past_the_ceiling_fails_every_cell_before_any_table(build
     assert fixed.n_max.tolist() == [50, 50]
 
 
-@pytest.mark.parametrize("g_tau_bar", [1e153, 1.3e154])
-def test_exact_solves_without_a_warning_at_the_largest_coupling(g_tau_bar):
+@pytest.mark.parametrize(
+    "build, g_tau_bar",
+    [(exact_model, 1e153), (exact_model, 1.3e154)]
+    + [(uniform_model, g_tau_bar) for g_tau_bar in (1e76, 1e100, 1e149, 1.3e154)],
+)
+def test_exact_solves_without_a_warning_at_the_largest_coupling(build, g_tau_bar):
     """Near the largest g tau_bar that check_g_tau_bar admits, the
     exponential measure's averages square arguments past the float range on
     the ratio table's 4,096 levels; 1 / (1 + inf) = 0 is their limit, so
-    every cell is solved with no warning (an error in this suite)."""
+    every cell is solved with no warning (an error in this suite).  The
+    uniform model's projections divide by D^(k+1), D = 1 + (g tau_bar)^2 y,
+    which passes the float range from g tau_bar 1e76 on, and take their
+    limit 0 there: the vacuum, as exact gives."""
     params = PumpParameters.from_pump(np.array([1.0, 5.0]), g_tau_bar)
     for truncation in (5, None):
-        model = exact_model(params, TruncatedSpace(1))
+        model = build(params, TruncatedSpace(1))
         axis = solve_pump_axis(model, 1.0, truncation=truncation, linewidth=True)
         assert [s.startswith("undefined: mean photon number") for s in axis.status] == [True] * 2
 
