@@ -262,9 +262,9 @@ def _tail_levels(u: np.ndarray) -> np.ndarray:
     return np.where(ok[:, -1], ok.argmax(axis=1), 0)  # >= 1: ok[:, 0] is False
 
 
-def _ladder_blocks(model, kappa: float, rows: np.ndarray, length: int, n_max, top) -> list:
+def _ladder_blocks(model, kappa: float, rows: np.ndarray, length: int, resolve, top) -> list:
     """The blocks of the pump rows `rows`, one stage piece laddered on
-    `length` levels; n_max(u) gives each row's n_max from its ladder's
+    `length` levels; resolve(u) gives each row's n_max from its ladder's
     magnitudes u, 0 for a row that gets no block.  A row's block fills its
     levels 0..t (t its n_max, or the cutoff top below it).  Where its
     ladder peaks within them, the ladder's shift is the block's own, so its
@@ -273,7 +273,7 @@ def _ladder_blocks(model, kappa: float, rows: np.ndarray, length: int, n_max, to
     cut to t.  The piece's arrays die as it returns."""
     ratios = model.ratio_rows(kappa, length, rows=rows)
     u, peak = _ladder(ratios)
-    levels = n_max(u)
+    levels = resolve(u)
     signed = (ratios < 0).any(axis=1)
     blocks = []
     for level in np.unique(levels[levels > 0]).tolist():
