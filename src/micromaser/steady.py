@@ -410,7 +410,8 @@ def solve_pump_axis(
         mean[block.rows], second[block.rows] = moment_sums(block.p)
     if linewidth:  # largest n_max first, so the first sizes the band's table
         for block in sorted(blocks, key=lambda block: -block.n_max):
-            rows, p = block.rows[block.weight > 0], block.p[block.weight > 0]
+            ok = block.weight > 0  # a failed row gets no linewidth: copies only where one fails
+            rows, p = (block.rows, block.p) if ok.all() else (block.rows[ok], block.p[ok])
             slope[rows] = band_derivatives(model.at(rows, TruncatedSpace(block.n_max)), p, kappa)
     solved = weight > 0  # a row the search left unresolved has weight NaN
     populations = np.full(pumps, None, dtype=object)
