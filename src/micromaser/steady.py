@@ -144,11 +144,6 @@ def _ladder(ratios: np.ndarray) -> tuple:
     return np.exp(logs, out=logs), peak
 
 
-def _signs(ratios: np.ndarray) -> np.ndarray:
-    """sign(p_n) of the same ladders."""
-    return np.concatenate((np.ones((len(ratios), 1)), np.cumprod(np.sign(ratios), axis=1)), axis=1)
-
-
 def _top_level(n_max: int, cutoff: int | None) -> int:
     """The last level a recurrence fills: n_max, or the cutoff below it."""
     return n_max if cutoff is None else min(cutoff, n_max)
@@ -191,8 +186,8 @@ def recurrence_rows(ratios: np.ndarray, dim: int) -> tuple:
     comes out bit for bit as it does alone.
     """
     filled = _ladder(ratios)[0]
-    if (ratios < 0).any():
-        filled *= _signs(ratios)
+    if (ratios < 0).any():  # sign(p_n), p_0 > 0
+        filled[:, 1:] *= np.cumprod(np.sign(ratios), axis=1)
     return _normalized(filled, dim)
 
 
@@ -280,13 +275,11 @@ def _ladder_blocks(model, kappa: float, rows: np.ndarray, length: int, resolve, 
         t = _top_level(level, top)
         local = (levels == level).nonzero()[0]
         shared = (peak[local] <= t) & ~signed[local]
-        for picked, reuse in ((local[shared], True), (local[~shared], False)):
-            if picked.size:
-                if reuse:
-                    p, weight = _normalized(u[picked, : t + 1], level + 1)
-                else:
-                    p, weight = recurrence_rows(ratios[picked, :t], level + 1)
-                blocks.append(_Block(rows[picked], level, p, weight))
+        reused, own = local[shared], local[~shared]
+        if reused.size:
+            blocks.append(_Block(rows[reused], level, *_normalized(u[reused, : t + 1], level + 1)))
+        if own.size:
+            blocks.append(_Block(rows[own], level, *recurrence_rows(ratios[own, :t], level + 1)))
     return blocks
 
 

@@ -890,9 +890,9 @@ NOT_FINITE = "is not finite; the recurrence defines no state here"
 def test_a_ratio_past_the_float_range_fails_its_cell_by_name(
     command, config, failed, tmp_path, capsys
 ):
-    """Such a cell used to read "ok" with every number empty, or "signed
-    distribution weight nan", after NumPy warnings (errors under this
-    suite's filter); its other cells are solved as before."""
+    """The cell fails naming its first ratio that is not finite, with no
+    NumPy warning (an error under this suite's filter), and runs no band
+    linewidth; its other cells are solved."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, err = run_cli([command, "--config", str(cfg)], capsys)

@@ -112,8 +112,8 @@ def test_recurrence_rejects_nonpositive_total():
 
 @pytest.mark.parametrize("bad, shown", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")])
 def test_recurrence_names_a_ratio_that_is_not_finite(bad, shown):
-    """A ratio of inf used to give p = [0, 0, 0, 0, nan, ...], its weight
-    inf taken as positive; every such ladder now has no state."""
+    """A ladder with a ratio that is not finite has no state, even where
+    its weight reads inf, which compares as positive."""
     message = f"^ratio p_4/p_3 = {shown} is not finite; the recurrence defines no state here$"
     with pytest.raises(SteadyStateError, match=message):
         recurrence_steady(lambda n: np.where(n == 3, bad, 0.5), TruncatedSpace(8))
